@@ -58,6 +58,7 @@ from .intervals import (
     distance_to_set,
     fatten,
     hausdorff_distance,
+    interval_union,
     lebesgue,
     normalize,
     point_set,

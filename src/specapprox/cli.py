@@ -41,9 +41,14 @@ def _workers() -> int | None:
 
 
 def _load_json(path):
+    def finite(text):  # NaN, Infinity, and literals such as 1e999 that overflow
+        if math.isfinite(x := float(text)):
+            return x
+        raise ConfigError(f"non-finite number {text} in {path}")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise ConfigError(f"no such file: {path}")
     except json.JSONDecodeError as e:
@@ -173,6 +178,8 @@ def cmd_measure(args) -> int:
         raise ConfigError("model must be an object with a name")
     mu = _parse_measure(cfg.get("measure"))
     tail = int(cfg.get("tail", convergence.DEFAULT_TAIL))
+    if tail < 1:
+        raise ConfigError(f"tail must be >= 1, got {tail}")
     tail_tol = float(cfg.get("tail_tol", 1e-3))
     crit_tol = float(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL))
 
@@ -209,7 +216,7 @@ def cmd_measure(args) -> int:
             tail_tol=tail_tol,
             workers=_workers(),
         )
-        report.summary["delta_mode"] = mode if mode != "proxy" else "proxy"
+        report.summary["delta_mode"] = mode
         report.summary["corollary"] = _criterion_from_rows(report.rows, tail, crit_tol)
 
     report.write_csv(cfg["output_csv"])

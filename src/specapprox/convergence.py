@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .intervals import (
     CompactSet,
     IntervalSet,
-    PointSet,
     as_intervals,
     components,
     contains_point,
@@ -206,9 +205,21 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _tail_spread(values, tail: int) -> float:
-    window = values[-tail:]
-    return max(window) - min(window)
+def _summary(rows, tail: int, tail_tol: float, **extra) -> dict:
+    """Tail diagnostics of the fattened column; ``extra`` keys precede the note."""
+    fat_values = [r.mu_fattened for r in rows]
+    tail = min(tail, len(fat_values))
+    window = fat_values[-tail:]
+    spread = max(window) - min(window)
+    return {
+        "estimate": fat_values[-1],
+        "converged": spread < tail_tol,
+        "tail_spread": spread,
+        "tail": tail,
+        "rows": len(rows),
+        **extra,
+        "note": FINITE_HORIZON_NOTE,
+    }
 
 
 def fattened_measure_sequence(
@@ -239,17 +250,7 @@ def fattened_measure_sequence(
                 q_times_delta=rec.q * rec.delta,
             )
         )
-    fat_values = [r.mu_fattened for r in rows]
-    spread = _tail_spread(fat_values, min(tail, len(fat_values)))
-    summary = {
-        "estimate": fat_values[-1],
-        "converged": spread < tail_tol,
-        "tail_spread": spread,
-        "tail": min(tail, len(fat_values)),
-        "rows": len(rows),
-        "note": FINITE_HORIZON_NOTE,
-    }
-    return ConvergenceReport(rows=rows, summary=summary)
+    return ConvergenceReport(rows=rows, summary=_summary(rows, tail, tail_tol))
 
 
 @dataclass(frozen=True)

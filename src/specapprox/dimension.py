@@ -97,10 +97,15 @@ class ExponentFit:
     window: tuple[int, int]
 
 
-def _tail_window(k: int, tail_fraction: float) -> int:
+def _tail_window(stats: CoverStats, tail_fraction: float) -> tuple[int, int]:
+    """(row count k, window length w) of the fit; w is at least 3 and at most k."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
-    return max(3, math.ceil(k * tail_fraction))
+    k = len(stats)
+    w = max(3, math.ceil(k * tail_fraction))
+    if k < 3 or w > k:
+        raise InsufficientDataError(f"need at least 3 tail rows, have {k}")
+    return k, w
 
 
 def _fit_line(x, y) -> tuple[float, float, float]:
@@ -119,10 +124,7 @@ def dim_bound_last(stats: CoverStats, tail_fraction: float = 0.5) -> ExponentFit
     the tail window (default: last half, at least 3 rows), clamped at 0 so
     the bound stays in (0, 1].
     """
-    k = len(stats)
-    w = _tail_window(k, tail_fraction)
-    if k < 3 or w > k:
-        raise InsufficientDataError(f"need at least 3 tail rows, have {k}")
+    k, w = _tail_window(stats, tail_fraction)
     q = stats.q[k - w :]
     mu = stats.mu_fattened[k - w :]
     if any(b <= a for a, b in zip(q, q[1:])):
@@ -143,10 +145,7 @@ def dim_bound_direct(
     tail window, clamped at 0.  Requires the diameter bounds r to vanish
     along the tail (strictly decreasing, or already below ``r_tol``).
     """
-    k = len(stats)
-    w = _tail_window(k, tail_fraction)
-    if k < 3 or w > k:
-        raise InsufficientDataError(f"need at least 3 tail rows, have {k}")
+    k, w = _tail_window(stats, tail_fraction)
     q = stats.q[k - w :]
     delta = stats.delta[k - w :]
     r = stats.r[k - w :]

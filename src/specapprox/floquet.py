@@ -32,13 +32,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convergence import ConvergenceReport, Measure1D, ReportRow, _tail_spread, measure
-from .convergence import FINITE_HORIZON_NOTE
+from .convergence import ConvergenceReport, Measure1D, ReportRow, _summary, measure
 from .intervals import (
     DEFAULT_TOL,
     IntervalSet,
     InvalidRadiusError,
+    fatten,
     hausdorff_distance,
+    interval_union,
     normalize,
 )
 
@@ -194,13 +195,13 @@ def eigenvalues(matrix, check_tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Sorted eigenvalues of a Hermitian matrix.
 
     Raises :class:`NotHermitianError` when the largest asymmetry
-    |M - M*| exceeds ``check_tol``.
+    |M - M*| exceeds ``check_tol`` or is NaN.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = np.max(np.abs(m - m.conj().T))
-    if asym > check_tol:
+    if not asym <= check_tol:
         raise NotHermitianError(f"matrix asymmetry {asym:.3e} exceeds {check_tol:.3e}")
     return np.linalg.eigvalsh(m)
 
@@ -290,10 +291,10 @@ def cover_from_bands(bands, delta: float, tol: float = DEFAULT_TOL) -> IntervalS
     whenever delta dominates the Hausdorff distance to it."""
     if delta < 0:
         raise InvalidRadiusError(f"cover fattening must be nonnegative, got {delta}")
+    if isinstance(bands, IntervalSet):
+        return fatten(bands, delta, tol)
     if isinstance(bands, BandSpectrum):
         bands = bands.bands
-    elif isinstance(bands, IntervalSet):
-        bands = [(iv.lo, iv.hi) for iv in bands.intervals]
     return normalize(((lo - delta, hi + delta) for lo, hi in bands), tol)
 
 
@@ -306,8 +307,8 @@ def cover_from_eigenvalues(eigs, delta: float, radius: float, tol: float = DEFAU
     """
     if delta < 0 or radius < 0:
         raise InvalidRadiusError("cover radii must be nonnegative")
-    rad = delta + radius
-    return normalize(((float(e) - rad, float(e) + rad) for e in np.atleast_1d(eigs)), tol)
+    e = np.atleast_1d(np.asarray(eigs, dtype=float))
+    return interval_union(e - (delta + radius), e + (delta + radius), tol)
 
 
 def proxy_deltas(unions) -> list[float]:
@@ -354,27 +355,21 @@ def estimate_measure_via_fibers(
     if strategy is None:
         strategy = "exact_1d" if dim == 1 else "grid"
 
-    spectra = None
-    if deltas == "proxy":
-        spectra = [
-            band_spectrum(v, strategy=strategy, grid_points=grid_points, workers=workers)
-            for v in potentials
-        ]
-        unions = [s.union() for s in spectra]
-        delta_list = proxy_deltas(unions)
-        delta_mode = "proxy"
-    else:
+    proxy = deltas == "proxy"
+    if not proxy:
         delta_list = [float(d) for d in deltas]
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
-        delta_mode = "analytic"
     if include_bands is None:
-        include_bands = spectra is not None or dim == 1
-    if include_bands and spectra is None:
-        spectra = [
-            band_spectrum(v, strategy=strategy, grid_points=grid_points, workers=workers)
+        include_bands = proxy or dim == 1
+    unions = None
+    if proxy or include_bands:
+        unions = [
+            band_spectrum(v, strategy=strategy, grid_points=grid_points, workers=workers).union()
             for v in potentials
         ]
+    if proxy:
+        delta_list = proxy_deltas(unions)
 
     rows = []
     band_fattened = []
@@ -383,10 +378,9 @@ def estimate_measure_via_fibers(
         eigs = fiber_eigenvalues(v, phase)
         cover = cover_from_eigenvalues(eigs, delta, r)
         fat = measure(mu, cover)
-        if spectra is not None:
-            union = spectra[n - 1].union()
-            raw = measure(mu, union)
-            band_fattened.append(measure(mu, cover_from_bands(union, delta)))
+        if unions is not None:
+            raw = measure(mu, unions[n - 1])
+            band_fattened.append(measure(mu, cover_from_bands(unions[n - 1], delta)))
         else:
             raw = math.nan
         rows.append(
@@ -401,18 +395,9 @@ def estimate_measure_via_fibers(
             )
         )
 
-    fat_values = [row.mu_fattened for row in rows]
-    spread = _tail_spread(fat_values, min(tail, len(fat_values)))
-    summary = {
-        "estimate": fat_values[-1],
-        "converged": spread < tail_tol,
-        "tail_spread": spread,
-        "tail": min(tail, len(fat_values)),
-        "rows": len(rows),
-        "delta_mode": delta_mode,
-        "phase": list(_phase_tuple(phase, dim)),
-        "note": FINITE_HORIZON_NOTE,
-    }
+    summary = _summary(
+        rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(_phase_tuple(phase, dim))
+    )
     if band_fattened:
         summary["band_fattened"] = band_fattened
         summary["band_estimate"] = band_fattened[-1]

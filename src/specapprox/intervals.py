@@ -2,10 +2,13 @@
 
 A compact set is stored either as an :class:`IntervalSet` (sorted union of
 disjoint closed intervals) or as a :class:`PointSet` (sorted finite set of
-reals).  Canonical form makes set predicates cheap and reproducible:
-Lebesgue measure is a sum of component lengths, and Hausdorff distance
-reduces to evaluating a piecewise-linear distance function at finitely many
-candidate points, so no grid discretization enters the exact paths.
+reals, i.e. degenerate intervals), each as two sorted read-only float64
+endpoint arrays ``lows`` and ``highs``; ``intervals`` and ``points`` are
+tuple views.  Merging is a sort plus a running maximum and Lebesgue measure
+a sum of lengths.  Hausdorff distance reduces to evaluating a
+piecewise-linear distance function at finitely many candidate points, each
+located by binary search: O((n+m) log(n+m)) for n and m components, with
+no grid discretization on the exact paths.
 
 Endpoint comparisons accept an absolute tolerance (default ``1e-12``) so
 that eigenvalue-level noise from downstream pipelines does not flip merge
@@ -15,8 +18,9 @@ or containment decisions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 DEFAULT_TOL = 1e-12
 
@@ -47,57 +51,93 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+def _check_endpoints(lows: np.ndarray, highs: np.ndarray) -> None:
+    if lows.ndim != 1 or lows.shape != highs.shape:
+        raise ValueError("endpoint arrays must be one-dimensional and of equal length")
+    bad = ~(np.isfinite(lows) & np.isfinite(highs) & (lows <= highs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"interval endpoints must be finite and ordered, got [{lows[i]}, {highs[i]}]")
+
+
+class _SortedSet:
+    """Storage shared by both set kinds: read-only sorted endpoint arrays."""
+
+    __slots__ = ("lows", "highs")
+
+    def _checked(self, lows: np.ndarray, highs: np.ndarray):
+        if lows.size == 0:
+            raise EmptySetError(f"{type(self).__name__} must not be empty")
+        _check_endpoints(lows, highs)
+        if (lows[1:] <= highs[:-1]).any():
+            raise ValueError("components must be sorted and separated by positive gaps")
+        return self._store(lows, highs)
+
+    def _store(self, lows: np.ndarray, highs: np.ndarray):
+        lows.flags.writeable = highs.flags.writeable = False
+        self.lows, self.highs = lows, highs
+        return self
+
+    def __len__(self) -> int:
+        return len(self.lows)
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self)
+        return same and np.array_equal(self.lows, other.lows) and np.array_equal(self.highs, other.highs)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.lows.tolist()), tuple(self.highs.tolist())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({set_to_obj(self)!r})"
+
+
+class IntervalSet(_SortedSet):
     """Canonical finite union of closed intervals.
 
     Components are sorted and separated by strictly positive gaps.  Build
-    instances through :func:`normalize` unless the input is already known
-    to be canonical.
+    instances through :func:`normalize` or :func:`interval_union` unless the
+    input is already known to be canonical.
     """
 
-    intervals: tuple[Interval, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.intervals:
-            raise EmptySetError("interval set must contain at least one component")
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if b.lo <= a.hi:
-                raise ValueError(f"components not separated: [{a.lo}, {a.hi}] then [{b.lo}, {b.hi}]")
+    def __init__(self, intervals):
+        self._checked(*np.array([(iv.lo, iv.hi) for iv in intervals], dtype=float).reshape(-1, 2).T)
 
-    def __len__(self) -> int:
-        return len(self.intervals)
+    @classmethod
+    def from_arrays(cls, lows, highs) -> "IntervalSet":
+        """Set from sorted, separated endpoint arrays; checked, not merged."""
+        return cls.__new__(cls)._checked(np.array(lows, dtype=float), np.array(highs, dtype=float))
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lows.tolist(), self.highs.tolist()))
 
     def __iter__(self):
         return iter(self.intervals)
 
     @property
     def lo(self) -> float:
-        return self.intervals[0].lo
+        return float(self.lows[0])
 
     @property
     def hi(self) -> float:
-        return self.intervals[-1].hi
+        return float(self.highs[-1])
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Finite set of reals, stored strictly increasing."""
+class PointSet(_SortedSet):
+    """Finite set of reals, stored strictly increasing (``lows is highs``)."""
 
-    points: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.points:
-            raise EmptySetError("point set must contain at least one point")
-        for x in self.points:
-            if not math.isfinite(x):
-                raise ValueError(f"point must be finite, got {x}")
-        for a, b in zip(self.points, self.points[1:]):
-            if b <= a:
-                raise ValueError("points must be strictly increasing")
+    def __init__(self, points):
+        pts = np.array(points, dtype=float).reshape(-1)
+        self._checked(pts, pts)
 
-    def __len__(self) -> int:
-        return len(self.points)
+    @property
+    def points(self) -> tuple[float, ...]:
+        return tuple(self.lows.tolist())
 
     def __iter__(self):
         return iter(self.points)
@@ -108,49 +148,45 @@ CompactSet = IntervalSet | PointSet
 
 def point_set(values, tol: float = 0.0) -> PointSet:
     """Sort values and drop duplicates closer than tol, then build a PointSet."""
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        raise EmptySetError("point set must contain at least one point")
-    kept = [vals[0]]
-    for v in vals[1:]:
-        if v - kept[-1] > tol:
+    kept = []
+    for v in sorted(float(x) for x in values):
+        if not kept or v - kept[-1] > tol:
             kept.append(v)
-    return PointSet(tuple(kept))
+    return PointSet(kept)
 
 
-def _as_interval(item) -> Interval:
-    if isinstance(item, Interval):
-        return item
-    lo, hi = item
-    return Interval(float(lo), float(hi))
+def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
+    """Canonical union of the closed intervals [lows[i], highs[i]].
+
+    Sorts by (lo, hi) and merges components that overlap, touch, or leave a
+    gap of at most ``tol``: a new component starts where a left endpoint
+    exceeds the running maximum of the right endpoints before it by more
+    than ``tol``.  Raises :class:`EmptySetError` on empty input.
+    """
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+    if lows.size == 0:
+        raise EmptySetError("cannot normalize an empty collection of intervals")
+    _check_endpoints(lows, highs)
+    order = np.lexsort((highs, lows))
+    lows, highs = lows[order], highs[order]
+    reach = np.maximum.accumulate(highs)
+    first = np.concatenate(([True], lows[1:] > reach[:-1] + tol))
+    last = np.append(first[1:], True)
+    return IntervalSet.__new__(IntervalSet)._store(lows[first], reach[last])  # canonical by construction
 
 
 def normalize(raw, tol: float = DEFAULT_TOL) -> IntervalSet:
-    """Canonicalize an iterable of intervals (or (lo, hi) pairs).
-
-    Sorts by left endpoint and merges components that overlap, touch, or
-    leave a gap of at most ``tol``.  Raises :class:`EmptySetError` on empty
-    input.
-    """
-    items = sorted((_as_interval(it) for it in raw))
-    if not items:
+    """Canonicalize an iterable of intervals (or (lo, hi) pairs); see :func:`interval_union`."""
+    pairs = [(it.lo, it.hi) if isinstance(it, Interval) else it for it in raw]
+    if not pairs:
         raise EmptySetError("cannot normalize an empty collection of intervals")
-    merged = [items[0]]
-    for iv in items[1:]:
-        last = merged[-1]
-        if iv.lo <= last.hi + tol:
-            if iv.hi > last.hi:
-                merged[-1] = Interval(last.lo, iv.hi)
-        else:
-            merged.append(iv)
-    return IntervalSet(tuple(merged))
+    lows, highs = np.array(pairs, dtype=float).T  # ValueError unless (lo, hi) pairs
+    return interval_union(lows, highs, tol)
 
 
 def as_intervals(a: CompactSet, tol: float = DEFAULT_TOL) -> IntervalSet:
     """View a compact set as an IntervalSet (points become degenerate intervals)."""
-    if isinstance(a, IntervalSet):
-        return a
-    return normalize(((x, x) for x in a.points), tol)
+    return a if isinstance(a, IntervalSet) else fatten(a, 0.0, tol)
 
 
 def fatten(a: CompactSet, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -161,57 +197,36 @@ def fatten(a: CompactSet, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
-    if isinstance(a, PointSet):
-        raw = ((x - delta, x + delta) for x in a.points)
-    else:
-        raw = ((iv.lo - delta, iv.hi + delta) for iv in a.intervals)
-    return normalize(raw, tol)
+    return interval_union(a.lows - delta, a.highs + delta, tol)
 
 
 def lebesgue(a: CompactSet) -> float:
-    """Total length of the components (zero for point sets)."""
-    if isinstance(a, PointSet):
-        return 0.0
-    return float(sum(iv.length for iv in a.intervals))
+    """Total length of the components (zero for point sets).
+
+    Summed left to right like a plain loop; ``np.sum`` adds pairwise and can
+    move the last digits.
+    """
+    return float(np.cumsum(a.highs - a.lows)[-1])
 
 
 def components(a: CompactSet) -> tuple[int, float]:
     """(component count, largest component diameter)."""
-    if isinstance(a, PointSet):
-        return len(a.points), 0.0
-    return len(a.intervals), max(iv.length for iv in a.intervals)
+    return len(a), float(np.max(a.highs - a.lows))
+
+
+def _distances(b: CompactSet, xs: np.ndarray) -> np.ndarray:
+    """Distance from each entry of xs to b, one binary search per point: the
+    point lies in the component before the first one starting right of it,
+    or in the gap between the two."""
+    j = np.searchsorted(b.lows, xs, side="right")
+    below = np.concatenate(([-np.inf], b.highs))[j]
+    above = np.concatenate((b.lows, [np.inf]))[j]
+    return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
 
 
 def distance_to_set(b: CompactSet, x: float) -> float:
     """Distance from the point x to the set b (zero when x lies in b)."""
-    if isinstance(b, PointSet):
-        pts = b.points
-        i = bisect_left(pts, x)
-        best = math.inf
-        if i < len(pts):
-            best = pts[i] - x
-        if i > 0:
-            best = min(best, x - pts[i - 1])
-        return best
-    ivs = b.intervals
-    los = [iv.lo for iv in ivs]
-    i = bisect_right(los, x) - 1
-    if i >= 0 and x <= ivs[i].hi:
-        return 0.0
-    best = math.inf
-    if i >= 0:
-        best = x - ivs[i].hi
-    if i + 1 < len(ivs):
-        best = min(best, ivs[i + 1].lo - x)
-    return best
-
-
-def _gap_midpoints(b: CompactSet):
-    if isinstance(b, PointSet):
-        seq = b.points
-        return [(a + c) / 2.0 for a, c in zip(seq, seq[1:])]
-    ivs = b.intervals
-    return [(a.hi + c.lo) / 2.0 for a, c in zip(ivs, ivs[1:])]
+    return float(_distances(b, np.array([x], dtype=float))[0])
 
 
 def directed_distance(a: CompactSet, b: CompactSet) -> float:
@@ -222,14 +237,9 @@ def directed_distance(a: CompactSet, b: CompactSet) -> float:
     attained at a component endpoint of a or at a gap midpoint of b lying
     inside a.  Evaluating those finitely many candidates is exact.
     """
-    if isinstance(a, PointSet):
-        cands = list(a.points)
-    else:
-        cands = [e for iv in a.intervals for e in (iv.lo, iv.hi)]
-        for m in _gap_midpoints(b):
-            if distance_to_set(a, m) == 0.0:
-                cands.append(m)
-    return max(distance_to_set(b, x) for x in cands)
+    mids = (b.highs[:-1] + b.lows[1:]) / 2.0
+    cands = np.concatenate((a.lows, a.highs, mids[_distances(a, mids) == 0.0]))
+    return float(np.max(_distances(b, cands)))
 
 
 def hausdorff_distance(a: CompactSet, b: CompactSet) -> float:
@@ -256,9 +266,7 @@ def contains_point(a: CompactSet, x: float, tol: float = DEFAULT_TOL) -> bool:
 
 def set_to_obj(a: CompactSet):
     """JSON-ready form: [[lo, hi], ...] for intervals, [x, ...] for points."""
-    if isinstance(a, PointSet):
-        return list(a.points)
-    return [[iv.lo, iv.hi] for iv in a.intervals]
+    return a.lows.tolist() if isinstance(a, PointSet) else np.column_stack((a.lows, a.highs)).tolist()
 
 
 def _is_number(x) -> bool:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential
-from .intervals import Interval, IntervalSet, PointSet, normalize, point_set
+from .intervals import IntervalSet, PointSet, normalize, point_set
 
 
 def convergents(cf_terms, count: int) -> list[Fraction]:
@@ -99,17 +101,14 @@ def cantor_approximation(level: int) -> ApproximationRecord:
     """
     if not 0 <= level <= 40:
         raise ValueError("level must lie in [0, 40]")
-    intervals = [(0.0, 1.0)]
+    lows, highs = np.zeros(1), np.ones(1)
     for _ in range(level):
-        third = []
-        for lo, hi in intervals:
-            w = (hi - lo) / 3.0
-            third.append((lo, lo + w))
-            third.append((hi - w, hi))
-        intervals = third
+        # each [lo, hi] is replaced, in place, by [lo, lo + w] and [hi - w, hi]
+        w = (highs - lows) / 3.0
+        lows, highs = np.column_stack((lows, highs - w)).ravel(), np.column_stack((lows + w, highs)).ravel()
     scale = 3.0 ** (-level)
-    s = IntervalSet(tuple(Interval(lo, hi) for lo, hi in intervals))
-    return ApproximationRecord(set=s, delta=scale, q=len(intervals), r=scale)
+    s = IntervalSet.from_arrays(lows, highs)
+    return ApproximationRecord(set=s, delta=scale, q=len(s), r=scale)
 
 
 def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRecord:

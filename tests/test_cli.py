@@ -131,6 +131,21 @@ class TestMeasureCommand:
         cfg = measure_config(tmp_path, n_min=5, n_max=2)
         assert main(["measure", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, literal):
+        cfg = measure_config(tmp_path, phase="PHASE")
+        path = tmp_path / "config.json"
+        path.write_text(path.read_text().replace('"PHASE"', literal))
+        assert main(["measure", "--config", cfg]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail", [0, -2])
+    def test_tail_below_one_rejected(self, tmp_path, capsys, tail):
+        cfg = measure_config(tmp_path, n_max=5, tail=tail)
+        assert main(["measure", "--config", cfg]) == 2
+        assert "tail" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_unknown_measure_type_rejected(self, tmp_path):
         cfg = measure_config(tmp_path, measure={"type": "counting"})
         assert main(["measure", "--config", cfg]) == 2

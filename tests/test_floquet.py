@@ -116,6 +116,11 @@ class TestEigenvalues:
         with pytest.raises(NotHermitianError):
             eigenvalues(m)
 
+    def test_rejects_nan(self):
+        # NaN > tol is False, so a plain threshold test would let this through
+        with pytest.raises(NotHermitianError):
+            eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             eigenvalues(np.zeros((2, 3)))

@@ -1,4 +1,7 @@
 import json
+import math
+import time
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -9,14 +12,17 @@ from specapprox import (
     Interval,
     IntervalSet,
     InvalidRadiusError,
+    Lebesgue,
     PointSet,
     as_intervals,
+    cantor_approximation,
     components,
     contains_point,
     contains_set,
     directed_distance,
     distance_to_set,
     fatten,
+    fattened_measure_sequence,
     hausdorff_distance,
     lebesgue,
     normalize,
@@ -29,6 +35,62 @@ from specapprox import (
 
 def iset(*pairs):
     return normalize(pairs)
+
+
+# Loop references: the tuple-of-intervals algorithms the array code replaced,
+# kept to pin the array versions to the same floating-point results.
+
+
+def ref_normalize(pairs, tol=1e-12):
+    items = sorted((float(lo), float(hi)) for lo, hi in pairs)
+    merged = [items[0]]
+    for lo, hi in items[1:]:
+        last_lo, last_hi = merged[-1]
+        if lo <= last_hi + tol:
+            if hi > last_hi:
+                merged[-1] = (last_lo, hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def ref_distance(b, x):
+    if isinstance(b, PointSet):
+        pts = b.points
+        i = bisect_left(pts, x)
+        best = math.inf
+        if i < len(pts):
+            best = pts[i] - x
+        if i > 0:
+            best = min(best, x - pts[i - 1])
+        return best
+    ivs = b.intervals
+    i = bisect_right([iv.lo for iv in ivs], x) - 1
+    if i >= 0 and x <= ivs[i].hi:
+        return 0.0
+    best = math.inf
+    if i >= 0:
+        best = x - ivs[i].hi
+    if i + 1 < len(ivs):
+        best = min(best, ivs[i + 1].lo - x)
+    return best
+
+
+def ref_directed(a, b):
+    if isinstance(b, PointSet):
+        mids = [(p + q) / 2.0 for p, q in zip(b.points, b.points[1:])]
+    else:
+        mids = [(p.hi + q.lo) / 2.0 for p, q in zip(b.intervals, b.intervals[1:])]
+    if isinstance(a, PointSet):
+        cands = list(a.points)
+    else:
+        cands = [e for iv in a.intervals for e in (iv.lo, iv.hi)]
+        cands += [m for m in mids if ref_distance(a, m) == 0.0]
+    return max(ref_distance(b, x) for x in cands)
+
+
+def ref_hausdorff(a, b):
+    return max(ref_directed(a, b), ref_directed(b, a))
 
 
 class TestConstruction:
@@ -228,6 +290,83 @@ class TestOracleAgreement:
             exact = hausdorff_distance(a, b)
             approx = oracle_hausdorff(a, b, spacing=1e-5)
             assert abs(exact - approx) <= 2e-5
+
+
+class TestLoopReferences:
+    def test_normalize_matches_merge_loop(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            k = int(rng.integers(1, 40))
+            # coarse grid endpoints make ties, touching and nested intervals common
+            lo = rng.integers(0, 20, size=k) / 4.0
+            hi = lo + rng.integers(0, 6, size=k) / 4.0
+            tol = float(rng.choice([0.0, 1e-12, 0.25]))
+            pairs = list(zip(lo.tolist(), hi.tolist()))
+            s = normalize(pairs, tol)
+            assert set_to_obj(s) == [list(p) for p in ref_normalize(pairs, tol)]
+            assert lebesgue(s) == sum(h - l for l, h in ref_normalize(pairs, tol))
+
+    def test_distances_match_candidate_loop_and_oracle(self):
+        rng = np.random.default_rng(16)
+        pairs = [(random_compact_set(rng), random_compact_set(rng)) for _ in range(300)]
+        # points sitting exactly on gap midpoints, and interval/point mixes
+        pairs += [
+            (point_set([0.5]), point_set([0.0, 1.0])),
+            (iset((0.0, 0.0), (1.0, 1.0)), point_set([0.5, 2.0])),
+            (iset((0.25, 0.75)), point_set([0.0, 1.0])),
+            (point_set([0.0, 1.0]), iset((0.5, 0.5))),
+        ]
+        for i, (a, b) in enumerate(pairs):
+            d = hausdorff_distance(a, b)
+            assert d == ref_hausdorff(a, b)
+            assert directed_distance(a, b) == ref_directed(a, b)
+            if i < 25:
+                assert abs(d - oracle_hausdorff(a, b, spacing=1e-5)) <= 2e-5
+            for x in rng.uniform(-5.0, 5.0, size=4).tolist() + [float(a.lows[0])]:
+                assert distance_to_set(b, x) == ref_distance(b, x)
+
+
+class TestArrayPaths:
+    def test_cantor_hausdorff_is_subquadratic(self):
+        # 65 536 against 32 768 components; the pairwise candidate scan took
+        # tens of seconds here.  Endpoints built by repeated thirds drift by
+        # a few 1e-10 relative, hence the tolerance on the closed form.
+        a = cantor_approximation(16).set
+        b = cantor_approximation(15).set
+        t0 = time.perf_counter()
+        d = hausdorff_distance(a, b)
+        elapsed = time.perf_counter() - t0
+        assert d == pytest.approx(3.0**-16 / 2.0, rel=1e-9)
+        assert elapsed < 2.0
+
+    def test_measure_and_distance_build_no_interval_objects(self, monkeypatch):
+        def forbid(self):
+            raise AssertionError("an Interval object was built")
+
+        monkeypatch.setattr(Interval, "__post_init__", forbid)
+        records = [cantor_approximation(n) for n in range(1, 9)]
+        report = fattened_measure_sequence(records, Lebesgue())
+        assert report.rows[-1].q == 256
+        assert hausdorff_distance(records[-1].set, records[-2].set) > 0.0
+
+    def test_views_match_arrays(self):
+        s = iset((2.0, 3.0), (0.0, 1.0))
+        assert s.intervals == (Interval(0.0, 1.0), Interval(2.0, 3.0))
+        assert list(s) == list(s.intervals)
+        assert s.lows.tolist() == [0.0, 2.0] and s.highs.tolist() == [1.0, 3.0]
+        p = point_set([1.0, 0.0])
+        assert p.lows is p.highs and list(p) == [0.0, 1.0]
+        with pytest.raises(ValueError):
+            s.lows[0] = 5.0
+
+    def test_from_arrays_checks_canonical_form(self):
+        assert IntervalSet.from_arrays([0.0, 2.0], [1.0, 3.0]) == iset((0.0, 1.0), (2.0, 3.0))
+        with pytest.raises(ValueError):
+            IntervalSet.from_arrays([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            IntervalSet.from_arrays([0.0], [float("nan")])
+        with pytest.raises(EmptySetError):
+            IntervalSet.from_arrays([], [])
 
 
 class TestMembership:
