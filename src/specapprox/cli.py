@@ -13,12 +13,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from . import convergence, dimension, floquet, models
-from .intervals import EmptySetError, hausdorff_distance, set_from_obj
+from .intervals import hausdorff_distance, set_from_obj
 
 THREADS_ENV = "SPECAPPROX_THREADS"
 
@@ -49,8 +51,6 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=finite, parse_constant=finite)
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e}")
 
@@ -69,26 +69,117 @@ def _parse_measure(spec) -> convergence.Measure1D:
         return convergence.Lebesgue()
     _check_keys(spec, {"type", "breakpoints", "values", "outside", "atoms", "weights"}, {"type"}, "measure")
     kind = spec["type"]
-    try:
-        if kind == "lebesgue":
-            _check_keys(spec, {"type"}, {"type"}, "measure")
-            return convergence.Lebesgue()
-        if kind == "density":
-            _check_keys(spec, {"type", "breakpoints", "values", "outside"}, {"type", "breakpoints", "values"}, "measure")
-            return convergence.PiecewiseDensity(
-                breakpoints=tuple(float(b) for b in spec["breakpoints"]),
-                values=tuple(float(v) for v in spec["values"]),
-                outside=float(spec.get("outside", 0.0)),
-            )
-        if kind == "atomic":
-            _check_keys(spec, {"type", "atoms", "weights"}, {"type", "atoms", "weights"}, "measure")
-            return convergence.AtomicMeasure(
-                atoms=tuple(float(a) for a in spec["atoms"]),
-                weights=tuple(float(w) for w in spec["weights"]),
-            )
-    except ValueError as e:
-        raise ConfigError(f"invalid measure: {e}")
+    if kind == "lebesgue":
+        _check_keys(spec, {"type"}, {"type"}, "measure")
+        return convergence.Lebesgue()
+    if kind == "density":
+        _check_keys(spec, {"type", "breakpoints", "values", "outside"}, {"type", "breakpoints", "values"}, "measure")
+        return convergence.PiecewiseDensity(
+            breakpoints=tuple(float(b) for b in spec["breakpoints"]),
+            values=tuple(float(v) for v in spec["values"]),
+            outside=float(spec.get("outside", 0.0)),
+        )
+    if kind == "atomic":
+        _check_keys(spec, {"type", "atoms", "weights"}, {"type", "atoms", "weights"}, "measure")
+        return convergence.AtomicMeasure(
+            atoms=tuple(float(a) for a in spec["atoms"]),
+            weights=tuple(float(w) for w in spec["weights"]),
+        )
     raise ConfigError(f"unknown measure type: {kind!r}")
+
+
+def _keys(*required, optional=()):
+    """(allowed, required) key sets of a model spec."""
+    return {*required, *optional}, set(required)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """A model's constructor and, per command that takes it, its spec keys.
+
+    ``build`` makes one approximant from a spec: an approximation record for
+    a set model, a periodic potential for an operator model.  A bands config
+    passes its model spec as it is; step n of a measure config passes
+    ``step(spec, n)``, by default the spec with its level set to n.
+    """
+
+    build: Callable[[dict], object]
+    keys: dict
+    step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
+
+
+def _free_step(spec, n):
+    base = int(spec["period_base"])
+    if base < 2:
+        raise ConfigError("period_base must be >= 2")
+    return {"dim": spec["dim"], "periods": [base**n] * int(spec["dim"])}
+
+
+def _almost_mathieu(spec):
+    p, q = spec["frequency"]
+    return models.almost_mathieu(
+        float(spec["coupling"]), Fraction(int(p), int(q)), float(spec.get("offset", 0.0))
+    )
+
+
+def _almost_mathieu_step(spec, n):
+    f = models.convergents(spec["frequency_cf"], n)[-1]
+    return {**spec, "frequency": [f.numerator, f.denominator]}
+
+
+def _literal_potential(spec):
+    return floquet.PeriodicPotential(
+        dim=int(spec["dim"]),
+        periods=tuple(int(p) for p in spec["periods"]),
+        cell=tuple(float(v) for v in spec["cell"]),
+    )
+
+
+MODELS = {
+    "cantor": _Model(
+        build=lambda s: models.cantor_approximation(s["level"]),
+        keys={"measure": _keys("name")},
+    ),
+    "grid": _Model(
+        build=lambda s: models.grid_approximation(s["level"], s.get("solid_to")),
+        keys={"measure": _keys("name", optional=("solid_to",))},
+    ),
+    "free": _Model(
+        build=lambda s: models.free_potential(int(s["dim"]), s["periods"]),
+        keys={"measure": _keys("name", "dim", "period_base"), "bands": _keys("name", "dim", "periods")},
+        step=_free_step,
+    ),
+    "almost_mathieu": _Model(
+        build=_almost_mathieu,
+        keys={
+            "measure": _keys("name", "coupling", "frequency_cf", optional=("offset",)),
+            "bands": _keys("name", "coupling", "frequency", optional=("offset",)),
+        },
+        step=_almost_mathieu_step,
+    ),
+    "fibonacci": _Model(
+        build=lambda s: models.fibonacci_potential(int(s["level"]), float(s["coupling"])),
+        keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
+    ),
+    "potential": _Model(build=_literal_potential, keys={"bands": _keys("name", "dim", "periods", "cell")}),
+}
+
+
+def _model(spec, command: str) -> _Model:
+    """Registry entry of a model spec, after checking the spec's keys for ``command``."""
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise ConfigError("model must be an object with a name")
+    entry = MODELS.get(spec["name"])
+    if entry is None or command not in entry.keys:
+        raise ConfigError(f"unknown model: {spec['name']!r}")
+    _check_keys(spec, *entry.keys[command], "model")
+    return entry
+
+
+def _approximants(spec, steps) -> list:
+    """Step n of a measure run's model for each n in ``steps``."""
+    model = _model(spec, "measure")
+    return [model.build(model.step(spec, n)) for n in steps]
 
 
 MEASURE_KEYS = {
@@ -105,40 +196,14 @@ def _n_range(cfg) -> range:
     return range(n_min, n_max + 1)
 
 
-def _floquet_potentials(model, cfg):
-    name = model["name"]
-    steps = _n_range(cfg)
-    if name == "free":
-        _check_keys(model, {"name", "dim", "period_base"}, {"name", "dim", "period_base"}, "model")
-        dim, base = int(model["dim"]), int(model["period_base"])
-        if base < 2:
-            raise ConfigError("period_base must be >= 2")
-        return [models.free_potential(dim, (base**n,) * dim) for n in steps]
-    if name == "almost_mathieu":
-        _check_keys(
-            model, {"name", "coupling", "frequency_cf", "offset"}, {"name", "coupling", "frequency_cf"}, "model"
-        )
-        try:
-            convs = models.convergents(model["frequency_cf"], steps.stop - 1)
-        except ValueError as e:
-            raise ConfigError(f"invalid frequency_cf: {e}")
-        offset = float(model.get("offset", 0.0))
-        return [models.almost_mathieu(float(model["coupling"]), convs[n - 1], offset) for n in steps]
-    if name == "fibonacci":
-        _check_keys(model, {"name", "coupling"}, {"name", "coupling"}, "model")
-        return [models.fibonacci_potential(n, float(model["coupling"])) for n in steps]
-    raise ConfigError(f"unknown model: {name!r}")
-
-
-def _pipeline_deltas(cfg, potentials):
-    mode = cfg.get("delta_mode", "proxy")
+def _pipeline_deltas(mode, cfg, potentials):
     if mode == "proxy":
-        return "proxy", "proxy"
+        return "proxy"
     if mode == "explicit":
         deltas = cfg.get("deltas")
         if not isinstance(deltas, list) or len(deltas) != len(potentials):
             raise ConfigError("explicit delta_mode needs a deltas list, one per step")
-        return [float(d) for d in deltas], "explicit"
+        return deltas
     if mode == "holder":
         if "holder_constant" not in cfg or "holder_frequency" not in cfg:
             raise ConfigError("holder delta_mode needs holder_constant and holder_frequency")
@@ -146,26 +211,13 @@ def _pipeline_deltas(cfg, potentials):
         target = float(cfg["holder_frequency"])
         deltas = []
         for v in potentials:
+            # q is the denominator of the convergent the potential was built
+            # from; p is the numerator nearest to the target frequency
             q = v.periods[0]
-            # recover p/q from the potential is not possible in general; the
-            # caller supplies the target frequency and we use the best
-            # rational with the potential's period
             p = round(target * q)
             deltas.append(c * abs(target - p / q) ** 0.5)
-        return deltas, "holder"
+        return deltas
     raise ConfigError(f"unknown delta_mode: {mode!r}")
-
-
-def _criterion_from_rows(rows, tail: int, tol: float):
-    products = [row.q_times_delta for row in rows]
-    window = products[-tail:]
-    flag = all(p < tol for p in window)
-    estimate = None
-    if flag:
-        last_raw = rows[-1].mu_raw
-        if isinstance(last_raw, float) and math.isfinite(last_raw):
-            estimate = last_raw
-    return {"flag": flag, "products_tail": window, "estimate": estimate}
 
 
 def cmd_measure(args) -> int:
@@ -173,9 +225,6 @@ def cmd_measure(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"}, "config")
-    model = cfg["model"]
-    if not isinstance(model, dict) or "name" not in model:
-        raise ConfigError("model must be an object with a name")
     mu = _parse_measure(cfg.get("measure"))
     tail = int(cfg.get("tail", convergence.DEFAULT_TAIL))
     if tail < 1:
@@ -183,46 +232,40 @@ def cmd_measure(args) -> int:
     tail_tol = float(cfg.get("tail_tol", 1e-3))
     crit_tol = float(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL))
 
-    name = model["name"]
-    if name in ("cantor", "grid"):
-        if name == "cantor":
-            _check_keys(model, {"name"}, {"name"}, "model")
-            records = [models.cantor_approximation(n) for n in _n_range(cfg)]
-        else:
-            _check_keys(model, {"name", "solid_to"}, {"name"}, "model")
-            solid = model.get("solid_to")
-            records = [models.grid_approximation(n, solid) for n in _n_range(cfg)]
-        report = convergence.fattened_measure_sequence(records, mu, tail=tail, tail_tol=tail_tol)
-        crit = convergence.corollary_criterion(records, tail=tail, tolerance=crit_tol)
-        report.summary["corollary"] = {
-            "flag": crit.flag,
-            "products_tail": list(crit.products[-tail:]),
-            "estimate": crit.measure_estimate,
-        }
+    approximants = _approximants(cfg["model"], _n_range(cfg))
+    mode = cfg.get("delta_mode", "proxy")
+    if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
+        raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
+    if isinstance(approximants[0], convergence.ApproximationRecord):
+        report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
     else:
-        potentials = _floquet_potentials(model, cfg)
-        deltas, mode = _pipeline_deltas(cfg, potentials)
-        strategy = cfg.get("strategy")
-        if strategy is None:
-            strategy = "exact_1d" if potentials[0].dim == 1 else "grid"
         report = floquet.estimate_measure_via_fibers(
-            potentials,
+            approximants,
             cfg.get("phase", 0.0),
             mu,
-            deltas=deltas,
-            strategy=strategy,
+            deltas=_pipeline_deltas(mode, cfg, approximants),
+            strategy=cfg.get("strategy"),
             grid_points=int(cfg.get("grid_points", 64)),
             tail=tail,
             tail_tol=tail_tol,
             workers=_workers(),
         )
         report.summary["delta_mode"] = mode
-        report.summary["corollary"] = _criterion_from_rows(report.rows, tail, crit_tol)
+
+    # Vanishing-product corollary: once q_n * delta_n is small over the tail,
+    # the raw measure of the last step (in the configured measure) is trusted.
+    products = [row.q_times_delta for row in report.rows][-tail:]
+    flag = all(p < crit_tol for p in products)
+    last_raw = report.rows[-1].mu_raw
+    report.summary["corollary"] = {
+        "flag": flag,
+        "products_tail": products,
+        "estimate": last_raw if flag and math.isfinite(last_raw) else None,
+    }
 
     report.write_csv(cfg["output_csv"])
     report.write_json(cfg["output_json"])
     est = report.summary["estimate"]
-    flag = report.summary["corollary"]["flag"]
     print(f"estimate: {est:.6g}")
     print(f"criterion_flag: {str(flag).lower()}")
     return 0
@@ -231,50 +274,16 @@ def cmd_measure(args) -> int:
 BANDS_KEYS = {"model", "strategy", "grid_points", "output_csv", "output_json"}
 
 
-def _single_potential(model) -> floquet.PeriodicPotential:
-    name = model.get("name")
-    try:
-        if name == "free":
-            _check_keys(model, {"name", "dim", "periods"}, {"name", "dim", "periods"}, "model")
-            return models.free_potential(int(model["dim"]), model["periods"])
-        if name == "almost_mathieu":
-            _check_keys(
-                model, {"name", "coupling", "frequency", "offset"}, {"name", "coupling", "frequency"}, "model"
-            )
-            p, q = model["frequency"]
-            return models.almost_mathieu(
-                float(model["coupling"]), Fraction(int(p), int(q)), float(model.get("offset", 0.0))
-            )
-        if name == "fibonacci":
-            _check_keys(model, {"name", "level", "coupling"}, {"name", "level", "coupling"}, "model")
-            return models.fibonacci_potential(int(model["level"]), float(model["coupling"]))
-        if name == "potential":
-            _check_keys(model, {"name", "dim", "periods", "cell"}, {"name", "dim", "periods", "cell"}, "model")
-            return floquet.PeriodicPotential(
-                dim=int(model["dim"]),
-                periods=tuple(int(p) for p in model["periods"]),
-                cell=tuple(float(v) for v in model["cell"]),
-            )
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"invalid model: {e}")
-    raise ConfigError(f"unknown model: {name!r}")
-
-
 def cmd_bands(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, BANDS_KEYS, {"model", "output_csv"}, "config")
-    potential = _single_potential(cfg["model"])
+    potential = _model(cfg["model"], "bands").build(cfg["model"])
     strategy = cfg.get("strategy", "exact_1d" if potential.dim == 1 else "grid")
-    try:
-        spec = floquet.band_spectrum(
-            potential, strategy=strategy, grid_points=int(cfg.get("grid_points", 64)), workers=_workers()
-        )
-    except floquet.NotHermitianError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e))
+    spec = floquet.band_spectrum(
+        potential, strategy=strategy, grid_points=int(cfg.get("grid_points", 64)), workers=_workers()
+    )
 
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()
@@ -303,29 +312,18 @@ def cmd_bands(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    try:
-        a = set_from_obj(_load_json(args.set_a))
-        b = set_from_obj(_load_json(args.set_b))
-    except (EmptySetError, ValueError, TypeError) as e:
-        raise ConfigError(f"malformed set file: {e}")
+    a = set_from_obj(_load_json(args.set_a))
+    b = set_from_obj(_load_json(args.set_b))
     print(f"{hausdorff_distance(a, b):.12g}")
     return 0
 
 
 def cmd_dimension(args) -> int:
-    try:
-        stats = dimension.CoverStats.from_csv(args.stats)
-    except FileNotFoundError:
-        raise ConfigError(f"no such file: {args.stats}")
-    except ValueError as e:
-        raise ConfigError(f"bad stats CSV: {e}")
-    try:
-        if args.method == "last":
-            fit = dimension.dim_bound_last(stats, tail_fraction=args.tail_fraction)
-        else:
-            fit = dimension.dim_bound_direct(stats, tail_fraction=args.tail_fraction)
-    except (dimension.InsufficientDataError, dimension.NotApplicableError) as e:
-        raise ConfigError(str(e))
+    stats = dimension.CoverStats.from_csv(args.stats)
+    if args.method == "last":
+        fit = dimension.dim_bound_last(stats, tail_fraction=args.tail_fraction)
+    else:
+        fit = dimension.dim_bound_direct(stats, tail_fraction=args.tail_fraction)
     print(f"bound: {fit.estimate:.6g}")
     print(f"residual: {fit.residual:.6g}")
     if args.json:
@@ -375,13 +373,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    # numerical failures first: NotHermitianError and LinAlgError are ValueErrors too
     except (floquet.NotHermitianError, np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except (ValueError, TypeError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from specapprox import floquet
+from specapprox import cli, floquet, models
 from specapprox.cli import main
 
 
@@ -25,6 +26,25 @@ def measure_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return write_json(tmp_path / "config.json", cfg)
+
+
+FREE_1D = {"name": "free", "dim": 1, "period_base": 2}
+GOLDEN_CF = [0] + [1] * 12
+
+# Each of these used to end in an uncaught traceback (exit 1).
+MALFORMED_MEASURE = {
+    "fibonacci-coupling": {"model": {"name": "fibonacci", "coupling": "x"}},
+    "free-dim-3": {"model": {"name": "free", "dim": 3, "period_base": 2}},
+    "grid-solid-to": {"model": {"name": "grid", "solid_to": 2}},
+    "tail": {"tail": "x"},
+    "tail-tol": {"tail_tol": [1]},
+    "criterion-tol": {"criterion_tol": "x"},
+    "grid-points": {"model": FREE_1D, "grid_points": "x"},
+    "phase": {"model": FREE_1D, "phase": "x"},
+    "strategy": {"model": FREE_1D, "strategy": "fft"},
+    "deltas-string": {"model": FREE_1D, "delta_mode": "explicit", "deltas": ["a", 0.0, 0.0]},
+    "deltas-negative": {"model": FREE_1D, "delta_mode": "explicit", "deltas": [-1.0, 0.0, 0.0]},
+}
 
 
 class TestHausdorff:
@@ -160,6 +180,60 @@ class TestMeasureCommand:
             rows = list(csv.DictReader(fh))
         # density 2 on [0, 1] doubles the level-1 fattened value inside
         assert float(rows[0]["mu_fattened"]) > float(rows[0]["mu_raw"])
+        # the corollary estimate is the last raw measure in the configured measure;
+        # the CSV holds it to 15 significant digits, the JSON rows in full
+        report = json.loads((tmp_path / "out.json").read_text())
+        corollary = report["summary"]["corollary"]
+        assert corollary["flag"] is True
+        assert corollary["estimate"] == report["rows"][-1]["mu_raw"]
+        assert f"{corollary['estimate']:.15g}" == rows[-1]["mu_raw"]
+        assert corollary["estimate"] == pytest.approx(2.0 * (2.0 / 3.0) ** 10)
+
+    @pytest.mark.parametrize("overrides", MALFORMED_MEASURE.values(), ids=MALFORMED_MEASURE.keys())
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, overrides):
+        cfg = measure_config(tmp_path, n_max=3, **overrides)
+        assert main(["measure", "--config", cfg]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.json").exists()
+
+    def test_linalg_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError: main must test numerical failures first
+        def boom(*a, **k):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(floquet, "estimate_measure_via_fibers", boom)
+        cfg = measure_config(tmp_path, model=FREE_1D, n_max=3)
+        assert main(["measure", "--config", cfg]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model", [FREE_1D, {"name": "fibonacci", "coupling": 1.0}, {"name": "cantor"}], ids=lambda m: m["name"]
+    )
+    def test_holder_needs_almost_mathieu(self, tmp_path, capsys, model):
+        cfg = measure_config(
+            tmp_path, model=model, n_max=3, delta_mode="holder", holder_constant=1.0, holder_frequency=0.5
+        )
+        assert main(["measure", "--config", cfg]) == 2
+        assert "holder" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_almost_mathieu_holder(self, tmp_path, capsys):
+        target = (5**0.5 - 1) / 2
+        cfg = measure_config(
+            tmp_path,
+            model={"name": "almost_mathieu", "coupling": 0.5, "frequency_cf": GOLDEN_CF},
+            n_max=6,
+            delta_mode="holder",
+            holder_constant=2.0,
+            holder_frequency=target,
+        )
+        assert main(["measure", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert report["summary"]["delta_mode"] == "holder"
+        for row, conv in zip(report["rows"], models.convergents(GOLDEN_CF, 6)):
+            assert row["q"] == conv.denominator
+            assert row["delta"] == pytest.approx(2.0 * abs(target - conv) ** 0.5, rel=1e-12)
 
 
 class TestBandsCommand:
@@ -228,6 +302,14 @@ class TestBandsCommand:
         )
         assert main(["bands", "--config", cfg]) == 2
 
+    def test_set_model_rejected(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "bands.json",
+            {"model": {"name": "cantor"}, "output_csv": str(tmp_path / "x.csv")},
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "unknown model: 'cantor'" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **k):
             raise floquet.NotHermitianError("asymmetry 1e-3 exceeds tolerance")
@@ -242,6 +324,50 @@ class TestBandsCommand:
         )
         assert main(["bands", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestModelRegistry:
+    """Step n of a measure config builds the potential of the matching bands spec."""
+
+    @pytest.mark.parametrize(
+        "measure_model, bands_model",
+        [
+            (
+                {"name": "free", "dim": 1, "period_base": 3},
+                lambda n: {"name": "free", "dim": 1, "periods": [3**n]},
+            ),
+            (
+                {"name": "free", "dim": 2, "period_base": 2},
+                lambda n: {"name": "free", "dim": 2, "periods": [2**n] * 2},
+            ),
+            (
+                {"name": "almost_mathieu", "coupling": 0.7, "frequency_cf": [0, 2, 1, 1, 3, 1], "offset": 0.2},
+                lambda n: {
+                    "name": "almost_mathieu",
+                    "coupling": 0.7,
+                    "frequency": list(models.convergents([0, 2, 1, 1, 3, 1], n)[-1].as_integer_ratio()),
+                    "offset": 0.2,
+                },
+            ),
+            (
+                {"name": "fibonacci", "coupling": 1.5},
+                lambda n: {"name": "fibonacci", "level": n, "coupling": 1.5},
+            ),
+        ],
+        ids=["free-1d", "free-2d", "almost_mathieu", "fibonacci"],
+    )
+    def test_measure_step_matches_bands_spec(self, measure_model, bands_model):
+        steps = range(1, 6)
+        potentials = cli._approximants(measure_model, steps)
+        for n, potential in zip(steps, potentials):
+            spec = bands_model(n)
+            assert potential == cli._model(spec, "bands").build(spec)
+
+    def test_operator_only_model_rejected_by_measure(self, tmp_path, capsys):
+        model = {"name": "potential", "dim": 1, "periods": [2], "cell": [0.0, 1.0]}
+        cfg = measure_config(tmp_path, model=model, n_max=2)
+        assert main(["measure", "--config", cfg]) == 2
+        assert "unknown model: 'potential'" in capsys.readouterr().err
 
 
 class TestDimensionCommand:
