@@ -182,10 +182,10 @@ def _approximants(spec, steps) -> list:
     return [model.build(model.step(spec, n)) for n in steps]
 
 
-MEASURE_KEYS = {
-    "model", "n_min", "n_max", "measure", "phase", "strategy", "grid_points",
-    "delta_mode", "deltas", "holder_constant", "holder_frequency",
-    "output_csv", "output_json", "tail", "tail_tol", "criterion_tol",
+# keys of the fiber pipeline, which a set model's measure run has no use for
+OPERATOR_KEYS = {"phase", "strategy", "grid_points", "delta_mode", "deltas", "holder_constant", "holder_frequency"}
+MEASURE_KEYS = OPERATOR_KEYS | {
+    "model", "n_min", "n_max", "measure", "output_csv", "output_json", "tail", "tail_tol", "criterion_tol",
 }
 
 
@@ -233,12 +233,14 @@ def cmd_measure(args) -> int:
     crit_tol = float(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL))
 
     approximants = _approximants(cfg["model"], _n_range(cfg))
-    mode = cfg.get("delta_mode", "proxy")
-    if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
-        raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
     if isinstance(approximants[0], convergence.ApproximationRecord):
+        if unused := sorted(OPERATOR_KEYS & cfg.keys()):
+            raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")
         report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
     else:
+        mode = cfg.get("delta_mode", "proxy")
+        if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
+            raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
         report = floquet.estimate_measure_via_fibers(
             approximants,
             cfg.get("phase", 0.0),
@@ -280,9 +282,8 @@ def cmd_bands(args) -> int:
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, BANDS_KEYS, {"model", "output_csv"}, "config")
     potential = _model(cfg["model"], "bands").build(cfg["model"])
-    strategy = cfg.get("strategy", "exact_1d" if potential.dim == 1 else "grid")
     spec = floquet.band_spectrum(
-        potential, strategy=strategy, grid_points=int(cfg.get("grid_points", 64)), workers=_workers()
+        potential, strategy=cfg.get("strategy"), grid_points=int(cfg.get("grid_points", 64)), workers=_workers()
     )
 
     limit = floquet.bandwidth_bound(potential.periods)

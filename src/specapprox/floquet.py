@@ -9,7 +9,13 @@ The spectrum of the full operator is the union over phases of the fiber
 spectra, and the range of the i-th ordered eigenvalue over phases is the
 i-th band.
 
-Two evaluation strategies are provided.  For d = 1 the band edges are
+Fibers are assembled from hop index arrays: the sites of the cell are
+numbered in row-major order, a roll along each axis gives every site's
+forward neighbour, and a coordinate mask splits the hops inside the cell
+from the ones that wrap around its boundary.  Any number of phases is
+assembled into one stack of fibers.
+
+The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
 since the discriminant sweeps monotonically between its extreme values on
 each band.  In general a phase grid gives edges up to a rigorous Lipschitz
@@ -28,7 +34,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -147,48 +152,44 @@ def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
     return tuple(float(p) % 1.0 for p in arr)
 
 
-@lru_cache(maxsize=64)
-def _fiber_parts(potential: PeriodicPotential):
-    """Phase-independent pieces: base = potential + interior hops, and one
-    boundary-wrap matrix per axis (forward direction only)."""
-    q = potential.q
+def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
+    """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``.
+
+    The potential sits on the diagonal and interior hops contribute 1 in
+    both directions.  A hop that crosses the cell boundary forward along
+    axis j carries z = exp(2*pi*i*phase_j) and its reverse carries conj(z),
+    added to what is already there: at period 2 a bond is both interior and
+    boundary.  At period 1 a site wraps onto itself; z + conj(z) goes onto
+    the diagonal as one term, rounded as in the dense form z*W + conj(z)*W^T.
+    """
     periods = potential.periods
-    base = np.zeros((q, q))
-    wraps = [np.zeros((q, q)) for _ in range(potential.dim)]
-    for site in np.ndindex(*periods):
-        i = potential.index(site)
-        base[i, i] = potential.value(site)
-        for j in range(potential.dim):
-            ahead = list(site)
-            ahead[j] += 1
-            if site[j] + 1 < periods[j]:
-                base[i, potential.index(ahead)] += 1.0
-            else:
-                wraps[j][i, potential.index(ahead)] += 1.0
-            behind = list(site)
-            behind[j] -= 1
-            if site[j] - 1 >= 0:
-                base[i, potential.index(behind)] += 1.0
-            # backward wraps are the transposes of the forward ones
-    return base, tuple(wraps)
+    phases = np.asarray(phases, dtype=float).reshape(-1, potential.dim)
+    sites = np.arange(potential.q).reshape(periods)
+    coords = np.indices(periods)
+    h = np.zeros((len(phases), potential.q, potential.q), dtype=complex)
+    h[:, sites.ravel(), sites.ravel()] = potential.cell
+    for j, p in enumerate(periods):
+        ahead = np.roll(sites, -1, axis=j)
+        inside = coords[j] < p - 1
+        h[:, sites[inside], ahead[inside]] = 1.0
+        h[:, ahead[inside], sites[inside]] = 1.0
+        z = np.exp(2j * np.pi * phases[:, j])[:, None]
+        src, dst = sites[~inside], ahead[~inside]
+        if p == 1:
+            h[:, src, dst] += z + np.conj(z)
+        else:
+            h[:, src, dst] += z
+            h[:, dst, src] += np.conj(z)
+    return h
 
 
 def build_fiber(potential: PeriodicPotential, phase) -> np.ndarray:
     """Hermitian q x q fiber matrix at the given total Floquet phase(s).
 
     Interior hops contribute 1; hops crossing the cell boundary along axis j
-    carry exp(+-2*pi*i*phase_j).  Contributions accumulate, so the small
-    periods 1 and 2 (where a bond is simultaneously interior and boundary,
-    or wraps on both sides) come out right without special cases.  Phases
-    are reduced mod 1.
+    carry exp(+-2*pi*i*phase_j).  Phases are reduced mod 1.
     """
-    phases = _phase_tuple(phase, potential.dim)
-    base, wraps = _fiber_parts(potential)
-    h = base.astype(complex)
-    for j, phi in enumerate(phases):
-        z = np.exp(2j * np.pi * phi)
-        h += z * wraps[j] + np.conj(z) * wraps[j].T
-    return h
+    return _fibers(potential, _phase_tuple(phase, potential.dim))[0]
 
 
 def eigenvalues(matrix, check_tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -225,14 +226,7 @@ def _solver_bound(potential: PeriodicPotential) -> float:
 
 
 def _solve_block(potential, phase_block):
-    base, wraps = _fiber_parts(potential)
-    k = len(phase_block)
-    mats = np.broadcast_to(base.astype(complex), (k,) + base.shape).copy()
-    phases = np.asarray(phase_block, dtype=float)
-    for j in range(potential.dim):
-        z = np.exp(2j * np.pi * phases[:, j])
-        mats += z[:, None, None] * wraps[j] + np.conj(z)[:, None, None] * wraps[j].T
-    return np.linalg.eigvalsh(mats)
+    return np.linalg.eigvalsh(_fibers(potential, phase_block))
 
 
 def _eigenvalue_sweep(potential, phases, workers=None) -> np.ndarray:
@@ -245,45 +239,49 @@ def _eigenvalue_sweep(potential, phases, workers=None) -> np.ndarray:
     return np.vstack(parts)
 
 
-def band_spectrum(
-    potential: PeriodicPotential,
-    strategy: str = "exact_1d",
-    grid_points: int = 64,
-    workers: int | None = None,
-) -> BandSpectrum:
-    """Band intervals of the periodic operator.
-
-    strategy="exact_1d" (d = 1 only): evaluates the periodic and
-    antiperiodic fibers; the i-th band is exactly the interval between the
-    i-th ordered eigenvalues of the two, up to eigensolver error.
-
-    strategy="grid": sweeps ``grid_points`` equispaced phases per axis and
-    takes per-index min/max; the error bound adds the Lipschitz term
-    (sum_j 4*pi) * half grid spacing.
-    """
+def _phase_set(strategy: str | None, dim: int, grid_points: int):
+    """Phases (k x dim) a strategy solves and its Lipschitz term; None is exact_1d in 1-d, else grid."""
+    if strategy is None:
+        strategy = "exact_1d" if dim == 1 else "grid"
     if strategy == "exact_1d":
-        if potential.dim != 1:
+        if dim != 1:
             raise ValueError("exact_1d strategy applies to one-dimensional potentials only")
-        e0 = fiber_eigenvalues(potential, 0.0)
-        e1 = fiber_eigenvalues(potential, 0.5)
-        bands = tuple(
-            (float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1)
-        )
-        return BandSpectrum(bands=bands, error_bound=_solver_bound(potential))
+        return np.array([[0.0], [0.5]]), 0.0
     if strategy == "grid":
         m = int(grid_points)
         if m < 2:
             raise ValueError("grid strategy needs at least 2 points per axis")
-        axes = [np.arange(m) / m] * potential.dim
+        axes = [np.arange(m) / m] * dim
         mesh = np.meshgrid(*axes, indexing="ij")
         phases = np.stack([g.ravel() for g in mesh], axis=1)
-        evs = _eigenvalue_sweep(potential, phases, workers=workers)
-        lips = 4.0 * math.pi * potential.dim / (2.0 * m)
-        bands = tuple(
-            (float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0))
-        )
-        return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
+        return phases, 4.0 * math.pi * dim / (2.0 * m)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def band_spectrum(
+    potential: PeriodicPotential,
+    strategy: str | None = "exact_1d",
+    grid_points: int = 64,
+    workers: int | None = None,
+) -> BandSpectrum:
+    """Band intervals of the periodic operator: the per-index min/max of the
+    fiber eigenvalues over the strategy's phase set.
+
+    strategy="exact_1d" (d = 1 only): the periodic and antiperiodic fibers;
+    the i-th band is exactly the interval between the i-th ordered
+    eigenvalues of the two, up to eigensolver error.
+
+    strategy="grid": ``grid_points`` equispaced phases per axis; the error
+    bound adds the Lipschitz term (sum_j 4*pi) * half grid spacing.
+
+    strategy=None: exact_1d in one dimension, grid otherwise.
+    """
+    phases, lips = _phase_set(strategy, potential.dim, grid_points)
+    evs = _eigenvalue_sweep(potential, phases, workers=workers)
+    bands = tuple(
+        (float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0))
+    )
+    return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
 
 def cover_from_bands(bands, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -330,7 +328,6 @@ def estimate_measure_via_fibers(
     deltas="proxy",
     strategy: str | None = None,
     grid_points: int = 64,
-    include_bands: bool | None = None,
     tail: int = 3,
     tail_tol: float = 1e-3,
     workers: int | None = None,
@@ -342,9 +339,10 @@ def estimate_measure_via_fibers(
     recorded (column ``mu_fattened``); r_n is the bandwidth bound and q_n
     the cell volume.  ``deltas`` is either an explicit list of distance
     bounds or "proxy", which computes band spectra and uses the Hausdorff
-    distance of each against the finest approximant.  When band spectra are
-    available the raw measure of the band union is recorded too, and the
-    summary carries the band-fattening estimates for comparison.
+    distance of each against the finest approximant.  Band spectra are
+    computed in proxy mode and in one dimension; then the raw measure of the
+    band union is recorded too, and the summary carries the band-fattening
+    estimates for comparison.
     """
     potentials = list(potentials)
     if not potentials:
@@ -352,18 +350,15 @@ def estimate_measure_via_fibers(
     dim = potentials[0].dim
     if any(v.dim != dim for v in potentials):
         raise ValueError("potentials must share a dimension")
-    if strategy is None:
-        strategy = "exact_1d" if dim == 1 else "grid"
+    _phase_set(strategy, dim, grid_points)  # a bad strategy fails before any solve
 
     proxy = deltas == "proxy"
     if not proxy:
         delta_list = [float(d) for d in deltas]
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
-    if include_bands is None:
-        include_bands = proxy or dim == 1
     unions = None
-    if proxy or include_bands:
+    if proxy or dim == 1:
         unions = [
             band_spectrum(v, strategy=strategy, grid_points=grid_points, workers=workers).union()
             for v in potentials

@@ -51,6 +51,8 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
 
 def free_potential(dim: int, periods) -> PeriodicPotential:
     """Zero potential with the declared periodicity; bands are explicit."""
+    if dim not in (1, 2):  # before the cell, which is as large as the periods say
+        raise ValueError(f"dimension must be 1 or 2, got {dim}")
     if isinstance(periods, int):
         periods = (periods,)
     periods = tuple(int(p) for p in periods)

@@ -31,7 +31,12 @@ def measure_config(tmp_path, **overrides):
 FREE_1D = {"name": "free", "dim": 1, "period_base": 2}
 GOLDEN_CF = [0] + [1] * 12
 
-# Each of these used to end in an uncaught traceback (exit 1).
+FREE_2D_EXPLICIT = {
+    "model": {"name": "free", "dim": 2, "period_base": 2}, "n_max": 2, "delta_mode": "explicit", "deltas": [0.0, 0.0]
+}
+
+# Each of these used to end in an uncaught traceback (exit 1), except the
+# two strategies of an explicit-delta 2-d run, which were never checked (exit 0).
 MALFORMED_MEASURE = {
     "fibonacci-coupling": {"model": {"name": "fibonacci", "coupling": "x"}},
     "free-dim-3": {"model": {"name": "free", "dim": 3, "period_base": 2}},
@@ -44,6 +49,20 @@ MALFORMED_MEASURE = {
     "strategy": {"model": FREE_1D, "strategy": "fft"},
     "deltas-string": {"model": FREE_1D, "delta_mode": "explicit", "deltas": ["a", 0.0, 0.0]},
     "deltas-negative": {"model": FREE_1D, "delta_mode": "explicit", "deltas": [-1.0, 0.0, 0.0]},
+    "free-dim-3-huge-cell": {"model": {"name": "free", "dim": 3, "period_base": 10**12}},
+    "strategy-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "fft"},
+    "exact-1d-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "exact_1d"},
+}
+
+# Keys of the fiber pipeline, with a valid value each; set models reject them.
+OPERATOR_ONLY = {
+    "delta_mode": "explicit",
+    "deltas": [0.1, 0.1, 0.1],
+    "phase": 0.3,
+    "strategy": "grid",
+    "grid_points": 8,
+    "holder_constant": 1.0,
+    "holder_frequency": 0.5,
 }
 
 
@@ -191,11 +210,19 @@ class TestMeasureCommand:
 
     @pytest.mark.parametrize("overrides", MALFORMED_MEASURE.values(), ids=MALFORMED_MEASURE.keys())
     def test_malformed_value_is_usage_error(self, tmp_path, capsys, overrides):
-        cfg = measure_config(tmp_path, n_max=3, **overrides)
+        cfg = measure_config(tmp_path, **{"n_max": 3, **overrides})
         assert main(["measure", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key", OPERATOR_ONLY)
+    @pytest.mark.parametrize("model", ["cantor", "grid"])
+    def test_set_model_rejects_operator_key(self, tmp_path, capsys, model, key):
+        cfg = measure_config(tmp_path, model={"name": model}, n_max=3, **{key: OPERATOR_ONLY[key]})
+        assert main(["measure", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_linalg_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
         # LinAlgError is a ValueError: main must test numerical failures first

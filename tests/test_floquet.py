@@ -26,12 +26,56 @@ from specapprox import (
     sampled_stabilizer_contains,
     stabilizer_contains,
 )
-from specapprox.floquet import _solve_block
+from specapprox.floquet import _fibers, _solve_block
 from specapprox.intervals import InvalidRadiusError
 
 # ---------------------------------------------------------------------------
 # fiber construction
 # ---------------------------------------------------------------------------
+
+
+def dense_fiber(potential, phase):
+    """Reference assembly, site by site: dense real base and wrap matrices,
+    then base + sum_j (z_j * W_j + conj(z_j) * W_j^T)."""
+    q, periods = potential.q, potential.periods
+    base = np.zeros((q, q))
+    wraps = [np.zeros((q, q)) for _ in periods]
+    for site in np.ndindex(*periods):
+        i = potential.index(site)
+        base[i, i] = potential.value(site)
+        for j in range(potential.dim):
+            ahead = list(site)
+            ahead[j] += 1
+            if site[j] + 1 < periods[j]:
+                base[i, potential.index(ahead)] += 1.0
+            else:
+                wraps[j][i, potential.index(ahead)] += 1.0
+            behind = list(site)
+            behind[j] -= 1
+            if site[j] - 1 >= 0:
+                base[i, potential.index(behind)] += 1.0
+    h = base.astype(complex)
+    for w, phi in zip(wraps, np.atleast_1d(phase)):
+        z = np.exp(2j * np.pi * float(phi))
+        h += z * w + np.conj(z) * w.T
+    return h
+
+
+class TestHopAssembly:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_dense_reference_bitwise(self, dim):
+        # every period (pair) from 1 to 6: period 1 wraps onto itself, period 2 wraps onto an interior bond
+        rng = np.random.default_rng(30 + dim)
+        for periods in np.ndindex(*(6,) * dim):
+            periods = tuple(p + 1 for p in periods)
+            cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
+            v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
+            phases = [np.full(dim, t) for t in (0.0, 0.5, 0.25)] + list(rng.uniform(0, 1, size=(3, dim)))
+            stack = _fibers(v, phases)
+            assert stack.shape == (len(phases), v.q, v.q)
+            for m, phi in zip(stack, phases):
+                np.testing.assert_array_equal(m, dense_fiber(v, phi))
+            np.testing.assert_array_equal(build_fiber(v, phases[-1]), stack[-1])
 
 
 class TestBuildFiber:
@@ -212,7 +256,15 @@ class TestBandSpectrum:
         phases = [tuple(rng.uniform(0, 1, size=2)) for _ in range(5)]
         block = _solve_block(v, phases)
         for row, phi in zip(block, phases):
-            np.testing.assert_allclose(row, fiber_eigenvalues(v, phi), atol=1e-12)
+            np.testing.assert_array_equal(row, fiber_eigenvalues(v, phi))
+
+    def test_exact_bands_are_min_max_of_two_fibers(self):
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            v = random_potential(rng, dim=1, max_period=24)
+            e0, e1 = fiber_eigenvalues(v, 0.0), fiber_eigenvalues(v, 0.5)
+            bands = band_spectrum(v, strategy="exact_1d").bands
+            assert bands == tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1))
 
     def test_workers_do_not_change_results(self):
         v = free_potential(2, (3, 3))
