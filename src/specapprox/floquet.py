@@ -13,7 +13,8 @@ Fibers are assembled from hop index arrays: the sites of the cell are
 numbered in row-major order, a roll along each axis gives every site's
 forward neighbour, and a coordinate mask splits the hops inside the cell
 from the ones that wrap around its boundary.  Any number of phases is
-assembled into one stack of fibers.
+assembled into one stack of fibers, real symmetric (float64) when every
+phase lies in {0, 1/2}^d, where each wrap carries z = +-1, else complex.
 
 The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
@@ -21,19 +22,24 @@ since the discriminant sweeps monotonically between its extreme values on
 each band.  In general a phase grid gives edges up to a rigorous Lipschitz
 error: moving one phase by t changes each eigenvalue by at most 4*pi*t, so
 a grid of M points per axis localizes every edge to within
-(sum_j 4*pi) / (2*M) plus eigensolver error.
+(sum_j 4*pi) / (2*M) plus eigensolver error.  The potential is real, so
+H(-phi) = conj H(phi) shares the spectrum of H(phi), and the grid solves
+one phase of each conjugate pair.
 
 The uniform bandwidth bound sum_j 4*pi/p_j turns fiber eigenvalues at any
 single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
-module exploits.
+module exploits; it reuses the band sweep's eigenvalues at that phase or
+its conjugate when the sweep solved either.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -55,6 +61,9 @@ HERMITICITY_TOL = 1e-12
 SOLVER_TOL_FACTOR = 1e-12
 
 _CHUNK = 128
+
+# A dense fiber stack larger than the machine's physical memory cannot be held.
+MAX_FIBER_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 2**36
 
 
 class NotHermitianError(ValueError):
@@ -152,6 +161,15 @@ def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
     return tuple(float(p) % 1.0 for p in arr)
 
 
+def check_fiber_stack(q: int, count: int = 1, itemsize: int = 8) -> int:
+    """Bytes of ``count`` dense q x q fibers; ValueError if over MAX_FIBER_BYTES."""
+    if (need := count * q * q * itemsize) > MAX_FIBER_BYTES:
+        raise ValueError(
+            f"{count} dense {q} x {q} fiber(s) need {Decimal(need):.3e} bytes, memory holds {Decimal(MAX_FIBER_BYTES):.3e}"
+        )
+    return need
+
+
 def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
     """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``.
 
@@ -161,12 +179,16 @@ def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
     added to what is already there: at period 2 a bond is both interior and
     boundary.  At period 1 a site wraps onto itself; z + conj(z) goes onto
     the diagonal as one term, rounded as in the dense form z*W + conj(z)*W^T.
+    When every phase is 0 or 1/2 the stack is real: z = +-1, the real part
+    of the complex z, so it is the real part of the complex stack.
     """
     periods = potential.periods
     phases = np.asarray(phases, dtype=float).reshape(-1, potential.dim)
+    real = bool(np.isin(phases, (0.0, 0.5)).all())
+    check_fiber_stack(potential.q, len(phases), 8 if real else 16)
     sites = np.arange(potential.q).reshape(periods)
     coords = np.indices(periods)
-    h = np.zeros((len(phases), potential.q, potential.q), dtype=complex)
+    h = np.zeros((len(phases), potential.q, potential.q), dtype=float if real else complex)
     h[:, sites.ravel(), sites.ravel()] = potential.cell
     for j, p in enumerate(periods):
         ahead = np.roll(sites, -1, axis=j)
@@ -174,6 +196,7 @@ def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
         h[:, sites[inside], ahead[inside]] = 1.0
         h[:, ahead[inside], sites[inside]] = 1.0
         z = np.exp(2j * np.pi * phases[:, j])[:, None]
+        z = z.real if real else z
         src, dst = sites[~inside], ahead[~inside]
         if p == 1:
             h[:, src, dst] += z + np.conj(z)
@@ -187,7 +210,8 @@ def build_fiber(potential: PeriodicPotential, phase) -> np.ndarray:
     """Hermitian q x q fiber matrix at the given total Floquet phase(s).
 
     Interior hops contribute 1; hops crossing the cell boundary along axis j
-    carry exp(+-2*pi*i*phase_j).  Phases are reduced mod 1.
+    carry exp(+-2*pi*i*phase_j).  Phases are reduced mod 1.  The fiber is
+    float64 at phases in {0, 1/2}^d, where it is real symmetric.
     """
     return _fibers(potential, _phase_tuple(phase, potential.dim))[0]
 
@@ -251,11 +275,19 @@ def _phase_set(strategy: str | None, dim: int, grid_points: int):
         m = int(grid_points)
         if m < 2:
             raise ValueError("grid strategy needs at least 2 points per axis")
-        axes = [np.arange(m) / m] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        phases = np.stack([g.ravel() for g in mesh], axis=1)
-        return phases, 4.0 * math.pi * dim / (2.0 * m)
+        # spec H(-phi) = spec H(phi): keep the index vector k of each pair {k, -k mod m} that comes first
+        k = np.indices((m,) * dim).reshape(dim, -1)
+        keep = np.arange(m**dim) <= np.ravel_multi_index(-k % m, (m,) * dim)
+        return k[:, keep].T / m, 4.0 * math.pi * dim / (2.0 * m)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _band_sweep(potential, strategy, grid_points, workers):
+    """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
+    phases, lips = _phase_set(strategy, potential.dim, grid_points)
+    evs = _eigenvalue_sweep(potential, phases, workers=workers)
+    bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
+    return phases, evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
 
 def band_spectrum(
@@ -267,21 +299,24 @@ def band_spectrum(
     """Band intervals of the periodic operator: the per-index min/max of the
     fiber eigenvalues over the strategy's phase set.
 
-    strategy="exact_1d" (d = 1 only): the periodic and antiperiodic fibers;
-    the i-th band is exactly the interval between the i-th ordered
-    eigenvalues of the two, up to eigensolver error.
+    strategy="exact_1d" (d = 1 only): the periodic and antiperiodic fibers,
+    both real; the i-th band is exactly the interval between the i-th
+    ordered eigenvalues of the two, up to eigensolver error.
 
-    strategy="grid": ``grid_points`` equispaced phases per axis; the error
-    bound adds the Lipschitz term (sum_j 4*pi) * half grid spacing.
+    strategy="grid": ``grid_points`` equispaced phases per axis (one of each
+    conjugate pair); the error bound adds the Lipschitz term (sum_j 4*pi) *
+    half grid spacing.
 
     strategy=None: exact_1d in one dimension, grid otherwise.
     """
-    phases, lips = _phase_set(strategy, potential.dim, grid_points)
-    evs = _eigenvalue_sweep(potential, phases, workers=workers)
-    bands = tuple(
-        (float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0))
-    )
-    return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
+    return _band_sweep(potential, strategy, grid_points, workers)[2]
+
+
+def _solved_row(sweep, phi):
+    """Eigenvalues a band sweep found at phi or at -phi mod 1 (the same spectrum), or None."""
+    phases, evs, _ = sweep
+    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
+    return evs[hit.argmax()] if hit.any() else None
 
 
 def cover_from_bands(bands, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -357,12 +392,9 @@ def estimate_measure_via_fibers(
         delta_list = [float(d) for d in deltas]
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
-    unions = None
-    if proxy or dim == 1:
-        unions = [
-            band_spectrum(v, strategy=strategy, grid_points=grid_points, workers=workers).union()
-            for v in potentials
-        ]
+    phi = _phase_tuple(phase, dim)
+    sweeps = [_band_sweep(v, strategy, grid_points, workers) for v in potentials] if proxy or dim == 1 else []
+    unions = [spectrum.union() for _, _, spectrum in sweeps]
     if proxy:
         delta_list = proxy_deltas(unions)
 
@@ -370,10 +402,11 @@ def estimate_measure_via_fibers(
     band_fattened = []
     for n, (v, delta) in enumerate(zip(potentials, delta_list), start=1):
         r = bandwidth_bound(v.periods)
-        eigs = fiber_eigenvalues(v, phase)
+        row = _solved_row(sweeps[n - 1], phi) if sweeps else None
+        eigs = fiber_eigenvalues(v, phase) if row is None else row
         cover = cover_from_eigenvalues(eigs, delta, r)
         fat = measure(mu, cover)
-        if unions is not None:
+        if sweeps:
             raw = measure(mu, unions[n - 1])
             band_fattened.append(measure(mu, cover_from_bands(unions[n - 1], delta)))
         else:
@@ -390,9 +423,7 @@ def estimate_measure_via_fibers(
             )
         )
 
-    summary = _summary(
-        rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(_phase_tuple(phase, dim))
-    )
+    summary = _summary(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
     if band_fattened:
         summary["band_fattened"] = band_fattened
         summary["band_estimate"] = band_fattened[-1]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convergence import ApproximationRecord
-from .floquet import PeriodicPotential
+from .floquet import PeriodicPotential, check_fiber_stack
 from .intervals import IntervalSet, PointSet, normalize, point_set
 
 
@@ -57,6 +57,7 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
         periods = (periods,)
     periods = tuple(int(p) for p in periods)
     q = math.prod(periods)
+    check_fiber_stack(q)  # before the cell: any solve of it needs at least one real q x q fiber
     return PeriodicPotential(dim=dim, periods=periods, cell=(0.0,) * q)
 
 

@@ -50,6 +50,7 @@ MALFORMED_MEASURE = {
     "deltas-string": {"model": FREE_1D, "delta_mode": "explicit", "deltas": ["a", 0.0, 0.0]},
     "deltas-negative": {"model": FREE_1D, "delta_mode": "explicit", "deltas": [-1.0, 0.0, 0.0]},
     "free-dim-3-huge-cell": {"model": {"name": "free", "dim": 3, "period_base": 10**12}},
+    "free-2d-huge-cell": {"model": {"name": "free", "dim": 2, "period_base": 10**12}, "n_max": 1},
     "strategy-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "fft"},
     "exact-1d-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "exact_1d"},
 }

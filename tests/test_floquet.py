@@ -18,6 +18,7 @@ from specapprox import (
     eigenvalues,
     estimate_measure_via_fibers,
     fiber_eigenvalues,
+    fibonacci_potential,
     fibonacci_word,
     free_potential,
     lebesgue,
@@ -26,7 +27,17 @@ from specapprox import (
     sampled_stabilizer_contains,
     stabilizer_contains,
 )
-from specapprox.floquet import _fibers, _solve_block
+from specapprox import floquet
+from specapprox.floquet import (
+    _CHUNK,
+    _band_sweep,
+    _fibers,
+    _phase_set,
+    _solve_block,
+    _solved_row,
+    _solver_bound,
+    check_fiber_stack,
+)
 from specapprox.intervals import InvalidRadiusError
 
 # ---------------------------------------------------------------------------
@@ -61,6 +72,41 @@ def dense_fiber(potential, phase):
     return h
 
 
+def full_mesh(m, dim):
+    """Every phase of the M^d grid, conjugate pairs included, in row-major order."""
+    return np.stack([g.ravel() for g in np.meshgrid(*[np.arange(m) / m] * dim, indexing="ij")], axis=1)
+
+
+def use_complex_full_sweep(monkeypatch):
+    """Make floquet solve as it did before real fibers, halved grids and reuse:
+    every fiber complex from the dense reference, every grid the full mesh,
+    and the cover phase of the measure pipeline solved on its own."""
+    phase_set = floquet._phase_set
+
+    def full_phase_set(strategy, dim, grid_points):
+        phases, lips = phase_set(strategy, dim, grid_points)
+        return (phases if lips == 0.0 else full_mesh(int(grid_points), dim)), lips
+
+    monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
+    monkeypatch.setattr(floquet, "_fibers", lambda v, phases: np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
+    monkeypatch.setattr(floquet, "_solved_row", lambda sweep, phi: None)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """(matrix count, dtype) of every call to np.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls.append((math.prod(a.shape[:-2]), a.dtype))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 class TestHopAssembly:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_dense_reference_bitwise(self, dim):
@@ -76,6 +122,33 @@ class TestHopAssembly:
             for m, phi in zip(stack, phases):
                 np.testing.assert_array_equal(m, dense_fiber(v, phi))
             np.testing.assert_array_equal(build_fiber(v, phases[-1]), stack[-1])
+
+
+class TestRealFibers:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_integer_phases_are_real_parts_of_dense_reference(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        corners = [np.array(c) / 2.0 for c in np.ndindex(*(2,) * dim)]  # {0, 1/2}^d
+        for periods in np.ndindex(*(6,) * dim):
+            periods = tuple(p + 1 for p in periods)
+            cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
+            v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
+            stack = _fibers(v, corners)
+            assert stack.dtype == np.float64
+            for m, phi in zip(stack, corners):
+                ref = dense_fiber(v, phi)
+                np.testing.assert_array_equal(m, ref.real)
+                assert np.abs(ref.imag).max() <= 2.5e-16  # sin(pi) rounded
+                assert build_fiber(v, phi).dtype == np.float64
+            # one phase off {0, 1/2}^d makes the whole block complex
+            assert _fibers(v, corners + [np.full(dim, 0.25)]).dtype == np.complex128
+
+    def test_real_fibers_solved_in_real_arithmetic(self, solved):
+        v = almost_mathieu(0.9, (3, 8))
+        band_spectrum(v, strategy="exact_1d")
+        fiber_eigenvalues(v, 0.5)
+        fiber_eigenvalues(v, 0.3)
+        assert solved == [(2, np.float64), (1, np.float64), (1, np.complex128)]
 
 
 class TestBuildFiber:
@@ -267,10 +340,37 @@ class TestBandSpectrum:
             assert bands == tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1))
 
     def test_workers_do_not_change_results(self):
+        assert len(_phase_set("grid", 2, 16)[0]) > _CHUNK  # more than one block for the pool
         v = free_potential(2, (3, 3))
         a = band_spectrum(v, strategy="grid", grid_points=16)
         b = band_spectrum(v, strategy="grid", grid_points=16, workers=4)
         assert a.bands == b.bands
+
+
+class TestConjugateHalvedGrid:
+    CASES = [(1, 2), (1, 7), (1, 8), (2, 2), (2, 5), (2, 6), (2, 16)]
+
+    @pytest.mark.parametrize("dim,m", CASES)
+    def test_one_phase_of_each_conjugate_pair(self, dim, m):
+        phases, lips = _phase_set("grid", dim, m)
+        assert len(phases) == (m**dim + (2**dim if m % 2 == 0 else 1)) // 2
+        assert lips == 4.0 * math.pi * dim / (2.0 * m)
+        k = {tuple(x) for x in np.rint(phases * m).astype(int)}
+        conj = {tuple(-np.array(x) % m) for x in k}
+        mesh = {tuple(x) for x in np.rint(full_mesh(m, dim) * m).astype(int)}
+        assert k | conj == mesh
+        assert len(k & conj) == len(phases) * 2 - m**dim  # only the self-conjugate phases overlap
+
+    @pytest.mark.parametrize("dim,m", CASES)
+    def test_bands_match_full_mesh(self, dim, m):
+        rng = np.random.default_rng(60 + 10 * dim + m)
+        for _ in range(6):
+            v = random_potential(rng, dim=dim, max_period=8 if dim == 1 else 4)
+            evs = np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in full_mesh(m, dim)]))
+            bs = band_spectrum(v, strategy="grid", grid_points=m)
+            mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
+            np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
+            assert bs.error_bound == 4.0 * math.pi * dim / (2.0 * m) + _solver_bound(v)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +465,101 @@ class TestMeasurePipeline:
 # ---------------------------------------------------------------------------
 # stabilizers
 # ---------------------------------------------------------------------------
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("phase,real_solves,complex_solves", [(0.0, 2, 0), (0.5, 2, 0), (0.3, 2, 1)])
+    def test_exact_1d_solves_per_step(self, solved, phase, real_solves, complex_solves):
+        pots = [fibonacci_potential(n, 2.0) for n in range(1, 9)]
+        estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
+        assert sum(c for c, t in solved if t == np.float64) == real_solves * len(pots)
+        assert sum(c for c, t in solved if t == np.complex128) == complex_solves * len(pots)
+
+    @pytest.mark.parametrize("phase,extra", [((0.75, 0.5), 0), ((0.0, 0.125), 0), ((0.3, 0.1), 1)])
+    def test_grid_solves_per_step(self, solved, phase, extra):
+        pots = [free_potential(2, (p, p)) for p in (1, 2, 3)]
+        estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy", grid_points=8)
+        assert sum(c for c, _ in solved) == (len(_phase_set("grid", 2, 8)[0]) + extra) * len(pots)
+
+    def test_reused_rows_match_fresh_solves(self):
+        rng = np.random.default_rng(41)
+        for dim, strategy, phis in (
+            (1, "exact_1d", [(0.0,), (0.5,)]),
+            (1, "grid", [(0.0,), (0.25,), (0.75,), (0.625,)]),
+            (2, "grid", [(0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (0.5, 0.875), (0.125, 0.0)]),
+        ):
+            for _ in range(10):
+                v = random_potential(rng, dim=dim, max_period=12 if dim == 1 else 4)
+                sweep = _band_sweep(v, strategy, 8, None)
+                for phi in phis:
+                    np.testing.assert_allclose(
+                        _solved_row(sweep, phi), fiber_eigenvalues(v, phi), rtol=0, atol=_solver_bound(v)
+                    )
+                assert _solved_row(sweep, (0.3,) * dim) is None
+
+
+class TestAgreementWithComplexFullSweep:
+    """Real fibers, halved grids and reuse move outputs only within the solver
+    bound eps = _solver_bound: band edges and eigenvalues by eps, so a union
+    moves by eps in Hausdorff distance and a proxy delta by 2 eps; a measure
+    of c components by 2 c eps for the band union and by 2 c (eps + 2 eps)
+    for the covers, whose radii hold delta; q * delta by 2 q eps."""
+
+    @staticmethod
+    def components(v):
+        return len(band_spectrum(v).union())
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fibonacci_proxy_pipeline(self, monkeypatch, seed, phase):
+        coupling = float(np.random.default_rng(seed).uniform(1.0, 3.0))
+        pots = [fibonacci_potential(n, coupling) for n in range(1, 14)]
+        comps = [self.components(v) for v in pots]
+        new = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
+        use_complex_full_sweep(monkeypatch)
+        old = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
+        comps = [max(c, self.components(v)) for c, v in zip(comps, pots)]
+        eps = max(_solver_bound(v) for v in pots)
+        for a, b, c in zip(new.rows, old.rows, comps):
+            assert abs(a.delta - b.delta) <= 2 * eps
+            assert abs(a.mu_raw - b.mu_raw) <= 2 * c * eps
+            assert abs(a.mu_fattened - b.mu_fattened) <= 2 * a.q * 3 * eps  # q balls
+            assert abs(a.q_times_delta - b.q_times_delta) <= 2 * a.q * eps
+        for x, y, c in zip(new.summary["band_fattened"], old.summary["band_fattened"], comps):
+            assert abs(x - y) <= 2 * c * 3 * eps
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_two_dimensional_grid_bands(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
+        new = band_spectrum(v, strategy="grid", grid_points=16)
+        use_complex_full_sweep(monkeypatch)
+        old = band_spectrum(v, strategy="grid", grid_points=16)
+        np.testing.assert_allclose(new.bands, old.bands, rtol=0, atol=_solver_bound(v))
+        assert new.error_bound == old.error_bound
+
+
+class TestFiberSizeGuard:
+    def test_estimate_at_a_trillion_sites(self):
+        with pytest.raises(ValueError, match=r"need 8\.000e\+24 bytes"):
+            check_fiber_stack(10**12)
+        with pytest.raises(ValueError, match=r"need 3\.200e\+25 bytes"):
+            check_fiber_stack(10**12, count=2, itemsize=16)
+        assert check_fiber_stack(100, count=2, itemsize=16) == 2 * 100 * 100 * 16
+
+    def test_free_potential_refused_before_its_cell(self):
+        # q = 10^24: the cell alone is too large for a tuple
+        with pytest.raises(ValueError, match=r"need 8\.000e\+48 bytes"):
+            free_potential(2, (10**12, 10**12))
+
+    def test_fibers_refused_before_the_stack(self, monkeypatch):
+        v = free_potential(1, 10)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 10 * 10 * 8)
+        assert _fibers(v, [[0.0], [0.5]]).shape == (2, 10, 10)  # two real fibers fit
+        with pytest.raises(ValueError, match=r"need 3\.200e\+3 bytes"):
+            _fibers(v, [[0.25], [0.5]])  # two complex ones do not
+        with pytest.raises(ValueError, match=r"need 4\.800e\+3 bytes"):
+            band_spectrum(v, strategy="grid", grid_points=4)  # phases 0, 1/4, 1/2 in one complex block
 
 
 class TestStabilizers:
