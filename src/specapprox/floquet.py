@@ -13,8 +13,13 @@ Fibers are assembled from hop index arrays: the sites of the cell are
 numbered in row-major order, a roll along each axis gives every site's
 forward neighbour, and a coordinate mask splits the hops inside the cell
 from the ones that wrap around its boundary.  Any number of phases is
-assembled into one stack of fibers, real symmetric (float64) when every
-phase lies in {0, 1/2}^d, where each wrap carries z = +-1, else complex.
+assembled at once, real symmetric (float64) when every phase lies in
+{0, 1/2}^d, where each wrap carries z = +-1, else complex.  The same hops
+fill two storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its
+sites taken in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it
+is held as 3 x q upper band storage and solved by LAPACK's banded
+eigensolver (scipy.linalg.eigvals_banded): O(q) memory and no q x q
+matrix.  2-d fibers are dense q x q stacks, solved by batched eigvalsh.
 
 The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
@@ -62,7 +67,7 @@ SOLVER_TOL_FACTOR = 1e-12
 
 _CHUNK = 128
 
-# A dense fiber stack larger than the machine's physical memory cannot be held.
+# Nothing larger than the machine's physical memory can be held.
 MAX_FIBER_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 2**36
 
 
@@ -161,49 +166,88 @@ def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
     return tuple(float(p) % 1.0 for p in arr)
 
 
-def check_fiber_stack(q: int, count: int = 1, itemsize: int = 8) -> int:
-    """Bytes of ``count`` dense q x q fibers; ValueError if over MAX_FIBER_BYTES."""
-    if (need := count * q * q * itemsize) > MAX_FIBER_BYTES:
-        raise ValueError(
-            f"{count} dense {q} x {q} fiber(s) need {Decimal(need):.3e} bytes, memory holds {Decimal(MAX_FIBER_BYTES):.3e}"
-        )
+def check_bytes(need, what: str):
+    """``need``, the bytes ``what`` takes; ValueError with the estimate if over MAX_FIBER_BYTES."""
+    if need > MAX_FIBER_BYTES:
+        raise ValueError(f"{what} need {Decimal(need):.3e} bytes, memory holds {Decimal(MAX_FIBER_BYTES):.3e}")
     return need
 
 
-def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
-    """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``.
+def check_fiber_stack(q, count: int = 1, itemsize: int = 8, banded: bool = False) -> int:
+    """Bytes of ``count`` fibers of q sites, dense q x q or banded 3 x q; ValueError if over MAX_FIBER_BYTES."""
+    rows = 3 if banded else q
+    return check_bytes(count * rows * q * itemsize, f"{count} {'banded' if banded else 'dense'} {rows} x {q} fiber(s)")
 
-    The potential sits on the diagonal and interior hops contribute 1 in
-    both directions.  A hop that crosses the cell boundary forward along
-    axis j carries z = exp(2*pi*i*phase_j) and its reverse carries conj(z),
+
+def _phase_factors(phases, dim: int) -> np.ndarray:
+    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when every phase is
+    0 or 1/2, where z = +-1 is the real part of the complex z."""
+    phases = np.asarray(phases, dtype=float).reshape(-1, dim)
+    z = np.exp(2j * np.pi * phases)
+    return z.real if np.isin(phases, (0.0, 0.5)).all() else z
+
+
+def _hops(potential: PeriodicPotential, z):
+    """The hops of the fibers with phase factors ``z`` (k x d), as scatters
+    (rows, cols, values) that add up, in order, onto the potential on the
+    diagonal.
+
+    Interior hops contribute 1 in both directions.  A hop that crosses the
+    cell boundary forward along axis j carries z_j and its reverse conj(z_j),
     added to what is already there: at period 2 a bond is both interior and
-    boundary.  At period 1 a site wraps onto itself; z + conj(z) goes onto
+    boundary.  At period 1 a site wraps onto itself; z_j + conj(z_j) goes onto
     the diagonal as one term, rounded as in the dense form z*W + conj(z)*W^T.
-    When every phase is 0 or 1/2 the stack is real: z = +-1, the real part
-    of the complex z, so it is the real part of the complex stack.
     """
-    periods = potential.periods
-    phases = np.asarray(phases, dtype=float).reshape(-1, potential.dim)
-    real = bool(np.isin(phases, (0.0, 0.5)).all())
-    check_fiber_stack(potential.q, len(phases), 8 if real else 16)
-    sites = np.arange(potential.q).reshape(periods)
-    coords = np.indices(periods)
-    h = np.zeros((len(phases), potential.q, potential.q), dtype=float if real else complex)
-    h[:, sites.ravel(), sites.ravel()] = potential.cell
-    for j, p in enumerate(periods):
+    sites = np.arange(potential.q).reshape(potential.periods)
+    coords = np.indices(potential.periods)
+    for j, p in enumerate(potential.periods):
         ahead = np.roll(sites, -1, axis=j)
         inside = coords[j] < p - 1
-        h[:, sites[inside], ahead[inside]] = 1.0
-        h[:, ahead[inside], sites[inside]] = 1.0
-        z = np.exp(2j * np.pi * phases[:, j])[:, None]
-        z = z.real if real else z
-        src, dst = sites[~inside], ahead[~inside]
+        yield sites[inside], ahead[inside], 1.0
+        yield ahead[inside], sites[inside], 1.0
+        src, dst, zj = sites[~inside], ahead[~inside], z[:, j, None]
         if p == 1:
-            h[:, src, dst] += z + np.conj(z)
+            yield src, dst, zj + np.conj(zj)
         else:
-            h[:, src, dst] += z
-            h[:, dst, src] += np.conj(z)
+            yield src, dst, zj
+            yield dst, src, np.conj(zj)
+
+
+def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
+    """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``;
+    real when every phase is 0 or 1/2, so that it is the real part of the
+    complex stack."""
+    z = _phase_factors(phases, potential.dim)
+    check_fiber_stack(potential.q, len(z), z.itemsize)
+    diag = np.arange(potential.q)
+    h = np.zeros((len(z), potential.q, potential.q), dtype=z.dtype)
+    h[:, diag, diag] = potential.cell
+    for rows, cols, w in _hops(potential, z):
+        h[:, rows, cols] += w
     return h
+
+
+def _band_storage(potential: PeriodicPotential, phases) -> np.ndarray:
+    """Upper band storage of the 1-d fibers at the k ``phases``, k x (u+1) x q.
+
+    The sites are taken in zig-zag order 0, q-1, 1, q-2, ...: the ring's
+    hops then reach 2 positions and its wrap 1, so each fiber has u =
+    min(2, q-1) bands above the diagonal, and entry (i, j), i <= j, of the
+    reordered fiber sits at row u + i - j of column j.
+    """
+    z = _phase_factors(phases, 1)
+    q = potential.q
+    check_fiber_stack(q, len(z), z.itemsize, banded=True)
+    u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
+    sites = np.arange(q)
+    pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
+    band = np.zeros((len(z), u + 1, q), dtype=z.dtype)
+    band[:, u, pos] = potential.cell
+    for rows, cols, w in _hops(potential, z):
+        i, j = pos[rows], pos[cols]
+        up = i <= j
+        band[:, u + i[up] - j[up], j[up]] += w
+    return band
 
 
 def build_fiber(potential: PeriodicPotential, phase) -> np.ndarray:
@@ -232,7 +276,8 @@ def eigenvalues(matrix, check_tol: float = HERMITICITY_TOL) -> np.ndarray:
 
 
 def fiber_eigenvalues(potential: PeriodicPotential, phase) -> np.ndarray:
-    return eigenvalues(build_fiber(potential, phase))
+    """Sorted eigenvalues of the fiber at the given phase(s), solved as the band sweep solves it."""
+    return _solve_block(potential, [_phase_tuple(phase, potential.dim)])[0]
 
 
 def bandwidth_bound(periods) -> float:
@@ -250,7 +295,12 @@ def _solver_bound(potential: PeriodicPotential) -> float:
 
 
 def _solve_block(potential, phase_block):
-    return np.linalg.eigvalsh(_fibers(potential, phase_block))
+    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d, a batched dense stack in 2-d."""
+    if potential.dim == 2:
+        return np.linalg.eigvalsh(_fibers(potential, phase_block))
+    from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
+
+    return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block)])
 
 
 def _eigenvalue_sweep(potential, phases, workers=None) -> np.ndarray:

@@ -9,13 +9,17 @@ the convergence and dimension machinery on cases with known answers.
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .convergence import ApproximationRecord
-from .floquet import PeriodicPotential, check_fiber_stack
+from .floquet import PeriodicPotential, check_bytes, check_fiber_stack
 from .intervals import IntervalSet, PointSet, normalize, point_set
+
+# The sizes of deep levels overflow floats and the default decimal context; this one holds them.
+_SIZES = Context(Emax=MAX_EMAX, traps=[])
 
 
 def convergents(cf_terms, count: int) -> list[Fraction]:
@@ -57,7 +61,7 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
         periods = (periods,)
     periods = tuple(int(p) for p in periods)
     q = math.prod(periods)
-    check_fiber_stack(q)  # before the cell: any solve of it needs at least one real q x q fiber
+    check_fiber_stack(q, banded=dim == 1)  # before the cell: any solve of it needs at least one real fiber
     return PeriodicPotential(dim=dim, periods=periods, cell=(0.0,) * q)
 
 
@@ -72,6 +76,7 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
         p, q = frequency
         frequency = Fraction(int(p), int(q))
     q = frequency.denominator
+    check_fiber_stack(q, banded=True)  # before the cell, as in free_potential
     cell = tuple(
         2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset))
         for n in range(q)
@@ -83,14 +88,22 @@ def fibonacci_word(level: int) -> str:
     """Substitution a -> ab, b -> a, starting from "a" at level 1."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    word = "a"
+    word, prev = "a", "b"
     for _ in range(level - 1):
-        word = "".join("ab" if c == "a" else "a" for c in word)
+        word, prev = word + prev, word
     return word
 
 
 def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
-    """Periodized Fibonacci substitution word, a -> coupling, b -> 0."""
+    """Periodized Fibonacci substitution word, a -> coupling, b -> 0.
+
+    The level-n word w_n = w_{n-1} w_{n-2} (w_1 = a, w_0 = b) has F_{n+1}
+    letters, about golden^(n+1) / sqrt(5); a level whose banded fiber would
+    not fit in memory is refused before its word is built.
+    """
+    with localcontext(_SIZES):
+        root5 = Decimal(5).sqrt()
+        check_fiber_stack((((1 + root5) / 2) ** (level + 1) / root5).to_integral_value(), banded=True)
     word = fibonacci_word(level)
     cell = tuple(coupling if c == "a" else 0.0 for c in word)
     return PeriodicPotential(dim=1, periods=(len(word),), cell=cell)
@@ -102,8 +115,10 @@ def cantor_approximation(level: int) -> ApproximationRecord:
     The declared distance bound is the conservative 3^-level (the true
     Hausdorff distance to the limit set is 3^-(level+1) / 2).
     """
-    if not 0 <= level <= 40:
-        raise ValueError("level must lie in [0, 40]")
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    with localcontext(_SIZES):  # the last split holds both levels' lows and highs: about 40 bytes per interval
+        check_bytes(40 * Decimal(2) ** level, f"the 2^{level} intervals of middle-thirds level {level}")
     lows, highs = np.zeros(1), np.ones(1)
     for _ in range(level):
         # each [lo, hi] is replaced, in place, by [lo, lo + w] and [hi - w, hi]

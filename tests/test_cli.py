@@ -53,6 +53,9 @@ MALFORMED_MEASURE = {
     "free-2d-huge-cell": {"model": {"name": "free", "dim": 2, "period_base": 10**12}, "n_max": 1},
     "strategy-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "fft"},
     "exact-1d-2d-explicit": {**FREE_2D_EXPLICIT, "strategy": "exact_1d"},
+    "free-1d-huge-cell": {"model": {"name": "free", "dim": 1, "period_base": 10**12}},
+    "fibonacci-huge-level": {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 60, "n_max": 60},
+    "cantor-huge-level": {"n_min": 40, "n_max": 40},
 }
 
 # Keys of the fiber pipeline, with a valid value each; set models reject them.
@@ -265,6 +268,15 @@ class TestMeasureCommand:
 
 
 class TestBandsCommand:
+    def test_oversize_fibonacci_level_refused(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "bands.json",
+            {"model": {"name": "fibonacci", "level": 60, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "1 banded 3 x 2504730781961 fiber(s) need 6.011e+13 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "bands.csv").exists()
+
     def test_free_period_four(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bands.json",
@@ -461,6 +473,25 @@ class TestThreadsEnv:
 
 
 class TestConsoleScript:
+    def test_scipy_loaded_only_by_one_dimensional_solves(self, tmp_path):
+        # importing scipy.linalg costs 0.2-0.3 s and about 28 MB; set models and 2-d cells never pay it
+        measure = measure_config(tmp_path, n_max=4)
+        bands = write_json(
+            tmp_path / "bands.json",
+            {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "output_csv": str(tmp_path / "bands.csv")},
+        )
+        script = (
+            "import sys\n"
+            "from specapprox.cli import main\n"
+            "print('scipy' in sys.modules)\n"
+            f"main(['measure', '--config', {measure!r}]); main(['bands', '--config', {bands!r}])\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == "False"
+        assert proc.stdout.split()[-1] == "False"
+
     def test_installed_entry_point(self, tmp_path):
         a = write_json(tmp_path / "a.json", [[0.0, 1.0]])
         b = write_json(tmp_path / "b.json", [[0.5, 1.5]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_potential
 
 from specapprox import (
@@ -30,6 +31,7 @@ from specapprox import (
 from specapprox import floquet
 from specapprox.floquet import (
     _CHUNK,
+    _band_storage,
     _band_sweep,
     _fibers,
     _phase_set,
@@ -78,32 +80,40 @@ def full_mesh(m, dim):
 
 
 def use_complex_full_sweep(monkeypatch):
-    """Make floquet solve as it did before real fibers, halved grids and reuse:
-    every fiber complex from the dense reference, every grid the full mesh,
-    and the cover phase of the measure pipeline solved on its own."""
+    """Make floquet solve as it did before banded 1-d fibers, real fibers,
+    halved grids and reuse: every fiber a complex dense matrix from the dense
+    reference, solved by eigvalsh, every grid the full mesh, and the cover
+    phase of the measure pipeline solved on its own."""
     phase_set = floquet._phase_set
 
     def full_phase_set(strategy, dim, grid_points):
         phases, lips = phase_set(strategy, dim, grid_points)
         return (phases if lips == 0.0 else full_mesh(int(grid_points), dim)), lips
 
+    def dense_solve(v, phases):
+        return np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
+
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
-    monkeypatch.setattr(floquet, "_fibers", lambda v, phases: np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
+    monkeypatch.setattr(floquet, "_solve_block", dense_solve)
     monkeypatch.setattr(floquet, "_solved_row", lambda sweep, phi: None)
 
 
 @pytest.fixture
 def solved(monkeypatch):
-    """(matrix count, dtype) of every call to np.linalg.eigvalsh."""
+    """(solver, matrix count, dtype) of every call to np.linalg.eigvalsh
+    ("dense") and scipy.linalg.eigvals_banded ("banded")."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        calls.append((math.prod(a.shape[:-2]), a.dtype))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name, solve):
+        def call(a, *args, **kwargs):
+            a = np.asarray(a)
+            calls.append((name, math.prod(a.shape[:-2]), a.dtype))
+            return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("dense", np.linalg.eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting("banded", scipy.linalg.eigvals_banded))
     return calls
 
 
@@ -122,6 +132,55 @@ class TestHopAssembly:
             for m, phi in zip(stack, phases):
                 np.testing.assert_array_equal(m, dense_fiber(v, phi))
             np.testing.assert_array_equal(build_fiber(v, phases[-1]), stack[-1])
+
+
+def zigzag(q):
+    """Sites 0, q-1, 1, q-2, 2, ... of a ring of q sites."""
+    order, lo, hi = [], 0, q - 1
+    while lo <= hi:
+        order += [lo, hi] if lo < hi else [lo]
+        lo, hi = lo + 1, hi - 1
+    return order
+
+
+class TestBandStorage:
+    def test_bands_of_zigzag_dense_fibers_bitwise(self):
+        # periods 1 (self-wrap on the diagonal) and 2 (a bond both interior and wrap) are the special cases
+        rng = np.random.default_rng(70)
+        for q in range(1, 7):
+            v = PeriodicPotential(dim=1, periods=(q,), cell=tuple(float(x) for x in rng.uniform(-3, 3, size=q)))
+            for phases in ([[0.0], [0.5]], [[0.0], [0.5], [rng.uniform(0, 1)], [0.25]]):
+                order = zigzag(q)
+                dense = _fibers(v, phases)[:, order][:, :, order]
+                u = min(2, q - 1)
+                i, j = np.triu_indices(q)
+                near = j - i <= u
+                assert not dense[:, i[~near], j[~near]].any()  # bandwidth u in zig-zag order
+                ref = np.zeros((len(phases), u + 1, q), dtype=dense.dtype)
+                ref[:, u + i[near] - j[near], j[near]] = dense[:, i[near], j[near]]
+                band = _band_storage(v, phases)
+                assert band.dtype == dense.dtype
+                np.testing.assert_array_equal(band.view(np.uint64), ref.view(np.uint64))
+
+    def test_banded_eigenvalues_match_dense(self):
+        rng = np.random.default_rng(71)
+        phases = [[0.0], [0.3], [0.5]]
+        pots = [random_potential(rng, dim=1, max_period=32) for _ in range(60)]
+        pots += [fibonacci_potential(n, c) for n in range(1, 14) for c in (1.0, 2.5)]
+        for v in pots:
+            dense = np.linalg.eigvalsh(_fibers(v, phases))
+            np.testing.assert_allclose(_solve_block(v, phases), dense, rtol=0, atol=_solver_bound(v))
+        for n in (14, 15, 16):  # real fibers only: the dense complex solve at q = 1597 is slow
+            v = fibonacci_potential(n, 2.0)
+            dense = np.linalg.eigvalsh(_fibers(v, [[0.0], [0.5]]))
+            np.testing.assert_allclose(_solve_block(v, [[0.0], [0.5]]), dense, rtol=0, atol=_solver_bound(v))
+
+    def test_period_one_storage_has_one_row(self):
+        # a 1 x 1 fiber stored in more than one row comes back from eigvals_banded as [0.]
+        v = PeriodicPotential(dim=1, periods=(1,), cell=(2.7,))
+        assert _band_storage(v, [[0.0], [0.3]]).shape == (2, 1, 1)
+        for phi in (0.0, 0.3, 0.5):
+            assert fiber_eigenvalues(v, phi) == pytest.approx([2.7 + 2 * math.cos(2 * math.pi * phi)], abs=1e-15)
 
 
 class TestRealFibers:
@@ -148,7 +207,7 @@ class TestRealFibers:
         band_spectrum(v, strategy="exact_1d")
         fiber_eigenvalues(v, 0.5)
         fiber_eigenvalues(v, 0.3)
-        assert solved == [(2, np.float64), (1, np.float64), (1, np.complex128)]
+        assert solved == [("banded", 1, np.float64)] * 3 + [("banded", 1, np.complex128)]
 
 
 class TestBuildFiber:
@@ -472,14 +531,16 @@ class TestSweepReuse:
     def test_exact_1d_solves_per_step(self, solved, phase, real_solves, complex_solves):
         pots = [fibonacci_potential(n, 2.0) for n in range(1, 9)]
         estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
-        assert sum(c for c, t in solved if t == np.float64) == real_solves * len(pots)
-        assert sum(c for c, t in solved if t == np.complex128) == complex_solves * len(pots)
+        assert {s for s, _, _ in solved} == {"banded"}
+        assert sum(c for _, c, t in solved if t == np.float64) == real_solves * len(pots)
+        assert sum(c for _, c, t in solved if t == np.complex128) == complex_solves * len(pots)
 
     @pytest.mark.parametrize("phase,extra", [((0.75, 0.5), 0), ((0.0, 0.125), 0), ((0.3, 0.1), 1)])
     def test_grid_solves_per_step(self, solved, phase, extra):
         pots = [free_potential(2, (p, p)) for p in (1, 2, 3)]
         estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy", grid_points=8)
-        assert sum(c for c, _ in solved) == (len(_phase_set("grid", 2, 8)[0]) + extra) * len(pots)
+        assert {s for s, _, _ in solved} == {"dense"}
+        assert sum(c for _, c, _ in solved) == (len(_phase_set("grid", 2, 8)[0]) + extra) * len(pots)
 
     def test_reused_rows_match_fresh_solves(self):
         rng = np.random.default_rng(41)
@@ -511,13 +572,15 @@ class TestAgreementWithComplexFullSweep:
 
     @pytest.mark.parametrize("phase", [0.0, 0.3])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_fibonacci_proxy_pipeline(self, monkeypatch, seed, phase):
+    def test_fibonacci_proxy_pipeline(self, monkeypatch, solved, seed, phase):
         coupling = float(np.random.default_rng(seed).uniform(1.0, 3.0))
         pots = [fibonacci_potential(n, coupling) for n in range(1, 14)]
         comps = [self.components(v) for v in pots]
         new = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
         use_complex_full_sweep(monkeypatch)
+        solved.clear()
         old = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
+        assert solved and all(s == "dense" and t == np.complex128 for s, _, t in solved)  # not banded against banded
         comps = [max(c, self.components(v)) for c, v in zip(comps, pots)]
         eps = max(_solver_bound(v) for v in pots)
         for a, b, c in zip(new.rows, old.rows, comps):
@@ -553,13 +616,66 @@ class TestFiberSizeGuard:
             free_potential(2, (10**12, 10**12))
 
     def test_fibers_refused_before_the_stack(self, monkeypatch):
-        v = free_potential(1, 10)
+        v = free_potential(2, (2, 5))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 10 * 10 * 8)
-        assert _fibers(v, [[0.0], [0.5]]).shape == (2, 10, 10)  # two real fibers fit
+        assert _fibers(v, [[0.0, 0.5], [0.5, 0.0]]).shape == (2, 10, 10)  # two real fibers fit
         with pytest.raises(ValueError, match=r"need 3\.200e\+3 bytes"):
-            _fibers(v, [[0.25], [0.5]])  # two complex ones do not
-        with pytest.raises(ValueError, match=r"need 4\.800e\+3 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=4)  # phases 0, 1/4, 1/2 in one complex block
+            _fibers(v, [[0.25, 0.0], [0.5, 0.5]])  # two complex ones do not
+        with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
+            band_spectrum(v, strategy="grid", grid_points=4)  # 10 phases in one complex block
+
+    def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
+            check_fiber_stack(10**12, banded=True)
+        assert check_fiber_stack(100, count=2, itemsize=16, banded=True) == 2 * 3 * 100 * 16
+        with pytest.raises(ValueError, match=r"need 2\.400e\+13 bytes"):
+            free_potential(1, 10**12)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 3 * 100 * 8)
+        v = free_potential(1, 100)  # its dense fiber, 8.0e4 bytes, would not fit
+        assert len(band_spectrum(v, strategy="exact_1d").bands) == 100  # two real banded fibers fit
+        with pytest.raises(ValueError, match=r"need 1\.440e\+4 bytes"):
+            band_spectrum(v, strategy="grid", grid_points=4)  # three complex ones do not
+        with pytest.raises(ValueError, match=r"need 7\.200e\+3 bytes"):
+            free_potential(1, 300)
+
+
+def fibonacci_trace(level, coupling, e):
+    """x_n = tr T_n(E) / 2 at level n and its E-derivative, by the trace map
+    x_{n+1} = 2 x_n x_{n-1} - x_{n-2} from x_{-1} = 1, x_0 = E/2, x_1 = (E - V)/2."""
+    xm, x0, x1 = np.ones_like(e), e / 2, (e - coupling) / 2
+    dm, d0, d1 = np.zeros_like(e), np.full_like(e, 0.5), np.full_like(e, 0.5)
+    for _ in range(level - 1):
+        xm, x0, x1, dm, d0, d1 = x0, x1, 2 * x1 * x0 - xm, d0, d1, 2 * (d1 * x0 + x1 * d0) - dm
+    return x1, d1
+
+
+class TestDeepOracles:
+    """References that need no dense solve, for 1-d cells beyond its reach."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense_fibers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 1-d solve built a dense fiber")
+
+        monkeypatch.setattr(floquet, "_fibers", refuse)
+
+    @pytest.mark.parametrize("p,q", [(987, 1597), (4181, 6765)])
+    def test_almost_mathieu_subcritical_measure(self, p, q):
+        # |sigma(p/q)| -> 4 - 4 lambda for lambda < 1 (Last 1994; Avila-Krikorian 2006)
+        v = almost_mathieu(0.5, (p, q))
+        assert abs(lebesgue(band_spectrum(v).union()) - 2.0) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "levels,coupling", [(range(1, 17), 1.0), (range(1, 17), 4.0), ([20], 2.0)], ids=["1-16", "1-16-strong", "20"]
+    )
+    def test_fibonacci_band_edges_solve_trace_map(self, levels, coupling):
+        # the fiber at phase phi has its eigenvalues where x_n = cos(2 pi phi): +1 at 0, -1 at 1/2
+        for n in levels:
+            v = fibonacci_potential(n, coupling)
+            phases, evs, _ = _band_sweep(v, "exact_1d", 64, None)
+            for phi, row in zip(phases[:, 0], evs):
+                x, dx = fibonacci_trace(n, coupling, row)
+                assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))
 
 
 class TestStabilizers:

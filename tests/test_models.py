@@ -16,6 +16,7 @@ from specapprox import (
     lebesgue,
     stabilizer_contains,
 )
+from specapprox import floquet, models
 from specapprox.intervals import as_intervals
 
 
@@ -89,6 +90,10 @@ class TestAlmostMathieu:
         for m in range(1, 7):
             assert not stabilizer_contains(v, (m,))
 
+    def test_oversize_period_refused_before_its_cell(self):
+        with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
+            almost_mathieu(0.5, (1, 10**12))
+
     def test_offset_shifts_cell(self):
         v = almost_mathieu(0.5, Fraction(1, 3), offset=0.25)
         expect = [2 * 0.5 * math.cos(2 * math.pi * (n / 3 + 0.25)) for n in range(3)]
@@ -123,6 +128,30 @@ class TestFibonacci:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             fibonacci_word(0)
+        with pytest.raises(ValueError):
+            fibonacci_potential(0, 1.0)
+
+    def test_potential_spells_the_word(self):
+        for level in range(1, 19):
+            v = fibonacci_potential(level, 1.5)
+            assert v.cell == tuple(1.5 if c == "a" else 0.0 for c in fibonacci_word(level))
+
+    def test_oversize_level_refused_before_its_word(self, monkeypatch):
+        def no_word(level):
+            raise AssertionError("the word was built")
+
+        monkeypatch.setattr(models, "fibonacci_word", no_word)
+        # F_61 = 2504730781961 sites, 24 bytes each for one real banded fiber
+        with pytest.raises(ValueError, match=r"1 banded 3 x 2504730781961 fiber\(s\) need 6\.011e\+13 bytes"):
+            fibonacci_potential(60, 1.0)
+        with pytest.raises(ValueError, match=r"need 7\.585e\+208988 bytes"):
+            fibonacci_potential(10**6, 1.0)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 24 * 88)
+        with pytest.raises(ValueError, match=r"1 banded 3 x 89 fiber\(s\) need 2\.136e\+3 bytes"):
+            fibonacci_potential(10, 1.0)
+        monkeypatch.undo()
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 24 * 89)
+        assert fibonacci_potential(10, 1.0).q == 89
 
 
 class TestCantorApproximation:
@@ -167,6 +196,17 @@ class TestCantorApproximation:
             cantor_approximation(-1)
         with pytest.raises(ValueError):
             cantor_approximation(41)
+
+    def test_oversize_level_refused_by_estimate(self, monkeypatch):
+        # about 40 bytes per interval while the last level is split; nothing is allocated
+        with pytest.raises(ValueError, match=r"2\^40 intervals of middle-thirds level 40 need 4\.398e\+13 bytes"):
+            cantor_approximation(40)
+        with pytest.raises(ValueError, match=r"need 3\.960e\+301031 bytes"):
+            cantor_approximation(10**6)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 40 * 2**10)
+        assert cantor_approximation(10).q == 2**10
+        with pytest.raises(ValueError, match=r"need 8\.192e\+4 bytes"):
+            cantor_approximation(11)
 
 
 class TestGridApproximation:
