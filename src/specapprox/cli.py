@@ -11,10 +11,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -22,24 +20,9 @@ import numpy as np
 from . import convergence, dimension, floquet, models
 from .intervals import hausdorff_distance, set_from_obj
 
-THREADS_ENV = "SPECAPPROX_THREADS"
-
 
 class ConfigError(ValueError):
     pass
-
-
-def _workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if w < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {w}")
-    return w
 
 
 def _load_json(path):
@@ -116,10 +99,7 @@ def _free_step(spec, n):
 
 
 def _almost_mathieu(spec):
-    p, q = spec["frequency"]
-    return models.almost_mathieu(
-        float(spec["coupling"]), Fraction(int(p), int(q)), float(spec.get("offset", 0.0))
-    )
+    return models.almost_mathieu(float(spec["coupling"]), spec["frequency"], float(spec.get("offset", 0.0)))
 
 
 def _almost_mathieu_step(spec, n):
@@ -247,10 +227,9 @@ def cmd_measure(args) -> int:
             mu,
             deltas=_pipeline_deltas(mode, cfg, approximants),
             strategy=cfg.get("strategy"),
-            grid_points=int(cfg.get("grid_points", 64)),
+            grid_points=int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS)),
             tail=tail,
             tail_tol=tail_tol,
-            workers=_workers(),
         )
         report.summary["delta_mode"] = mode
 
@@ -283,7 +262,9 @@ def cmd_bands(args) -> int:
     _check_keys(cfg, BANDS_KEYS, {"model", "output_csv"}, "config")
     potential = _model(cfg["model"], "bands").build(cfg["model"])
     spec = floquet.band_spectrum(
-        potential, strategy=cfg.get("strategy"), grid_points=int(cfg.get("grid_points", 64)), workers=_workers()
+        potential,
+        strategy=cfg.get("strategy"),
+        grid_points=int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS)),
     )
 
     limit = floquet.bandwidth_bound(potential.periods)

@@ -152,6 +152,12 @@ class ReportRow:
     mu_fattened: float
     q_times_delta: float
 
+    def __post_init__(self):
+        # the columns a dimension fit reads; mu_raw is NaN where no band union was computed
+        for name in ("delta", "r", "mu_fattened"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise FloatingPointError(f"step {self.n}: {name} is {value}, not finite")
+
 
 @dataclass
 class ConvergenceReport:

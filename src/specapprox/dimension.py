@@ -48,6 +48,10 @@ class CoverStats:
         k = len(self.n)
         if not all(len(t) == k for t in (self.q, self.delta, self.r, self.mu_fattened)):
             raise ValueError("all stat columns must have equal length")
+        for name in ("delta", "r", "mu_fattened"):
+            for x in getattr(self, name):
+                if not math.isfinite(x):
+                    raise ValueError(f"stats column {name} holds a non-finite value: {x}")
 
     def __len__(self) -> int:
         return len(self.n)

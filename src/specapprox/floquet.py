@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -65,7 +64,11 @@ HERMITICITY_TOL = 1e-12
 # for the matrix sizes in scope (q <= a few thousand).
 SOLVER_TOL_FACTOR = 1e-12
 
+# Phases solved per block: a dense 2-d block holds _CHUNK * q^2 * 16 bytes.
 _CHUNK = 128
+
+# Grid points per axis of the grid strategy when a caller names none.
+DEFAULT_GRID_POINTS = 64
 
 # Nothing larger than the machine's physical memory can be held.
 MAX_FIBER_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 2**36
@@ -303,16 +306,6 @@ def _solve_block(potential, phase_block):
     return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block)])
 
 
-def _eigenvalue_sweep(potential, phases, workers=None) -> np.ndarray:
-    blocks = [phases[i : i + _CHUNK] for i in range(0, len(phases), _CHUNK)]
-    if workers is not None and workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _solve_block(potential, b), blocks))
-    else:
-        parts = [_solve_block(potential, b) for b in blocks]
-    return np.vstack(parts)
-
-
 def _phase_set(strategy: str | None, dim: int, grid_points: int):
     """Phases (k x dim) a strategy solves and its Lipschitz term; None is exact_1d in 1-d, else grid."""
     if strategy is None:
@@ -332,10 +325,10 @@ def _phase_set(strategy: str | None, dim: int, grid_points: int):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _band_sweep(potential, strategy, grid_points, workers):
+def _band_sweep(potential, strategy, grid_points):
     """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
     phases, lips = _phase_set(strategy, potential.dim, grid_points)
-    evs = _eigenvalue_sweep(potential, phases, workers=workers)
+    evs = np.vstack([_solve_block(potential, phases[i : i + _CHUNK]) for i in range(0, len(phases), _CHUNK)])
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
     return phases, evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
@@ -343,8 +336,7 @@ def _band_sweep(potential, strategy, grid_points, workers):
 def band_spectrum(
     potential: PeriodicPotential,
     strategy: str | None = "exact_1d",
-    grid_points: int = 64,
-    workers: int | None = None,
+    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> BandSpectrum:
     """Band intervals of the periodic operator: the per-index min/max of the
     fiber eigenvalues over the strategy's phase set.
@@ -359,7 +351,7 @@ def band_spectrum(
 
     strategy=None: exact_1d in one dimension, grid otherwise.
     """
-    return _band_sweep(potential, strategy, grid_points, workers)[2]
+    return _band_sweep(potential, strategy, grid_points)[2]
 
 
 def _solved_row(sweep, phi):
@@ -412,10 +404,9 @@ def estimate_measure_via_fibers(
     mu: Measure1D,
     deltas="proxy",
     strategy: str | None = None,
-    grid_points: int = 64,
+    grid_points: int = DEFAULT_GRID_POINTS,
     tail: int = 3,
     tail_tol: float = 1e-3,
-    workers: int | None = None,
 ) -> ConvergenceReport:
     """Measure estimation along a sequence of periodic approximants.
 
@@ -443,7 +434,7 @@ def estimate_measure_via_fibers(
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
     phi = _phase_tuple(phase, dim)
-    sweeps = [_band_sweep(v, strategy, grid_points, workers) for v in potentials] if proxy or dim == 1 else []
+    sweeps = [_band_sweep(v, strategy, grid_points) for v in potentials] if proxy or dim == 1 else []
     unions = [spectrum.union() for _, _, spectrum in sweeps]
     if proxy:
         delta_list = proxy_deltas(unions)

@@ -74,6 +74,8 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     """
     if not isinstance(frequency, Fraction):
         p, q = frequency
+        if int(q) == 0:
+            raise ValueError("frequency denominator must be nonzero")
         frequency = Fraction(int(p), int(q))
     q = frequency.denominator
     check_fiber_stack(q, banded=True)  # before the cell, as in free_potential
@@ -138,14 +140,18 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    alpha = None if solid_to is None else float(solid_to)
+    if alpha is not None and not 0.0 < alpha <= 1.0:
+        raise ValueError("solid_to must lie in (0, 1]")
+    # measured peaks: 32 bytes per point for the list, then 19 per point for the
+    # point set, or 138 per welded-on point j/n > alpha for the interval set
+    set_bytes = 19 * (n + 1) if alpha is None else 138 * (n - math.floor(alpha * n))
+    check_bytes(32 * (n + 1) + set_bytes, f"the {n + 1} points of grid level {n}")
     pts = [j / n for j in range(n + 1)]
     delta = 1.0 / (2.0 * n)
-    if solid_to is None:
+    if alpha is None:
         a: PointSet | IntervalSet = point_set(pts)
     else:
-        alpha = float(solid_to)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("solid_to must lie in (0, 1]")
         raw = [(0.0, alpha)] + [(x, x) for x in pts if x > alpha]
         a = normalize(raw)
     return ApproximationRecord.from_set(a, delta)

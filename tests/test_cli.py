@@ -56,6 +56,7 @@ MALFORMED_MEASURE = {
     "free-1d-huge-cell": {"model": {"name": "free", "dim": 1, "period_base": 10**12}},
     "fibonacci-huge-level": {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 60, "n_max": 60},
     "cantor-huge-level": {"n_min": 40, "n_max": 40},
+    "grid-huge-level": {"model": {"name": "grid"}, "n_min": 10**12, "n_max": 10**12},
 }
 
 # Keys of the fiber pipeline, with a valid value each; set models reject them.
@@ -220,6 +221,14 @@ class TestMeasureCommand:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
 
+    def test_overflowing_measure_is_numerical_failure(self, tmp_path, capsys):
+        # each density value is finite, but 5/3 of 1.5e308 on the fattened level-1 set is not
+        density = {"type": "density", "breakpoints": [-1.0, 2.0], "values": [1.5e308]}
+        cfg = measure_config(tmp_path, n_max=3, measure=density)
+        assert main(["measure", "--config", cfg]) == 3
+        assert "step 1: mu_fattened is inf, not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("key", OPERATOR_ONLY)
     @pytest.mark.parametrize("model", ["cantor", "grid"])
     def test_set_model_rejects_operator_key(self, tmp_path, capsys, model, key):
@@ -268,6 +277,18 @@ class TestMeasureCommand:
 
 
 class TestBandsCommand:
+    def test_zero_denominator_frequency_refused(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "bands.json",
+            {
+                "model": {"name": "almost_mathieu", "coupling": 1, "frequency": [1, 0]},
+                "output_csv": str(tmp_path / "bands.csv"),
+            },
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "error: frequency denominator must be nonzero" in capsys.readouterr().err
+        assert not (tmp_path / "bands.csv").exists()
+
     def test_oversize_fibonacci_level_refused(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bands.json",
@@ -441,35 +462,45 @@ class TestDimensionCommand:
     def test_missing_stats_file(self, tmp_path):
         assert main(["dimension", "--stats", str(tmp_path / "no.csv"), "--method", "last"]) == 2
 
+    @pytest.mark.parametrize("method", ["last", "direct"])
+    @pytest.mark.parametrize("column", ["delta", "r", "mu_fattened"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_stat_rejected(self, tmp_path, capsys, method, column, value):
+        rows = [
+            {"n": n, "q": 2**n, "delta": 2.0**-n, "r": 3.0**-n, "mu_fattened": (2 / 3) ** n} for n in range(1, 5)
+        ]
+        path = tmp_path / "stats.csv"
+
+        def run():
+            with open(path, "w", newline="") as fh:
+                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                w.writeheader()
+                w.writerows(rows)
+            return main(["dimension", "--stats", str(path), "--method", method, "--tail-fraction", "1"])
+
+        assert run() == 0
+        capsys.readouterr()
+        rows[0][column] = value
+        assert run() == 2
+        assert f"error: stats column {column} holds a non-finite value" in capsys.readouterr().err
+
 
 class TestThreadsEnv:
     def test_worker_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         cfg = write_json(
             tmp_path / "bands.json",
             {
-                "model": {"name": "free", "dim": 2, "periods": [2, 2]},
-                "grid_points": 8,
+                "model": {"name": "free", "dim": 2, "periods": [3, 3]},
+                "grid_points": 16,  # 130 phases, more than one block
                 "output_csv": str(tmp_path / "bands.csv"),
             },
         )
         assert main(["bands", "--config", cfg]) == 0
-        capsys.readouterr()
-        serial = (tmp_path / "bands.csv").read_bytes()
-        monkeypatch.setenv("SPECAPPROX_THREADS", "2")
-        assert main(["bands", "--config", cfg]) == 0
-        assert (tmp_path / "bands.csv").read_bytes() == serial
-
-    def test_invalid_value_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SPECAPPROX_THREADS", "many")
-        cfg = write_json(
-            tmp_path / "bands.json",
-            {
-                "model": {"name": "free", "dim": 1, "periods": [4]},
-                "output_csv": str(tmp_path / "bands.csv"),
-            },
-        )
-        assert main(["bands", "--config", cfg]) == 2
-        assert "SPECAPPROX_THREADS" in capsys.readouterr().err
+        serial = (tmp_path / "bands.csv").read_bytes(), capsys.readouterr().out
+        for value in ("2", "many"):  # the variable is not read
+            monkeypatch.setenv("SPECAPPROX_THREADS", value)
+            assert main(["bands", "--config", cfg]) == 0
+            assert ((tmp_path / "bands.csv").read_bytes(), capsys.readouterr().out) == serial
 
 
 class TestConsoleScript:

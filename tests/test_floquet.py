@@ -398,12 +398,18 @@ class TestBandSpectrum:
             bands = band_spectrum(v, strategy="exact_1d").bands
             assert bands == tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1))
 
-    def test_workers_do_not_change_results(self):
-        assert len(_phase_set("grid", 2, 16)[0]) > _CHUNK  # more than one block for the pool
-        v = free_potential(2, (3, 3))
-        a = band_spectrum(v, strategy="grid", grid_points=16)
-        b = band_spectrum(v, strategy="grid", grid_points=16, workers=4)
-        assert a.bands == b.bands
+    def test_chunked_sweep_equals_one_block(self):
+        v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)
+        for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258)]:
+            phases, evs, _ = _band_sweep(v, "grid", grid_points)
+            assert len(phases) == _CHUNK + 2  # two blocks
+            np.testing.assert_array_equal(evs, _solve_block(v, phases))
+        # a block of phases in {0, 1/2} only is solved in real arithmetic: at 256 points the
+        # second block is phi = 1/2 alone, which one block over all phases solves complex
+        phases, evs, _ = _band_sweep(v1, "grid", 256)
+        assert phases[_CHUNK:].tolist() == [[0.5]]
+        np.testing.assert_array_equal(evs[:_CHUNK], _solve_block(v1, phases)[:_CHUNK])
+        np.testing.assert_array_equal(evs[_CHUNK], fiber_eigenvalues(v1, 0.5))
 
 
 class TestConjugateHalvedGrid:
@@ -551,7 +557,7 @@ class TestSweepReuse:
         ):
             for _ in range(10):
                 v = random_potential(rng, dim=dim, max_period=12 if dim == 1 else 4)
-                sweep = _band_sweep(v, strategy, 8, None)
+                sweep = _band_sweep(v, strategy, 8)
                 for phi in phis:
                     np.testing.assert_allclose(
                         _solved_row(sweep, phi), fiber_eigenvalues(v, phi), rtol=0, atol=_solver_bound(v)
@@ -672,7 +678,7 @@ class TestDeepOracles:
         # the fiber at phase phi has its eigenvalues where x_n = cos(2 pi phi): +1 at 0, -1 at 1/2
         for n in levels:
             v = fibonacci_potential(n, coupling)
-            phases, evs, _ = _band_sweep(v, "exact_1d", 64, None)
+            phases, evs, _ = _band_sweep(v, "exact_1d", 64)
             for phi, row in zip(phases[:, 0], evs):
                 x, dx = fibonacci_trace(n, coupling, row)
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))

@@ -229,3 +229,16 @@ class TestGridApproximation:
             grid_approximation(0)
         with pytest.raises(ValueError):
             grid_approximation(3, solid_to=1.5)
+
+    def test_oversize_level_refused_by_estimate(self, monkeypatch):
+        # 51 bytes per point, or 32 per point plus 138 per point welded on above solid_to; nothing is allocated
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 51 * 11)
+        assert grid_approximation(10).q == 11
+        assert grid_approximation(10, solid_to=1.0).q == 1
+        with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 6\.120e\+2 bytes"):
+            grid_approximation(11)
+        with pytest.raises(ValueError, match=r"need 1\.042e\+3 bytes"):
+            grid_approximation(10, solid_to=0.5)  # 5 points above 0.5
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"1000000000001 points of grid level 1000000000000 need 5\.100e\+13"):
+            grid_approximation(10**12)
