@@ -1,14 +1,15 @@
 """Command-line front end: hausdorff, measure, bands, dimension.
 
 Exit codes: 0 success, 2 bad usage or malformed input, 3 numerical failure.
-Configurations are JSON with strict key checking; outputs are CSV (15
-significant digits, byte-stable across reruns) plus JSON reports.
+Configurations are JSON with strict key checking.  Every measure report and
+corollary comes from the one report builder in ``convergence`` (``report_row``,
+``ConvergenceReport.build``, ``corollary``), and every output file from its one
+writer pair, ``write_csv`` (15 significant digits) and ``write_json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -71,6 +72,16 @@ def _parse_measure(spec) -> convergence.Measure1D:
     raise ConfigError(f"unknown measure type: {kind!r}")
 
 
+def _int(value, key: str):
+    """``value``, or each item of a list ``value``, as an int; booleans and
+    numbers with a fractional part are refused, where int() would truncate them."""
+    if isinstance(value, list):
+        return [_int(v, key) for v in value]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _keys(*required, optional=()):
     """(allowed, required) key sets of a model spec."""
     return {*required, *optional}, set(required)
@@ -92,25 +103,26 @@ class _Model:
 
 
 def _free_step(spec, n):
-    base = int(spec["period_base"])
+    base = _int(spec["period_base"], "period_base")
     if base < 2:
         raise ConfigError("period_base must be >= 2")
-    return {"dim": spec["dim"], "periods": [base**n] * int(spec["dim"])}
+    return {"dim": spec["dim"], "periods": [base**n] * _int(spec["dim"], "dim")}
 
 
 def _almost_mathieu(spec):
-    return models.almost_mathieu(float(spec["coupling"]), spec["frequency"], float(spec.get("offset", 0.0)))
+    frequency = _int(spec["frequency"], "frequency")
+    return models.almost_mathieu(float(spec["coupling"]), frequency, float(spec.get("offset", 0.0)))
 
 
 def _almost_mathieu_step(spec, n):
-    f = models.convergents(spec["frequency_cf"], n)[-1]
+    f = models.convergents(_int(spec["frequency_cf"], "frequency_cf"), n)[-1]
     return {**spec, "frequency": [f.numerator, f.denominator]}
 
 
 def _literal_potential(spec):
     return floquet.PeriodicPotential(
-        dim=int(spec["dim"]),
-        periods=tuple(int(p) for p in spec["periods"]),
+        dim=_int(spec["dim"], "dim"),
+        periods=tuple(_int(spec["periods"], "periods")),
         cell=tuple(float(v) for v in spec["cell"]),
     )
 
@@ -125,7 +137,7 @@ MODELS = {
         keys={"measure": _keys("name", optional=("solid_to",))},
     ),
     "free": _Model(
-        build=lambda s: models.free_potential(int(s["dim"]), s["periods"]),
+        build=lambda s: models.free_potential(_int(s["dim"], "dim"), _int(s["periods"], "periods")),
         keys={"measure": _keys("name", "dim", "period_base"), "bands": _keys("name", "dim", "periods")},
         step=_free_step,
     ),
@@ -138,7 +150,7 @@ MODELS = {
         step=_almost_mathieu_step,
     ),
     "fibonacci": _Model(
-        build=lambda s: models.fibonacci_potential(int(s["level"]), float(s["coupling"])),
+        build=lambda s: models.fibonacci_potential(_int(s["level"], "level"), float(s["coupling"])),
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
     ),
     "potential": _Model(build=_literal_potential, keys={"bands": _keys("name", "dim", "periods", "cell")}),
@@ -170,7 +182,7 @@ MEASURE_KEYS = OPERATOR_KEYS | {
 
 
 def _n_range(cfg) -> range:
-    n_min, n_max = int(cfg["n_min"]), int(cfg["n_max"])
+    n_min, n_max = _int(cfg["n_min"], "n_min"), _int(cfg["n_max"], "n_max")
     if n_min < 1 or n_max < n_min:
         raise ConfigError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     return range(n_min, n_max + 1)
@@ -206,7 +218,7 @@ def cmd_measure(args) -> int:
         raise ConfigError("config must be a JSON object")
     _check_keys(cfg, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"}, "config")
     mu = _parse_measure(cfg.get("measure"))
-    tail = int(cfg.get("tail", convergence.DEFAULT_TAIL))
+    tail = _int(cfg.get("tail", convergence.DEFAULT_TAIL), "tail")
     if tail < 1:
         raise ConfigError(f"tail must be >= 1, got {tail}")
     tail_tol = float(cfg.get("tail_tol", 1e-3))
@@ -227,28 +239,17 @@ def cmd_measure(args) -> int:
             mu,
             deltas=_pipeline_deltas(mode, cfg, approximants),
             strategy=cfg.get("strategy"),
-            grid_points=int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS)),
+            grid_points=_int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points"),
             tail=tail,
             tail_tol=tail_tol,
         )
         report.summary["delta_mode"] = mode
 
-    # Vanishing-product corollary: once q_n * delta_n is small over the tail,
-    # the raw measure of the last step (in the configured measure) is trusted.
-    products = [row.q_times_delta for row in report.rows][-tail:]
-    flag = all(p < crit_tol for p in products)
-    last_raw = report.rows[-1].mu_raw
-    report.summary["corollary"] = {
-        "flag": flag,
-        "products_tail": products,
-        "estimate": last_raw if flag and math.isfinite(last_raw) else None,
-    }
-
+    corollary = report.summary["corollary"] = convergence.corollary(report.rows, tail, crit_tol)
     report.write_csv(cfg["output_csv"])
     report.write_json(cfg["output_json"])
-    est = report.summary["estimate"]
-    print(f"estimate: {est:.6g}")
-    print(f"criterion_flag: {str(flag).lower()}")
+    print(f"estimate: {report.summary['estimate']:.6g}")
+    print(f"criterion_flag: {str(corollary['flag']).lower()}")
     return 0
 
 
@@ -264,17 +265,14 @@ def cmd_bands(args) -> int:
     spec = floquet.band_spectrum(
         potential,
         strategy=cfg.get("strategy"),
-        grid_points=int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS)),
+        grid_points=_int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points"),
     )
 
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()
     violations = [i for i, w in enumerate(widths) if w > limit + 2 * spec.error_bound]
-    with open(cfg["output_csv"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "lo", "hi", "width"])
-        for i, (lo, hi) in enumerate(spec.bands):
-            w.writerow([i, f"{lo:.15g}", f"{hi:.15g}", f"{hi - lo:.15g}"])
+    rows = [(i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(spec.bands)]
+    convergence.write_csv(cfg["output_csv"], ("i", "lo", "hi", "width"), rows)
     if "output_json" in cfg:
         obj = {
             "bands": [[lo, hi] for lo, hi in spec.bands],
@@ -282,9 +280,7 @@ def cmd_bands(args) -> int:
             "bandwidth_bound": limit,
             "violations": violations,
         }
-        with open(cfg["output_json"], "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        convergence.write_json(cfg["output_json"], obj)
     print(f"bands: {len(spec.bands)}")
     print(f"error_bound: {spec.error_bound:.6g}")
     print(f"max_width: {max(widths):.6g}")
@@ -316,9 +312,7 @@ def cmd_dimension(args) -> int:
             "residual": fit.residual,
             "window": list(fit.window),
         }
-        with open(args.json, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        convergence.write_json(args.json, obj)
     return 0
 
 

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .intervals import (
     CompactSet,
@@ -36,9 +36,6 @@ FINITE_HORIZON_NOTE = (
     "tail diagnostics certify stability over the computed rows only; "
     "the limiting hypotheses are not checkable from finite data"
 )
-
-CSV_COLUMNS = ("n", "delta", "q", "r", "mu_raw", "mu_fattened", "q_times_delta")
-
 
 @dataclass(frozen=True)
 class Lebesgue:
@@ -159,73 +156,66 @@ class ReportRow:
                 raise FloatingPointError(f"step {self.n}: {name} is {value}, not finite")
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+
+
+def report_row(n: int, delta: float, q: int, r: float, mu: Measure1D, cover: CompactSet, raw=None) -> ReportRow:
+    """Row n of a report: mu of the ``raw`` set (NaN when there is none), mu of the ``cover``
+    and q * delta.  Callers pass the cover as a call temporary, so no cover outlives its row."""
+    mu_raw = math.nan if raw is None else measure(mu, raw)
+    return ReportRow(n, delta, q, r, mu_raw, measure(mu, cover), q * delta)
+
+
 @dataclass
 class ConvergenceReport:
     rows: list[ReportRow]
     summary: dict = field(default_factory=dict)
 
+    @classmethod
+    def build(cls, rows, tail: int, tail_tol: float, **extra) -> "ConvergenceReport":
+        """Report of ``rows`` whose summary holds the tail diagnostics of the
+        fattened column; ``extra`` keys precede the note."""
+        rows = list(rows)
+        if not rows:
+            raise ValueError("need at least one step")
+        tail = min(tail, len(rows))
+        window = [r.mu_fattened for r in rows[-tail:]]
+        spread = max(window) - min(window)
+        diagnostics = {"estimate": rows[-1].mu_fattened, "converged": spread < tail_tol, "tail_spread": spread}
+        return cls(rows, {**diagnostics, "tail": tail, "rows": len(rows), **extra, "note": FINITE_HORIZON_NOTE})
+
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                w.writerow(
-                    [
-                        row.n,
-                        _fmt(row.delta),
-                        row.q,
-                        _fmt(row.r),
-                        _fmt(row.mu_raw),
-                        _fmt(row.mu_fattened),
-                        _fmt(row.q_times_delta),
-                    ]
-                )
+        write_csv(path, CSV_COLUMNS, map(astuple, self.rows))
 
     def to_obj(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "delta": r.delta,
-                    "q": r.q,
-                    "r": r.r,
-                    "mu_raw": r.mu_raw,
-                    "mu_fattened": r.mu_fattened,
-                    "q_times_delta": r.q_times_delta,
-                }
-                for r in self.rows
-            ],
-            "summary": self.summary,
-        }
+        return {"rows": [asdict(r) for r in self.rows], "summary": self.summary}
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_obj(), fh, indent=2, allow_nan=True)
-            fh.write("\n")
+        write_json(path, self.to_obj())
 
 
-def _fmt(x: float) -> str:
-    # 15 significant digits; plain text for non-finite values
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return f"{x:.15g}"
+def write_csv(path, header, rows) -> None:
+    """CSV with a header line; floats get 15 significant digits (nan, inf and -inf as words)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(x, ".15g") if isinstance(x, float) else x for x in row] for row in rows)
 
 
-def _summary(rows, tail: int, tail_tol: float, **extra) -> dict:
-    """Tail diagnostics of the fattened column; ``extra`` keys precede the note."""
-    fat_values = [r.mu_fattened for r in rows]
-    tail = min(tail, len(fat_values))
-    window = fat_values[-tail:]
-    spread = max(window) - min(window)
-    return {
-        "estimate": fat_values[-1],
-        "converged": spread < tail_tol,
-        "tail_spread": spread,
-        "tail": tail,
-        "rows": len(rows),
-        **extra,
-        "note": FINITE_HORIZON_NOTE,
-    }
+def write_json(path, obj) -> None:
+    """``obj`` as JSON indented by 2, with a final newline; non-finite floats as NaN/Infinity."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def corollary(rows, tail: int, tolerance: float) -> dict:
+    """Vanishing-product corollary of report rows: once q_n * delta_n stays below ``tolerance``
+    over the last ``tail`` rows, the raw measure of the last step is trusted as the estimate."""
+    products = [row.q_times_delta for row in rows[-tail:]]
+    flag = all(p < tolerance for p in products)
+    last_raw = rows[-1].mu_raw
+    return {"flag": flag, "products_tail": products, "estimate": last_raw if flag and math.isfinite(last_raw) else None}
 
 
 def fattened_measure_sequence(
@@ -238,25 +228,11 @@ def fattened_measure_sequence(
     by less than ``tail_tol`` and reports the final fattened value as the
     estimate.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one approximation record")
-    rows = []
-    for n, rec in enumerate(records, start=1):
-        raw = measure(mu, rec.set)
-        fat = measure(mu, fatten(rec.set, rec.delta))
-        rows.append(
-            ReportRow(
-                n=n,
-                delta=rec.delta,
-                q=rec.q,
-                r=rec.r,
-                mu_raw=raw,
-                mu_fattened=fat,
-                q_times_delta=rec.q * rec.delta,
-            )
-        )
-    return ConvergenceReport(rows=rows, summary=_summary(rows, tail, tail_tol))
+    rows = [
+        report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
+        for n, rec in enumerate(records, start=1)
+    ]
+    return ConvergenceReport.build(rows, tail, tail_tol)
 
 
 @dataclass(frozen=True)

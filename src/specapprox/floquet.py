@@ -14,12 +14,13 @@ numbered in row-major order, a roll along each axis gives every site's
 forward neighbour, and a coordinate mask splits the hops inside the cell
 from the ones that wrap around its boundary.  Any number of phases is
 assembled at once, real symmetric (float64) when every phase lies in
-{0, 1/2}^d, where each wrap carries z = +-1, else complex.  The same hops
-fill two storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its
-sites taken in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it
-is held as 3 x q upper band storage and solved by LAPACK's banded
-eigensolver (scipy.linalg.eigvals_banded): O(q) memory and no q x q
-matrix.  2-d fibers are dense q x q stacks, solved by batched eigvalsh.
+{0, 1/2}^d, where each wrap carries z = +-1, else complex; a band sweep
+makes that choice once for all its phases.  The same hops fill two
+storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
+in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
+3 x q upper band storage and solved by LAPACK's banded eigensolver
+(scipy.linalg.eigvals_banded): O(q) memory and no q x q matrix.  2-d
+fibers are dense q x q stacks, solved by batched eigvalsh.
 
 The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
@@ -47,7 +48,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .convergence import ConvergenceReport, Measure1D, ReportRow, _summary, measure
+from .convergence import ConvergenceReport, Measure1D, measure, report_row
 from .intervals import (
     DEFAULT_TOL,
     IntervalSet,
@@ -182,12 +183,14 @@ def check_fiber_stack(q, count: int = 1, itemsize: int = 8, banded: bool = False
     return check_bytes(count * rows * q * itemsize, f"{count} {'banded' if banded else 'dense'} {rows} x {q} fiber(s)")
 
 
-def _phase_factors(phases, dim: int) -> np.ndarray:
-    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when every phase is
-    0 or 1/2, where z = +-1 is the real part of the complex z."""
+def _phase_factors(phases, dim: int, real: bool | None = None) -> np.ndarray:
+    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when ``real``, by default when
+    every phase is 0 or 1/2, where z = +-1 is the real part of the complex z."""
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     z = np.exp(2j * np.pi * phases)
-    return z.real if np.isin(phases, (0.0, 0.5)).all() else z
+    if real is None:
+        real = np.isin(phases, (0.0, 0.5)).all()
+    return z.real if real else z
 
 
 def _hops(potential: PeriodicPotential, z):
@@ -216,11 +219,11 @@ def _hops(potential: PeriodicPotential, z):
             yield dst, src, np.conj(zj)
 
 
-def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
+def _fibers(potential: PeriodicPotential, phases, real: bool | None = None) -> np.ndarray:
     """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``;
-    real when every phase is 0 or 1/2, so that it is the real part of the
-    complex stack."""
-    z = _phase_factors(phases, potential.dim)
+    real when ``real`` (by default when every phase is 0 or 1/2), so that it
+    is the real part of the complex stack."""
+    z = _phase_factors(phases, potential.dim, real)
     check_fiber_stack(potential.q, len(z), z.itemsize)
     diag = np.arange(potential.q)
     h = np.zeros((len(z), potential.q, potential.q), dtype=z.dtype)
@@ -230,15 +233,15 @@ def _fibers(potential: PeriodicPotential, phases) -> np.ndarray:
     return h
 
 
-def _band_storage(potential: PeriodicPotential, phases) -> np.ndarray:
+def _band_storage(potential: PeriodicPotential, phases, real: bool | None = None) -> np.ndarray:
     """Upper band storage of the 1-d fibers at the k ``phases``, k x (u+1) x q.
 
     The sites are taken in zig-zag order 0, q-1, 1, q-2, ...: the ring's
     hops then reach 2 positions and its wrap 1, so each fiber has u =
     min(2, q-1) bands above the diagonal, and entry (i, j), i <= j, of the
-    reordered fiber sits at row u + i - j of column j.
+    reordered fiber sits at row u + i - j of column j.  ``real`` is as for _fibers.
     """
-    z = _phase_factors(phases, 1)
+    z = _phase_factors(phases, 1, real)
     q = potential.q
     check_fiber_stack(q, len(z), z.itemsize, banded=True)
     u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
@@ -297,13 +300,13 @@ def _solver_bound(potential: PeriodicPotential) -> float:
     return SOLVER_TOL_FACTOR * max(1.0, norm)
 
 
-def _solve_block(potential, phase_block):
+def _solve_block(potential, phase_block, real: bool | None = None):
     """Eigenvalue rows of the fibers at a block of phases: banded in 1-d, a batched dense stack in 2-d."""
     if potential.dim == 2:
-        return np.linalg.eigvalsh(_fibers(potential, phase_block))
+        return np.linalg.eigvalsh(_fibers(potential, phase_block, real))
     from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
 
-    return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block)])
+    return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block, real)])
 
 
 def _phase_set(strategy: str | None, dim: int, grid_points: int):
@@ -328,7 +331,9 @@ def _phase_set(strategy: str | None, dim: int, grid_points: int):
 def _band_sweep(potential, strategy, grid_points):
     """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
     phases, lips = _phase_set(strategy, potential.dim, grid_points)
-    evs = np.vstack([_solve_block(potential, phases[i : i + _CHUNK]) for i in range(0, len(phases), _CHUNK)])
+    # one arithmetic for all blocks, so that the rows do not depend on how the phases fall into blocks
+    real = np.isrealobj(_phase_factors(phases, potential.dim))
+    evs = np.vstack([_solve_block(potential, phases[i : i + _CHUNK], real) for i in range(0, len(phases), _CHUNK)])
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
     return phases, evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
@@ -440,32 +445,14 @@ def estimate_measure_via_fibers(
         delta_list = proxy_deltas(unions)
 
     rows = []
-    band_fattened = []
     for n, (v, delta) in enumerate(zip(potentials, delta_list), start=1):
         r = bandwidth_bound(v.periods)
         row = _solved_row(sweeps[n - 1], phi) if sweeps else None
         eigs = fiber_eigenvalues(v, phase) if row is None else row
-        cover = cover_from_eigenvalues(eigs, delta, r)
-        fat = measure(mu, cover)
-        if sweeps:
-            raw = measure(mu, unions[n - 1])
-            band_fattened.append(measure(mu, cover_from_bands(unions[n - 1], delta)))
-        else:
-            raw = math.nan
-        rows.append(
-            ReportRow(
-                n=n,
-                delta=delta,
-                q=v.q,
-                r=r,
-                mu_raw=raw,
-                mu_fattened=fat,
-                q_times_delta=v.q * delta,
-            )
-        )
-
-    summary = _summary(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
-    if band_fattened:
-        summary["band_fattened"] = band_fattened
-        summary["band_estimate"] = band_fattened[-1]
-    return ConvergenceReport(rows=rows, summary=summary)
+        raw = unions[n - 1] if sweeps else None
+        rows.append(report_row(n, delta, v.q, r, mu, cover_from_eigenvalues(eigs, delta, r), raw))
+    report = ConvergenceReport.build(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
+    if sweeps:
+        band_fattened = [measure(mu, cover_from_bands(u, delta)) for u, delta in zip(unions, delta_list)]
+        report.summary.update(band_fattened=band_fattened, band_estimate=band_fattened[-1])
+    return report

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,30 @@ MALFORMED_MEASURE = {
     "fibonacci-huge-level": {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 60, "n_max": 60},
     "cantor-huge-level": {"n_min": 40, "n_max": 40},
     "grid-huge-level": {"model": {"name": "grid"}, "n_min": 10**12, "n_max": 10**12},
+    # int() truncated these; each run wrote a report of the truncated config
+    "n-max-fraction": {"n_max": 3.9},
+    "n-min-bool": {"n_min": True},
+    "tail-fraction": {"tail": 2.5},
+    "grid-points-fraction": {"model": FREE_1D, "strategy": "grid", "grid_points": 8.7},
+    "dim-bool": {"model": {"name": "free", "dim": True, "period_base": 2}},
+    "period-base-fraction": {"model": {"name": "free", "dim": 1, "period_base": 2.5}},
+    "frequency-cf-fraction": {
+        "model": {"name": "almost_mathieu", "coupling": 0.5, "frequency_cf": [0, 1.5, 1]}, "n_max": 2
+    },
 }
+
+# The bands counterparts: int() truncated each of these, and the run printed the bands of the truncated model.
+MALFORMED_BANDS = {
+    "frequency-fraction": {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": [1.5, 2.9]}},
+    "periods-fraction": {"model": {"name": "potential", "dim": 1, "periods": [2.7], "cell": [0.0, 1.0]}},
+    "free-periods-fraction": {"model": {"name": "free", "dim": 1, "periods": [4.5]}},
+    "level-fraction": {"model": {"name": "fibonacci", "level": 3.7, "coupling": 1.0}},
+    "grid-points-fraction": {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "grid_points": 8.7},
+    "dim-bool": {"model": {"name": "free", "dim": True, "periods": [2]}},
+    "potential-dim-bool": {"model": {"name": "potential", "dim": True, "periods": [2], "cell": [0.0, 1.0]}},
+}
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Keys of the fiber pipeline, with a valid value each; set models reject them.
 OPERATOR_ONLY = {
@@ -125,6 +149,21 @@ class TestMeasureCommand:
         first = (tmp_path / "out.csv").read_bytes()
         assert main(["measure", "--config", cfg]) == 0
         assert (tmp_path / "out.csv").read_bytes() == first
+
+    def test_criterion_10_outputs_match_golden_bytes(self, tmp_path, capsys):
+        # elementwise IEEE arithmetic and a cumulative sum: no BLAS or LAPACK result reaches these bytes
+        assert main(["measure", "--config", measure_config(tmp_path)]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "criterion10.csv").read_bytes()
+        assert (tmp_path / "out.json").read_bytes() == (GOLDEN / "criterion10.json").read_bytes()
+
+    def test_no_band_union_writes_nan_raw_measure(self, tmp_path, capsys):
+        # explicit deltas in 2-d compute no band union, so there is no raw measure
+        assert main(["measure", "--config", measure_config(tmp_path, **FREE_2D_EXPLICIT)]) == 0
+        with open(tmp_path / "out.csv", newline="") as fh:
+            assert [row["mu_raw"] for row in csv.DictReader(fh)] == ["nan", "nan"]
+        text = (tmp_path / "out.json").read_text()
+        assert text.count('"mu_raw": NaN,') == 2
+        assert all(math.isnan(row["mu_raw"]) for row in json.loads(text)["rows"])
 
     def test_grid_model_stalls_criterion(self, tmp_path, capsys):
         cfg = measure_config(tmp_path, model={"name": "grid"}, n_max=30)
@@ -319,6 +358,22 @@ class TestBandsCommand:
         report = json.loads((tmp_path / "bands_report.json").read_text())
         assert report["bandwidth_bound"] == pytest.approx(math.pi)
         assert report["violations"] == []
+
+    def test_csv_fields_carry_15_significant_digits(self, tmp_path, capsys):
+        model = {"name": "almost_mathieu", "coupling": 1.0, "frequency": [1, 3]}
+        cfg = write_json(tmp_path / "bands.json", {"model": model, "output_csv": str(tmp_path / "bands.csv")})
+        assert main(["bands", "--config", cfg]) == 0
+        spec = floquet.band_spectrum(models.almost_mathieu(1.0, (1, 3)))
+        lines = [f"{i},{lo:.15g},{hi:.15g},{hi - lo:.15g}" for i, (lo, hi) in enumerate(spec.bands)]
+        assert (tmp_path / "bands.csv").read_bytes() == "\r\n".join(["i,lo,hi,width", *lines, ""]).encode()
+        assert lines[0].split(",")[1] == "-2.44948974278318"  # -sqrt(6), exact in 15 digits far above solver error
+
+    @pytest.mark.parametrize("overrides", MALFORMED_BANDS.values(), ids=MALFORMED_BANDS.keys())
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, overrides):
+        cfg = write_json(tmp_path / "bands.json", {"output_csv": str(tmp_path / "bands.csv"), **overrides})
+        assert main(["bands", "--config", cfg]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "bands.csv").exists()
 
     def test_almost_mathieu_bands(self, tmp_path, capsys):
         cfg = write_json(

@@ -90,7 +90,7 @@ def use_complex_full_sweep(monkeypatch):
         phases, lips = phase_set(strategy, dim, grid_points)
         return (phases if lips == 0.0 else full_mesh(int(grid_points), dim)), lips
 
-    def dense_solve(v, phases):
+    def dense_solve(v, phases, real=None):  # complex, whatever arithmetic the sweep picked
         return np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
@@ -400,16 +400,11 @@ class TestBandSpectrum:
 
     def test_chunked_sweep_equals_one_block(self):
         v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)
-        for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258)]:
+        # at 256 points the second block is phi = 1/2 alone, real on its own but not in this sweep
+        for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258), (v1, 256)]:
             phases, evs, _ = _band_sweep(v, "grid", grid_points)
-            assert len(phases) == _CHUNK + 2  # two blocks
+            assert _CHUNK < len(phases) <= 2 * _CHUNK  # two blocks
             np.testing.assert_array_equal(evs, _solve_block(v, phases))
-        # a block of phases in {0, 1/2} only is solved in real arithmetic: at 256 points the
-        # second block is phi = 1/2 alone, which one block over all phases solves complex
-        phases, evs, _ = _band_sweep(v1, "grid", 256)
-        assert phases[_CHUNK:].tolist() == [[0.5]]
-        np.testing.assert_array_equal(evs[:_CHUNK], _solve_block(v1, phases)[:_CHUNK])
-        np.testing.assert_array_equal(evs[_CHUNK], fiber_eigenvalues(v1, 0.5))
 
 
 class TestConjugateHalvedGrid:
