@@ -5,12 +5,11 @@ from .convergence import (
     ApproximationRecord,
     AtomicMeasure,
     ConvergenceReport,
-    CriterionReport,
     Lebesgue,
     Measure1D,
     PiecewiseDensity,
     ReportRow,
-    corollary_criterion,
+    corollary,
     fattened_measure_sequence,
     indicator_convergence_probe,
     measure,

@@ -48,6 +48,18 @@ def _check_keys(obj: dict, allowed, required, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _load_config(path, allowed, required) -> dict:
+    """A command's config object with its keys checked and its output paths strings (open() takes an int as an fd)."""
+    cfg = _load_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    _check_keys(cfg, allowed, required, "config")
+    for key in ("output_csv", "output_json"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ConfigError(f"{key} must be a path string, got {cfg[key]!r}")
+    return cfg
+
+
 def _parse_measure(spec) -> convergence.Measure1D:
     if spec is None:
         return convergence.Lebesgue()
@@ -59,27 +71,34 @@ def _parse_measure(spec) -> convergence.Measure1D:
     if kind == "density":
         _check_keys(spec, {"type", "breakpoints", "values", "outside"}, {"type", "breakpoints", "values"}, "measure")
         return convergence.PiecewiseDensity(
-            breakpoints=tuple(float(b) for b in spec["breakpoints"]),
-            values=tuple(float(v) for v in spec["values"]),
-            outside=float(spec.get("outside", 0.0)),
+            breakpoints=tuple(_real(b, "breakpoints") for b in spec["breakpoints"]),
+            values=tuple(_real(v, "values") for v in spec["values"]),
+            outside=_real(spec.get("outside", 0.0), "outside"),
         )
     if kind == "atomic":
         _check_keys(spec, {"type", "atoms", "weights"}, {"type", "atoms", "weights"}, "measure")
         return convergence.AtomicMeasure(
-            atoms=tuple(float(a) for a in spec["atoms"]),
-            weights=tuple(float(w) for w in spec["weights"]),
+            atoms=tuple(_real(a, "atoms") for a in spec["atoms"]),
+            weights=tuple(_real(w, "weights") for w in spec["weights"]),
         )
     raise ConfigError(f"unknown measure type: {kind!r}")
 
 
 def _int(value, key: str):
-    """``value``, or each item of a list ``value``, as an int; booleans and
-    numbers with a fractional part are refused, where int() would truncate them."""
+    """``value``, or each item of a list ``value``, as an int; booleans, strings and
+    numbers with a fractional part are refused, where int() would take or truncate them."""
     if isinstance(value, list):
         return [_int(v, key) for v in value]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """``value`` as a float; refuses booleans, strings and ints beyond the float range, which float() takes."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be a real number, got {value!r}")
 
 
 def _keys(*required, optional=()):
@@ -102,6 +121,10 @@ class _Model:
     step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
 
 
+def _grid(spec):
+    return models.grid_approximation(spec["level"], _real(spec["solid_to"], "solid_to") if "solid_to" in spec else None)
+
+
 def _free_step(spec, n):
     base = _int(spec["period_base"], "period_base")
     if base < 2:
@@ -111,7 +134,8 @@ def _free_step(spec, n):
 
 def _almost_mathieu(spec):
     frequency = _int(spec["frequency"], "frequency")
-    return models.almost_mathieu(float(spec["coupling"]), frequency, float(spec.get("offset", 0.0)))
+    offset = _real(spec.get("offset", 0.0), "offset")
+    return models.almost_mathieu(_real(spec["coupling"], "coupling"), frequency, offset)
 
 
 def _almost_mathieu_step(spec, n):
@@ -123,7 +147,7 @@ def _literal_potential(spec):
     return floquet.PeriodicPotential(
         dim=_int(spec["dim"], "dim"),
         periods=tuple(_int(spec["periods"], "periods")),
-        cell=tuple(float(v) for v in spec["cell"]),
+        cell=tuple(_real(v, "cell") for v in spec["cell"]),
     )
 
 
@@ -133,7 +157,7 @@ MODELS = {
         keys={"measure": _keys("name")},
     ),
     "grid": _Model(
-        build=lambda s: models.grid_approximation(s["level"], s.get("solid_to")),
+        build=_grid,
         keys={"measure": _keys("name", optional=("solid_to",))},
     ),
     "free": _Model(
@@ -150,7 +174,7 @@ MODELS = {
         step=_almost_mathieu_step,
     ),
     "fibonacci": _Model(
-        build=lambda s: models.fibonacci_potential(_int(s["level"], "level"), float(s["coupling"])),
+        build=lambda s: models.fibonacci_potential(_int(s["level"], "level"), _real(s["coupling"], "coupling")),
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
     ),
     "potential": _Model(build=_literal_potential, keys={"bands": _keys("name", "dim", "periods", "cell")}),
@@ -195,12 +219,12 @@ def _pipeline_deltas(mode, cfg, potentials):
         deltas = cfg.get("deltas")
         if not isinstance(deltas, list) or len(deltas) != len(potentials):
             raise ConfigError("explicit delta_mode needs a deltas list, one per step")
-        return deltas
+        return [_real(d, "deltas") for d in deltas]
     if mode == "holder":
         if "holder_constant" not in cfg or "holder_frequency" not in cfg:
             raise ConfigError("holder delta_mode needs holder_constant and holder_frequency")
-        c = float(cfg["holder_constant"])
-        target = float(cfg["holder_frequency"])
+        c = _real(cfg["holder_constant"], "holder_constant")
+        target = _real(cfg["holder_frequency"], "holder_frequency")
         deltas = []
         for v in potentials:
             # q is the denominator of the convergent the potential was built
@@ -213,16 +237,13 @@ def _pipeline_deltas(mode, cfg, potentials):
 
 
 def cmd_measure(args) -> int:
-    cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"}, "config")
+    cfg = _load_config(args.config, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"})
     mu = _parse_measure(cfg.get("measure"))
     tail = _int(cfg.get("tail", convergence.DEFAULT_TAIL), "tail")
     if tail < 1:
         raise ConfigError(f"tail must be >= 1, got {tail}")
-    tail_tol = float(cfg.get("tail_tol", 1e-3))
-    crit_tol = float(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL))
+    tail_tol = _real(cfg.get("tail_tol", 1e-3), "tail_tol")
+    crit_tol = _real(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL), "criterion_tol")
 
     approximants = _approximants(cfg["model"], _n_range(cfg))
     if isinstance(approximants[0], convergence.ApproximationRecord):
@@ -233,9 +254,10 @@ def cmd_measure(args) -> int:
         mode = cfg.get("delta_mode", "proxy")
         if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
             raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
+        phase = cfg.get("phase", 0.0)
         report = floquet.estimate_measure_via_fibers(
             approximants,
-            cfg.get("phase", 0.0),
+            [_real(p, "phase") for p in phase] if isinstance(phase, list) else _real(phase, "phase"),
             mu,
             deltas=_pipeline_deltas(mode, cfg, approximants),
             strategy=cfg.get("strategy"),
@@ -257,10 +279,7 @@ BANDS_KEYS = {"model", "strategy", "grid_points", "output_csv", "output_json"}
 
 
 def cmd_bands(args) -> int:
-    cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, BANDS_KEYS, {"model", "output_csv"}, "config")
+    cfg = _load_config(args.config, BANDS_KEYS, {"model", "output_csv"})
     potential = _model(cfg["model"], "bands").build(cfg["model"])
     spec = floquet.band_spectrum(
         potential,

@@ -72,8 +72,7 @@ class PiecewiseDensity:
     def measure_of(self, s: IntervalSet) -> float:
         total = 0.0
         bp = self.breakpoints
-        for iv in s.intervals:
-            lo, hi = iv.lo, iv.hi
+        for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
             # portions outside the breakpoint range
             total += self.outside * max(0.0, min(hi, bp[0]) - lo)
             total += self.outside * max(0.0, hi - max(lo, bp[-1]))
@@ -105,9 +104,9 @@ class AtomicMeasure:
 
     def measure_of(self, s: IntervalSet) -> float:
         total = 0.0
-        for iv in s.intervals:
-            i = bisect_left(self.atoms, iv.lo)
-            j = bisect_right(self.atoms, iv.hi)
+        for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
+            i = bisect_left(self.atoms, lo)
+            j = bisect_right(self.atoms, hi)
             total += sum(self.weights[i:j])
         return total
 
@@ -209,7 +208,7 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def corollary(rows, tail: int, tolerance: float) -> dict:
+def corollary(rows, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOSTIC_TOL) -> dict:
     """Vanishing-product corollary of report rows: once q_n * delta_n stays below ``tolerance``
     over the last ``tail`` rows, the raw measure of the last step is trusted as the estimate."""
     products = [row.q_times_delta for row in rows[-tail:]]
@@ -268,33 +267,6 @@ def semicontinuity_check(
         tail_max=tail_max,
         passed=mu_limit >= tail_max - tolerance,
     )
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    products: tuple[float, ...]
-    flag: bool
-    measure_estimate: float | None
-
-
-def corollary_criterion(
-    records, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOSTIC_TOL
-) -> CriterionReport:
-    """Vanishing-product criterion for trusting raw Lebesgue measures.
-
-    When (component count) x (distance bound) tends to zero, the raw
-    Lebesgue measures converge to the Lebesgue measure of the limit, so the
-    final raw value doubles as a measure estimate.  The flag requires every
-    product in the last ``tail`` rows to fall below ``tolerance``.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one approximation record")
-    products = tuple(rec.q * rec.delta for rec in records)
-    window = products[-tail:]
-    flag = all(p < tolerance for p in window)
-    estimate = lebesgue(as_intervals(records[-1].set)) if flag else None
-    return CriterionReport(products=products, flag=flag, measure_estimate=estimate)
 
 
 @dataclass(frozen=True)

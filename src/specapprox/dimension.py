@@ -88,7 +88,7 @@ def hausdorff_content_upper(cover, alpha: float, tol: float = 0.0) -> float:
         raise ValueError(f"content exponent must be positive, got {alpha}")
     if not isinstance(cover, IntervalSet):
         cover = normalize(cover, tol)
-    return float(sum(iv.length ** alpha for iv in cover.intervals))
+    return float(sum((hi - lo) ** alpha for lo, hi in zip(cover.lows.tolist(), cover.highs.tolist())))
 
 
 @dataclass(frozen=True)

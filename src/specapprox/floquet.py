@@ -134,11 +134,10 @@ def stabilizer_contains(potential: PeriodicPotential, shift, atol: float = 0.0) 
     shift = tuple(int(s) for s in np.atleast_1d(shift))
     if len(shift) != potential.dim:
         raise ValueError("shift must have one entry per axis")
-    for site in np.ndindex(*potential.periods):
-        moved = tuple(s + m for s, m in zip(site, shift))
-        if abs(potential.value(moved) - potential.value(site)) > atol:
-            return False
-    return True
+    cell = np.reshape(potential.cell, potential.periods)
+    # site n of the rolled cell holds the value at n + shift
+    moved = np.roll(cell, tuple(-m % p for m, p in zip(shift, potential.periods)), axis=tuple(range(potential.dim)))
+    return bool(np.all(np.abs(moved - cell) <= atol))
 
 
 def sampled_stabilizer_contains(values, shift, atol: float = 0.0) -> bool:
@@ -366,16 +365,10 @@ def _solved_row(sweep, phi):
     return evs[hit.argmax()] if hit.any() else None
 
 
-def cover_from_bands(bands, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet:
-    """Fatten band intervals by delta and merge; covers the limit spectrum
-    whenever delta dominates the Hausdorff distance to it."""
-    if delta < 0:
-        raise InvalidRadiusError(f"cover fattening must be nonnegative, got {delta}")
-    if isinstance(bands, IntervalSet):
-        return fatten(bands, delta, tol)
-    if isinstance(bands, BandSpectrum):
-        bands = bands.bands
-    return normalize(((lo - delta, hi + delta) for lo, hi in bands), tol)
+def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
+    """Band union fattened by delta; covers the limit spectrum whenever
+    delta dominates the Hausdorff distance to it."""
+    return fatten(union, delta)
 
 
 def cover_from_eigenvalues(eigs, delta: float, radius: float, tol: float = DEFAULT_TOL) -> IntervalSet:

@@ -21,7 +21,7 @@ from specapprox import (
     cantor_approximation,
     contains_set,
     convergents,
-    corollary_criterion,
+    corollary,
     cover_from_bands,
     cover_from_eigenvalues,
     dim_bound_direct,
@@ -116,9 +116,9 @@ def test_criterion_03_middle_thirds(capsys):
             [rec.set for rec in records], records[-1].set, Lebesgue(), tolerance=0.02
         )
         assert check.passed
-        crit = corollary_criterion(records)
-        assert crit.flag
-        assert crit.measure_estimate == pytest.approx((2.0 / 3.0) ** 12, rel=1e-9)
+        crit = corollary(report.rows)
+        assert crit["flag"]
+        assert crit["estimate"] == pytest.approx((2.0 / 3.0) ** 12, rel=1e-9)
         assert time.perf_counter() - start < 1.0
 
 

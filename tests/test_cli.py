@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,8 @@ def measure_config(tmp_path, **overrides):
 
 FREE_1D = {"name": "free", "dim": 1, "period_base": 2}
 GOLDEN_CF = [0] + [1] * 12
+
+AM_CF = {"name": "almost_mathieu", "coupling": 0.5, "frequency_cf": [0, 1, 1, 1]}
 
 FREE_2D_EXPLICIT = {
     "model": {"name": "free", "dim": 2, "period_base": 2}, "n_max": 2, "delta_mode": "explicit", "deltas": [0.0, 0.0]
@@ -68,17 +71,44 @@ MALFORMED_MEASURE = {
     "frequency-cf-fraction": {
         "model": {"name": "almost_mathieu", "coupling": 0.5, "frequency_cf": [0, 1.5, 1]}, "n_max": 2
     },
+    "n-max-string": {"n_max": "3"},
+    # float() took these as numbers (each run exited 0), or overflowed on the huge integer (exit 1)
+    "criterion-tol-string-inf": {"criterion_tol": "inf"},
+    "tail-tol-string-nan": {"tail_tol": "nan"},
+    "tail-tol-bool": {"tail_tol": True},
+    "criterion-tol-bool": {"criterion_tol": False},
+    "fibonacci-coupling-string": {"model": {"name": "fibonacci", "coupling": "2.5"}},
+    "fibonacci-coupling-bool": {"model": {"name": "fibonacci", "coupling": True}},
+    "fibonacci-coupling-huge-int": {"model": {"name": "fibonacci", "coupling": 10**400}},
+    "offset-string": {"model": {**AM_CF, "offset": "0.1"}},
+    "phase-string": {"model": FREE_1D, "phase": "0.3"},
+    "deltas-bool-and-string": {"model": FREE_1D, "delta_mode": "explicit", "deltas": [True, "0.1", 0]},
+    "holder-constant-string": {
+        "model": AM_CF, "delta_mode": "holder", "holder_constant": "1", "holder_frequency": 0.618
+    },
+    "solid-to-bool": {"model": {"name": "grid", "solid_to": True}},
+    "outside-bool": {"measure": {"type": "density", "breakpoints": [0, 1], "values": [1], "outside": True}},
+    "weights-string": {"measure": {"type": "atomic", "atoms": [0.5], "weights": "1"}},
 }
 
-# The bands counterparts: int() truncated each of these, and the run printed the bands of the truncated model.
+# The bands counterparts, with the error each must give: int() truncated or parsed each
+# integer case and float() took each real one, and the run printed the bands of what it
+# made of them; the huge coupling overflowed instead (exit 1).
+INT, REAL = "must be an integer", "must be a real number"
 MALFORMED_BANDS = {
-    "frequency-fraction": {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": [1.5, 2.9]}},
-    "periods-fraction": {"model": {"name": "potential", "dim": 1, "periods": [2.7], "cell": [0.0, 1.0]}},
-    "free-periods-fraction": {"model": {"name": "free", "dim": 1, "periods": [4.5]}},
-    "level-fraction": {"model": {"name": "fibonacci", "level": 3.7, "coupling": 1.0}},
-    "grid-points-fraction": {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "grid_points": 8.7},
-    "dim-bool": {"model": {"name": "free", "dim": True, "periods": [2]}},
-    "potential-dim-bool": {"model": {"name": "potential", "dim": True, "periods": [2], "cell": [0.0, 1.0]}},
+    "frequency-fraction": (INT, {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": [1.5, 2.9]}}),
+    "periods-fraction": (INT, {"model": {"name": "potential", "dim": 1, "periods": [2.7], "cell": [0.0, 1.0]}}),
+    "free-periods-fraction": (INT, {"model": {"name": "free", "dim": 1, "periods": [4.5]}}),
+    "level-fraction": (INT, {"model": {"name": "fibonacci", "level": 3.7, "coupling": 1.0}}),
+    "grid-points-fraction": (INT, {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "grid_points": 8.7}),
+    "dim-bool": (INT, {"model": {"name": "free", "dim": True, "periods": [2]}}),
+    "potential-dim-bool": (INT, {"model": {"name": "potential", "dim": True, "periods": [2], "cell": [0.0, 1.0]}}),
+    "periods-string": (INT, {"model": {"name": "free", "dim": 1, "periods": ["4"]}}),
+    "coupling-bool": (REAL, {"model": {"name": "fibonacci", "level": 3, "coupling": True}}),
+    "coupling-string": (REAL, {"model": {"name": "almost_mathieu", "coupling": "2.5", "frequency": [1, 3]}}),
+    "offset-string": (REAL, {"model": {"name": "almost_mathieu", "coupling": 1, "frequency": [1, 3], "offset": "0.1"}}),
+    "cell-string": (REAL, {"model": {"name": "potential", "dim": 1, "periods": [2], "cell": ["0", 1.0]}}),
+    "coupling-huge-int": (REAL, {"model": {"name": "fibonacci", "level": 3, "coupling": 10**400}}),
 }
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -368,11 +398,11 @@ class TestBandsCommand:
         assert (tmp_path / "bands.csv").read_bytes() == "\r\n".join(["i,lo,hi,width", *lines, ""]).encode()
         assert lines[0].split(",")[1] == "-2.44948974278318"  # -sqrt(6), exact in 15 digits far above solver error
 
-    @pytest.mark.parametrize("overrides", MALFORMED_BANDS.values(), ids=MALFORMED_BANDS.keys())
-    def test_malformed_value_is_usage_error(self, tmp_path, capsys, overrides):
+    @pytest.mark.parametrize("message,overrides", MALFORMED_BANDS.values(), ids=MALFORMED_BANDS.keys())
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, message, overrides):
         cfg = write_json(tmp_path / "bands.json", {"output_csv": str(tmp_path / "bands.csv"), **overrides})
         assert main(["bands", "--config", cfg]) == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_almost_mathieu_bands(self, tmp_path, capsys):
@@ -538,6 +568,33 @@ class TestDimensionCommand:
         rows[0][column] = value
         assert run() == 2
         assert f"error: stats column {column} holds a non-finite value" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["measure", "bands"])
+    @pytest.mark.parametrize("key", ["output_csv", "output_json"])
+    def test_non_string_path_refused_before_writing(self, tmp_path, capsys, command, key):
+        # open() takes an integer as a file descriptor: the run wrote into it and closed it
+        # (with descriptor 1 the run then failed on its next print, after writing)
+        r, w = os.pipe()
+        try:
+            if command == "measure":
+                cfg = measure_config(tmp_path, n_max=3, **{key: w})
+            else:
+                spec = {"model": {"name": "free", "dim": 1, "periods": [2]}, "output_csv": str(tmp_path / "bands.csv")}
+                cfg = write_json(tmp_path / "bands.json", {**spec, key: w})
+            assert main([command, "--config", cfg]) == 2
+            assert f"{key} must be a path string" in capsys.readouterr().err
+            os.fstat(w)  # still open
+            os.set_blocking(r, False)
+            with pytest.raises(BlockingIOError):  # and empty
+                os.read(r, 1)
+        finally:
+            for fd in (r, w):
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
 
 
 class TestThreadsEnv:

@@ -11,7 +11,7 @@ from specapprox import (
     Lebesgue,
     PiecewiseDensity,
     cantor_approximation,
-    corollary_criterion,
+    corollary,
     fatten,
     fattened_measure_sequence,
     grid_approximation,
@@ -193,17 +193,17 @@ class TestSemicontinuity:
 class TestCorollaryCriterion:
     def test_cantor_products_vanish(self):
         records = [cantor_approximation(n) for n in range(1, 13)]
-        rep = corollary_criterion(records)
-        assert rep.flag
-        assert rep.products[-1] == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
-        assert rep.measure_estimate == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
+        rep = corollary(fattened_measure_sequence(records, Lebesgue()).rows)
+        assert rep["flag"]
+        assert rep["products_tail"][-1] == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
+        assert rep["estimate"] == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
 
     def test_grid_products_stall_at_one_half(self):
         records = [grid_approximation(n) for n in range(1, 40)]
-        rep = corollary_criterion(records)
-        assert not rep.flag
-        assert rep.measure_estimate is None
-        assert rep.products[-1] == pytest.approx(0.5, abs=0.02)
+        rep = corollary(fattened_measure_sequence(records, Lebesgue()).rows)
+        assert not rep["flag"]
+        assert rep["estimate"] is None
+        assert rep["products_tail"][-1] == pytest.approx(0.5, abs=0.02)
 
 
 class TestIndicatorProbe:

@@ -679,7 +679,38 @@ class TestDeepOracles:
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))
 
 
+def loop_stabilizer_contains(potential, shift, atol=0.0):
+    """Reference: the per-site loop that stabilizer_contains replaced; value() reduces each site mod the periods."""
+    for site in np.ndindex(*potential.periods):
+        moved = tuple(s + m for s, m in zip(site, shift))
+        if abs(potential.value(moved) - potential.value(site)) > atol:
+            return False
+    return True
+
+
 class TestStabilizers:
+    def test_matches_site_loop(self):
+        rng = np.random.default_rng(71)
+        verdicts = set()
+        for dim in (1, 2):
+            for _ in range(40):
+                # a random block tiled over the cell, so that multiples of the block fix it,
+                # plus noise that tolerance 1e-8 forgives and tolerance 0 does not
+                block = rng.integers(1, 4, size=dim)
+                cell = np.tile(rng.uniform(-3.0, 3.0, size=block), rng.integers(1, 4, size=dim))
+                cell += rng.choice([0.0, 1e-9]) * rng.uniform(-1.0, 1.0, size=cell.shape)
+                v = PeriodicPotential(dim=dim, periods=cell.shape, cell=tuple(cell.ravel().tolist()))
+                period = np.array(v.periods)
+                shifts = [0 * block, block, -block, period + block, -3 * period - block]
+                shifts += list(rng.integers(-3 * period, 3 * period + 1, size=(4, dim)))
+                for shift in shifts:
+                    shift = tuple(int(m) for m in shift)
+                    for atol in (0.0, 1e-8):
+                        verdict = stabilizer_contains(v, shift, atol)
+                        assert verdict == loop_stabilizer_contains(v, shift, atol)
+                        verdicts.add(verdict)
+        assert verdicts == {False, True}
+
     def test_full_period_always_fixes(self):
         v = almost_mathieu(0.5, (3, 7))
         assert stabilizer_contains(v, (7,))

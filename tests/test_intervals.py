@@ -8,11 +8,13 @@ import pytest
 from conftest import oracle_hausdorff, random_compact_set, random_interval_set
 
 from specapprox import (
+    AtomicMeasure,
     EmptySetError,
     Interval,
     IntervalSet,
     InvalidRadiusError,
     Lebesgue,
+    PiecewiseDensity,
     PointSet,
     as_intervals,
     cantor_approximation,
@@ -23,6 +25,7 @@ from specapprox import (
     distance_to_set,
     fatten,
     fattened_measure_sequence,
+    hausdorff_content_upper,
     hausdorff_distance,
     lebesgue,
     normalize,
@@ -339,15 +342,25 @@ class TestArrayPaths:
         assert d == pytest.approx(3.0**-16 / 2.0, rel=1e-9)
         assert elapsed < 2.0
 
-    def test_measure_and_distance_build_no_interval_objects(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            Lebesgue(),
+            PiecewiseDensity(breakpoints=(0.0, 0.5, 1.0), values=(1.0, 2.0), outside=0.5),
+            AtomicMeasure(atoms=(0.0, 0.5, 1.0), weights=(1.0, 2.0, 3.0)),
+        ],
+        ids=["lebesgue", "density", "atomic"],
+    )
+    def test_measure_and_distance_build_no_interval_objects(self, monkeypatch, mu):
         def forbid(self):
             raise AssertionError("an Interval object was built")
 
         monkeypatch.setattr(Interval, "__post_init__", forbid)
         records = [cantor_approximation(n) for n in range(1, 9)]
-        report = fattened_measure_sequence(records, Lebesgue())
+        report = fattened_measure_sequence(records, mu)
         assert report.rows[-1].q == 256
         assert hausdorff_distance(records[-1].set, records[-2].set) > 0.0
+        assert hausdorff_content_upper(records[-1].set, math.log(2.0) / math.log(3.0)) == pytest.approx(1.0, abs=1e-9)
 
     def test_views_match_arrays(self):
         s = iset((2.0, 3.0), (0.0, 1.0))
