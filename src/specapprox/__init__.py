@@ -45,7 +45,6 @@ from .floquet import (
 from .intervals import (
     CompactSet,
     EmptySetError,
-    Interval,
     IntervalSet,
     InvalidRadiusError,
     PointSet,

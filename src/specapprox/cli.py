@@ -230,6 +230,8 @@ def _pipeline_deltas(mode, cfg, potentials):
             # q is the denominator of the convergent the potential was built
             # from; p is the numerator nearest to the target frequency
             q = v.periods[0]
+            if not math.isfinite(target * q):  # round() would raise OverflowError
+                raise ConfigError(f"holder_frequency {target!r} times the period {q} overflows")
             p = round(target * q)
             deltas.append(c * abs(target - p / q) ** 0.5)
         return deltas
@@ -244,6 +246,9 @@ def cmd_measure(args) -> int:
         raise ConfigError(f"tail must be >= 1, got {tail}")
     tail_tol = _real(cfg.get("tail_tol", 1e-3), "tail_tol")
     crit_tol = _real(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL), "criterion_tol")
+    for key, value in (("tail_tol", tail_tol), ("criterion_tol", crit_tol)):
+        if value <= 0:  # spread < tail_tol and q * delta < criterion_tol never hold then
+            raise ConfigError(f"{key} must be positive, got {value!r}")
 
     approximants = _approximants(cfg["model"], _n_range(cfg))
     if isinstance(approximants[0], convergence.ApproximationRecord):

@@ -243,22 +243,18 @@ class SemicontinuityReport:
 
 
 def semicontinuity_check(
-    sets,
-    limit: CompactSet,
-    mu: Measure1D,
-    tail: int = DEFAULT_TAIL,
-    tolerance: float = DEFAULT_DIAGNOSTIC_TOL,
+    sets, limit: CompactSet, mu: Measure1D, tolerance: float = DEFAULT_DIAGNOSTIC_TOL
 ) -> SemicontinuityReport:
     """Check mu(limit) >= (tail max of raw measures) - tolerance.
 
     Upper semicontinuity of measure along Hausdorff-convergent sequences
-    bounds limsup mu(A_n) by mu(limit); the tail max over the last ``tail``
-    raw measures is the finite-data stand-in for the limsup.
+    bounds limsup mu(A_n) by mu(limit); the tail max over the last
+    DEFAULT_TAIL raw measures is the finite-data stand-in for the limsup.
     """
     values = [measure(mu, a) for a in sets]
     if not values:
         raise ValueError("need at least one set")
-    window = tuple(values[-tail:])
+    window = tuple(values[-DEFAULT_TAIL:])
     tail_max = max(window)
     mu_limit = measure(mu, limit)
     return SemicontinuityReport(
@@ -277,17 +273,15 @@ class ProbeResult:
     agrees: bool
 
 
-def indicator_convergence_probe(
-    records, limit: CompactSet, probes, tail: int = DEFAULT_TAIL
-) -> list[ProbeResult]:
+def indicator_convergence_probe(records, limit: CompactSet, probes) -> list[ProbeResult]:
     """Pointwise indicator comparison between fattened steps and the limit.
 
     For each probe x the indicator of fatten(A_n, delta_n) at x is compared
-    against the indicator of the limit over the last ``tail`` steps; interior
+    against the indicator of the limit over the last DEFAULT_TAIL steps; interior
     and exterior probes of the limit should agree once delta_n is small.
     """
     records = list(records)
-    fattened = [fatten(rec.set, rec.delta) for rec in records[-tail:]]
+    fattened = [fatten(rec.set, rec.delta) for rec in records[-DEFAULT_TAIL:]]
     out = []
     for x in probes:
         inds = tuple(int(contains_point(s, x)) for s in fattened)

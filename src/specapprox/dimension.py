@@ -77,17 +77,18 @@ class CoverStats:
             return cls.from_rows(reader)
 
 
-def hausdorff_content_upper(cover, alpha: float, tol: float = 0.0) -> float:
+def hausdorff_content_upper(cover, alpha: float) -> float:
     """sum of diam^alpha over the canonicalized cover components.
 
     Canonicalizing first (merging overlaps) can only lower the sum for
     alpha <= 1, so the result still upper-bounds the alpha-content at scale
-    max diam.  alpha must be positive.
+    max diam; a raw cover of (lo, hi) pairs is merged where pairs overlap
+    or touch, with no tolerance.  alpha must be positive.
     """
     if alpha <= 0:
         raise ValueError(f"content exponent must be positive, got {alpha}")
     if not isinstance(cover, IntervalSet):
-        cover = normalize(cover, tol)
+        cover = normalize(cover, 0.0)
     return float(sum((hi - lo) ** alpha for lo, hi in zip(cover.lows.tolist(), cover.highs.tolist())))
 
 
@@ -140,21 +141,19 @@ def dim_bound_last(stats: CoverStats, tail_fraction: float = 0.5) -> ExponentFit
     return ExponentFit(estimate=1.0 / (1.0 + beta), slope=slope, residual=rms, window=(k - w, k))
 
 
-def dim_bound_direct(
-    stats: CoverStats, tail_fraction: float = 0.5, r_tol: float = 1e-9
-) -> ExponentFit:
+def dim_bound_direct(stats: CoverStats, tail_fraction: float = 0.5) -> ExponentFit:
     """Dimension bound alpha from cover counts against cover diameters.
 
     alpha is the fitted slope of log q against -log(2*delta + r) over the
     tail window, clamped at 0.  Requires the diameter bounds r to vanish
-    along the tail (strictly decreasing, or already below ``r_tol``).
+    along the tail (strictly decreasing, or already below 1e-9).
     """
     k, w = _tail_window(stats, tail_fraction)
     q = stats.q[k - w :]
     delta = stats.delta[k - w :]
     r = stats.r[k - w :]
     decreasing = all(b < a for a, b in zip(r, r[1:]))
-    if not decreasing and r[-1] > r_tol:
+    if not decreasing and r[-1] > 1e-9:
         raise NotApplicableError("diameter bounds r must decrease toward 0 along the tail")
     diam = [2.0 * d + rr for d, rr in zip(delta, r)]
     if any(x <= 0 for x in diam):
@@ -174,18 +173,17 @@ class ContentTrendReport:
     cap: float | None
 
 
-def content_trend(
-    cover_sequence, alpha: float, cap: float | None = None, tail: int = 3, slack: float = 1e-6
-) -> ContentTrendReport:
+def content_trend(cover_sequence, alpha: float, cap: float | None = None) -> ContentTrendReport:
     """alpha-content sums along a sequence of covers with vanishing scales.
 
     Each entry of ``cover_sequence`` is (cover, eta) with eta the scale
     (largest allowed diameter) of that cover.  A bounded tail of content
     sums as eta -> 0 witnesses finite alpha-content, hence dimension <=
-    alpha.  With ``cap`` given the flag checks the tail stays below it;
-    otherwise the flag checks the tail does not grow (last sum within
-    (1 + slack) of the first tail sum), since no fixed cap separates
-    bounded from slowly growing sequences at finite depth.
+    alpha.  The tail is the last three sums.  With ``cap`` given the flag
+    checks the tail stays at or below it; otherwise the flag checks the tail
+    does not grow (last sum at most 1 + 1e-6 times the first tail sum),
+    since no fixed cap separates bounded from slowly growing sequences at
+    finite depth.
     """
     etas, sums = [], []
     for cover, eta in cover_sequence:
@@ -193,10 +191,9 @@ def content_trend(
         sums.append(hausdorff_content_upper(cover, alpha))
     if not sums:
         raise ValueError("need at least one cover")
-    t = min(tail, len(sums))
-    window = sums[-t:]
+    window = sums[-3:]
     if cap is not None:
         flag = max(window) <= cap
     else:
-        flag = window[-1] <= window[0] * (1.0 + slack) + 1e-300
+        flag = window[-1] <= window[0] * (1.0 + 1e-6) + 1e-300
     return ContentTrendReport(etas=tuple(etas), sums=tuple(sums), flag_bounded=flag, cap=cap)

@@ -50,7 +50,6 @@ import numpy as np
 
 from .convergence import ConvergenceReport, Measure1D, measure, report_row
 from .intervals import (
-    DEFAULT_TOL,
     IntervalSet,
     InvalidRadiusError,
     fatten,
@@ -107,13 +106,6 @@ class PeriodicPotential:
     def q(self) -> int:
         return int(np.prod(self.periods))
 
-    def index(self, site) -> int:
-        reduced = tuple(int(s) % p for s, p in zip(site, self.periods))
-        return int(np.ravel_multi_index(reduced, self.periods))
-
-    def value(self, site) -> float:
-        return self.cell[self.index(site)]
-
 
 @dataclass(frozen=True)
 class BandSpectrum:
@@ -122,8 +114,8 @@ class BandSpectrum:
     bands: tuple[tuple[float, float], ...]
     error_bound: float
 
-    def union(self, tol: float = DEFAULT_TOL) -> IntervalSet:
-        return normalize(self.bands, tol)
+    def union(self) -> IntervalSet:
+        return normalize(self.bands)
 
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bands)
@@ -140,7 +132,7 @@ def stabilizer_contains(potential: PeriodicPotential, shift, atol: float = 0.0) 
     return bool(np.all(np.abs(moved - cell) <= atol))
 
 
-def sampled_stabilizer_contains(values, shift, atol: float = 0.0) -> bool:
+def sampled_stabilizer_contains(values, shift) -> bool:
     """Shift-invariance of a finite sample window; the verdict only covers
     the overlap of the window with its shifted copy."""
     arr = np.asarray(values, dtype=float)
@@ -157,7 +149,7 @@ def sampled_stabilizer_contains(values, shift, atol: float = 0.0) -> bool:
         else:
             sl_a.append(slice(0, size + m))
             sl_b.append(slice(-m, size))
-    return bool(np.all(np.abs(arr[tuple(sl_a)] - arr[tuple(sl_b)]) <= atol))
+    return bool(np.all(arr[tuple(sl_a)] == arr[tuple(sl_b)]))
 
 
 def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
@@ -265,18 +257,18 @@ def build_fiber(potential: PeriodicPotential, phase) -> np.ndarray:
     return _fibers(potential, _phase_tuple(phase, potential.dim))[0]
 
 
-def eigenvalues(matrix, check_tol: float = HERMITICITY_TOL) -> np.ndarray:
+def eigenvalues(matrix) -> np.ndarray:
     """Sorted eigenvalues of a Hermitian matrix.
 
     Raises :class:`NotHermitianError` when the largest asymmetry
-    |M - M*| exceeds ``check_tol`` or is NaN.
+    |M - M*| exceeds ``HERMITICITY_TOL`` or is NaN.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = np.max(np.abs(m - m.conj().T))
-    if not asym <= check_tol:
-        raise NotHermitianError(f"matrix asymmetry {asym:.3e} exceeds {check_tol:.3e}")
+    if not asym <= HERMITICITY_TOL:
+        raise NotHermitianError(f"matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.3e}")
     return np.linalg.eigvalsh(m)
 
 
@@ -371,7 +363,7 @@ def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
     return fatten(union, delta)
 
 
-def cover_from_eigenvalues(eigs, delta: float, radius: float, tol: float = DEFAULT_TOL) -> IntervalSet:
+def cover_from_eigenvalues(eigs, delta: float, radius: float) -> IntervalSet:
     """Balls of radius delta + radius around fiber eigenvalues, merged.
 
     With radius >= the uniform bandwidth bound, the balls cover the whole
@@ -381,7 +373,7 @@ def cover_from_eigenvalues(eigs, delta: float, radius: float, tol: float = DEFAU
     if delta < 0 or radius < 0:
         raise InvalidRadiusError("cover radii must be nonnegative")
     e = np.atleast_1d(np.asarray(eigs, dtype=float))
-    return interval_union(e - (delta + radius), e + (delta + radius), tol)
+    return interval_union(e - (delta + radius), e + (delta + radius))
 
 
 def proxy_deltas(unions) -> list[float]:

@@ -3,22 +3,17 @@
 A compact set is stored either as an :class:`IntervalSet` (sorted union of
 disjoint closed intervals) or as a :class:`PointSet` (sorted finite set of
 reals, i.e. degenerate intervals), each as two sorted read-only float64
-endpoint arrays ``lows`` and ``highs``; ``intervals`` and ``points`` are
-tuple views.  Merging is a sort plus a running maximum and Lebesgue measure
-a sum of lengths.  Hausdorff distance reduces to evaluating a
-piecewise-linear distance function at finitely many candidate points, each
-located by binary search: O((n+m) log(n+m)) for n and m components, with
-no grid discretization on the exact paths.
+endpoint arrays ``lows`` and ``highs``.  Merging is a sort plus a running
+maximum and Lebesgue measure a sum of lengths.  Hausdorff distance reduces
+to evaluating a piecewise-linear distance function at finitely many
+candidate points, each located by binary search: O((n+m) log(n+m)) for n
+and m components, with no grid discretization on the exact paths.
 
-Endpoint comparisons accept an absolute tolerance (default ``1e-12``) so
-that eigenvalue-level noise from downstream pipelines does not flip merge
-or containment decisions.
+Merges and point membership use the absolute tolerance ``DEFAULT_TOL`` so
+that eigenvalue-level noise from downstream pipelines does not flip them.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +26,6 @@ class EmptySetError(ValueError):
 
 class InvalidRadiusError(ValueError):
     """Fattening radius was negative."""
-
-
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed interval [lo, hi]; degenerate (lo == hi) allowed."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 def _check_endpoints(lows: np.ndarray, highs: np.ndarray) -> None:
@@ -95,27 +72,15 @@ class _SortedSet:
 class IntervalSet(_SortedSet):
     """Canonical finite union of closed intervals.
 
-    Components are sorted and separated by strictly positive gaps.  Build
-    instances through :func:`normalize` or :func:`interval_union` unless the
-    input is already known to be canonical.
+    Components are sorted and separated by strictly positive gaps: the
+    constructor checks that the endpoint arrays are, and merges nothing.
+    Build other input through :func:`normalize` or :func:`interval_union`.
     """
 
     __slots__ = ()
 
-    def __init__(self, intervals):
-        self._checked(*np.array([(iv.lo, iv.hi) for iv in intervals], dtype=float).reshape(-1, 2).T)
-
-    @classmethod
-    def from_arrays(cls, lows, highs) -> "IntervalSet":
-        """Set from sorted, separated endpoint arrays; checked, not merged."""
-        return cls.__new__(cls)._checked(np.array(lows, dtype=float), np.array(highs, dtype=float))
-
-    @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return tuple(map(Interval, self.lows.tolist(), self.highs.tolist()))
-
-    def __iter__(self):
-        return iter(self.intervals)
+    def __init__(self, lows, highs):
+        self._checked(np.array(lows, dtype=float), np.array(highs, dtype=float))
 
     @property
     def lo(self) -> float:
@@ -135,22 +100,15 @@ class PointSet(_SortedSet):
         pts = np.array(points, dtype=float).reshape(-1)
         self._checked(pts, pts)
 
-    @property
-    def points(self) -> tuple[float, ...]:
-        return tuple(self.lows.tolist())
-
-    def __iter__(self):
-        return iter(self.points)
-
 
 CompactSet = IntervalSet | PointSet
 
 
-def point_set(values, tol: float = 0.0) -> PointSet:
-    """Sort values and drop duplicates closer than tol, then build a PointSet."""
-    kept = []
+def point_set(values) -> PointSet:
+    """Sort values and drop repeats, then build a PointSet."""
+    kept = []  # a loop, not np.unique, which raises the peak memory of large grids
     for v in sorted(float(x) for x in values):
-        if not kept or v - kept[-1] > tol:
+        if not kept or v > kept[-1]:
             kept.append(v)
     return PointSet(kept)
 
@@ -175,21 +133,21 @@ def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
     return IntervalSet.__new__(IntervalSet)._store(lows[first], reach[last])  # canonical by construction
 
 
-def normalize(raw, tol: float = DEFAULT_TOL) -> IntervalSet:
-    """Canonicalize an iterable of intervals (or (lo, hi) pairs); see :func:`interval_union`."""
-    pairs = [(it.lo, it.hi) if isinstance(it, Interval) else it for it in raw]
+def normalize(pairs, tol: float = DEFAULT_TOL) -> IntervalSet:
+    """Canonicalize an iterable of (lo, hi) pairs; see :func:`interval_union`."""
+    pairs = list(pairs)
     if not pairs:
         raise EmptySetError("cannot normalize an empty collection of intervals")
     lows, highs = np.array(pairs, dtype=float).T  # ValueError unless (lo, hi) pairs
     return interval_union(lows, highs, tol)
 
 
-def as_intervals(a: CompactSet, tol: float = DEFAULT_TOL) -> IntervalSet:
+def as_intervals(a: CompactSet) -> IntervalSet:
     """View a compact set as an IntervalSet (points become degenerate intervals)."""
-    return a if isinstance(a, IntervalSet) else fatten(a, 0.0, tol)
+    return a if isinstance(a, IntervalSet) else fatten(a, 0.0)
 
 
-def fatten(a: CompactSet, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet:
+def fatten(a: CompactSet, delta: float) -> IntervalSet:
     """Closed delta-neighborhood: union of [x - delta, x + delta] over x in a.
 
     delta = 0 is the identity on interval sets and turns a point set into
@@ -197,7 +155,7 @@ def fatten(a: CompactSet, delta: float, tol: float = DEFAULT_TOL) -> IntervalSet
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
-    return interval_union(a.lows - delta, a.highs + delta, tol)
+    return interval_union(a.lows - delta, a.highs + delta)
 
 
 def lebesgue(a: CompactSet) -> float:
@@ -260,8 +218,8 @@ def sets_equal(a: CompactSet, b: CompactSet, tol: float = DEFAULT_TOL) -> bool:
     return hausdorff_distance(a, b) <= tol
 
 
-def contains_point(a: CompactSet, x: float, tol: float = DEFAULT_TOL) -> bool:
-    return distance_to_set(a, x) <= tol
+def contains_point(a: CompactSet, x: float) -> bool:
+    return distance_to_set(a, x) <= DEFAULT_TOL
 
 
 def set_to_obj(a: CompactSet):
@@ -273,7 +231,7 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def set_from_obj(obj, tol: float = DEFAULT_TOL) -> CompactSet:
+def set_from_obj(obj) -> CompactSet:
     """Parse the JSON form; a flat list of numbers is a point set."""
     if not isinstance(obj, list) or not obj:
         raise EmptySetError("compact set JSON must be a nonempty list")
@@ -283,5 +241,5 @@ def set_from_obj(obj, tol: float = DEFAULT_TOL) -> CompactSet:
         isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(e) for e in x)
         for x in obj
     ):
-        return normalize(obj, tol)
+        return normalize(obj)
     raise ValueError("compact set JSON must be a list of numbers or of [lo, hi] pairs")

@@ -86,10 +86,23 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     return PeriodicPotential(dim=1, periods=(q,), cell=cell)
 
 
+def _word_length(level: int) -> Decimal:
+    """F_{level+1}, the length of the level-``level`` Fibonacci word by Binet's formula, in _SIZES."""
+    root5 = Decimal(5).sqrt()
+    return (((1 + root5) / 2) ** (level + 1) / root5).to_integral_value()
+
+
 def fibonacci_word(level: int) -> str:
-    """Substitution a -> ab, b -> a, starting from "a" at level 1."""
+    """Substitution a -> ab, b -> a, starting from "a" at level 1.
+
+    A word that would not fit in memory is refused before it is built: the
+    last join holds both halves and the new word, a measured 2 bytes per letter.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
+    with localcontext(_SIZES):
+        letters = _word_length(level)
+        check_bytes(2 * letters, f"the {letters} letters of Fibonacci level {level}")
     word, prev = "a", "b"
     for _ in range(level - 1):
         word, prev = word + prev, word
@@ -104,8 +117,7 @@ def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     not fit in memory is refused before its word is built.
     """
     with localcontext(_SIZES):
-        root5 = Decimal(5).sqrt()
-        check_fiber_stack((((1 + root5) / 2) ** (level + 1) / root5).to_integral_value(), banded=True)
+        check_fiber_stack(_word_length(level), banded=True)
     word = fibonacci_word(level)
     cell = tuple(coupling if c == "a" else 0.0 for c in word)
     return PeriodicPotential(dim=1, periods=(len(word),), cell=cell)
@@ -127,7 +139,7 @@ def cantor_approximation(level: int) -> ApproximationRecord:
         w = (highs - lows) / 3.0
         lows, highs = np.column_stack((lows, highs - w)).ravel(), np.column_stack((lows + w, highs)).ravel()
     scale = 3.0 ** (-level)
-    s = IntervalSet.from_arrays(lows, highs)
+    s = IntervalSet(lows, highs)
     return ApproximationRecord(set=s, delta=scale, q=len(s), r=scale)
 
 

@@ -42,21 +42,20 @@ def random_potential(rng, dim=1, max_period=32, amplitude=3.0) -> PeriodicPotent
 
 def _samples(s, spacing):
     if isinstance(s, PointSet):
-        return np.asarray(s.points)
+        return s.lows
     parts = []
-    for iv in s.intervals:
-        k = max(2, int(np.ceil(iv.length / spacing)) + 1)
-        parts.append(np.linspace(iv.lo, iv.hi, k))
+    for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
+        k = max(2, int(np.ceil((hi - lo) / spacing)) + 1)
+        parts.append(np.linspace(lo, hi, k))
     return np.concatenate(parts)
 
 
 def _pointwise_distance(xs, s):
     if isinstance(s, PointSet):
-        pts = np.asarray(s.points)
-        return np.min(np.abs(xs[:, None] - pts[None, :]), axis=1)
+        return np.min(np.abs(xs[:, None] - s.lows[None, :]), axis=1)
     d = np.full(xs.shape, np.inf)
-    for iv in s.intervals:
-        d = np.minimum(d, np.maximum.reduce([iv.lo - xs, xs - iv.hi, np.zeros_like(xs)]))
+    for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
+        d = np.minimum(d, np.maximum.reduce([lo - xs, xs - hi, np.zeros_like(xs)]))
     return d
 
 

@@ -89,6 +89,14 @@ MALFORMED_MEASURE = {
     "solid-to-bool": {"model": {"name": "grid", "solid_to": True}},
     "outside-bool": {"measure": {"type": "density", "breakpoints": [0, 1], "values": [1], "outside": True}},
     "weights-string": {"measure": {"type": "atomic", "atoms": [0.5], "weights": "1"}},
+    # round(target * q) overflowed (exit 1); the tolerances ran and set both flags false (exit 0)
+    "holder-frequency-overflow": {
+        "model": AM_CF, "delta_mode": "holder", "holder_constant": 1, "holder_frequency": 1e308
+    },
+    "tail-tol-negative": {"model": {"name": "grid"}, "tail_tol": -1},
+    "tail-tol-zero": {"tail_tol": 0},
+    "criterion-tol-negative": {"model": {"name": "grid"}, "criterion_tol": -1},
+    "criterion-tol-zero": {"criterion_tol": 0.0},
 }
 
 # The bands counterparts, with the error each must give: int() truncated or parsed each
@@ -289,6 +297,19 @@ class TestMeasureCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("holder-frequency-overflow", "holder_frequency"),
+            ("tail-tol-zero", "tail_tol must be positive"),
+            ("criterion-tol-negative", "criterion_tol must be positive"),
+        ],
+    )
+    def test_refusal_names_the_key(self, tmp_path, capsys, case, key):
+        cfg = measure_config(tmp_path, **{"n_max": 3, **MALFORMED_MEASURE[case]})
+        assert main(["measure", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
     def test_overflowing_measure_is_numerical_failure(self, tmp_path, capsys):
         # each density value is finite, but 5/3 of 1.5e308 on the fattened level-1 set is not

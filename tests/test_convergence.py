@@ -20,6 +20,7 @@ from specapprox import (
     normalize,
     point_set,
     semicontinuity_check,
+    set_to_obj,
 )
 from specapprox.convergence import CSV_COLUMNS
 
@@ -77,7 +78,7 @@ class TestMeasures:
         for _ in range(30):
             a = random_interval_set(rng, lo=-4.0, hi=-1.0)
             b = random_interval_set(rng, lo=1.0, hi=4.0)
-            joint = normalize(list(a.intervals) + list(b.intervals))
+            joint = normalize(set_to_obj(a) + set_to_obj(b))
             assert measure(mu, joint) == pytest.approx(measure(mu, a) + measure(mu, b), abs=1e-12)
 
     def test_monotone_under_fattening(self):

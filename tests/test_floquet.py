@@ -26,6 +26,7 @@ from specapprox import (
     normalize,
     proxy_deltas,
     sampled_stabilizer_contains,
+    set_to_obj,
     stabilizer_contains,
 )
 from specapprox import floquet
@@ -54,19 +55,19 @@ def dense_fiber(potential, phase):
     base = np.zeros((q, q))
     wraps = [np.zeros((q, q)) for _ in periods]
     for site in np.ndindex(*periods):
-        i = potential.index(site)
-        base[i, i] = potential.value(site)
+        i = np.ravel_multi_index(site, periods)
+        base[i, i] = potential.cell[i]
         for j in range(potential.dim):
             ahead = list(site)
             ahead[j] += 1
             if site[j] + 1 < periods[j]:
-                base[i, potential.index(ahead)] += 1.0
+                base[i, np.ravel_multi_index(ahead, periods)] += 1.0
             else:
-                wraps[j][i, potential.index(ahead)] += 1.0
+                wraps[j][i, np.ravel_multi_index(ahead, periods, mode="wrap")] += 1.0
             behind = list(site)
             behind[j] -= 1
             if site[j] - 1 >= 0:
-                base[i, potential.index(behind)] += 1.0
+                base[i, np.ravel_multi_index(behind, periods)] += 1.0
     h = base.astype(complex)
     for w, phi in zip(wraps, np.atleast_1d(phase)):
         z = np.exp(2j * np.pi * float(phi))
@@ -273,11 +274,6 @@ class TestPotentialValidation:
         with pytest.raises(ValueError):
             PeriodicPotential(dim=1, periods=(3,), cell=(0.0, 0.0))
 
-    def test_value_reduces_mod_periods(self):
-        v = PeriodicPotential(dim=1, periods=(3,), cell=(1.0, 2.0, 3.0))
-        assert v.value((4,)) == 2.0
-        assert v.value((-1,)) == 3.0
-
 
 class TestEigenvalues:
     def test_sorted_output(self):
@@ -442,15 +438,15 @@ class TestCovers:
     def test_band_cover_fattens_and_merges(self):
         bands = normalize([(0.0, 1.0), (2.0, 3.0)])
         cov = cover_from_bands(bands, 0.25)
-        assert [(iv.lo, iv.hi) for iv in cov] == [(-0.25, 1.25), (1.75, 3.25)]
+        assert set_to_obj(cov) == [[-0.25, 1.25], [1.75, 3.25]]
         assert len(cover_from_bands(bands, 0.5)) == 1
 
     def test_eigenvalue_cover_radii(self):
         cov = cover_from_eigenvalues([0.0, 1.0], delta=0.1, radius=0.2)
-        flat = [x for iv in cov for x in (iv.lo, iv.hi)]
+        flat = [x for pair in set_to_obj(cov) for x in pair]
         assert flat == pytest.approx([-0.3, 0.3, 0.7, 1.3])
         merged = cover_from_eigenvalues([0.0, 1.0], delta=0.3, radius=0.2)
-        assert [(iv.lo, iv.hi) for iv in merged] == [(-0.5, 1.5)]
+        assert set_to_obj(merged) == [[-0.5, 1.5]]
 
     def test_negative_radii_rejected(self):
         with pytest.raises(InvalidRadiusError):
@@ -680,10 +676,11 @@ class TestDeepOracles:
 
 
 def loop_stabilizer_contains(potential, shift, atol=0.0):
-    """Reference: the per-site loop that stabilizer_contains replaced; value() reduces each site mod the periods."""
+    """Reference: the per-site loop that stabilizer_contains replaced, each site reduced mod the periods."""
     for site in np.ndindex(*potential.periods):
         moved = tuple(s + m for s, m in zip(site, shift))
-        if abs(potential.value(moved) - potential.value(site)) > atol:
+        here = potential.cell[np.ravel_multi_index(site, potential.periods)]
+        if abs(potential.cell[np.ravel_multi_index(moved, potential.periods, mode="wrap")] - here) > atol:
             return False
     return True
 

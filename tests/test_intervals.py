@@ -10,7 +10,6 @@ from conftest import oracle_hausdorff, random_compact_set, random_interval_set
 from specapprox import (
     AtomicMeasure,
     EmptySetError,
-    Interval,
     IntervalSet,
     InvalidRadiusError,
     Lebesgue,
@@ -34,6 +33,7 @@ from specapprox import (
     set_to_obj,
     sets_equal,
 )
+from specapprox import intervals
 
 
 def iset(*pairs):
@@ -58,36 +58,33 @@ def ref_normalize(pairs, tol=1e-12):
 
 
 def ref_distance(b, x):
+    lows, highs = b.lows.tolist(), b.highs.tolist()
     if isinstance(b, PointSet):
-        pts = b.points
-        i = bisect_left(pts, x)
+        i = bisect_left(lows, x)
         best = math.inf
-        if i < len(pts):
-            best = pts[i] - x
+        if i < len(lows):
+            best = lows[i] - x
         if i > 0:
-            best = min(best, x - pts[i - 1])
+            best = min(best, x - lows[i - 1])
         return best
-    ivs = b.intervals
-    i = bisect_right([iv.lo for iv in ivs], x) - 1
-    if i >= 0 and x <= ivs[i].hi:
+    i = bisect_right(lows, x) - 1
+    if i >= 0 and x <= highs[i]:
         return 0.0
     best = math.inf
     if i >= 0:
-        best = x - ivs[i].hi
-    if i + 1 < len(ivs):
-        best = min(best, ivs[i + 1].lo - x)
+        best = x - highs[i]
+    if i + 1 < len(lows):
+        best = min(best, lows[i + 1] - x)
     return best
 
 
 def ref_directed(a, b):
-    if isinstance(b, PointSet):
-        mids = [(p + q) / 2.0 for p, q in zip(b.points, b.points[1:])]
-    else:
-        mids = [(p.hi + q.lo) / 2.0 for p, q in zip(b.intervals, b.intervals[1:])]
+    # gap midpoints of b: between each component's high end and the next one's low end
+    mids = [(hi + lo) / 2.0 for hi, lo in zip(b.highs.tolist(), b.lows.tolist()[1:])]
     if isinstance(a, PointSet):
-        cands = list(a.points)
+        cands = a.lows.tolist()
     else:
-        cands = [e for iv in a.intervals for e in (iv.lo, iv.hi)]
+        cands = [e for lo, hi in zip(a.lows.tolist(), a.highs.tolist()) for e in (lo, hi)]
         cands += [m for m in mids if ref_distance(a, m) == 0.0]
     return max(ref_distance(b, x) for x in cands)
 
@@ -98,21 +95,22 @@ def ref_hausdorff(a, b):
 
 class TestConstruction:
     def test_interval_rejects_reversed_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
+        with pytest.raises(ValueError, match="finite and ordered"):
+            IntervalSet([1.0], [0.0])
 
     def test_interval_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Interval(0.0, float("inf"))
-        with pytest.raises(ValueError):
-            Interval(float("nan"), 1.0)
+        with pytest.raises(ValueError, match="finite and ordered"):
+            IntervalSet([0.0], [float("inf")])
+        with pytest.raises(ValueError, match="finite and ordered"):
+            IntervalSet([float("nan")], [1.0])
 
     def test_degenerate_interval_allowed(self):
-        assert Interval(2.0, 2.0).length == 0.0
+        s = IntervalSet([2.0], [2.0])
+        assert set_to_obj(s) == [[2.0, 2.0]] and lebesgue(s) == 0.0
 
     def test_interval_set_rejects_overlapping_components(self):
-        with pytest.raises(ValueError):
-            IntervalSet((Interval(0.0, 1.0), Interval(0.5, 2.0)))
+        with pytest.raises(ValueError, match="separated by positive gaps"):
+            IntervalSet([0.0, 0.5], [1.0, 2.0])
 
     def test_point_set_requires_strict_increase(self):
         with pytest.raises(ValueError):
@@ -122,17 +120,17 @@ class TestConstruction:
 
     def test_point_set_helper_sorts_and_dedupes(self):
         s = point_set([3.0, 1.0, 3.0, 2.0])
-        assert s.points == (1.0, 2.0, 3.0)
+        assert s.lows.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestNormalize:
     def test_disjoint_kept(self):
         s = normalize([(2.0, 3.0), (0.0, 1.0)])
-        assert [(iv.lo, iv.hi) for iv in s] == [(0.0, 1.0), (2.0, 3.0)]
+        assert set_to_obj(s) == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_touching_merged(self):
         s = normalize([(0.0, 1.0), (1.0, 2.0)])
-        assert [(iv.lo, iv.hi) for iv in s] == [(0.0, 2.0)]
+        assert set_to_obj(s) == [[0.0, 2.0]]
 
     def test_gap_within_tolerance_merged(self):
         s = normalize([(0.0, 1.0), (1.0 + 5e-13, 2.0)])
@@ -144,7 +142,7 @@ class TestNormalize:
 
     def test_contained_component_absorbed(self):
         s = normalize([(0.0, 4.0), (1.0, 2.0)])
-        assert [(iv.lo, iv.hi) for iv in s] == [(0.0, 4.0)]
+        assert set_to_obj(s) == [[0.0, 4.0]]
 
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
@@ -154,11 +152,11 @@ class TestNormalize:
 class TestFatten:
     def test_single_interval(self):
         s = fatten(iset((0.0, 1.0)), 0.5)
-        assert [(iv.lo, iv.hi) for iv in s] == [(-0.5, 1.5)]
+        assert set_to_obj(s) == [[-0.5, 1.5]]
 
     def test_gap_closes_exactly_at_half_width(self):
         s = fatten(iset((0.0, 1.0), (2.0, 3.0)), 0.5)
-        assert [(iv.lo, iv.hi) for iv in s] == [(-0.5, 3.5)]
+        assert set_to_obj(s) == [[-0.5, 3.5]]
 
     def test_gap_stays_open_below_half_width(self):
         s = fatten(iset((0.0, 1.0), (2.0, 3.0)), 0.49)
@@ -166,12 +164,12 @@ class TestFatten:
 
     def test_points_chain_into_one_component(self):
         s = fatten(point_set([0.0, 0.5, 1.0]), 0.25)
-        assert [(iv.lo, iv.hi) for iv in s] == [(-0.25, 1.25)]
+        assert set_to_obj(s) == [[-0.25, 1.25]]
         assert components(s) == (1, 1.5)
 
     def test_zero_radius_on_points_gives_degenerate_intervals(self):
         s = fatten(point_set([0.0, 1.0]), 0.0)
-        assert [(iv.lo, iv.hi) for iv in s] == [(0.0, 0.0), (1.0, 1.0)]
+        assert set_to_obj(s) == [[0.0, 0.0], [1.0, 1.0]]
         assert lebesgue(s) == 0.0
 
     def test_negative_radius_rejected(self):
@@ -351,11 +349,10 @@ class TestArrayPaths:
         ],
         ids=["lebesgue", "density", "atomic"],
     )
-    def test_measure_and_distance_build_no_interval_objects(self, monkeypatch, mu):
-        def forbid(self):
-            raise AssertionError("an Interval object was built")
-
-        monkeypatch.setattr(Interval, "__post_init__", forbid)
+    def test_measure_and_distance_build_no_interval_objects(self, mu):
+        # the arrays are the only form of a set: the module defines no per-component class
+        classes = {name for name, v in vars(intervals).items() if isinstance(v, type) and not issubclass(v, Exception)}
+        assert classes == {"_SortedSet", "IntervalSet", "PointSet"}
         records = [cantor_approximation(n) for n in range(1, 9)]
         report = fattened_measure_sequence(records, mu)
         assert report.rows[-1].q == 256
@@ -364,22 +361,31 @@ class TestArrayPaths:
 
     def test_views_match_arrays(self):
         s = iset((2.0, 3.0), (0.0, 1.0))
-        assert s.intervals == (Interval(0.0, 1.0), Interval(2.0, 3.0))
-        assert list(s) == list(s.intervals)
         assert s.lows.tolist() == [0.0, 2.0] and s.highs.tolist() == [1.0, 3.0]
+        assert (s.lo, s.hi) == (0.0, 3.0) and len(s) == 2
         p = point_set([1.0, 0.0])
-        assert p.lows is p.highs and list(p) == [0.0, 1.0]
+        assert p.lows is p.highs and p.lows.tolist() == [0.0, 1.0]
         with pytest.raises(ValueError):
             s.lows[0] = 5.0
+        with pytest.raises(TypeError):
+            iter(s)
 
-    def test_from_arrays_checks_canonical_form(self):
-        assert IntervalSet.from_arrays([0.0, 2.0], [1.0, 3.0]) == iset((0.0, 1.0), (2.0, 3.0))
+    def test_constructor_checks_canonical_form(self):
+        lows, highs = [0.0, 2.0], [1.0, 3.0]
+        s = IntervalSet(lows, highs)
+        assert s == iset((0.0, 1.0), (2.0, 3.0))
+        lows[0] = -1.0  # the set holds its own copy
+        assert s.lo == 0.0
         with pytest.raises(ValueError):
-            IntervalSet.from_arrays([0.0, 1.0], [1.0, 2.0])
+            IntervalSet([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            IntervalSet.from_arrays([0.0], [float("nan")])
+            IntervalSet([2.0, 0.0], [3.0, 1.0])
+        with pytest.raises(ValueError):
+            IntervalSet([0.0], [float("nan")])
+        with pytest.raises(ValueError):
+            IntervalSet([0.0, 2.0], [1.0])
         with pytest.raises(EmptySetError):
-            IntervalSet.from_arrays([], [])
+            IntervalSet([], [])
 
 
 class TestMembership:
@@ -415,4 +421,4 @@ class TestSerialization:
     def test_points_parse_as_point_set(self):
         s = set_from_obj([3.0, 1.0])
         assert isinstance(s, PointSet)
-        assert s.points == (1.0, 3.0)
+        assert s.lows.tolist() == [1.0, 3.0]

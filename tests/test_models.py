@@ -14,6 +14,7 @@ from specapprox import (
     grid_approximation,
     hausdorff_distance,
     lebesgue,
+    set_to_obj,
     stabilizer_contains,
 )
 from specapprox import floquet, models
@@ -154,16 +155,29 @@ class TestFibonacci:
         assert fibonacci_potential(10, 1.0).q == 89
 
 
+    def test_oversize_word_refused_before_it_is_built(self, monkeypatch):
+        # F_26 = 121393 letters at level 25, 2 bytes each while the last join runs
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 121393 - 1)
+        with pytest.raises(ValueError, match=r"the 121393 letters of Fibonacci level 25 need 2\.428e\+5 bytes"):
+            fibonacci_word(25)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 121393)
+        assert len(fibonacci_word(25)) == 121393
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"letters of Fibonacci level 1000000 need 6\.321e\+208987 bytes"):
+            fibonacci_word(10**6)
+
+
 class TestCantorApproximation:
     def test_level_zero_is_unit_interval(self):
         rec = cantor_approximation(0)
-        assert [(iv.lo, iv.hi) for iv in rec.set] == [(0.0, 1.0)]
+        assert set_to_obj(rec.set) == [[0.0, 1.0]]
         assert (rec.delta, rec.q, rec.r) == (1.0, 1, 1.0)
 
     def test_level_two_components(self):
         rec = cantor_approximation(2)
-        got = [(iv.lo, iv.hi) for iv in rec.set]
+        got = set_to_obj(rec.set)
         expect = [(0, 1 / 9), (2 / 9, 1 / 3), (2 / 3, 7 / 9), (8 / 9, 1)]
+        assert len(got) == len(expect)
         for (lo, hi), (elo, ehi) in zip(got, expect):
             assert lo == pytest.approx(elo, abs=1e-15)
             assert hi == pytest.approx(ehi, abs=1e-15)
@@ -212,7 +226,7 @@ class TestCantorApproximation:
 class TestGridApproximation:
     def test_plain_grid(self):
         rec = grid_approximation(4)
-        assert rec.set.points == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert rec.set.lows.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert rec.delta == 0.125
         assert rec.q == 5
         assert rec.r == 0.0
@@ -222,7 +236,7 @@ class TestGridApproximation:
         s = as_intervals(rec.set)
         assert lebesgue(s) == 0.5
         assert rec.q == 3
-        assert s.intervals[0].hi == 0.5
+        assert s.highs[0] == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
