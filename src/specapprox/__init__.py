@@ -11,17 +11,14 @@ from .convergence import (
     ReportRow,
     corollary,
     fattened_measure_sequence,
-    indicator_convergence_probe,
     measure,
     semicontinuity_check,
 )
 from .dimension import (
-    ContentTrendReport,
     CoverStats,
     ExponentFit,
     InsufficientDataError,
     NotApplicableError,
-    content_trend,
     dim_bound_direct,
     dim_bound_last,
     hausdorff_content_upper,
@@ -39,8 +36,6 @@ from .floquet import (
     estimate_measure_via_fibers,
     fiber_eigenvalues,
     proxy_deltas,
-    sampled_stabilizer_contains,
-    stabilizer_contains,
 )
 from .intervals import (
     CompactSet,
@@ -50,10 +45,8 @@ from .intervals import (
     PointSet,
     as_intervals,
     components,
-    contains_point,
     contains_set,
     directed_distance,
-    distance_to_set,
     fatten,
     hausdorff_distance,
     interval_union,

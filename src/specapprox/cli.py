@@ -244,7 +244,7 @@ def cmd_measure(args) -> int:
     tail = _int(cfg.get("tail", convergence.DEFAULT_TAIL), "tail")
     if tail < 1:
         raise ConfigError(f"tail must be >= 1, got {tail}")
-    tail_tol = _real(cfg.get("tail_tol", 1e-3), "tail_tol")
+    tail_tol = _real(cfg.get("tail_tol", convergence.DEFAULT_TAIL_TOL), "tail_tol")
     crit_tol = _real(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL), "criterion_tol")
     for key, value in (("tail_tol", tail_tol), ("criterion_tol", crit_tol)):
         if value <= 0:  # spread < tail_tol and q * delta < criterion_tol never hold then
@@ -373,8 +373,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # numerical failures first: NotHermitianError and LinAlgError are ValueErrors too
-    except (floquet.NotHermitianError, np.linalg.LinAlgError, FloatingPointError) as e:
+    # numerical failures first: LinAlgError is a ValueError too
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError) as e:  # ConfigError is a ValueError

@@ -21,7 +21,6 @@ from .intervals import (
     IntervalSet,
     as_intervals,
     components,
-    contains_point,
     fatten,
     lebesgue,
 )
@@ -31,6 +30,7 @@ from .intervals import (
 # the gap between the observed tail and the limit.
 DEFAULT_DIAGNOSTIC_TOL = 0.05
 DEFAULT_TAIL = 3
+DEFAULT_TAIL_TOL = 1e-3
 
 FINITE_HORIZON_NOTE = (
     "tail diagnostics certify stability over the computed rows only; "
@@ -218,7 +218,7 @@ def corollary(rows, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOS
 
 
 def fattened_measure_sequence(
-    records, mu: Measure1D, tail: int = DEFAULT_TAIL, tail_tol: float = 1e-3
+    records, mu: Measure1D, tail: int = DEFAULT_TAIL, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> ConvergenceReport:
     """Raw and fattened measures along a sequence of approximation records.
 
@@ -263,29 +263,3 @@ def semicontinuity_check(
         tail_max=tail_max,
         passed=mu_limit >= tail_max - tolerance,
     )
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    x: float
-    tail_indicators: tuple[int, ...]
-    limit_indicator: int
-    agrees: bool
-
-
-def indicator_convergence_probe(records, limit: CompactSet, probes) -> list[ProbeResult]:
-    """Pointwise indicator comparison between fattened steps and the limit.
-
-    For each probe x the indicator of fatten(A_n, delta_n) at x is compared
-    against the indicator of the limit over the last DEFAULT_TAIL steps; interior
-    and exterior probes of the limit should agree once delta_n is small.
-    """
-    records = list(records)
-    fattened = [fatten(rec.set, rec.delta) for rec in records[-DEFAULT_TAIL:]]
-    out = []
-    for x in probes:
-        inds = tuple(int(contains_point(s, x)) for s in fattened)
-        lim_ind = int(contains_point(limit, x))
-        agrees = all(i == lim_ind for i in inds)
-        out.append(ProbeResult(x=float(x), tail_indicators=inds, limit_indicator=lim_ind, agrees=agrees))
-    return out

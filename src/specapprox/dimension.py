@@ -163,37 +163,3 @@ def dim_bound_direct(stats: CoverStats, tail_fraction: float = 0.5) -> ExponentF
     slope, _, rms = _fit_line(-np.log(np.asarray(diam, float)), np.log(np.asarray(q, float)))
     alpha = max(0.0, slope)
     return ExponentFit(estimate=alpha, slope=slope, residual=rms, window=(k - w, k))
-
-
-@dataclass(frozen=True)
-class ContentTrendReport:
-    etas: tuple[float, ...]
-    sums: tuple[float, ...]
-    flag_bounded: bool
-    cap: float | None
-
-
-def content_trend(cover_sequence, alpha: float, cap: float | None = None) -> ContentTrendReport:
-    """alpha-content sums along a sequence of covers with vanishing scales.
-
-    Each entry of ``cover_sequence`` is (cover, eta) with eta the scale
-    (largest allowed diameter) of that cover.  A bounded tail of content
-    sums as eta -> 0 witnesses finite alpha-content, hence dimension <=
-    alpha.  The tail is the last three sums.  With ``cap`` given the flag
-    checks the tail stays at or below it; otherwise the flag checks the tail
-    does not grow (last sum at most 1 + 1e-6 times the first tail sum),
-    since no fixed cap separates bounded from slowly growing sequences at
-    finite depth.
-    """
-    etas, sums = [], []
-    for cover, eta in cover_sequence:
-        etas.append(float(eta))
-        sums.append(hausdorff_content_upper(cover, alpha))
-    if not sums:
-        raise ValueError("need at least one cover")
-    window = sums[-3:]
-    if cap is not None:
-        flag = max(window) <= cap
-    else:
-        flag = window[-1] <= window[0] * (1.0 + 1e-6) + 1e-300
-    return ContentTrendReport(etas=tuple(etas), sums=tuple(sums), flag_bounded=flag, cap=cap)

@@ -48,7 +48,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .convergence import ConvergenceReport, Measure1D, measure, report_row
+from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, measure, report_row
 from .intervals import (
     IntervalSet,
     InvalidRadiusError,
@@ -119,37 +119,6 @@ class BandSpectrum:
 
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bands)
-
-
-def stabilizer_contains(potential: PeriodicPotential, shift, atol: float = 0.0) -> bool:
-    """Whether translating by the integer vector ``shift`` fixes the potential."""
-    shift = tuple(int(s) for s in np.atleast_1d(shift))
-    if len(shift) != potential.dim:
-        raise ValueError("shift must have one entry per axis")
-    cell = np.reshape(potential.cell, potential.periods)
-    # site n of the rolled cell holds the value at n + shift
-    moved = np.roll(cell, tuple(-m % p for m, p in zip(shift, potential.periods)), axis=tuple(range(potential.dim)))
-    return bool(np.all(np.abs(moved - cell) <= atol))
-
-
-def sampled_stabilizer_contains(values, shift) -> bool:
-    """Shift-invariance of a finite sample window; the verdict only covers
-    the overlap of the window with its shifted copy."""
-    arr = np.asarray(values, dtype=float)
-    shift = tuple(int(s) for s in np.atleast_1d(shift))
-    if arr.ndim != len(shift):
-        raise ValueError("shift must have one entry per array axis")
-    sl_a, sl_b = [], []
-    for m, size in zip(shift, arr.shape):
-        if abs(m) >= size:
-            raise ValueError("shift exceeds the sampled window")
-        if m >= 0:
-            sl_a.append(slice(m, size))
-            sl_b.append(slice(0, size - m))
-        else:
-            sl_a.append(slice(0, size + m))
-            sl_b.append(slice(-m, size))
-    return bool(np.all(arr[tuple(sl_a)] == arr[tuple(sl_b)]))
 
 
 def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
@@ -395,8 +364,8 @@ def estimate_measure_via_fibers(
     deltas="proxy",
     strategy: str | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
-    tail: int = 3,
-    tail_tol: float = 1e-3,
+    tail: int = DEFAULT_TAIL,
+    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> ConvergenceReport:
     """Measure estimation along a sequence of periodic approximants.
 

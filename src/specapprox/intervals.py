@@ -9,8 +9,8 @@ to evaluating a piecewise-linear distance function at finitely many
 candidate points, each located by binary search: O((n+m) log(n+m)) for n
 and m components, with no grid discretization on the exact paths.
 
-Merges and point membership use the absolute tolerance ``DEFAULT_TOL`` so
-that eigenvalue-level noise from downstream pipelines does not flip them.
+Merges, inclusion and equality use the absolute tolerance ``DEFAULT_TOL``
+so that eigenvalue-level noise from downstream pipelines does not flip them.
 """
 
 from __future__ import annotations
@@ -182,11 +182,6 @@ def _distances(b: CompactSet, xs: np.ndarray) -> np.ndarray:
     return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
 
 
-def distance_to_set(b: CompactSet, x: float) -> float:
-    """Distance from the point x to the set b (zero when x lies in b)."""
-    return float(_distances(b, np.array([x], dtype=float))[0])
-
-
 def directed_distance(a: CompactSet, b: CompactSet) -> float:
     """sup over points of a of the distance to b.
 
@@ -216,10 +211,6 @@ def contains_set(outer: CompactSet, inner: CompactSet, tol: float = DEFAULT_TOL)
 
 def sets_equal(a: CompactSet, b: CompactSet, tol: float = DEFAULT_TOL) -> bool:
     return hausdorff_distance(a, b) <= tol
-
-
-def contains_point(a: CompactSet, x: float) -> bool:
-    return distance_to_set(a, x) <= DEFAULT_TOL
 
 
 def set_to_obj(a: CompactSet):

@@ -15,7 +15,6 @@ from specapprox import (
     fatten,
     fattened_measure_sequence,
     grid_approximation,
-    indicator_convergence_probe,
     measure,
     normalize,
     point_set,
@@ -205,19 +204,3 @@ class TestCorollaryCriterion:
         assert not rep["flag"]
         assert rep["estimate"] is None
         assert rep["products_tail"][-1] == pytest.approx(0.5, abs=0.02)
-
-
-class TestIndicatorProbe:
-    def test_cantor_probes(self):
-        records = [cantor_approximation(n) for n in range(1, 10)]
-        limit = records[-1].set
-        out = indicator_convergence_probe(records, limit, probes=[0.25, 0.5, 2.0])
-        by_x = {r.x: r for r in out}
-        assert by_x[0.25].agrees and by_x[0.25].limit_indicator == 1
-        assert by_x[0.5].agrees and by_x[0.5].limit_indicator == 0
-        assert by_x[2.0].agrees and by_x[2.0].limit_indicator == 0
-
-    def test_disagreement_is_reported(self):
-        records = [ApproximationRecord.from_set(iset((0.0, 1.0)), delta=0.0)] * 4
-        out = indicator_convergence_probe(records, iset((2.0, 3.0)), probes=[0.5])
-        assert not out[0].agrees

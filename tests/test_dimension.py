@@ -10,7 +10,6 @@ from specapprox import (
     NotApplicableError,
     ReportRow,
     cantor_approximation,
-    content_trend,
     dim_bound_direct,
     dim_bound_last,
     fatten,
@@ -179,33 +178,6 @@ class TestDimBoundDirect:
         a = dim_bound_last(st).estimate
         b = dim_bound_direct(st).estimate
         assert abs(a - b) < 0.01
-
-
-class TestContentTrend:
-    def test_bounded_family_flags_true(self):
-        seq = [(cantor_approximation(n).set, 3.0**-n) for n in range(1, 13)]
-        report = content_trend(seq, CANTOR_DIM)
-        assert report.flag_bounded
-        assert all(s == pytest.approx(1.0, abs=1e-9) for s in report.sums)
-        assert report.etas[0] == pytest.approx(1.0 / 3.0)
-
-    def test_growth_flags_false(self):
-        # exponent below the critical one makes the sums blow up
-        seq = [(cantor_approximation(n).set, 3.0**-n) for n in range(1, 13)]
-        report = content_trend(seq, 0.4)
-        assert not report.flag_bounded
-        assert report.sums[-1] > report.sums[0]
-
-    def test_cap_overrides_trend(self):
-        # sums grow slowly: trend check fails, a generous cap still passes
-        seq = [([(0.0, 0.9 + 0.001 * n)], 1.0 / n) for n in range(1, 10)]
-        assert content_trend(seq, 1.0, cap=2.0).flag_bounded
-        assert not content_trend(seq, 1.0, cap=0.5).flag_bounded
-        assert not content_trend(seq, 1.0).flag_bounded
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            content_trend([], 0.5)
 
 
 class TestPipelineIntegration:

@@ -20,14 +20,11 @@ from specapprox import (
     estimate_measure_via_fibers,
     fiber_eigenvalues,
     fibonacci_potential,
-    fibonacci_word,
     free_potential,
     lebesgue,
     normalize,
     proxy_deltas,
-    sampled_stabilizer_contains,
     set_to_obj,
-    stabilizer_contains,
 )
 from specapprox import floquet
 from specapprox.floquet import (
@@ -518,11 +515,6 @@ class TestMeasurePipeline:
             )
 
 
-# ---------------------------------------------------------------------------
-# stabilizers
-# ---------------------------------------------------------------------------
-
-
 class TestSweepReuse:
     @pytest.mark.parametrize("phase,real_solves,complex_solves", [(0.0, 2, 0), (0.5, 2, 0), (0.3, 2, 1)])
     def test_exact_1d_solves_per_step(self, solved, phase, real_solves, complex_solves):
@@ -673,65 +665,3 @@ class TestDeepOracles:
             for phi, row in zip(phases[:, 0], evs):
                 x, dx = fibonacci_trace(n, coupling, row)
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))
-
-
-def loop_stabilizer_contains(potential, shift, atol=0.0):
-    """Reference: the per-site loop that stabilizer_contains replaced, each site reduced mod the periods."""
-    for site in np.ndindex(*potential.periods):
-        moved = tuple(s + m for s, m in zip(site, shift))
-        here = potential.cell[np.ravel_multi_index(site, potential.periods)]
-        if abs(potential.cell[np.ravel_multi_index(moved, potential.periods, mode="wrap")] - here) > atol:
-            return False
-    return True
-
-
-class TestStabilizers:
-    def test_matches_site_loop(self):
-        rng = np.random.default_rng(71)
-        verdicts = set()
-        for dim in (1, 2):
-            for _ in range(40):
-                # a random block tiled over the cell, so that multiples of the block fix it,
-                # plus noise that tolerance 1e-8 forgives and tolerance 0 does not
-                block = rng.integers(1, 4, size=dim)
-                cell = np.tile(rng.uniform(-3.0, 3.0, size=block), rng.integers(1, 4, size=dim))
-                cell += rng.choice([0.0, 1e-9]) * rng.uniform(-1.0, 1.0, size=cell.shape)
-                v = PeriodicPotential(dim=dim, periods=cell.shape, cell=tuple(cell.ravel().tolist()))
-                period = np.array(v.periods)
-                shifts = [0 * block, block, -block, period + block, -3 * period - block]
-                shifts += list(rng.integers(-3 * period, 3 * period + 1, size=(4, dim)))
-                for shift in shifts:
-                    shift = tuple(int(m) for m in shift)
-                    for atol in (0.0, 1e-8):
-                        verdict = stabilizer_contains(v, shift, atol)
-                        assert verdict == loop_stabilizer_contains(v, shift, atol)
-                        verdicts.add(verdict)
-        assert verdicts == {False, True}
-
-    def test_full_period_always_fixes(self):
-        v = almost_mathieu(0.5, (3, 7))
-        assert stabilizer_contains(v, (7,))
-        assert stabilizer_contains(v, (14,))
-        assert stabilizer_contains(v, (0,))
-
-    def test_free_potential_fixed_by_everything(self):
-        v = free_potential(1, 6)
-        assert all(stabilizer_contains(v, (m,)) for m in range(6))
-
-    def test_two_dimensional_shifts(self):
-        v = PeriodicPotential(dim=2, periods=(2, 2), cell=(1.0, 0.0, 1.0, 0.0))
-        assert stabilizer_contains(v, (1, 0))
-        assert not stabilizer_contains(v, (0, 1))
-
-    def test_sampled_window_verdict(self):
-        word = fibonacci_word(10)
-        vals = [1.0 if c == "a" else 0.0 for c in word]
-        # the infinite word is aperiodic; small shifts fail on the window
-        assert not sampled_stabilizer_contains(vals, (1,))
-        assert not sampled_stabilizer_contains(vals, (5,))
-        # a genuinely periodic sample passes
-        assert sampled_stabilizer_contains([1.0, 2.0] * 10, (2,))
-
-    def test_sampled_shift_must_fit_window(self):
-        with pytest.raises(ValueError):
-            sampled_stabilizer_contains([1.0, 2.0], (2,))

@@ -18,10 +18,8 @@ from specapprox import (
     as_intervals,
     cantor_approximation,
     components,
-    contains_point,
     contains_set,
     directed_distance,
-    distance_to_set,
     fatten,
     fattened_measure_sequence,
     hausdorff_content_upper,
@@ -188,10 +186,10 @@ class TestLebesgue:
 class TestDistances:
     def test_distance_to_set_inside_and_outside(self):
         s = iset((0.0, 1.0), (3.0, 4.0))
-        assert distance_to_set(s, 0.5) == 0.0
-        assert distance_to_set(s, 2.0) == 1.0
-        assert distance_to_set(s, -2.0) == 2.0
-        assert distance_to_set(s, 5.0) == 1.0
+        assert intervals._distances(s, np.array([0.5]))[0] == 0.0
+        assert intervals._distances(s, np.array([2.0]))[0] == 1.0
+        assert intervals._distances(s, np.array([-2.0]))[0] == 2.0
+        assert intervals._distances(s, np.array([5.0]))[0] == 1.0
 
     def test_directed_asymmetry(self):
         a = iset((0.0, 2.0))
@@ -292,6 +290,25 @@ class TestOracleAgreement:
             approx = oracle_hausdorff(a, b, spacing=1e-5)
             assert abs(exact - approx) <= 2e-5
 
+    def test_hausdorff_matches_brute_force_grid_across_gaps(self):
+        # b is a with holes cut out, or a point sample of a that keeps its ends, so the
+        # distance is attained at the midpoint of a gap of b inside a, never at an end of a
+        rng = np.random.default_rng(17)
+        pairs = [(iset((0.0, 1.0)), iset((0.0, 0.2), (0.8, 1.0)))]
+        for _ in range(24):
+            lo = float(rng.uniform(-4.0, 3.0))
+            hi = lo + float(rng.uniform(0.5, 2.0))
+            inner = np.sort(rng.uniform(lo, hi, size=2 * int(rng.integers(1, 4)))).tolist()
+            if rng.random() < 0.5:
+                b = iset(*zip([lo] + inner[1::2], inner[::2] + [hi]))
+            else:
+                b = point_set([lo, *inner, hi])
+            pairs.append((iset((lo, hi)), b))
+        for a, b in pairs:
+            exact = hausdorff_distance(a, b)
+            assert exact > 0.0
+            assert abs(exact - oracle_hausdorff(a, b, spacing=1e-5)) <= 2e-5
+
 
 class TestLoopReferences:
     def test_normalize_matches_merge_loop(self):
@@ -324,7 +341,7 @@ class TestLoopReferences:
             if i < 25:
                 assert abs(d - oracle_hausdorff(a, b, spacing=1e-5)) <= 2e-5
             for x in rng.uniform(-5.0, 5.0, size=4).tolist() + [float(a.lows[0])]:
-                assert distance_to_set(b, x) == ref_distance(b, x)
+                assert intervals._distances(b, np.array([x]))[0] == ref_distance(b, x)
 
 
 class TestArrayPaths:
@@ -386,14 +403,6 @@ class TestArrayPaths:
             IntervalSet([0.0, 2.0], [1.0])
         with pytest.raises(EmptySetError):
             IntervalSet([], [])
-
-
-class TestMembership:
-    def test_contains_point_with_tolerance(self):
-        s = iset((0.0, 1.0))
-        assert contains_point(s, 1.0)
-        assert contains_point(s, 1.0 + 5e-13)
-        assert not contains_point(s, 1.1)
 
 
 class TestSerialization:
