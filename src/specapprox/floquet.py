@@ -20,7 +20,9 @@ storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
 in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
 3 x q upper band storage and solved by LAPACK's banded eigensolver
 (scipy.linalg.eigvals_banded): O(q) memory and no q x q matrix.  2-d
-fibers are dense q x q stacks, solved by batched eigvalsh.
+fibers are dense q x q stacks, solved by batched eigvalsh, each block split
+across as many threads as numpy's BLAS has while BLAS is pinned to one
+thread: BLAS threads buy nothing inside solves this small.
 
 The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -260,10 +263,37 @@ def _solver_bound(potential: PeriodicPotential) -> float:
     return SOLVER_TOL_FACTOR * max(1.0, norm)
 
 
+def _blas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where its symbols are not found."""
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its dependency scope holds numpy's BLAS
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
 def _solve_block(potential, phase_block, real: bool | None = None):
-    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d, a batched dense stack in 2-d."""
+    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d; in 2-d a batched dense
+    stack, split into as many slices as numpy's BLAS has threads and solved on as many threads
+    (eigvalsh releases the GIL) with BLAS pinned to one thread meanwhile, rows kept in order.
+    With one BLAS thread, or none found, the builtin map solves the one slice."""
     if potential.dim == 2:
-        return np.linalg.eigvalsh(_fibers(potential, phase_block, real))
+        from concurrent.futures import ThreadPoolExecutor
+
+        stack = _fibers(potential, phase_block, real)
+        get, put = _blas_threads() or (lambda: 1, lambda n: None)
+        n = get()
+        put(1)
+        try:
+            with ThreadPoolExecutor(n) if n > 1 else nullcontext() as pool:
+                return np.vstack(list((pool.map if pool else map)(np.linalg.eigvalsh, np.array_split(stack, n))))
+        finally:
+            put(n)
     from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
 
     return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block, real)])

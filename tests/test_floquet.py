@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -424,6 +425,85 @@ class TestConjugateHalvedGrid:
             mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
             np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
             assert bs.error_bound == 4.0 * math.pi * dim / (2.0 * m) + _solver_bound(v)
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's BLAS thread count; the count is put back afterwards."""
+    threads = floquet._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread count here")
+    get, put = threads
+    before = get()
+    yield get, put
+    put(before)
+
+
+class TestSplitBlocks:
+    """A 2-d block is split into as many slices as numpy's BLAS has threads,
+    solved on as many threads with BLAS pinned to one thread meanwhile."""
+
+    @pytest.mark.parametrize("workers", [None, 3])  # None: as many as BLAS has here
+    def test_rows_equal_one_unsplit_solve(self, monkeypatch, solved, workers):
+        if workers is not None:
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        rng = np.random.default_rng(70)
+        for _ in range(3):
+            v = random_potential(rng, dim=2, max_period=4)
+            solved.clear()
+            phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: a full block and a tail of 2
+            if workers is not None:  # the tail has fewer phases than workers, so one slice is empty
+                assert [c for _, c, _ in solved] == [43, 43, 42, 1, 1, 0]
+            whole = np.linalg.eigvalsh(_fibers(v, phases, real=False))
+            np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
+            phi = tuple(rng.uniform(0, 1, size=2))
+            one = np.linalg.eigvalsh(_fibers(v, [phi]))[0]
+            np.testing.assert_allclose(fiber_eigenvalues(v, phi), one, rtol=0, atol=_solver_bound(v))
+
+    def test_blas_pinned_to_one_thread_and_restored(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        put(3)
+        inside = []
+        solve = np.linalg.eigvalsh
+
+        def recording(a):
+            inside.append(get())
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        band_spectrum(free_potential(2, (3, 3)), strategy="grid", grid_points=8)
+        assert inside and set(inside) == {1}
+        assert get() == 3
+
+    def test_blas_threads_restored_after_failed_solve(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        put(2)
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            band_spectrum(free_potential(2, (3, 3)), strategy="grid", grid_points=8)
+        assert get() == 2
+
+    @pytest.mark.parametrize("reachable", [True, False])
+    def test_one_thread_or_no_count_starts_no_worker(self, monkeypatch, blas_threads, reachable):
+        get, put = blas_threads
+        v = random_potential(np.random.default_rng(71), dim=2, max_period=4)
+        put(2)
+        expect = band_spectrum(v, strategy="grid", grid_points=8)
+        if reachable:
+            put(1)
+        else:
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: None)
+
+        def refused(thread):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert band_spectrum(v, strategy="grid", grid_points=8) == expect
+        assert get() == (1 if reachable else 2)
 
 
 # ---------------------------------------------------------------------------
