@@ -28,9 +28,12 @@ The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
 since the discriminant sweeps monotonically between its extreme values on
 each band.  In general a phase grid gives edges up to a rigorous Lipschitz
-error: moving one phase by t changes each eigenvalue by at most 4*pi*t, so
-a grid of M points per axis localizes every edge to within
-(sum_j 4*pi) / (2*M) plus eigensolver error.  The potential is real, so
+error.  After a gauge transform that spreads the boundary phase of axis j
+over its p_j bonds, moving phi_j by t moves the fiber by c*S_j + h.c., S_j
+the cyclic shift and |c| = 2*sin(pi*t/p_j), so by Weyl's inequality every
+ordered eigenvalue moves by at most 4*sin(pi*t/p_j): a grid of M points per
+axis localizes every edge to within sum_j 4*pi / (2*M*p_j) plus eigensolver
+error.  The potential is real, so
 H(-phi) = conj H(phi) shares the spectrum of H(phi), and the grid solves
 one phase of each conjugate pair.
 
@@ -299,8 +302,10 @@ def _solve_block(potential, phase_block, real: bool | None = None):
     return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block, real)])
 
 
-def _phase_set(strategy: str | None, dim: int, grid_points: int):
-    """Phases (k x dim) a strategy solves and its Lipschitz term; None is exact_1d in 1-d, else grid."""
+def _phase_set(strategy: str | None, periods, grid_points: int):
+    """Phases (k x d) a strategy solves for a cell of these periods and its Lipschitz
+    term; None is exact_1d in 1-d, else grid."""
+    dim = len(periods)
     if strategy is None:
         strategy = "exact_1d" if dim == 1 else "grid"
     if strategy == "exact_1d":
@@ -314,13 +319,13 @@ def _phase_set(strategy: str | None, dim: int, grid_points: int):
         # spec H(-phi) = spec H(phi): keep the index vector k of each pair {k, -k mod m} that comes first
         k = np.indices((m,) * dim).reshape(dim, -1)
         keep = np.arange(m**dim) <= np.ravel_multi_index(-k % m, (m,) * dim)
-        return k[:, keep].T / m, 4.0 * math.pi * dim / (2.0 * m)
+        return k[:, keep].T / m, sum(4.0 * math.pi / (2.0 * m * p) for p in periods)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _band_sweep(potential, strategy, grid_points):
     """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
-    phases, lips = _phase_set(strategy, potential.dim, grid_points)
+    phases, lips = _phase_set(strategy, potential.periods, grid_points)
     # one arithmetic for all blocks, so that the rows do not depend on how the phases fall into blocks
     real = np.isrealobj(_phase_factors(phases, potential.dim))
     evs = np.vstack([_solve_block(potential, phases[i : i + _CHUNK], real) for i in range(0, len(phases), _CHUNK)])
@@ -341,8 +346,8 @@ def band_spectrum(
     ordered eigenvalues of the two, up to eigensolver error.
 
     strategy="grid": ``grid_points`` equispaced phases per axis (one of each
-    conjugate pair); the error bound adds the Lipschitz term (sum_j 4*pi) *
-    half grid spacing.
+    conjugate pair); the error bound adds the Lipschitz term
+    sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
 
     strategy=None: exact_1d in one dimension, grid otherwise.
     """
@@ -415,7 +420,7 @@ def estimate_measure_via_fibers(
     dim = potentials[0].dim
     if any(v.dim != dim for v in potentials):
         raise ValueError("potentials must share a dimension")
-    _phase_set(strategy, dim, grid_points)  # a bad strategy fails before any solve
+    _phase_set(strategy, potentials[0].periods, grid_points)  # a bad strategy fails before any solve
 
     proxy = deltas == "proxy"
     if not proxy:

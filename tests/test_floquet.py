@@ -85,9 +85,9 @@ def use_complex_full_sweep(monkeypatch):
     phase of the measure pipeline solved on its own."""
     phase_set = floquet._phase_set
 
-    def full_phase_set(strategy, dim, grid_points):
-        phases, lips = phase_set(strategy, dim, grid_points)
-        return (phases if lips == 0.0 else full_mesh(int(grid_points), dim)), lips
+    def full_phase_set(strategy, periods, grid_points):
+        phases, lips = phase_set(strategy, periods, grid_points)
+        return (phases if lips == 0.0 else full_mesh(int(grid_points), len(periods))), lips
 
     def dense_solve(v, phases, real=None):  # complex, whatever arithmetic the sweep picked
         return np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
@@ -296,20 +296,23 @@ class TestEigenvalues:
             eigenvalues(np.zeros((2, 3)))
 
     def test_lipschitz_in_phase(self):
+        # gauge-spread bound: moving phi_j by t moves every ordered eigenvalue by at most 4 sin(pi t / p_j)
         rng = np.random.default_rng(33)
-        for _ in range(25):
-            v = random_potential(rng, dim=1, max_period=12)
-            p1, p2 = rng.uniform(0, 1, size=2)
-            gap = min(abs(p1 - p2), 1 - abs(p1 - p2))
-            diff = np.abs(fiber_eigenvalues(v, p1) - fiber_eigenvalues(v, p2))
-            assert diff.max() <= 4 * math.pi * gap + 1e-9
-        for _ in range(8):
-            v = random_potential(rng, dim=2, max_period=4)
-            a = rng.uniform(0, 1, size=2)
-            b = rng.uniform(0, 1, size=2)
-            gap = max(min(abs(x - y), 1 - abs(x - y)) for x, y in zip(a, b))
-            diff = np.abs(fiber_eigenvalues(v, a) - fiber_eigenvalues(v, b))
-            assert diff.max() <= 4 * math.pi * 2 * gap + 1e-9
+        cells = [random_potential(rng, dim=1, max_period=12) for _ in range(25)]
+        cells += [random_potential(rng, dim=2, max_period=4) for _ in range(10)]
+        for periods in [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 5)]:
+            cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
+            cells.append(PeriodicPotential(dim=len(periods), periods=periods, cell=cell))
+        for v in cells:
+            for step in range(8):
+                a = rng.uniform(0, 1, size=v.dim)
+                b = rng.uniform(0, 1, size=v.dim)
+                if step % 2:  # along one axis only
+                    b = np.where(np.arange(v.dim) == rng.integers(v.dim), b, a)
+                t = np.minimum(np.abs(a - b), 1 - np.abs(a - b))
+                bound = sum(4 * math.sin(math.pi * tj / p) for tj, p in zip(t, v.periods))
+                diff = np.abs(fiber_eigenvalues(v, a) - fiber_eigenvalues(v, b))
+                assert diff.max() <= bound + _solver_bound(v)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +366,9 @@ class TestBandSpectrum:
                 assert abs(b - d) <= grid.error_bound
 
     def test_grid_error_bound_value(self):
-        v = free_potential(2, (2, 2))
+        v = free_potential(2, (2, 5))
         bs = band_spectrum(v, strategy="grid", grid_points=32)
-        lips = 4 * math.pi * 2 / (2 * 32)
+        lips = 4 * math.pi / (2 * 32 * 2) + 4 * math.pi / (2 * 32 * 5)
         assert bs.error_bound == pytest.approx(lips, rel=1e-6)
 
     def test_exact_strategy_rejects_2d(self):
@@ -406,9 +409,10 @@ class TestConjugateHalvedGrid:
 
     @pytest.mark.parametrize("dim,m", CASES)
     def test_one_phase_of_each_conjugate_pair(self, dim, m):
-        phases, lips = _phase_set("grid", dim, m)
+        periods = (3, 5)[:dim]
+        phases, lips = _phase_set("grid", periods, m)
         assert len(phases) == (m**dim + (2**dim if m % 2 == 0 else 1)) // 2
-        assert lips == 4.0 * math.pi * dim / (2.0 * m)
+        assert lips == sum(4.0 * math.pi / (2.0 * m * p) for p in periods)
         k = {tuple(x) for x in np.rint(phases * m).astype(int)}
         conj = {tuple(-np.array(x) % m) for x in k}
         mesh = {tuple(x) for x in np.rint(full_mesh(m, dim) * m).astype(int)}
@@ -424,7 +428,7 @@ class TestConjugateHalvedGrid:
             bs = band_spectrum(v, strategy="grid", grid_points=m)
             mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
             np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
-            assert bs.error_bound == 4.0 * math.pi * dim / (2.0 * m) + _solver_bound(v)
+            assert bs.error_bound == sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) + _solver_bound(v)
 
 
 @pytest.fixture
@@ -609,7 +613,7 @@ class TestSweepReuse:
         pots = [free_potential(2, (p, p)) for p in (1, 2, 3)]
         estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy", grid_points=8)
         assert {s for s, _, _ in solved} == {"dense"}
-        assert sum(c for _, c, _ in solved) == (len(_phase_set("grid", 2, 8)[0]) + extra) * len(pots)
+        assert sum(c for _, c, _ in solved) == (len(_phase_set("grid", (1, 1), 8)[0]) + extra) * len(pots)
 
     def test_reused_rows_match_fresh_solves(self):
         rng = np.random.default_rng(41)
