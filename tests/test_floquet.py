@@ -457,7 +457,7 @@ class TestSplitBlocks:
             solved.clear()
             phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: a full block and a tail of 2
             if workers is not None:  # the tail has fewer phases than workers, so one slice is empty
-                assert [c for _, c, _ in solved] == [43, 43, 42, 1, 1, 0]
+                assert sorted(c for _, c, _ in solved) == [0, 1, 1, 42, 43, 43]  # slices of 128 and 2 phases
             whole = np.linalg.eigvalsh(_fibers(v, phases, real=False))
             np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
             phi = tuple(rng.uniform(0, 1, size=2))
