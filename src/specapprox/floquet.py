@@ -20,9 +20,9 @@ storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
 in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
 3 x q upper band storage and solved by LAPACK's banded eigensolver
 (scipy.linalg.eigvals_banded): O(q) memory and no q x q matrix.  2-d
-fibers are dense q x q stacks, solved by batched eigvalsh, each block split
-across as many threads as numpy's BLAS has while BLAS is pinned to one
-thread: BLAS threads buy nothing inside solves this small.
+fibers are dense q x q stacks solved by batched eigvalsh; a sweep streams
+small blocks of them through one worker thread per thread of numpy's BLAS,
+with BLAS pinned to one thread: BLAS threads buy nothing in solves this small.
 
 The two evaluation strategies are phase sets.  For d = 1 the band edges are
 attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
@@ -55,14 +55,7 @@ from decimal import Decimal
 import numpy as np
 
 from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, measure, report_row
-from .intervals import (
-    IntervalSet,
-    InvalidRadiusError,
-    fatten,
-    hausdorff_distance,
-    interval_union,
-    normalize,
-)
+from .intervals import IntervalSet, InvalidRadiusError, fatten, hausdorff_distance, interval_union, normalize
 
 HERMITICITY_TOL = 1e-12
 # Backward-stable dense eigensolver: eigenvalue error is a small multiple of
@@ -70,8 +63,8 @@ HERMITICITY_TOL = 1e-12
 # for the matrix sizes in scope (q <= a few thousand).
 SOLVER_TOL_FACTOR = 1e-12
 
-# Phases solved per block: a dense 2-d block holds _CHUNK * q^2 * 16 bytes.
-_CHUNK = 128
+# Phases per block: a 2-d sweep holds at most workers * _CHUNK * q^2 * 16 bytes of fibers.
+_CHUNK = 8
 
 # Grid points per axis of the grid strategy when a caller names none.
 DEFAULT_GRID_POINTS = 64
@@ -209,7 +202,6 @@ def _band_storage(potential: PeriodicPotential, phases, real: bool | None = None
     """
     z = _phase_factors(phases, 1, real)
     q = potential.q
-    check_fiber_stack(q, len(z), z.itemsize, banded=True)
     u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
     sites = np.arange(q)
     pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
@@ -249,7 +241,7 @@ def eigenvalues(matrix) -> np.ndarray:
 
 def fiber_eigenvalues(potential: PeriodicPotential, phase) -> np.ndarray:
     """Sorted eigenvalues of the fiber at the given phase(s), solved as the band sweep solves it."""
-    return _solve_block(potential, [_phase_tuple(phase, potential.dim)])[0]
+    return _solve_phases(potential, [_phase_tuple(phase, potential.dim)])[0]
 
 
 def bandwidth_bound(periods) -> float:
@@ -281,25 +273,33 @@ def _blas_threads():
 
 
 def _solve_block(potential, phase_block, real: bool | None = None):
-    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d; in 2-d a batched dense
-    stack, split into as many slices as numpy's BLAS has threads and solved on as many threads
-    (eigvalsh releases the GIL) with BLAS pinned to one thread meanwhile, rows kept in order.
-    With one BLAS thread, or none found, the builtin map solves the one slice."""
+    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d, one batched dense eigvalsh in 2-d."""
     if potential.dim == 2:
-        from concurrent.futures import ThreadPoolExecutor
-
-        stack = _fibers(potential, phase_block, real)
-        get, put = _blas_threads() or (lambda: 1, lambda n: None)
-        n = get()
-        put(1)
-        try:
-            with ThreadPoolExecutor(n) if n > 1 else nullcontext() as pool:
-                return np.vstack(list((pool.map if pool else map)(np.linalg.eigvalsh, np.array_split(stack, n))))
-        finally:
-            put(n)
+        return np.linalg.eigvalsh(_fibers(potential, phase_block, real))
     from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
 
     return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block, real)])
+
+
+def _solve_phases(potential, phases):
+    """Eigenvalue rows at the k x d ``phases``, in order, in one arithmetic so that no row depends on
+    how the phases fall into blocks of _CHUNK.  In 2-d each block is built and solved by one of as many
+    worker threads as numpy's BLAS has (eigvalsh releases the GIL), with BLAS pinned to one thread
+    meanwhile.  What the workers can hold at once is charged before any fiber is built."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    z = _phase_factors(phases, potential.dim)
+    get, put = (_blas_threads() if potential.dim == 2 else None) or (lambda: 1, lambda n: None)
+    n = get()
+    check_fiber_stack(potential.q, min(len(z), n * _CHUNK), z.itemsize, banded=potential.dim == 1)
+    blocks = [phases[i : i + _CHUNK] for i in range(0, len(phases), _CHUNK)]
+    put(1)
+    try:
+        with ThreadPoolExecutor(n) if n > 1 else nullcontext() as pool:
+            rows = (pool.map if pool else map)(lambda block: _solve_block(potential, block, np.isrealobj(z)), blocks)
+            return np.vstack(list(rows))
+    finally:
+        put(n)
 
 
 def _phase_set(strategy: str | None, periods, grid_points: int):
@@ -326,9 +326,7 @@ def _phase_set(strategy: str | None, periods, grid_points: int):
 def _band_sweep(potential, strategy, grid_points):
     """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
     phases, lips = _phase_set(strategy, potential.periods, grid_points)
-    # one arithmetic for all blocks, so that the rows do not depend on how the phases fall into blocks
-    real = np.isrealobj(_phase_factors(phases, potential.dim))
-    evs = np.vstack([_solve_block(potential, phases[i : i + _CHUNK], real) for i in range(0, len(phases), _CHUNK)])
+    evs = _solve_phases(potential, phases)
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
     return phases, evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,11 +398,12 @@ class TestBandSpectrum:
 
     def test_chunked_sweep_equals_one_block(self):
         v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)
-        # at 256 points the second block is phi = 1/2 alone, real on its own but not in this sweep
+        # at 256 points the last block is phi = 1/2 alone, real on its own but not in this sweep
         for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258), (v1, 256)]:
             phases, evs, _ = _band_sweep(v, "grid", grid_points)
-            assert _CHUNK < len(phases) <= 2 * _CHUNK  # two blocks
+            assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
             np.testing.assert_array_equal(evs, _solve_block(v, phases))
+        assert len(phases) % _CHUNK == 1 and phases[-1].tolist() == [0.5]
 
 
 class TestConjugateHalvedGrid:
@@ -444,8 +446,9 @@ def blas_threads():
 
 
 class TestSplitBlocks:
-    """A 2-d block is split into as many slices as numpy's BLAS has threads,
-    solved on as many threads with BLAS pinned to one thread meanwhile."""
+    """A 2-d sweep is streamed in blocks of _CHUNK phases, each built and solved
+    by one of as many worker threads as numpy's BLAS has, with BLAS pinned to
+    one thread meanwhile."""
 
     @pytest.mark.parametrize("workers", [None, 3])  # None: as many as BLAS has here
     def test_rows_equal_one_unsplit_solve(self, monkeypatch, solved, workers):
@@ -455,14 +458,34 @@ class TestSplitBlocks:
         for _ in range(3):
             v = random_potential(rng, dim=2, max_period=4)
             solved.clear()
-            phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: a full block and a tail of 2
-            if workers is not None:  # the tail has fewer phases than workers, so one slice is empty
-                assert sorted(c for _, c, _ in solved) == [0, 1, 1, 42, 43, 43]  # slices of 128 and 2 phases
+            phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: 16 full blocks and a tail of 2
+            assert sorted(c for _, c, _ in solved) == [2] + [_CHUNK] * 16  # whatever the worker count
             whole = np.linalg.eigvalsh(_fibers(v, phases, real=False))
             np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
             phi = tuple(rng.uniform(0, 1, size=2))
             one = np.linalg.eigvalsh(_fibers(v, [phi]))[0]
             np.testing.assert_allclose(fiber_eigenvalues(v, phi), one, rtol=0, atol=_solver_bound(v))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_streamed_rows_equal_one_stacked_solve(self, monkeypatch, workers):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        builders = set()
+        fibers = floquet._fibers
+
+        def recording(*args):
+            builders.add(threading.get_ident())
+            return fibers(*args)
+
+        monkeypatch.setattr(floquet, "_fibers", recording)
+        rng = np.random.default_rng(72)
+        # 5, 145, 545, 4 (all real) and 13 phases: one short block, or full blocks and a tail
+        for periods, m in [((3, 5), 3), ((1, 7), 17), ((2, 2), 33), ((5, 4), 2), ((12, 12), 5)]:
+            v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
+            builders.clear()
+            phases, evs, _ = _band_sweep(v, "grid", m)
+            assert (threading.get_ident() in builders) == (workers == 1)  # the workers build their own blocks
+            real = np.isin(phases, (0.0, 0.5)).all()
+            np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, phases, real)))
 
     def test_blas_pinned_to_one_thread_and_restored(self, monkeypatch, blas_threads):
         get, put = blas_threads
@@ -694,8 +717,15 @@ class TestFiberSizeGuard:
         assert _fibers(v, [[0.0, 0.5], [0.5, 0.0]]).shape == (2, 10, 10)  # two real fibers fit
         with pytest.raises(ValueError, match=r"need 3\.200e\+3 bytes"):
             _fibers(v, [[0.25, 0.0], [0.5, 0.5]])  # two complex ones do not
+        # a sweep is charged what its workers can hold at once, before any fiber is built or BLAS pinned
+        pinned = []
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, pinned.append))
+        monkeypatch.setattr(floquet, "_fibers", None)
         with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=4)  # 10 phases in one complex block
+            band_spectrum(v, strategy="grid", grid_points=4)  # 10 complex phases, fewer than 3 blocks
+        with pytest.raises(ValueError, match=r"need 3\.840e\+4 bytes"):
+            band_spectrum(v, strategy="grid", grid_points=8)  # 34 complex phases, 3 blocks of 8 at once
+        assert pinned == []
 
     def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
@@ -710,6 +740,23 @@ class TestFiberSizeGuard:
             band_spectrum(v, strategy="grid", grid_points=4)  # three complex ones do not
         with pytest.raises(ValueError, match=r"need 7\.200e\+3 bytes"):
             free_potential(1, 300)
+
+
+class TestSweepMemory:
+    def test_sweep_holds_only_the_workers_blocks(self, monkeypatch):
+        workers = 2
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        rng = np.random.default_rng(80)
+        v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
+        expect = band_spectrum(v, strategy="grid", grid_points=16)  # 130 phases; imports and caches come first
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            assert band_spectrum(v, strategy="grid", grid_points=16) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (workers * _CHUNK + 2) * v.q**2 * 16  # the workers' blocks, the rows and their stack
+        assert peak < 130 * v.q**2 * 16 / 4  # far below the sweep's 130 fibers held at once
 
 
 def fibonacci_trace(level, coupling, e):
