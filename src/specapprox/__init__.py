@@ -62,7 +62,6 @@ from .models import (
     cantor_approximation,
     convergents,
     fibonacci_potential,
-    fibonacci_word,
     free_potential,
     grid_approximation,
 )

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import convergence, dimension, floquet, models
-from .intervals import hausdorff_distance, set_from_obj
+from .intervals import _is_real, hausdorff_distance, set_from_obj
 
 
 class ConfigError(ValueError):
@@ -96,7 +96,7 @@ def _int(value, key: str):
 
 def _real(value, key: str) -> float:
     """``value`` as a float; refuses booleans, strings and ints beyond the float range, which float() takes."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+    if _is_real(value):
         return float(value)
     raise ConfigError(f"{key} must be a real number, got {value!r}")
 

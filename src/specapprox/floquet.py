@@ -81,13 +81,15 @@ class NotHermitianError(ValueError):
 class PeriodicPotential:
     """Real potential sampled over one fundamental cell.
 
-    ``cell`` holds the values over the cell prod(periods) in row-major
-    order: for d = 2 the site (n1, n2) has index n1 * periods[1] + n2.
+    ``cell`` is a read-only float64 array of the values over the cell
+    prod(periods) in row-major order: for d = 2 the site (n1, n2) has index
+    n1 * periods[1] + n2.  A float64 array is taken as it is, not copied,
+    and made read-only.
     """
 
     dim: int
     periods: tuple[int, ...]
-    cell: tuple[float, ...]
+    cell: np.ndarray
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -96,10 +98,17 @@ class PeriodicPotential:
             raise ValueError("need one period per axis")
         if any(p < 1 or p != int(p) for p in self.periods):
             raise ValueError("periods must be positive integers")
-        if len(self.cell) != self.q:
-            raise ValueError(f"cell must hold {self.q} values, got {len(self.cell)}")
-        if any(not math.isfinite(v) for v in self.cell):
+        cell = np.asarray(self.cell, dtype=float)
+        if cell.shape != (self.q,):
+            raise ValueError(f"cell must hold {self.q} values, got {cell.size}")
+        if not np.isfinite(cell).all():
             raise ValueError("cell values must be finite")
+        cell.flags.writeable = False
+        object.__setattr__(self, "cell", cell)
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self) and (self.dim, self.periods) == (other.dim, other.periods)
+        return same and np.array_equal(self.cell, other.cell)
 
     @property
     def q(self) -> int:
@@ -142,14 +151,12 @@ def check_fiber_stack(q, count: int = 1, itemsize: int = 8, banded: bool = False
     return check_bytes(count * rows * q * itemsize, f"{count} {'banded' if banded else 'dense'} {rows} x {q} fiber(s)")
 
 
-def _phase_factors(phases, dim: int, real: bool | None = None) -> np.ndarray:
-    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when ``real``, by default when
-    every phase is 0 or 1/2, where z = +-1 is the real part of the complex z."""
+def _phase_factors(phases, dim: int) -> np.ndarray:
+    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when every phase is 0 or 1/2,
+    where z = +-1 is the real part of the complex z."""
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     z = np.exp(2j * np.pi * phases)
-    if real is None:
-        real = np.isin(phases, (0.0, 0.5)).all()
-    return z.real if real else z
+    return z.real if np.isin(phases, (0.0, 0.5)).all() else z
 
 
 def _hops(potential: PeriodicPotential, z):
@@ -178,11 +185,9 @@ def _hops(potential: PeriodicPotential, z):
             yield dst, src, np.conj(zj)
 
 
-def _fibers(potential: PeriodicPotential, phases, real: bool | None = None) -> np.ndarray:
-    """Stack of Hermitian q x q fibers, one per row of the k x d ``phases``;
-    real when ``real`` (by default when every phase is 0 or 1/2), so that it
-    is the real part of the complex stack."""
-    z = _phase_factors(phases, potential.dim, real)
+def _fibers(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
+    """Stack of Hermitian q x q fibers, one per row of the k x d phase factors ``z``,
+    in their dtype: real factors +-1 give the real part of the complex stack."""
     check_fiber_stack(potential.q, len(z), z.itemsize)
     diag = np.arange(potential.q)
     h = np.zeros((len(z), potential.q, potential.q), dtype=z.dtype)
@@ -192,15 +197,14 @@ def _fibers(potential: PeriodicPotential, phases, real: bool | None = None) -> n
     return h
 
 
-def _band_storage(potential: PeriodicPotential, phases, real: bool | None = None) -> np.ndarray:
-    """Upper band storage of the 1-d fibers at the k ``phases``, k x (u+1) x q.
+def _band_storage(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
+    """Upper band storage of the 1-d fibers with the k x 1 phase factors ``z``, k x (u+1) x q.
 
     The sites are taken in zig-zag order 0, q-1, 1, q-2, ...: the ring's
     hops then reach 2 positions and its wrap 1, so each fiber has u =
     min(2, q-1) bands above the diagonal, and entry (i, j), i <= j, of the
-    reordered fiber sits at row u + i - j of column j.  ``real`` is as for _fibers.
+    reordered fiber sits at row u + i - j of column j.  The dtype is as for _fibers.
     """
-    z = _phase_factors(phases, 1, real)
     q = potential.q
     u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
     sites = np.arange(q)
@@ -221,7 +225,7 @@ def build_fiber(potential: PeriodicPotential, phase) -> np.ndarray:
     carry exp(+-2*pi*i*phase_j).  Phases are reduced mod 1.  The fiber is
     float64 at phases in {0, 1/2}^d, where it is real symmetric.
     """
-    return _fibers(potential, _phase_tuple(phase, potential.dim))[0]
+    return _fibers(potential, _phase_factors(_phase_tuple(phase, potential.dim), potential.dim))[0]
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -254,7 +258,7 @@ def bandwidth_bound(periods) -> float:
 
 def _solver_bound(potential: PeriodicPotential) -> float:
     # operator norm bound: 2 per axis of hopping plus the largest potential value
-    norm = 2.0 * potential.dim + max(abs(v) for v in potential.cell)
+    norm = 2.0 * potential.dim + float(np.abs(potential.cell).max())
     return SOLVER_TOL_FACTOR * max(1.0, norm)
 
 
@@ -272,31 +276,33 @@ def _blas_threads():
     return None
 
 
-def _solve_block(potential, phase_block, real: bool | None = None):
-    """Eigenvalue rows of the fibers at a block of phases: banded in 1-d, one batched dense eigvalsh in 2-d."""
+def _solve_block(potential, z):
+    """Eigenvalue rows of the fibers with a block of phase factors: banded in 1-d, one batched dense eigvalsh in 2-d."""
     if potential.dim == 2:
-        return np.linalg.eigvalsh(_fibers(potential, phase_block, real))
+        return np.linalg.eigvalsh(_fibers(potential, z))
     from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
 
-    return np.stack([eigvals_banded(band) for band in _band_storage(potential, phase_block, real)])
+    return np.stack([eigvals_banded(band) for band in _band_storage(potential, z)])
 
 
 def _solve_phases(potential, phases):
-    """Eigenvalue rows at the k x d ``phases``, in order, in one arithmetic so that no row depends on
-    how the phases fall into blocks of _CHUNK.  In 2-d each block is built and solved by one of as many
-    worker threads as numpy's BLAS has (eigvalsh releases the GIL), with BLAS pinned to one thread
-    meanwhile.  What the workers can hold at once is charged before any fiber is built."""
+    """Eigenvalue rows at the k x d ``phases``, in order.  Their phase factors are computed once and
+    sliced into blocks of _CHUNK, so no row depends on how the phases fall into blocks.  In 2-d each
+    block is built and solved by one of as many worker threads as numpy's BLAS has (eigvalsh releases
+    the GIL), with BLAS pinned to one thread meanwhile.  What the workers can hold at once, and the
+    rows, held as blocks and as their stack, are charged before any fiber is built."""
     from concurrent.futures import ThreadPoolExecutor
 
     z = _phase_factors(phases, potential.dim)
     get, put = (_blas_threads() if potential.dim == 2 else None) or (lambda: 1, lambda n: None)
     n = get()
     check_fiber_stack(potential.q, min(len(z), n * _CHUNK), z.itemsize, banded=potential.dim == 1)
-    blocks = [phases[i : i + _CHUNK] for i in range(0, len(phases), _CHUNK)]
+    check_bytes(2 * len(z) * potential.q * 8, f"{len(z)} eigenvalue rows of {potential.q} and their stack")
+    blocks = [z[i : i + _CHUNK] for i in range(0, len(z), _CHUNK)]
     put(1)
     try:
         with ThreadPoolExecutor(n) if n > 1 else nullcontext() as pool:
-            rows = (pool.map if pool else map)(lambda block: _solve_block(potential, block, np.isrealobj(z)), blocks)
+            rows = (pool.map if pool else map)(lambda block: _solve_block(potential, block), blocks)
             return np.vstack(list(rows))
     finally:
         put(n)
@@ -304,7 +310,7 @@ def _solve_phases(potential, phases):
 
 def _phase_set(strategy: str | None, periods, grid_points: int):
     """Phases (k x d) a strategy solves for a cell of these periods and its Lipschitz
-    term; None is exact_1d in 1-d, else grid."""
+    term; None is exact_1d in 1-d, else grid.  A grid's index array is charged before it is built."""
     dim = len(periods)
     if strategy is None:
         strategy = "exact_1d" if dim == 1 else "grid"
@@ -316,6 +322,7 @@ def _phase_set(strategy: str | None, periods, grid_points: int):
         m = int(grid_points)
         if m < 2:
             raise ValueError("grid strategy needs at least 2 points per axis")
+        check_bytes(8 * dim * m**dim, f"the int64 indices of the {m}^{dim} phase grid")
         # spec H(-phi) = spec H(phi): keep the index vector k of each pair {k, -k mod m} that comes first
         k = np.indices((m,) * dim).reshape(dim, -1)
         keep = np.arange(m**dim) <= np.ravel_multi_index(-k % m, (m,) * dim)
@@ -333,7 +340,7 @@ def _band_sweep(potential, strategy, grid_points):
 
 def band_spectrum(
     potential: PeriodicPotential,
-    strategy: str | None = "exact_1d",
+    strategy: str | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> BandSpectrum:
     """Band intervals of the periodic operator: the per-index min/max of the
@@ -347,7 +354,7 @@ def band_spectrum(
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
 
-    strategy=None: exact_1d in one dimension, grid otherwise.
+    strategy=None, the default: exact_1d in one dimension, grid otherwise.
     """
     return _band_sweep(potential, strategy, grid_points)[2]
 

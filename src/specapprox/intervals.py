@@ -19,6 +19,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 class EmptySetError(ValueError):
     """An operation produced or received an empty set."""
@@ -106,11 +108,7 @@ CompactSet = IntervalSet | PointSet
 
 def point_set(values) -> PointSet:
     """Sort values and drop repeats, then build a PointSet."""
-    kept = []  # a loop, not np.unique, which raises the peak memory of large grids
-    for v in sorted(float(x) for x in values):
-        if not kept or v > kept[-1]:
-            kept.append(v)
-    return PointSet(kept)
+    return PointSet(np.unique(np.fromiter(values, dtype=float)))
 
 
 def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -218,19 +216,18 @@ def set_to_obj(a: CompactSet):
     return a.lows.tolist() if isinstance(a, PointSet) else np.column_stack((a.lows, a.highs)).tolist()
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_real(x) -> bool:
+    """Whether a JSON value is a real number: an int or a float, not a bool, that a float holds.
+    NaN, infinities and ints beyond the float range, which float() would overflow on, are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
 def set_from_obj(obj) -> CompactSet:
-    """Parse the JSON form; a flat list of numbers is a point set."""
+    """Parse the JSON form; a flat list of real numbers is a point set."""
     if not isinstance(obj, list) or not obj:
         raise EmptySetError("compact set JSON must be a nonempty list")
-    if all(_is_number(x) for x in obj):
+    if all(_is_real(x) for x in obj):
         return point_set(obj)
-    if all(
-        isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(e) for e in x)
-        for x in obj
-    ):
+    if all(isinstance(x, (list, tuple)) and len(x) == 2 and _is_real(x[0]) and _is_real(x[1]) for x in obj):
         return normalize(obj)
-    raise ValueError("compact set JSON must be a list of numbers or of [lo, hi] pairs")
+    raise ValueError("compact set JSON must be a list of real numbers or of [lo, hi] pairs of them")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential, check_bytes, check_fiber_stack
-from .intervals import IntervalSet, PointSet, normalize, point_set
+from .intervals import IntervalSet, PointSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
@@ -62,7 +62,7 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
     periods = tuple(int(p) for p in periods)
     q = math.prod(periods)
     check_fiber_stack(q, banded=dim == 1)  # before the cell: any solve of it needs at least one real fiber
-    return PeriodicPotential(dim=dim, periods=periods, cell=(0.0,) * q)
+    return PeriodicPotential(dim=dim, periods=periods, cell=np.zeros(q))
 
 
 def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicPotential:
@@ -79,9 +79,10 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
         frequency = Fraction(int(p), int(q))
     q = frequency.denominator
     check_fiber_stack(q, banded=True)  # before the cell, as in free_potential
-    cell = tuple(
-        2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset))
-        for n in range(q)
+    cell = np.fromiter(
+        (2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset)) for n in range(q)),
+        dtype=float,
+        count=q,
     )
     return PeriodicPotential(dim=1, periods=(q,), cell=cell)
 
@@ -92,35 +93,28 @@ def _word_length(level: int) -> Decimal:
     return (((1 + root5) / 2) ** (level + 1) / root5).to_integral_value()
 
 
-def fibonacci_word(level: int) -> str:
-    """Substitution a -> ab, b -> a, starting from "a" at level 1.
+def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
+    """Periodized Fibonacci substitution word, a -> coupling, b -> 0.
 
-    A word that would not fit in memory is refused before it is built: the
-    last join holds both halves and the new word, a measured 2 bytes per letter.
+    The level-n word w_n = w_{n-1} w_{n-2} (w_1 = a, w_2 = ab) has F_{n+1}
+    letters, about golden^(n+1) / sqrt(5); a level whose banded fiber would
+    not fit in memory is refused before its cell is allocated.  The cell is
+    filled in place: w_{n-2} is a prefix of w_{n-1}, so each level appends a
+    copy of a prefix of what is already there.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     with localcontext(_SIZES):
         letters = _word_length(level)
-        check_bytes(2 * letters, f"the {letters} letters of Fibonacci level {level}")
-    word, prev = "a", "b"
-    for _ in range(level - 1):
-        word, prev = word + prev, word
-    return word
-
-
-def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
-    """Periodized Fibonacci substitution word, a -> coupling, b -> 0.
-
-    The level-n word w_n = w_{n-1} w_{n-2} (w_1 = a, w_0 = b) has F_{n+1}
-    letters, about golden^(n+1) / sqrt(5); a level whose banded fiber would
-    not fit in memory is refused before its word is built.
-    """
-    with localcontext(_SIZES):
-        check_fiber_stack(_word_length(level), banded=True)
-    word = fibonacci_word(level)
-    cell = tuple(coupling if c == "a" else 0.0 for c in word)
-    return PeriodicPotential(dim=1, periods=(len(word),), cell=cell)
+        check_fiber_stack(letters, banded=True)
+    q = int(letters)
+    cell = np.empty(q)
+    cell[:2] = (coupling, 0.0)[:q]
+    done, prev = 2, 1
+    while done < q:
+        cell[done : done + prev] = cell[:prev]
+        done, prev = done + prev, done
+    return PeriodicPotential(dim=1, periods=(q,), cell=cell)
 
 
 def cantor_approximation(level: int) -> ApproximationRecord:
@@ -155,15 +149,13 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
     alpha = None if solid_to is None else float(solid_to)
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("solid_to must lie in (0, 1]")
-    # measured peaks: 32 bytes per point for the list, then 19 per point for the
-    # point set, or 138 per welded-on point j/n > alpha for the interval set
-    set_bytes = 19 * (n + 1) if alpha is None else 138 * (n - math.floor(alpha * n))
-    check_bytes(32 * (n + 1) + set_bytes, f"the {n + 1} points of grid level {n}")
-    pts = [j / n for j in range(n + 1)]
+    # measured peaks: 19 bytes per point for the grid, its point set and the set's checks, or 17 per
+    # point plus 58 per point j/n > alpha welded on, whose intervals are merged
+    above = 0 if alpha is None else n - math.floor(alpha * n)
+    check_bytes(24 * (n + 1) + 64 * above, f"the {n + 1} points of grid level {n}")
     delta = 1.0 / (2.0 * n)
     if alpha is None:
-        a: PointSet | IntervalSet = point_set(pts)
-    else:
-        raw = [(0.0, alpha)] + [(x, x) for x in pts if x > alpha]
-        a = normalize(raw)
-    return ApproximationRecord.from_set(a, delta)
+        return ApproximationRecord.from_set(PointSet(np.arange(n + 1) / n), delta)
+    pts = np.arange(n + 1) / n
+    welded = pts[pts > alpha]
+    return ApproximationRecord.from_set(interval_union(np.append(0.0, welded), np.append(alpha, welded)), delta)

@@ -156,6 +156,14 @@ class TestHausdorff:
         b = write_json(tmp_path / "b.json", [0.0])
         assert main(["hausdorff", a, b]) == 2
 
+    # float() overflowed on each of these integers (exit 1)
+    @pytest.mark.parametrize("obj", [[10**400, 1], [[0, 10**400]]], ids=["point", "pair"])
+    def test_integer_beyond_the_float_range_rejected(self, tmp_path, capsys, obj):
+        a = write_json(tmp_path / "a.json", obj)
+        b = write_json(tmp_path / "b.json", [0.0])
+        assert main(["hausdorff", a, b]) == 2
+        assert "must be a list of real numbers" in capsys.readouterr().err
+
     def test_empty_set_rejected(self, tmp_path):
         a = write_json(tmp_path / "a.json", [])
         b = write_json(tmp_path / "b.json", [0.0])
@@ -386,6 +394,23 @@ class TestBandsCommand:
         )
         assert main(["bands", "--config", cfg]) == 2
         assert "1 banded 3 x 2504730781961 fiber(s) need 6.011e+13 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "bands.csv").exists()
+
+    def test_oversize_phase_grid_refused_before_its_indices(self, tmp_path, capsys, monkeypatch):
+        def no_indices(*args, **kwargs):
+            raise AssertionError("the phase grid was built")
+
+        monkeypatch.setattr(np, "indices", no_indices)
+        cfg = write_json(
+            tmp_path / "bands.json",
+            {
+                "model": {"name": "potential", "dim": 2, "periods": [1, 1], "cell": [0]},
+                "grid_points": 100000,
+                "output_csv": str(tmp_path / "bands.csv"),
+            },
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "the int64 indices of the 100000^2 phase grid need 1.600e+11 bytes" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_free_period_four(self, tmp_path, capsys):

@@ -34,6 +34,7 @@ from specapprox.floquet import (
     _band_storage,
     _band_sweep,
     _fibers,
+    _phase_factors,
     _phase_set,
     _solve_block,
     _solved_row,
@@ -90,11 +91,11 @@ def use_complex_full_sweep(monkeypatch):
         phases, lips = phase_set(strategy, periods, grid_points)
         return (phases if lips == 0.0 else full_mesh(int(grid_points), len(periods))), lips
 
-    def dense_solve(v, phases, real=None):  # complex, whatever arithmetic the sweep picked
-        return np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in np.reshape(phases, (-1, v.dim))]))
+    def dense_solve(v, phases):  # complex, whatever arithmetic the sweep would pick
+        return np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in np.reshape(phases, (-1, v.dim))])
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
-    monkeypatch.setattr(floquet, "_solve_block", dense_solve)
+    monkeypatch.setattr(floquet, "_solve_phases", dense_solve)
     monkeypatch.setattr(floquet, "_solved_row", lambda sweep, phi: None)
 
 
@@ -127,7 +128,7 @@ class TestHopAssembly:
             cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
             v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
             phases = [np.full(dim, t) for t in (0.0, 0.5, 0.25)] + list(rng.uniform(0, 1, size=(3, dim)))
-            stack = _fibers(v, phases)
+            stack = _fibers(v, _phase_factors(phases, dim))
             assert stack.shape == (len(phases), v.q, v.q)
             for m, phi in zip(stack, phases):
                 np.testing.assert_array_equal(m, dense_fiber(v, phi))
@@ -151,34 +152,36 @@ class TestBandStorage:
             v = PeriodicPotential(dim=1, periods=(q,), cell=tuple(float(x) for x in rng.uniform(-3, 3, size=q)))
             for phases in ([[0.0], [0.5]], [[0.0], [0.5], [rng.uniform(0, 1)], [0.25]]):
                 order = zigzag(q)
-                dense = _fibers(v, phases)[:, order][:, :, order]
+                z = _phase_factors(phases, 1)
+                dense = _fibers(v, z)[:, order][:, :, order]
                 u = min(2, q - 1)
                 i, j = np.triu_indices(q)
                 near = j - i <= u
                 assert not dense[:, i[~near], j[~near]].any()  # bandwidth u in zig-zag order
                 ref = np.zeros((len(phases), u + 1, q), dtype=dense.dtype)
                 ref[:, u + i[near] - j[near], j[near]] = dense[:, i[near], j[near]]
-                band = _band_storage(v, phases)
+                band = _band_storage(v, z)
                 assert band.dtype == dense.dtype
                 np.testing.assert_array_equal(band.view(np.uint64), ref.view(np.uint64))
 
     def test_banded_eigenvalues_match_dense(self):
         rng = np.random.default_rng(71)
-        phases = [[0.0], [0.3], [0.5]]
+        z = _phase_factors([[0.0], [0.3], [0.5]], 1)
         pots = [random_potential(rng, dim=1, max_period=32) for _ in range(60)]
         pots += [fibonacci_potential(n, c) for n in range(1, 14) for c in (1.0, 2.5)]
         for v in pots:
-            dense = np.linalg.eigvalsh(_fibers(v, phases))
-            np.testing.assert_allclose(_solve_block(v, phases), dense, rtol=0, atol=_solver_bound(v))
+            dense = np.linalg.eigvalsh(_fibers(v, z))
+            np.testing.assert_allclose(_solve_block(v, z), dense, rtol=0, atol=_solver_bound(v))
         for n in (14, 15, 16):  # real fibers only: the dense complex solve at q = 1597 is slow
             v = fibonacci_potential(n, 2.0)
-            dense = np.linalg.eigvalsh(_fibers(v, [[0.0], [0.5]]))
-            np.testing.assert_allclose(_solve_block(v, [[0.0], [0.5]]), dense, rtol=0, atol=_solver_bound(v))
+            z = _phase_factors([[0.0], [0.5]], 1)
+            dense = np.linalg.eigvalsh(_fibers(v, z))
+            np.testing.assert_allclose(_solve_block(v, z), dense, rtol=0, atol=_solver_bound(v))
 
     def test_period_one_storage_has_one_row(self):
         # a 1 x 1 fiber stored in more than one row comes back from eigvals_banded as [0.]
         v = PeriodicPotential(dim=1, periods=(1,), cell=(2.7,))
-        assert _band_storage(v, [[0.0], [0.3]]).shape == (2, 1, 1)
+        assert _band_storage(v, _phase_factors([[0.0], [0.3]], 1)).shape == (2, 1, 1)
         for phi in (0.0, 0.3, 0.5):
             assert fiber_eigenvalues(v, phi) == pytest.approx([2.7 + 2 * math.cos(2 * math.pi * phi)], abs=1e-15)
 
@@ -192,7 +195,7 @@ class TestRealFibers:
             periods = tuple(p + 1 for p in periods)
             cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
             v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
-            stack = _fibers(v, corners)
+            stack = _fibers(v, _phase_factors(corners, dim))
             assert stack.dtype == np.float64
             for m, phi in zip(stack, corners):
                 ref = dense_fiber(v, phi)
@@ -200,7 +203,7 @@ class TestRealFibers:
                 assert np.abs(ref.imag).max() <= 2.5e-16  # sin(pi) rounded
                 assert build_fiber(v, phi).dtype == np.float64
             # one phase off {0, 1/2}^d makes the whole block complex
-            assert _fibers(v, corners + [np.full(dim, 0.25)]).dtype == np.complex128
+            assert _fibers(v, _phase_factors(corners + [np.full(dim, 0.25)], dim)).dtype == np.complex128
 
     def test_real_fibers_solved_in_real_arithmetic(self, solved):
         v = almost_mathieu(0.9, (3, 8))
@@ -272,6 +275,19 @@ class TestPotentialValidation:
     def test_cell_size_must_match(self):
         with pytest.raises(ValueError):
             PeriodicPotential(dim=1, periods=(3,), cell=(0.0, 0.0))
+        with pytest.raises(ValueError, match="cell must hold 4 values"):
+            PeriodicPotential(dim=2, periods=(2, 2), cell=[[0.0, 1.0], [2.0, 3.0]])
+
+    def test_cell_is_a_read_only_float64_array(self):
+        v = PeriodicPotential(dim=1, periods=(3,), cell=(1, 0.5, -2))
+        assert v.cell.dtype == np.float64 and v.cell.tolist() == [1.0, 0.5, -2.0]
+        with pytest.raises(ValueError):
+            v.cell[0] = 7.0
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicPotential(dim=1, periods=(2,), cell=(0.0, math.inf))
+        assert v == PeriodicPotential(dim=1, periods=(3,), cell=np.array([1.0, 0.5, -2.0]))
+        assert v != PeriodicPotential(dim=1, periods=(3,), cell=(1.0, 0.5, -2.5))
+        assert v != PeriodicPotential(dim=2, periods=(1, 3), cell=(1.0, 0.5, -2.0))
 
 
 class TestEigenvalues:
@@ -376,6 +392,13 @@ class TestBandSpectrum:
         with pytest.raises(ValueError):
             band_spectrum(free_potential(2, (2, 2)), strategy="exact_1d")
 
+    def test_default_strategy_follows_the_dimension(self):
+        rng = np.random.default_rng(42)
+        v = random_potential(rng, dim=2, max_period=4)
+        assert band_spectrum(v) == band_spectrum(v, strategy="grid")
+        v = random_potential(rng, dim=1, max_period=8)
+        assert band_spectrum(v) == band_spectrum(v, strategy="exact_1d")
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             band_spectrum(free_potential(1, 2), strategy="fft")
@@ -384,7 +407,7 @@ class TestBandSpectrum:
         rng = np.random.default_rng(37)
         v = random_potential(rng, dim=2, max_period=3)
         phases = [tuple(rng.uniform(0, 1, size=2)) for _ in range(5)]
-        block = _solve_block(v, phases)
+        block = _solve_block(v, _phase_factors(phases, 2))
         for row, phi in zip(block, phases):
             np.testing.assert_array_equal(row, fiber_eigenvalues(v, phi))
 
@@ -402,7 +425,7 @@ class TestBandSpectrum:
         for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258), (v1, 256)]:
             phases, evs, _ = _band_sweep(v, "grid", grid_points)
             assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
-            np.testing.assert_array_equal(evs, _solve_block(v, phases))
+            np.testing.assert_array_equal(evs, _solve_block(v, _phase_factors(phases, v.dim)))
         assert len(phases) % _CHUNK == 1 and phases[-1].tolist() == [0.5]
 
 
@@ -460,10 +483,10 @@ class TestSplitBlocks:
             solved.clear()
             phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: 16 full blocks and a tail of 2
             assert sorted(c for _, c, _ in solved) == [2] + [_CHUNK] * 16  # whatever the worker count
-            whole = np.linalg.eigvalsh(_fibers(v, phases, real=False))
+            whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
             np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
             phi = tuple(rng.uniform(0, 1, size=2))
-            one = np.linalg.eigvalsh(_fibers(v, [phi]))[0]
+            one = np.linalg.eigvalsh(_fibers(v, _phase_factors([phi], 2)))[0]
             np.testing.assert_allclose(fiber_eigenvalues(v, phi), one, rtol=0, atol=_solver_bound(v))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -484,8 +507,7 @@ class TestSplitBlocks:
             builders.clear()
             phases, evs, _ = _band_sweep(v, "grid", m)
             assert (threading.get_ident() in builders) == (workers == 1)  # the workers build their own blocks
-            real = np.isin(phases, (0.0, 0.5)).all()
-            np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, phases, real)))
+            np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2))))
 
     def test_blas_pinned_to_one_thread_and_restored(self, monkeypatch, blas_threads):
         get, put = blas_threads
@@ -714,9 +736,9 @@ class TestFiberSizeGuard:
     def test_fibers_refused_before_the_stack(self, monkeypatch):
         v = free_potential(2, (2, 5))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 10 * 10 * 8)
-        assert _fibers(v, [[0.0, 0.5], [0.5, 0.0]]).shape == (2, 10, 10)  # two real fibers fit
+        assert _fibers(v, _phase_factors([[0.0, 0.5], [0.5, 0.0]], 2)).shape == (2, 10, 10)  # two real fibers fit
         with pytest.raises(ValueError, match=r"need 3\.200e\+3 bytes"):
-            _fibers(v, [[0.25, 0.0], [0.5, 0.5]])  # two complex ones do not
+            _fibers(v, _phase_factors([[0.25, 0.0], [0.5, 0.5]], 2))  # two complex ones do not
         # a sweep is charged what its workers can hold at once, before any fiber is built or BLAS pinned
         pinned = []
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, pinned.append))
@@ -726,6 +748,31 @@ class TestFiberSizeGuard:
         with pytest.raises(ValueError, match=r"need 3\.840e\+4 bytes"):
             band_spectrum(v, strategy="grid", grid_points=8)  # 34 complex phases, 3 blocks of 8 at once
         assert pinned == []
+
+    def test_phase_grid_refused_before_its_indices(self, monkeypatch):
+        def no_indices(*args, **kwargs):
+            raise AssertionError("the phase grid was built")
+
+        monkeypatch.setattr(np, "indices", no_indices)
+        v = PeriodicPotential(dim=2, periods=(1, 1), cell=[0.0])
+        with pytest.raises(ValueError, match=r"the int64 indices of the 100000\^2 phase grid need 1\.600e\+11 bytes"):
+            band_spectrum(v, strategy="grid", grid_points=100000)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9 - 1)
+        with pytest.raises(ValueError, match=r"the int64 indices of the 9\^1 phase grid need 7\.200e\+1 bytes"):
+            _phase_set("grid", (5,), 9)
+        monkeypatch.undo()
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9)
+        assert len(_phase_set("grid", (5,), 9)[0]) == 5
+
+    def test_eigenvalue_rows_charged_before_any_fiber(self, monkeypatch):
+        # 33 complex phases of a 1-d grid of 64: 8 banded fibers at once take 3.84e4 bytes, the rows 5.28e4
+        def no_solve(*args):
+            raise AssertionError("a block was solved")
+
+        monkeypatch.setattr(floquet, "_solve_block", no_solve)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 3 * 100 * 16)
+        with pytest.raises(ValueError, match=r"33 eigenvalue rows of 100 and their stack need 5\.280e\+4 bytes"):
+            band_spectrum(free_potential(1, 100), strategy="grid", grid_points=64)
 
     def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):

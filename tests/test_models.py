@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from specapprox import (
     contains_set,
     convergents,
     fibonacci_potential,
-    fibonacci_word,
     free_potential,
     grid_approximation,
     hausdorff_distance,
@@ -62,12 +62,12 @@ class TestFreePotential:
     def test_one_dimensional(self):
         v = free_potential(1, 4)
         assert v.periods == (4,)
-        assert v.cell == (0.0,) * 4
+        assert v.cell.tolist() == [0.0] * 4
 
     def test_two_dimensional(self):
         v = free_potential(2, (2, 3))
         assert v.q == 6
-        assert v.cell == (0.0,) * 6
+        assert v.cell.tolist() == [0.0] * 6
 
 
 class TestAlmostMathieu:
@@ -100,50 +100,54 @@ class TestAlmostMathieu:
     def test_offset_shifts_cell(self):
         v = almost_mathieu(0.5, Fraction(1, 3), offset=0.25)
         expect = [2 * 0.5 * math.cos(2 * math.pi * (n / 3 + 0.25)) for n in range(3)]
-        assert v.cell == pytest.approx(expect)
+        assert v.cell.tolist() == pytest.approx(expect)
+
+
+def sturmian_cell(sites, coupling):
+    """The Fibonacci word by its closed form: site n holds b (0) exactly when
+    floor((n + 2) / golden^2) - floor((n + 1) / golden^2) = 1, else a (coupling)."""
+    n = np.arange(sites)
+    golden2 = ((1 + math.sqrt(5)) / 2) ** 2
+    b = np.floor((n + 2) / golden2) - np.floor((n + 1) / golden2) == 1
+    return np.where(b, 0.0, coupling)
 
 
 class TestFibonacci:
     def test_first_words(self):
-        assert fibonacci_word(1) == "a"
-        assert fibonacci_word(2) == "ab"
-        assert fibonacci_word(3) == "aba"
-        assert fibonacci_word(4) == "abaab"
-        assert fibonacci_word(5) == "abaababa"
+        for level, word in enumerate(["a", "ab", "aba", "abaab", "abaababa"], start=1):
+            assert fibonacci_potential(level, 1.0).cell.tolist() == [1.0 if c == "a" else 0.0 for c in word]
 
     def test_lengths_are_fibonacci(self):
         fib = [1, 1]
         while len(fib) < 14:
             fib.append(fib[-1] + fib[-2])
         for level in range(1, 13):
-            assert len(fibonacci_word(level)) == fib[level]
+            assert fibonacci_potential(level, 1.0).q == fib[level]
 
     def test_letter_ratio_approaches_golden_section(self):
-        w = fibonacci_word(16)
-        ratio = w.count("a") / len(w)
+        cell = fibonacci_potential(16, 1.0).cell
+        ratio = np.count_nonzero(cell) / len(cell)
         assert ratio == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-3)
 
     def test_potential_cell_values(self):
         v = fibonacci_potential(4, coupling=0.8)
         assert v.periods == (5,)
-        assert v.cell == (0.8, 0.0, 0.8, 0.8, 0.0)
+        assert v.cell.tolist() == [0.8, 0.0, 0.8, 0.8, 0.0]
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            fibonacci_word(0)
         with pytest.raises(ValueError):
             fibonacci_potential(0, 1.0)
 
     def test_potential_spells_the_word(self):
-        for level in range(1, 19):
+        for level in range(1, 21):
             v = fibonacci_potential(level, 1.5)
-            assert v.cell == tuple(1.5 if c == "a" else 0.0 for c in fibonacci_word(level))
+            np.testing.assert_array_equal(v.cell, sturmian_cell(v.q, 1.5))
 
     def test_oversize_level_refused_before_its_word(self, monkeypatch):
-        def no_word(level):
-            raise AssertionError("the word was built")
+        def no_cell(*args, **kwargs):
+            raise AssertionError("the cell was allocated")
 
-        monkeypatch.setattr(models, "fibonacci_word", no_word)
+        monkeypatch.setattr(np, "empty", no_cell)
         # F_61 = 2504730781961 sites, 24 bytes each for one real banded fiber
         with pytest.raises(ValueError, match=r"1 banded 3 x 2504730781961 fiber\(s\) need 6\.011e\+13 bytes"):
             fibonacci_potential(60, 1.0)
@@ -155,18 +159,6 @@ class TestFibonacci:
         monkeypatch.undo()
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 24 * 89)
         assert fibonacci_potential(10, 1.0).q == 89
-
-
-    def test_oversize_word_refused_before_it_is_built(self, monkeypatch):
-        # F_26 = 121393 letters at level 25, 2 bytes each while the last join runs
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 121393 - 1)
-        with pytest.raises(ValueError, match=r"the 121393 letters of Fibonacci level 25 need 2\.428e\+5 bytes"):
-            fibonacci_word(25)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 121393)
-        assert len(fibonacci_word(25)) == 121393
-        monkeypatch.undo()
-        with pytest.raises(ValueError, match=r"letters of Fibonacci level 1000000 need 6\.321e\+208987 bytes"):
-            fibonacci_word(10**6)
 
 
 class TestCantorApproximation:
@@ -247,14 +239,49 @@ class TestGridApproximation:
             grid_approximation(3, solid_to=1.5)
 
     def test_oversize_level_refused_by_estimate(self, monkeypatch):
-        # 51 bytes per point, or 32 per point plus 138 per point welded on above solid_to; nothing is allocated
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 51 * 11)
+        # 24 bytes per point plus 64 per point welded on above solid_to; nothing is allocated
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 24 * 11)
         assert grid_approximation(10).q == 11
         assert grid_approximation(10, solid_to=1.0).q == 1
-        with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 6\.120e\+2 bytes"):
+        with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 2\.880e\+2 bytes"):
             grid_approximation(11)
-        with pytest.raises(ValueError, match=r"need 1\.042e\+3 bytes"):
+        with pytest.raises(ValueError, match=r"need 5\.840e\+2 bytes"):
             grid_approximation(10, solid_to=0.5)  # 5 points above 0.5
         monkeypatch.undo()
-        with pytest.raises(ValueError, match=r"1000000000001 points of grid level 1000000000000 need 5\.100e\+13"):
+        with pytest.raises(ValueError, match=r"1000000000001 points of grid level 1000000000000 need 2\.400e\+13"):
             grid_approximation(10**12)
+
+
+class TestPeaksWithinGuards:
+    """What each builder allocates at its peak, as tracemalloc sees numpy's
+    buffers, is at most what its memory guard charges before it allocates."""
+
+    BUILDERS = {
+        "fibonacci": lambda: fibonacci_potential(20, 1.5),
+        "almost_mathieu": lambda: almost_mathieu(0.5, (4181, 6765)),
+        "free-1d": lambda: free_potential(1, 10000),
+        "free-2d": lambda: free_potential(2, (40, 50)),
+        "grid": lambda: grid_approximation(20000),
+        "grid-solid-to": lambda: grid_approximation(20000, solid_to=0.3),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_peak_at_most_the_charge(self, monkeypatch, build):
+        charges = []
+        check = floquet.check_bytes
+
+        def recording(need, what):
+            charges.append(need)
+            return check(need, what)
+
+        monkeypatch.setattr(floquet, "check_bytes", recording)
+        monkeypatch.setattr(models, "check_bytes", recording)
+        build()  # imports and caches come first
+        charges.clear()
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charges) == 1 and peak <= charges[0]
