@@ -199,7 +199,7 @@ def _approximants(spec, steps) -> list:
 
 
 # keys of the fiber pipeline, which a set model's measure run has no use for
-OPERATOR_KEYS = {"phase", "strategy", "grid_points", "delta_mode", "deltas", "holder_constant", "holder_frequency"}
+OPERATOR_KEYS = {"phase", "grid_points", "delta_mode", "deltas", "holder_constant", "holder_frequency"}
 MEASURE_KEYS = OPERATOR_KEYS | {
     "model", "n_min", "n_max", "measure", "output_csv", "output_json", "tail", "tail_tol", "criterion_tol",
 }
@@ -210,6 +210,13 @@ def _n_range(cfg) -> range:
     if n_min < 1 or n_max < n_min:
         raise ConfigError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     return range(n_min, n_max + 1)
+
+
+def _grid_points(cfg, dim: int) -> int:
+    """A bands or measure config's grid points per axis; 1-d cells solve their two exact fibers and take none."""
+    if dim == 1 and "grid_points" in cfg:
+        raise ConfigError("one-dimensional cells take no grid_points: their two fibers give the band edges exactly")
+    return _int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points")
 
 
 def _pipeline_deltas(mode, cfg, potentials):
@@ -265,8 +272,7 @@ def cmd_measure(args) -> int:
             [_real(p, "phase") for p in phase] if isinstance(phase, list) else _real(phase, "phase"),
             mu,
             deltas=_pipeline_deltas(mode, cfg, approximants),
-            strategy=cfg.get("strategy"),
-            grid_points=_int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points"),
+            grid_points=_grid_points(cfg, approximants[0].dim),
             tail=tail,
             tail_tol=tail_tol,
         )
@@ -280,17 +286,13 @@ def cmd_measure(args) -> int:
     return 0
 
 
-BANDS_KEYS = {"model", "strategy", "grid_points", "output_csv", "output_json"}
+BANDS_KEYS = {"model", "grid_points", "output_csv", "output_json"}
 
 
 def cmd_bands(args) -> int:
     cfg = _load_config(args.config, BANDS_KEYS, {"model", "output_csv"})
     potential = _model(cfg["model"], "bands").build(cfg["model"])
-    spec = floquet.band_spectrum(
-        potential,
-        strategy=cfg.get("strategy"),
-        grid_points=_int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points"),
-    )
+    spec = floquet.band_spectrum(potential, grid_points=_grid_points(cfg, potential.dim))
 
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()

@@ -177,6 +177,8 @@ class ConvergenceReport:
         rows = list(rows)
         if not rows:
             raise ValueError("need at least one step")
+        if tail < 1:  # rows[-tail:] would take every row at 0 and drop rows below it
+            raise ValueError(f"tail must be >= 1, got {tail}")
         tail = min(tail, len(rows))
         window = [r.mu_fattened for r in rows[-tail:]]
         spread = max(window) - min(window)
@@ -211,6 +213,8 @@ def write_json(path, obj) -> None:
 def corollary(rows, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOSTIC_TOL) -> dict:
     """Vanishing-product corollary of report rows: once q_n * delta_n stays below ``tolerance``
     over the last ``tail`` rows, the raw measure of the last step is trusted as the estimate."""
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail}")
     products = [row.q_times_delta for row in rows[-tail:]]
     flag = all(p < tolerance for p in products)
     last_raw = rows[-1].mu_raw

@@ -24,24 +24,25 @@ fibers are dense q x q stacks solved by batched eigvalsh; a sweep streams
 small blocks of them through one worker thread per thread of numpy's BLAS,
 with BLAS pinned to one thread: BLAS threads buy nothing in solves this small.
 
-The two evaluation strategies are phase sets.  For d = 1 the band edges are
-attained exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2),
-since the discriminant sweeps monotonically between its extreme values on
-each band.  In general a phase grid gives edges up to a rigorous Lipschitz
-error.  After a gauge transform that spreads the boundary phase of axis j
-over its p_j bonds, moving phi_j by t moves the fiber by c*S_j + h.c., S_j
-the cyclic shift and |c| = 2*sin(pi*t/p_j), so by Weyl's inequality every
-ordered eigenvalue moves by at most 4*sin(pi*t/p_j): a grid of M points per
-axis localizes every edge to within sum_j 4*pi / (2*M*p_j) plus eigensolver
-error.  The potential is real, so
+The dimension picks the phase set.  For d = 1 the band edges are attained
+exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
+the discriminant sweeps monotonically between its extreme values on each
+band, so a 1-d sweep solves those two.  For d = 2 a phase grid gives edges
+up to a rigorous Lipschitz error.  After a gauge transform that spreads the
+boundary phase of axis j over its p_j bonds, moving phi_j by t moves the
+fiber by c*S_j + h.c., S_j the cyclic shift and |c| = 2*sin(pi*t/p_j), so
+by Weyl's inequality every ordered eigenvalue moves by at most
+4*sin(pi*t/p_j): a grid of M points per axis localizes every edge to within
+sum_j 4*pi / (2*M*p_j) plus eigensolver error.  The potential is real, so
 H(-phi) = conj H(phi) shares the spectrum of H(phi), and the grid solves
-one phase of each conjugate pair.
+one phase of each conjugate pair.  The phase set depends only on d and M,
+so a run builds it once for all its cells.
 
 The uniform bandwidth bound sum_j 4*pi/p_j turns fiber eigenvalues at any
 single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
-module exploits; it reuses the band sweep's eigenvalues at that phase or
-its conjugate when the sweep solved either.
+module exploits; it reuses the band sweeps' eigenvalues at that phase or
+its conjugate when the phase set holds either.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ SOLVER_TOL_FACTOR = 1e-12
 # Phases per block: a 2-d sweep holds at most workers * _CHUNK * q^2 * 16 bytes of fibers.
 _CHUNK = 8
 
-# Grid points per axis of the grid strategy when a caller names none.
+# Grid points per axis of a 2-d phase grid when a caller names none.
 DEFAULT_GRID_POINTS = 64
 
 # Nothing larger than the machine's physical memory can be held.
@@ -112,7 +113,7 @@ class PeriodicPotential:
 
     @property
     def q(self) -> int:
-        return int(np.prod(self.periods))
+        return math.prod(int(p) for p in self.periods)  # exact: np.prod wraps in int64
 
 
 @dataclass(frozen=True)
@@ -308,62 +309,50 @@ def _solve_phases(potential, phases):
         put(n)
 
 
-def _phase_set(strategy: str | None, periods, grid_points: int):
-    """Phases (k x d) a strategy solves for a cell of these periods and its Lipschitz
-    term; None is exact_1d in 1-d, else grid.  A grid's index array is charged before it is built."""
-    dim = len(periods)
-    if strategy is None:
-        strategy = "exact_1d" if dim == 1 else "grid"
-    if strategy == "exact_1d":
-        if dim != 1:
-            raise ValueError("exact_1d strategy applies to one-dimensional potentials only")
-        return np.array([[0.0], [0.5]]), 0.0
-    if strategy == "grid":
-        m = int(grid_points)
-        if m < 2:
-            raise ValueError("grid strategy needs at least 2 points per axis")
-        check_bytes(8 * dim * m**dim, f"the int64 indices of the {m}^{dim} phase grid")
-        # spec H(-phi) = spec H(phi): keep the index vector k of each pair {k, -k mod m} that comes first
-        k = np.indices((m,) * dim).reshape(dim, -1)
-        keep = np.arange(m**dim) <= np.ravel_multi_index(-k % m, (m,) * dim)
-        return k[:, keep].T / m, sum(4.0 * math.pi / (2.0 * m * p) for p in periods)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def _grid(dim: int, m: int) -> np.ndarray:
+    """Phases k/m (k x dim) of the m^dim grid, one of each conjugate pair {k, -k mod m}: the one
+    first in row-major order.  Its arrays, all that it holds at once, are charged before any is built."""
+    if m < 2:
+        raise ValueError("a phase grid needs at least 2 points per axis")
+    kept = (m**dim + (2**dim if m % 2 == 0 else 1)) // 2  # the pairs, and the 2^d or 1 self-conjugate k
+    check_bytes(8 * m + m**dim + 16 * dim * kept, f"the mask, int64 indices and phases of the {m}^{dim} phase grid")
+    step = np.arange(-m, m, 2)  # k_j - c_j for c_j = -k_j mod m: 2 k_j - m, but 0 at k_j = 0
+    step[0] = 0
+    # k comes first iff sum_j (k_j - c_j) m^(d-1-j) <= 0; the mask is freed once its indices are found
+    index = np.nonzero(step[:, None] * m <= -step if dim == 2 else step <= 0)
+    phases = np.stack(index, axis=1, dtype=float)
+    phases /= m
+    return phases
 
 
-def _band_sweep(potential, strategy, grid_points):
-    """The strategy's phases, their eigenvalue rows and the band spectrum they give."""
-    phases, lips = _phase_set(strategy, potential.periods, grid_points)
+def _phase_set(dim: int, grid_points: int) -> np.ndarray:
+    """Phases (k x dim) a band sweep solves: the periodic and antiperiodic fibers in 1-d,
+    which give every band edge exactly, and the grid of ``grid_points`` per axis in 2-d."""
+    return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, int(grid_points))
+
+
+def _band_sweep(potential, phases, grid_points):
+    """Eigenvalue rows at the ``phases`` of _phase_set and the band spectrum they give.
+    A 2-d error bound adds the Lipschitz term of the grid of ``grid_points`` per axis."""
     evs = _solve_phases(potential, phases)
     bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
-    return phases, evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
+    lips = 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
+    return evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
 
-def band_spectrum(
-    potential: PeriodicPotential,
-    strategy: str | None = None,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> BandSpectrum:
+def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_POINTS) -> BandSpectrum:
     """Band intervals of the periodic operator: the per-index min/max of the
-    fiber eigenvalues over the strategy's phase set.
+    fiber eigenvalues over the phase set of its dimension.
 
-    strategy="exact_1d" (d = 1 only): the periodic and antiperiodic fibers,
-    both real; the i-th band is exactly the interval between the i-th
-    ordered eigenvalues of the two, up to eigensolver error.
+    In 1-d: the periodic and antiperiodic fibers, both real; the i-th band
+    is exactly the interval between the i-th ordered eigenvalues of the
+    two, up to eigensolver error.  ``grid_points`` is not used.
 
-    strategy="grid": ``grid_points`` equispaced phases per axis (one of each
+    In 2-d: ``grid_points`` equispaced phases per axis (one of each
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
-
-    strategy=None, the default: exact_1d in one dimension, grid otherwise.
     """
-    return _band_sweep(potential, strategy, grid_points)[2]
-
-
-def _solved_row(sweep, phi):
-    """Eigenvalues a band sweep found at phi or at -phi mod 1 (the same spectrum), or None."""
-    phases, evs, _ = sweep
-    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
-    return evs[hit.argmax()] if hit.any() else None
+    return _band_sweep(potential, _phase_set(potential.dim, grid_points), grid_points)[1]
 
 
 def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
@@ -402,7 +391,6 @@ def estimate_measure_via_fibers(
     phase,
     mu: Measure1D,
     deltas="proxy",
-    strategy: str | None = None,
     grid_points: int = DEFAULT_GRID_POINTS,
     tail: int = DEFAULT_TAIL,
     tail_tol: float = DEFAULT_TAIL_TOL,
@@ -415,9 +403,9 @@ def estimate_measure_via_fibers(
     the cell volume.  ``deltas`` is either an explicit list of distance
     bounds or "proxy", which computes band spectra and uses the Hausdorff
     distance of each against the finest approximant.  Band spectra are
-    computed in proxy mode and in one dimension; then the raw measure of the
-    band union is recorded too, and the summary carries the band-fattening
-    estimates for comparison.
+    computed in proxy mode and in one dimension, all over one phase set;
+    then the raw measure of the band union is recorded too, and the summary
+    carries the band-fattening estimates for comparison.
     """
     potentials = list(potentials)
     if not potentials:
@@ -425,7 +413,7 @@ def estimate_measure_via_fibers(
     dim = potentials[0].dim
     if any(v.dim != dim for v in potentials):
         raise ValueError("potentials must share a dimension")
-    _phase_set(strategy, potentials[0].periods, grid_points)  # a bad strategy fails before any solve
+    phases = _phase_set(dim, grid_points)
 
     proxy = deltas == "proxy"
     if not proxy:
@@ -433,16 +421,18 @@ def estimate_measure_via_fibers(
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
     phi = _phase_tuple(phase, dim)
-    sweeps = [_band_sweep(v, strategy, grid_points) for v in potentials] if proxy or dim == 1 else []
-    unions = [spectrum.union() for _, _, spectrum in sweeps]
+    sweeps = [_band_sweep(v, phases, grid_points) for v in potentials] if proxy or dim == 1 else []
+    unions = [spectrum.union() for _, spectrum in sweeps]
     if proxy:
         delta_list = proxy_deltas(unions)
+    # the sweeps' row at phi or at -phi mod 1, whose fiber has the same spectrum
+    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
+    row = hit.argmax() if sweeps and hit.any() else None
 
     rows = []
     for n, (v, delta) in enumerate(zip(potentials, delta_list), start=1):
         r = bandwidth_bound(v.periods)
-        row = _solved_row(sweeps[n - 1], phi) if sweeps else None
-        eigs = fiber_eigenvalues(v, phase) if row is None else row
+        eigs = fiber_eigenvalues(v, phase) if row is None else sweeps[n - 1][0][row]
         raw = unions[n - 1] if sweeps else None
         rows.append(report_row(n, delta, v.q, r, mu, cover_from_eigenvalues(eigs, delta, r), raw))
     report = ConvergenceReport.build(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))

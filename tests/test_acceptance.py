@@ -172,7 +172,7 @@ def test_criterion_06_free_bands_2d(capsys):
     with criterion(capsys, 6, "free two-dimensional bands on a phase grid"):
         start = time.perf_counter()
         v = free_potential(2, (8, 8))
-        bs = band_spectrum(v, strategy="grid", grid_points=64)
+        bs = band_spectrum(v, grid_points=64)
         u = bs.union()
         assert hausdorff_distance(u, normalize([(-4.0, 4.0)])) <= bs.error_bound
         limit = bandwidth_bound((8, 8)) + 2 * bs.error_bound

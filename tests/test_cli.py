@@ -66,6 +66,7 @@ MALFORMED_MEASURE = {
     "n-min-bool": {"n_min": True},
     "tail-fraction": {"tail": 2.5},
     "grid-points-fraction": {"model": FREE_1D, "strategy": "grid", "grid_points": 8.7},
+    "grid-points-fraction-2d": {**FREE_2D_EXPLICIT, "grid_points": 8.7},
     "dim-bool": {"model": {"name": "free", "dim": True, "period_base": 2}},
     "period-base-fraction": {"model": {"name": "free", "dim": 1, "period_base": 2.5}},
     "frequency-cf-fraction": {
@@ -117,7 +118,25 @@ MALFORMED_BANDS = {
     "offset-string": (REAL, {"model": {"name": "almost_mathieu", "coupling": 1, "frequency": [1, 3], "offset": "0.1"}}),
     "cell-string": (REAL, {"model": {"name": "potential", "dim": 1, "periods": [2], "cell": ["0", 1.0]}}),
     "coupling-huge-int": (REAL, {"model": {"name": "fibonacci", "level": 3, "coupling": 10**400}}),
+    # np.prod wrapped the cell volume in int64: to 0, refused only as a reshape failure, and below 0
+    "cell-count-wraps-to-zero": (
+        "cell must hold 18446744073709551616 values, got 0",
+        {"model": {"name": "potential", "dim": 2, "periods": [2**32, 2**32], "cell": []}},
+    ),
+    "cell-count-wraps-negative": (
+        "cell must hold 13835058055282163712 values, got 1",
+        {"model": {"name": "potential", "dim": 2, "periods": [3, 2**62], "cell": [0.0]}},
+    ),
 }
+
+# One-dimensional models of each command: their two exact fibers take no grid_points.
+ONE_DIM_BANDS = {
+    "free": {"name": "free", "dim": 1, "periods": [4]},
+    "fibonacci": {"name": "fibonacci", "level": 10, "coupling": 1.0},
+    "almost_mathieu": {"name": "almost_mathieu", "coupling": 0.5, "frequency": [1, 3]},
+    "potential": {"name": "potential", "dim": 1, "periods": [2], "cell": [0.0, 1.0]},
+}
+ONE_DIM_MEASURE = {"free": FREE_1D, "fibonacci": {"name": "fibonacci", "coupling": 1.0}, "almost_mathieu": AM_CF}
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -335,6 +354,14 @@ class TestMeasureCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("delta_mode", ["proxy", "explicit"])
+    @pytest.mark.parametrize("model", ONE_DIM_MEASURE.values(), ids=ONE_DIM_MEASURE.keys())
+    def test_one_dimensional_run_refuses_grid_points(self, tmp_path, capsys, model, delta_mode):
+        cfg = measure_config(tmp_path, model=model, n_max=3, grid_points=16, delta_mode=delta_mode, deltas=[0.1] * 3)
+        assert main(["measure", "--config", cfg]) == 2
+        assert "take no grid_points" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_linalg_failure_is_exit_three(self, tmp_path, capsys, monkeypatch):
         # LinAlgError is a ValueError: main must test numerical failures first
         def boom(*a, **k):
@@ -397,10 +424,10 @@ class TestBandsCommand:
         assert not (tmp_path / "bands.csv").exists()
 
     def test_oversize_phase_grid_refused_before_its_indices(self, tmp_path, capsys, monkeypatch):
-        def no_indices(*args, **kwargs):
+        def no_arange(*args, **kwargs):
             raise AssertionError("the phase grid was built")
 
-        monkeypatch.setattr(np, "indices", no_indices)
+        monkeypatch.setattr(np, "arange", no_arange)  # the grid's first array
         cfg = write_json(
             tmp_path / "bands.json",
             {
@@ -410,7 +437,18 @@ class TestBandsCommand:
             },
         )
         assert main(["bands", "--config", cfg]) == 2
-        assert "the int64 indices of the 100000^2 phase grid need 1.600e+11 bytes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the mask, int64 indices and phases of the 100000^2 phase grid need 1.700e+11 bytes" in err
+        assert not (tmp_path / "bands.csv").exists()
+
+    @pytest.mark.parametrize("model", ONE_DIM_BANDS.values(), ids=ONE_DIM_BANDS.keys())
+    def test_one_dimensional_cell_refuses_grid_points(self, tmp_path, capsys, model):
+        # the exact fibers ignored it, so a grid_points that changed nothing was accepted
+        cfg = write_json(
+            tmp_path / "bands.json", {"model": model, "grid_points": 16, "output_csv": str(tmp_path / "bands.csv")}
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "take no grid_points" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_free_period_four(self, tmp_path, capsys):
@@ -641,6 +679,33 @@ class TestOutputPaths:
                     os.close(fd)
                 except OSError:
                     pass
+
+
+class TestOnePhaseSetPerRun:
+    """The phase set depends only on the dimension and the grid points, so a run builds it once."""
+
+    RUNS = {
+        "bands-1d": ("bands", {"model": {"name": "fibonacci", "level": 8, "coupling": 1.0}}),
+        "bands-2d": ("bands", {"model": {"name": "free", "dim": 2, "periods": [3, 3]}, "grid_points": 8}),
+        "measure-1d-proxy": ("measure", {"model": FREE_1D, "n_max": 3}),
+        "measure-1d-explicit": (
+            "measure", {"model": FREE_1D, "n_max": 3, "delta_mode": "explicit", "deltas": [0.1] * 3}
+        ),
+        "measure-2d-proxy": ("measure", {"model": FREE_2D_EXPLICIT["model"], "n_max": 2, "grid_points": 8}),
+        "measure-2d-explicit": ("measure", {**FREE_2D_EXPLICIT, "grid_points": 8}),
+    }
+
+    @pytest.mark.parametrize("command, overrides", RUNS.values(), ids=RUNS.keys())
+    def test_phase_set_built_once(self, tmp_path, capsys, monkeypatch, command, overrides):
+        calls = []
+        phase_set = floquet._phase_set
+        monkeypatch.setattr(floquet, "_phase_set", lambda *args: calls.append(args) or phase_set(*args))
+        if command == "bands":
+            cfg = write_json(tmp_path / "bands.json", {"output_csv": str(tmp_path / "bands.csv"), **overrides})
+        else:
+            cfg = measure_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg]) == 0
+        assert len(calls) == 1
 
 
 class TestThreadsEnv:

@@ -134,6 +134,13 @@ class TestFattenedMeasureSequence:
         with pytest.raises(ValueError):
             fattened_measure_sequence([], Lebesgue())
 
+    @pytest.mark.parametrize("tail", [0, -2])
+    def test_tail_below_one_rejected(self, tail):
+        # rows[-tail:] took all 7 rows at tail 0 and 5 of them at -2, and the summary reported that tail
+        records = [cantor_approximation(n) for n in range(1, 8)]
+        with pytest.raises(ValueError, match=f"tail must be >= 1, got {tail}"):
+            fattened_measure_sequence(records, Lebesgue(), tail=tail)
+
 
 class TestReportSerialization:
     def test_csv_header_and_determinism(self, tmp_path):
@@ -197,6 +204,13 @@ class TestCorollaryCriterion:
         assert rep["flag"]
         assert rep["products_tail"][-1] == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
         assert rep["estimate"] == pytest.approx((2.0 / 3.0) ** 12, abs=1e-12)
+
+    @pytest.mark.parametrize("tail", [0, -2])
+    def test_tail_below_one_rejected(self, tail):
+        # rows[-tail:] returned all 7 products at tail 0
+        rows = fattened_measure_sequence([cantor_approximation(n) for n in range(1, 8)], Lebesgue()).rows
+        with pytest.raises(ValueError, match=f"tail must be >= 1, got {tail}"):
+            corollary(rows, tail=tail)
 
     def test_grid_products_stall_at_one_half(self):
         records = [grid_approximation(n) for n in range(1, 40)]

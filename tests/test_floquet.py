@@ -34,10 +34,10 @@ from specapprox.floquet import (
     _band_storage,
     _band_sweep,
     _fibers,
+    _grid,
     _phase_factors,
     _phase_set,
     _solve_block,
-    _solved_row,
     _solver_bound,
     check_fiber_stack,
 )
@@ -81,22 +81,19 @@ def full_mesh(m, dim):
 
 
 def use_complex_full_sweep(monkeypatch):
-    """Make floquet solve as it did before banded 1-d fibers, real fibers,
-    halved grids and reuse: every fiber a complex dense matrix from the dense
-    reference, solved by eigvalsh, every grid the full mesh, and the cover
-    phase of the measure pipeline solved on its own."""
+    """Make floquet solve as it did before banded 1-d fibers, real fibers
+    and halved grids: every fiber a complex dense matrix from the dense
+    reference, solved by eigvalsh, and every grid the full mesh."""
     phase_set = floquet._phase_set
 
-    def full_phase_set(strategy, periods, grid_points):
-        phases, lips = phase_set(strategy, periods, grid_points)
-        return (phases if lips == 0.0 else full_mesh(int(grid_points), len(periods))), lips
+    def full_phase_set(dim, grid_points):
+        return phase_set(dim, grid_points) if dim == 1 else full_mesh(int(grid_points), dim)
 
     def dense_solve(v, phases):  # complex, whatever arithmetic the sweep would pick
         return np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in np.reshape(phases, (-1, v.dim))])
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
     monkeypatch.setattr(floquet, "_solve_phases", dense_solve)
-    monkeypatch.setattr(floquet, "_solved_row", lambda sweep, phi: None)
 
 
 @pytest.fixture
@@ -207,7 +204,7 @@ class TestRealFibers:
 
     def test_real_fibers_solved_in_real_arithmetic(self, solved):
         v = almost_mathieu(0.9, (3, 8))
-        band_spectrum(v, strategy="exact_1d")
+        band_spectrum(v)
         fiber_eigenvalues(v, 0.5)
         fiber_eigenvalues(v, 0.3)
         assert solved == [("banded", 1, np.float64)] * 3 + [("banded", 1, np.complex128)]
@@ -277,6 +274,13 @@ class TestPotentialValidation:
             PeriodicPotential(dim=1, periods=(3,), cell=(0.0, 0.0))
         with pytest.raises(ValueError, match="cell must hold 4 values"):
             PeriodicPotential(dim=2, periods=(2, 2), cell=[[0.0, 1.0], [2.0, 3.0]])
+
+    def test_cell_volume_is_exact(self):
+        # np.prod wrapped in int64: 2^64 sites became q = 0, and this empty cell was accepted
+        with pytest.raises(ValueError, match="cell must hold 18446744073709551616 values, got 0"):
+            PeriodicPotential(dim=2, periods=(2**32, 2**32), cell=())
+        with pytest.raises(ValueError, match="cell must hold 13835058055282163712 values, got 1"):
+            PeriodicPotential(dim=2, periods=(3, 2**62), cell=(0.0,))
 
     def test_cell_is_a_read_only_float64_array(self):
         v = PeriodicPotential(dim=1, periods=(3,), cell=(1, 0.5, -2))
@@ -368,7 +372,7 @@ class TestBandSpectrum:
         rng = np.random.default_rng(35)
         for _ in range(40):
             v = random_potential(rng, dim=2, max_period=6)
-            bs = band_spectrum(v, strategy="grid", grid_points=16)
+            bs = band_spectrum(v, grid_points=16)
             limit = bandwidth_bound(v.periods) + 2 * bs.error_bound
             assert max(bs.widths()) <= limit
 
@@ -376,32 +380,18 @@ class TestBandSpectrum:
         rng = np.random.default_rng(36)
         for _ in range(12):
             v = random_potential(rng, dim=1, max_period=16)
-            exact = band_spectrum(v, strategy="exact_1d")
-            grid = band_spectrum(v, strategy="grid", grid_points=256)
+            exact = band_spectrum(v)
+            _, grid = _band_sweep(v, _grid(1, 256), 256)
+            bound = grid.error_bound + 4 * math.pi / (2 * 256 * v.periods[0])  # a 1-d sweep adds no Lipschitz term
             for (a, b), (c, d) in zip(exact.bands, grid.bands):
-                assert abs(a - c) <= grid.error_bound
-                assert abs(b - d) <= grid.error_bound
+                assert abs(a - c) <= bound
+                assert abs(b - d) <= bound
 
     def test_grid_error_bound_value(self):
         v = free_potential(2, (2, 5))
-        bs = band_spectrum(v, strategy="grid", grid_points=32)
+        bs = band_spectrum(v, grid_points=32)
         lips = 4 * math.pi / (2 * 32 * 2) + 4 * math.pi / (2 * 32 * 5)
         assert bs.error_bound == pytest.approx(lips, rel=1e-6)
-
-    def test_exact_strategy_rejects_2d(self):
-        with pytest.raises(ValueError):
-            band_spectrum(free_potential(2, (2, 2)), strategy="exact_1d")
-
-    def test_default_strategy_follows_the_dimension(self):
-        rng = np.random.default_rng(42)
-        v = random_potential(rng, dim=2, max_period=4)
-        assert band_spectrum(v) == band_spectrum(v, strategy="grid")
-        v = random_potential(rng, dim=1, max_period=8)
-        assert band_spectrum(v) == band_spectrum(v, strategy="exact_1d")
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            band_spectrum(free_potential(1, 2), strategy="fft")
 
     def test_solve_block_matches_single_fibers(self):
         rng = np.random.default_rng(37)
@@ -416,14 +406,15 @@ class TestBandSpectrum:
         for _ in range(40):
             v = random_potential(rng, dim=1, max_period=24)
             e0, e1 = fiber_eigenvalues(v, 0.0), fiber_eigenvalues(v, 0.5)
-            bands = band_spectrum(v, strategy="exact_1d").bands
+            bands = band_spectrum(v).bands
             assert bands == tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1))
 
     def test_chunked_sweep_equals_one_block(self):
         v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)
         # at 256 points the last block is phi = 1/2 alone, real on its own but not in this sweep
         for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258), (v1, 256)]:
-            phases, evs, _ = _band_sweep(v, "grid", grid_points)
+            phases = _grid(v.dim, grid_points)
+            evs, _ = _band_sweep(v, phases, grid_points)
             assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
             np.testing.assert_array_equal(evs, _solve_block(v, _phase_factors(phases, v.dim)))
         assert len(phases) % _CHUNK == 1 and phases[-1].tolist() == [0.5]
@@ -434,10 +425,8 @@ class TestConjugateHalvedGrid:
 
     @pytest.mark.parametrize("dim,m", CASES)
     def test_one_phase_of_each_conjugate_pair(self, dim, m):
-        periods = (3, 5)[:dim]
-        phases, lips = _phase_set("grid", periods, m)
+        phases = _grid(dim, m)
         assert len(phases) == (m**dim + (2**dim if m % 2 == 0 else 1)) // 2
-        assert lips == sum(4.0 * math.pi / (2.0 * m * p) for p in periods)
         k = {tuple(x) for x in np.rint(phases * m).astype(int)}
         conj = {tuple(-np.array(x) % m) for x in k}
         mesh = {tuple(x) for x in np.rint(full_mesh(m, dim) * m).astype(int)}
@@ -450,10 +439,12 @@ class TestConjugateHalvedGrid:
         for _ in range(6):
             v = random_potential(rng, dim=dim, max_period=8 if dim == 1 else 4)
             evs = np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in full_mesh(m, dim)]))
-            bs = band_spectrum(v, strategy="grid", grid_points=m)
+            _, bs = _band_sweep(v, _grid(dim, m), m)
             mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
             np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
-            assert bs.error_bound == sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) + _solver_bound(v)
+            # a 1-d sweep counts its phases as exact
+            lips = sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) if dim == 2 else 0.0
+            assert bs.error_bound == lips + _solver_bound(v)
 
 
 @pytest.fixture
@@ -481,7 +472,8 @@ class TestSplitBlocks:
         for _ in range(3):
             v = random_potential(rng, dim=2, max_period=4)
             solved.clear()
-            phases, evs, _ = _band_sweep(v, "grid", 16)  # 130 phases: 16 full blocks and a tail of 2
+            phases = _phase_set(2, 16)
+            evs, _ = _band_sweep(v, phases, 16)  # 130 phases: 16 full blocks and a tail of 2
             assert sorted(c for _, c, _ in solved) == [2] + [_CHUNK] * 16  # whatever the worker count
             whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
             np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
@@ -505,7 +497,8 @@ class TestSplitBlocks:
         for periods, m in [((3, 5), 3), ((1, 7), 17), ((2, 2), 33), ((5, 4), 2), ((12, 12), 5)]:
             v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
             builders.clear()
-            phases, evs, _ = _band_sweep(v, "grid", m)
+            phases = _phase_set(2, m)
+            evs, _ = _band_sweep(v, phases, m)
             assert (threading.get_ident() in builders) == (workers == 1)  # the workers build their own blocks
             np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2))))
 
@@ -520,7 +513,7 @@ class TestSplitBlocks:
             return solve(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        band_spectrum(free_potential(2, (3, 3)), strategy="grid", grid_points=8)
+        band_spectrum(free_potential(2, (3, 3)), grid_points=8)
         assert inside and set(inside) == {1}
         assert get() == 3
 
@@ -533,7 +526,7 @@ class TestSplitBlocks:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         with pytest.raises(np.linalg.LinAlgError):
-            band_spectrum(free_potential(2, (3, 3)), strategy="grid", grid_points=8)
+            band_spectrum(free_potential(2, (3, 3)), grid_points=8)
         assert get() == 2
 
     @pytest.mark.parametrize("reachable", [True, False])
@@ -541,7 +534,7 @@ class TestSplitBlocks:
         get, put = blas_threads
         v = random_potential(np.random.default_rng(71), dim=2, max_period=4)
         put(2)
-        expect = band_spectrum(v, strategy="grid", grid_points=8)
+        expect = band_spectrum(v, grid_points=8)
         if reachable:
             put(1)
         else:
@@ -551,7 +544,7 @@ class TestSplitBlocks:
             raise AssertionError("a worker thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", refused)
-        assert band_spectrum(v, strategy="grid", grid_points=8) == expect
+        assert band_spectrum(v, grid_points=8) == expect
         assert get() == (1 if reachable else 2)
 
 
@@ -658,23 +651,29 @@ class TestSweepReuse:
         pots = [free_potential(2, (p, p)) for p in (1, 2, 3)]
         estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy", grid_points=8)
         assert {s for s, _, _ in solved} == {"dense"}
-        assert sum(c for _, c, _ in solved) == (len(_phase_set("grid", (1, 1), 8)[0]) + extra) * len(pots)
+        assert sum(c for _, c, _ in solved) == (len(_phase_set(2, 8)) + extra) * len(pots)
 
-    def test_reused_rows_match_fresh_solves(self):
+    def test_reused_rows_match_fresh_solves(self, monkeypatch, solved):
+        # the cover eigenvalues of a one-step run: reused from the sweep at phi or -phi, solved afresh elsewhere
+        covered = []
+        cover = floquet.cover_from_eigenvalues
+        monkeypatch.setattr(
+            floquet, "cover_from_eigenvalues", lambda eigs, *radii: covered.append(eigs) or cover(eigs, *radii)
+        )
         rng = np.random.default_rng(41)
-        for dim, strategy, phis in (
-            (1, "exact_1d", [(0.0,), (0.5,)]),
-            (1, "grid", [(0.0,), (0.25,), (0.75,), (0.625,)]),
-            (2, "grid", [(0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (0.5, 0.875), (0.125, 0.0)]),
+        for dim, phis in (
+            (1, [(0.0,), (0.5,)]),
+            (2, [(0.0, 0.0), (0.25, 0.5), (0.75, 0.5), (0.5, 0.875), (0.125, 0.0)]),
         ):
             for _ in range(10):
                 v = random_potential(rng, dim=dim, max_period=12 if dim == 1 else 4)
-                sweep = _band_sweep(v, strategy, 8)
-                for phi in phis:
-                    np.testing.assert_allclose(
-                        _solved_row(sweep, phi), fiber_eigenvalues(v, phi), rtol=0, atol=_solver_bound(v)
-                    )
-                assert _solved_row(sweep, (0.3,) * dim) is None
+                for phi in phis + [(0.3,) * dim]:
+                    solved.clear()
+                    covered.clear()
+                    estimate_measure_via_fibers([v], phi, Lebesgue(), grid_points=8)
+                    fresh = sum(c for _, c, _ in solved) - len(_phase_set(dim, 8))
+                    assert fresh == (phi == (0.3,) * dim)
+                    np.testing.assert_allclose(covered[0], fiber_eigenvalues(v, phi), rtol=0, atol=_solver_bound(v))
 
 
 class TestAgreementWithComplexFullSweep:
@@ -713,9 +712,9 @@ class TestAgreementWithComplexFullSweep:
     def test_two_dimensional_grid_bands(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
-        new = band_spectrum(v, strategy="grid", grid_points=16)
+        new = band_spectrum(v, grid_points=16)
         use_complex_full_sweep(monkeypatch)
-        old = band_spectrum(v, strategy="grid", grid_points=16)
+        old = band_spectrum(v, grid_points=16)
         np.testing.assert_allclose(new.bands, old.bands, rtol=0, atol=_solver_bound(v))
         assert new.error_bound == old.error_bound
 
@@ -744,25 +743,27 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, pinned.append))
         monkeypatch.setattr(floquet, "_fibers", None)
         with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=4)  # 10 complex phases, fewer than 3 blocks
+            band_spectrum(v, grid_points=4)  # 10 complex phases, fewer than 3 blocks
         with pytest.raises(ValueError, match=r"need 3\.840e\+4 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=8)  # 34 complex phases, 3 blocks of 8 at once
+            band_spectrum(v, grid_points=8)  # 34 complex phases, 3 blocks of 8 at once
         assert pinned == []
 
     def test_phase_grid_refused_before_its_indices(self, monkeypatch):
-        def no_indices(*args, **kwargs):
+        def no_arange(*args, **kwargs):
             raise AssertionError("the phase grid was built")
 
-        monkeypatch.setattr(np, "indices", no_indices)
+        monkeypatch.setattr(np, "arange", no_arange)  # the grid's first array
         v = PeriodicPotential(dim=2, periods=(1, 1), cell=[0.0])
-        with pytest.raises(ValueError, match=r"the int64 indices of the 100000\^2 phase grid need 1\.600e\+11 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=100000)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9 - 1)
-        with pytest.raises(ValueError, match=r"the int64 indices of the 9\^1 phase grid need 7\.200e\+1 bytes"):
-            _phase_set("grid", (5,), 9)
+        grid = "the mask, int64 indices and phases of the"
+        with pytest.raises(ValueError, match=rf"{grid} 100000\^2 phase grid need 1\.700e\+11 bytes"):
+            band_spectrum(v, grid_points=100000)
+        # 9 steps, 9 mask entries, then 5 kept phases: their indices and phases
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9 + 9 + 16 * 5 - 1)
+        with pytest.raises(ValueError, match=rf"{grid} 9\^1 phase grid need 1\.610e\+2 bytes"):
+            _grid(1, 9)
         monkeypatch.undo()
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9)
-        assert len(_phase_set("grid", (5,), 9)[0]) == 5
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9 + 9 + 16 * 5)
+        assert len(_grid(1, 9)) == 5
 
     def test_eigenvalue_rows_charged_before_any_fiber(self, monkeypatch):
         # 33 complex phases of a 1-d grid of 64: 8 banded fibers at once take 3.84e4 bytes, the rows 5.28e4
@@ -772,7 +773,7 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_solve_block", no_solve)
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 3 * 100 * 16)
         with pytest.raises(ValueError, match=r"33 eigenvalue rows of 100 and their stack need 5\.280e\+4 bytes"):
-            band_spectrum(free_potential(1, 100), strategy="grid", grid_points=64)
+            _band_sweep(free_potential(1, 100), _grid(1, 64), 64)
 
     def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
@@ -782,9 +783,9 @@ class TestFiberSizeGuard:
             free_potential(1, 10**12)
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 3 * 100 * 8)
         v = free_potential(1, 100)  # its dense fiber, 8.0e4 bytes, would not fit
-        assert len(band_spectrum(v, strategy="exact_1d").bands) == 100  # two real banded fibers fit
+        assert len(band_spectrum(v).bands) == 100  # two real banded fibers fit
         with pytest.raises(ValueError, match=r"need 1\.440e\+4 bytes"):
-            band_spectrum(v, strategy="grid", grid_points=4)  # three complex ones do not
+            _band_sweep(v, _grid(1, 4), 4)  # three complex ones do not
         with pytest.raises(ValueError, match=r"need 7\.200e\+3 bytes"):
             free_potential(1, 300)
 
@@ -795,10 +796,10 @@ class TestSweepMemory:
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
         rng = np.random.default_rng(80)
         v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
-        expect = band_spectrum(v, strategy="grid", grid_points=16)  # 130 phases; imports and caches come first
+        expect = band_spectrum(v, grid_points=16)  # 130 phases; imports and caches come first
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
-            assert band_spectrum(v, strategy="grid", grid_points=16) == expect
+            assert band_spectrum(v, grid_points=16) == expect
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -839,7 +840,8 @@ class TestDeepOracles:
         # the fiber at phase phi has its eigenvalues where x_n = cos(2 pi phi): +1 at 0, -1 at 1/2
         for n in levels:
             v = fibonacci_potential(n, coupling)
-            phases, evs, _ = _band_sweep(v, "exact_1d", 64)
+            phases = _phase_set(1, 64)
+            evs, _ = _band_sweep(v, phases, 64)
             for phi, row in zip(phases[:, 0], evs):
                 x, dx = fibonacci_trace(n, coupling, row)
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))

@@ -263,6 +263,7 @@ class TestPeaksWithinGuards:
         "free-2d": lambda: free_potential(2, (40, 50)),
         "grid": lambda: grid_approximation(20000),
         "grid-solid-to": lambda: grid_approximation(20000, solid_to=0.3),
+        "phase-grid-2d": lambda: floquet._phase_set(2, 1000),
     }
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
