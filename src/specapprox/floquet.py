@@ -309,13 +309,19 @@ def _solve_phases(potential, phases):
         put(n)
 
 
-def _grid(dim: int, m: int) -> np.ndarray:
-    """Phases k/m (k x dim) of the m^dim grid, one of each conjugate pair {k, -k mod m}: the one
-    first in row-major order.  Its arrays, all that it holds at once, are charged before any is built."""
+def _check_grid(dim: int, m: int) -> None:
+    """ValueError unless the m^dim phase grid has 2 points per axis and its arrays, all that _grid
+    holds at once, fit in memory."""
     if m < 2:
         raise ValueError("a phase grid needs at least 2 points per axis")
     kept = (m**dim + (2**dim if m % 2 == 0 else 1)) // 2  # the pairs, and the 2^d or 1 self-conjugate k
     check_bytes(8 * m + m**dim + 16 * dim * kept, f"the mask, int64 indices and phases of the {m}^{dim} phase grid")
+
+
+def _grid(dim: int, m: int) -> np.ndarray:
+    """Phases k/m (k x dim) of the m^dim grid, one of each conjugate pair {k, -k mod m}: the one
+    first in row-major order.  Its arrays, all that it holds at once, are charged before any is built."""
+    _check_grid(dim, m)
     step = np.arange(-m, m, 2)  # k_j - c_j for c_j = -k_j mod m: 2 k_j - m, but 0 at k_j = 0
     step[0] = 0
     # k comes first iff sum_j (k_j - c_j) m^(d-1-j) <= 0; the mask is freed once its indices are found
@@ -413,21 +419,24 @@ def estimate_measure_via_fibers(
     dim = potentials[0].dim
     if any(v.dim != dim for v in potentials):
         raise ValueError("potentials must share a dimension")
-    phases = _phase_set(dim, grid_points)
-
     proxy = deltas == "proxy"
     if not proxy:
         delta_list = [float(d) for d in deltas]
         if len(delta_list) != len(potentials):
             raise ValueError("need one delta per potential")
     phi = _phase_tuple(phase, dim)
-    sweeps = [_band_sweep(v, phases, grid_points) for v in potentials] if proxy or dim == 1 else []
+    if proxy or dim == 1:
+        phases = _phase_set(dim, grid_points)
+        sweeps = [_band_sweep(v, phases, grid_points) for v in potentials]
+        # the sweeps' row at phi or at -phi mod 1, whose fiber has the same spectrum
+        hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
+        row = hit.argmax() if hit.any() else None
+    else:  # no sweep reads the grid, but a grid_points that could not be swept is refused all the same
+        _check_grid(dim, int(grid_points))
+        sweeps, row = [], None
     unions = [spectrum.union() for _, spectrum in sweeps]
     if proxy:
         delta_list = proxy_deltas(unions)
-    # the sweeps' row at phi or at -phi mod 1, whose fiber has the same spectrum
-    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
-    row = hit.argmax() if sweeps and hit.any() else None
 
     rows = []
     for n, (v, delta) in enumerate(zip(potentials, delta_list), start=1):

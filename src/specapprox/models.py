@@ -16,7 +16,7 @@ import numpy as np
 
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential, check_bytes, check_fiber_stack
-from .intervals import IntervalSet, PointSet, interval_union
+from .intervals import _FLOAT_MAX, IntervalSet, PointSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
@@ -71,6 +71,7 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     ``frequency`` is a Fraction or (p, q) pair; the reduced denominator is
     the period.  Rational frequencies make the operator periodic, so the
     spectra of convergent frequencies approximate the quasiperiodic one.
+    A frequency whose phase n * p / q overflows a float at some site is refused.
     """
     if not isinstance(frequency, Fraction):
         p, q = frequency
@@ -78,6 +79,8 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
             raise ValueError("frequency denominator must be nonzero")
         frequency = Fraction(int(p), int(q))
     q = frequency.denominator
+    if abs(frequency.numerator) * (q - 1) > int(_FLOAT_MAX) * q:  # true division would overflow
+        raise ValueError(f"frequency numerator is too large: n * p / q overflows a float at site n = {q - 1}")
     check_fiber_stack(q, banded=True)  # before the cell, as in free_potential
     cell = np.fromiter(
         (2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset)) for n in range(q)),
@@ -146,6 +149,8 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _FLOAT_MAX:  # alpha * n would overflow
+        raise ValueError(f"grid level must lie in the float range, got {Decimal(n):.3e}")
     alpha = None if solid_to is None else float(solid_to)
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("solid_to must lie in (0, 1]")

@@ -97,6 +97,11 @@ class TestAlmostMathieu:
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
             almost_mathieu(0.5, (1, 10**12))
 
+    def test_numerator_refused_where_a_phase_overflows(self):
+        assert almost_mathieu(0.5, (10**400, 1)).cell.tolist() == [1.0]  # site 0 alone: its phase is 0
+        with pytest.raises(ValueError, match="overflows a float at site n = 2"):
+            almost_mathieu(0.5, (10**400, 3))
+
     def test_offset_shifts_cell(self):
         v = almost_mathieu(0.5, Fraction(1, 3), offset=0.25)
         expect = [2 * 0.5 * math.cos(2 * math.pi * (n / 3 + 0.25)) for n in range(3)]
@@ -237,6 +242,8 @@ class TestGridApproximation:
             grid_approximation(0)
         with pytest.raises(ValueError):
             grid_approximation(3, solid_to=1.5)
+        with pytest.raises(ValueError, match="float range"):
+            grid_approximation(10**400, solid_to=0.5)
 
     def test_oversize_level_refused_by_estimate(self, monkeypatch):
         # 24 bytes per point plus 64 per point welded on above solid_to; nothing is allocated
