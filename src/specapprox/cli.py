@@ -111,18 +111,27 @@ class _Model:
     """A model's constructor and, per command that takes it, its spec keys.
 
     ``build`` makes one approximant from a spec: an approximation record for
-    a set model, a periodic potential for an operator model.  A bands config
-    passes its model spec as it is; step n of a measure config passes
-    ``step(spec, n)``, by default the spec with its level set to n.
+    a set model (``sets``), a periodic potential for an operator model.  A
+    bands config passes its model spec as it is; step n of a measure config
+    passes ``step(spec, n)``, by default the spec with its level set to n.
+    ``check`` refuses, allocating nothing, a measure step's spec whose
+    approximant, or for a set model whose whole run up to it, would not fit
+    in memory.
     """
 
     build: Callable[[dict], object]
     keys: dict
+    check: Callable[[dict], object] | None = None
     step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
+    sets: bool = False
 
 
-def _grid(spec):
-    return models.grid_approximation(spec["level"], _real(spec["solid_to"], "solid_to") if "solid_to" in spec else None)
+def _grid_args(spec):
+    return spec["level"], _real(spec["solid_to"], "solid_to") if "solid_to" in spec else None
+
+
+def _free_args(spec):
+    return _int(spec["dim"], "dim"), _int(spec["periods"], "periods")
 
 
 def _free_step(spec, n):
@@ -155,14 +164,19 @@ MODELS = {
     "cantor": _Model(
         build=lambda s: models.cantor_approximation(s["level"]),
         keys={"measure": _keys("name")},
+        check=lambda s: models.check_cantor(s["level"]),
+        sets=True,
     ),
     "grid": _Model(
-        build=_grid,
+        build=lambda s: models.grid_approximation(*_grid_args(s)),
         keys={"measure": _keys("name", optional=("solid_to",))},
+        check=lambda s: models.check_grid(*_grid_args(s)),
+        sets=True,
     ),
     "free": _Model(
-        build=lambda s: models.free_potential(_int(s["dim"], "dim"), _int(s["periods"], "periods")),
+        build=lambda s: models.free_potential(*_free_args(s)),
         keys={"measure": _keys("name", "dim", "period_base"), "bands": _keys("name", "dim", "periods")},
+        check=lambda s: models.check_free(*_free_args(s)),
         step=_free_step,
     ),
     "almost_mathieu": _Model(
@@ -171,11 +185,13 @@ MODELS = {
             "measure": _keys("name", "coupling", "frequency_cf", optional=("offset",)),
             "bands": _keys("name", "coupling", "frequency", optional=("offset",)),
         },
+        check=lambda s: models.check_almost_mathieu(_int(s["frequency"], "frequency")),
         step=_almost_mathieu_step,
     ),
     "fibonacci": _Model(
         build=lambda s: models.fibonacci_potential(_int(s["level"], "level"), _real(s["coupling"], "coupling")),
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
+        check=lambda s: models.check_fibonacci(_int(s["level"], "level")),
     ),
     "potential": _Model(build=_literal_potential, keys={"bands": _keys("name", "dim", "periods", "cell")}),
 }
@@ -192,10 +208,10 @@ def _model(spec, command: str) -> _Model:
     return entry
 
 
-def _approximants(spec, steps) -> list:
-    """Step n of a measure run's model for each n in ``steps``."""
+def _approximants(spec, steps):
+    """Step n of a measure run's model for each n in ``steps``, each built as it is read."""
     model = _model(spec, "measure")
-    return [model.build(model.step(spec, n)) for n in steps]
+    return (model.build(model.step(spec, n)) for n in steps)
 
 
 # keys of the fiber pipeline, which a set model's measure run has no use for
@@ -257,12 +273,15 @@ def cmd_measure(args) -> int:
         if value <= 0:  # spread < tail_tol and q * delta < criterion_tol never hold then
             raise ConfigError(f"{key} must be positive, got {value!r}")
 
-    approximants = _approximants(cfg["model"], _n_range(cfg))
-    if isinstance(approximants[0], convergence.ApproximationRecord):
+    model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
+    model.check(model.step(cfg["model"], steps[-1]))  # before step 1: every model's largest step is its last
+    approximants = _approximants(cfg["model"], steps)
+    if model.sets:  # streamed: the report holds one step at a time
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
             raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")
         report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
     else:
+        approximants = list(approximants)  # the proxy delta of each step needs the last one
         mode = cfg.get("delta_mode", "proxy")
         if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
             raise ConfigError("holder delta_mode applies to the almost_mathieu model only")

@@ -11,6 +11,7 @@ summaries expose the standard finite-data diagnostics for that mechanism.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -231,11 +232,11 @@ def fattened_measure_sequence(
     by less than ``tail_tol`` and reports the final fattened value as the
     estimate.
     """
-    rows = [
-        report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
-        for n, rec in enumerate(records, start=1)
-    ]
-    return ConvergenceReport.build(rows, tail, tail_tol)
+    def row(n, rec):
+        return report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
+
+    # map keeps no record between calls, so a generator's step n is gone before it builds step n + 1
+    return ConvergenceReport.build(map(row, itertools.count(1), records), tail, tail_tol)
 
 
 @dataclass(frozen=True)

@@ -53,16 +53,33 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
     return out
 
 
+def check_free(dim: int, periods) -> tuple[int, ...]:
+    """The periods of a free potential as a tuple, or ValueError if its cell could not be solved."""
+    if dim not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dim}")
+    periods = tuple(int(p) for p in ((periods,) if isinstance(periods, int) else periods))
+    check_fiber_stack(math.prod(periods), banded=dim == 1)  # any solve of the cell needs at least one real fiber
+    return periods
+
+
 def free_potential(dim: int, periods) -> PeriodicPotential:
     """Zero potential with the declared periodicity; bands are explicit."""
-    if dim not in (1, 2):  # before the cell, which is as large as the periods say
-        raise ValueError(f"dimension must be 1 or 2, got {dim}")
-    if isinstance(periods, int):
-        periods = (periods,)
-    periods = tuple(int(p) for p in periods)
-    q = math.prod(periods)
-    check_fiber_stack(q, banded=dim == 1)  # before the cell: any solve of it needs at least one real fiber
-    return PeriodicPotential(dim=dim, periods=periods, cell=np.zeros(q))
+    periods = check_free(dim, periods)
+    return PeriodicPotential(dim=dim, periods=periods, cell=np.zeros(math.prod(periods)))
+
+
+def check_almost_mathieu(frequency) -> Fraction:
+    """An almost-Mathieu frequency as a Fraction, or ValueError if its phases or its cell could not be computed."""
+    if not isinstance(frequency, Fraction):
+        p, q = frequency
+        if int(q) == 0:
+            raise ValueError("frequency denominator must be nonzero")
+        frequency = Fraction(int(p), int(q))
+    q = frequency.denominator
+    if abs(frequency.numerator) * (q - 1) > int(_FLOAT_MAX) * q:  # true division would overflow
+        raise ValueError(f"frequency numerator is too large: n * p / q overflows a float at site n = {q - 1}")
+    check_fiber_stack(q, banded=True)
+    return frequency
 
 
 def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicPotential:
@@ -73,15 +90,8 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     spectra of convergent frequencies approximate the quasiperiodic one.
     A frequency whose phase n * p / q overflows a float at some site is refused.
     """
-    if not isinstance(frequency, Fraction):
-        p, q = frequency
-        if int(q) == 0:
-            raise ValueError("frequency denominator must be nonzero")
-        frequency = Fraction(int(p), int(q))
+    frequency = check_almost_mathieu(frequency)
     q = frequency.denominator
-    if abs(frequency.numerator) * (q - 1) > int(_FLOAT_MAX) * q:  # true division would overflow
-        raise ValueError(f"frequency numerator is too large: n * p / q overflows a float at site n = {q - 1}")
-    check_fiber_stack(q, banded=True)  # before the cell, as in free_potential
     cell = np.fromiter(
         (2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset)) for n in range(q)),
         dtype=float,
@@ -96,6 +106,16 @@ def _word_length(level: int) -> Decimal:
     return (((1 + root5) / 2) ** (level + 1) / root5).to_integral_value()
 
 
+def check_fibonacci(level: int) -> int:
+    """F_{level+1}, the sites of a Fibonacci level, or ValueError if its banded fiber would not fit."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    with localcontext(_SIZES):
+        letters = _word_length(level)
+        check_fiber_stack(letters, banded=True)
+    return int(letters)
+
+
 def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     """Periodized Fibonacci substitution word, a -> coupling, b -> 0.
 
@@ -105,12 +125,7 @@ def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     filled in place: w_{n-2} is a prefix of w_{n-1}, so each level appends a
     copy of a prefix of what is already there.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    with localcontext(_SIZES):
-        letters = _word_length(level)
-        check_fiber_stack(letters, banded=True)
-    q = int(letters)
+    q = check_fibonacci(level)
     cell = np.empty(q)
     cell[:2] = (coupling, 0.0)[:q]
     done, prev = 2, 1
@@ -120,24 +135,50 @@ def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     return PeriodicPotential(dim=1, periods=(q,), cell=cell)
 
 
+def check_cantor(level: int) -> None:
+    """ValueError unless ``level`` >= 0 and a measure run up to it fits in memory."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    with localcontext(_SIZES):  # a measure run's peak, at its last level: measured 42 bytes per interval
+        check_bytes(48 * Decimal(2) ** level, f"the 2^{level} intervals of middle-thirds level {level}")
+
+
 def cantor_approximation(level: int) -> ApproximationRecord:
     """Level-``level`` middle-thirds cover: 2^level intervals of length 3^-level.
 
     The declared distance bound is the conservative 3^-level (the true
     Hausdorff distance to the limit set is 3^-(level+1) / 2).
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    with localcontext(_SIZES):  # the last split holds both levels' lows and highs: about 40 bytes per interval
-        check_bytes(40 * Decimal(2) ** level, f"the 2^{level} intervals of middle-thirds level {level}")
-    lows, highs = np.zeros(1), np.ones(1)
-    for _ in range(level):
-        # each [lo, hi] is replaced, in place, by [lo, lo + w] and [hi - w, hi]
-        w = (highs - lows) / 3.0
-        lows, highs = np.column_stack((lows, highs - w)).ravel(), np.column_stack((lows + w, highs)).ravel()
+    check_cantor(level)
+    # the intervals of level k sit at every 2^(level - k)-th index of the final arrays: [lo, hi] is
+    # split, in place, into [lo, lo + w] at its own index and [hi - w, hi] halfway to the next one
+    lows, highs = np.empty(2**level), np.empty(2**level)
+    lows[0], highs[0] = 0.0, 1.0
+    for k in range(level, 0, -1):
+        step, half = 2**k, 2 ** (k - 1)
+        lo, hi, new_lo, new_hi = lows[::step], highs[::step], lows[half::step], highs[half::step]
+        new_hi[:] = hi
+        w = np.divide(np.subtract(hi, lo, out=new_lo), 3.0, out=new_lo)  # (hi - lo) / 3, held in new_lo
+        np.add(lo, w, out=hi)
+        np.subtract(new_hi, w, out=new_lo)
     scale = 3.0 ** (-level)
-    s = IntervalSet(lows, highs)
+    s = IntervalSet.__new__(IntervalSet)._checked(lows, highs)  # the set's checks, without its constructor's copy
     return ApproximationRecord(set=s, delta=scale, q=len(s), r=scale)
+
+
+def check_grid(n: int, solid_to: float | None = None) -> None:
+    """ValueError unless ``n`` >= 1 lies in the float range, ``solid_to`` in (0, 1], and a measure run up to
+    level n fits in memory."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > _FLOAT_MAX:  # alpha * n would overflow
+        raise ValueError(f"grid level must lie in the float range, got {Decimal(n):.3e}")
+    if solid_to is not None and not 0.0 < float(solid_to) <= 1.0:
+        raise ValueError("solid_to must lie in (0, 1]")
+    # a measure run's peak, at its last level, measured: 42 bytes per point; with alpha, the larger of
+    # 17 per point (the builder's) and 8 per point plus 42 per point j/n > alpha welded on
+    above = 0 if solid_to is None else n - math.floor(float(solid_to) * n)
+    check_bytes((48 if solid_to is None else 24) * (n + 1) + 48 * above, f"the {n + 1} points of grid level {n}")
 
 
 def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRecord:
@@ -147,20 +188,11 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
     giving a sequence whose raw Lebesgue measure stays at alpha while the
     fattened one still converges to 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _FLOAT_MAX:  # alpha * n would overflow
-        raise ValueError(f"grid level must lie in the float range, got {Decimal(n):.3e}")
-    alpha = None if solid_to is None else float(solid_to)
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        raise ValueError("solid_to must lie in (0, 1]")
-    # measured peaks: 19 bytes per point for the grid, its point set and the set's checks, or 17 per
-    # point plus 58 per point j/n > alpha welded on, whose intervals are merged
-    above = 0 if alpha is None else n - math.floor(alpha * n)
-    check_bytes(24 * (n + 1) + 64 * above, f"the {n + 1} points of grid level {n}")
+    check_grid(n, solid_to)
     delta = 1.0 / (2.0 * n)
-    if alpha is None:
+    if solid_to is None:
         return ApproximationRecord.from_set(PointSet(np.arange(n + 1) / n), delta)
+    alpha = float(solid_to)
     pts = np.arange(n + 1) / n
     welded = pts[pts > alpha]
     return ApproximationRecord.from_set(interval_union(np.append(0.0, welded), np.append(alpha, welded)), delta)

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -591,6 +593,77 @@ class TestModelRegistry:
         cfg = measure_config(tmp_path, model=model, n_max=2)
         assert main(["measure", "--config", cfg]) == 2
         assert "unknown model: 'potential'" in capsys.readouterr().err
+
+
+class TestMeasureRunSize:
+    """A measure run is sized by its last step before it builds its first, and a set-model run
+    builds each step only after the report has let go of the one before."""
+
+    @pytest.mark.parametrize(
+        "model, builder, n_max",
+        [
+            ({"name": "cantor"}, "cantor_approximation", 40),
+            ({"name": "fibonacci", "coupling": 1.0}, "fibonacci_potential", 60),
+        ],
+        ids=["cantor", "fibonacci"],
+    )
+    def test_oversize_run_refused_before_step_one(self, tmp_path, capsys, monkeypatch, model, builder, n_max):
+        builds = []
+        build = getattr(models, builder)
+
+        def counting(level, *args):
+            builds.append(level)
+            if level > 4:  # a step of the oversize run; building it could take gigabytes
+                pytest.fail(f"level {level} of an oversize run was built")
+            return build(level, *args)
+
+        monkeypatch.setattr(models, builder, counting)
+        assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=4)]) == 0
+        assert builds == [1, 2, 3, 4]  # the counter sees every build of a run
+        builds.clear()
+        (tmp_path / "out.csv").unlink()
+        assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=n_max)]) == 2
+        assert builds == []
+        assert " bytes, memory holds " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_set_run_holds_one_step(self, tmp_path, capsys, monkeypatch):
+        alive = []
+        build = models.cantor_approximation
+
+        def recording(level):
+            assert [ref() for ref in alive] == [None] * len(alive), f"a step is alive when level {level} is built"
+            rec = build(level)
+            alive.extend((weakref.ref(rec), weakref.ref(rec.set.lows)))  # the record and its set's endpoints
+            return rec
+
+        monkeypatch.setattr(models, "cantor_approximation", recording)
+        assert main(["measure", "--config", measure_config(tmp_path, n_max=6)]) == 0
+        assert len(alive) == 12
+
+    @pytest.mark.parametrize(
+        "model, n_min, n_max",
+        [
+            ({"name": "cantor"}, 1, 16),
+            ({"name": "grid"}, 99998, 100000),
+            ({"name": "grid", "solid_to": 0.3}, 99998, 100000),
+        ],
+        ids=["cantor", "grid", "grid-solid-to"],
+    )
+    def test_run_peak_at_most_the_charge_of_its_last_step(self, tmp_path, capsys, monkeypatch, model, n_min, n_max):
+        charges = []
+        check = models.check_bytes
+        monkeypatch.setattr(models, "check_bytes", lambda need, what: charges.append(need) or check(need, what))
+        cfg = measure_config(tmp_path, model=model, n_min=n_min, n_max=n_max)
+        assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
+        charges.clear()
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charges[0] == max(charges)  # the first charge, the last step's, is the largest
 
 
 class TestDimensionCommand:

@@ -344,6 +344,44 @@ class TestLoopReferences:
                 assert intervals._distances(b, np.array([x]))[0] == ref_distance(b, x)
 
 
+class TestSortedPath:
+    """interval_union skips its sort when the lows strictly increase and its running maximum when
+    the highs do not decrease.  The same pairs reversed always take the sort, and the merge loop
+    takes neither shortcut: each gives the same arrays."""
+
+    @staticmethod
+    def pairs(rng, kind, k):
+        steps = rng.choice([1e-12, 0.25, 1.0], size=k)
+        if kind == "increasing":  # strictly increasing lows, nondecreasing highs; gaps of about tol, 0 or less
+            lows = np.cumsum(steps)
+            return lows, lows + rng.choice([0.0, 1e-12, 0.25, 1.0])
+        if kind == "tied":
+            lows = np.sort(rng.integers(0, k // 2 + 1, size=k) / 4.0)
+            return lows, lows + rng.integers(0, 4, size=k) / 4.0
+        lows = np.cumsum(steps)  # nested: wide intervals swallow the next ones, so the highs are not monotone
+        highs = lows + rng.choice([0.0, 1e-12, 0.25, 3.0], size=k)
+        if kind == "shuffled":
+            order = rng.permutation(k)
+            return lows[order], highs[order]
+        return lows, highs
+
+    @pytest.mark.parametrize("tol", [0.0, intervals.DEFAULT_TOL])
+    @pytest.mark.parametrize("kind", ["increasing", "tied", "nested", "shuffled"])
+    def test_sorted_input_matches_reversed_and_merge_loop(self, kind, tol):
+        rng = np.random.default_rng(17)
+        paths = set()
+        for _ in range(100):
+            lows, highs = self.pairs(rng, kind, int(rng.integers(2, 60)))
+            paths.add(((np.diff(lows) > 0).all(), (np.diff(highs) >= 0).all()))
+            u = intervals.interval_union(lows, highs, tol)
+            v = intervals.interval_union(lows[::-1], highs[::-1], tol)
+            assert u.lows.tobytes() == v.lows.tobytes() and u.highs.tobytes() == v.highs.tobytes()
+            assert set_to_obj(u) == [list(p) for p in ref_normalize(zip(lows.tolist(), highs.tolist()), tol)]
+        # (the sort is skipped, the maximum is skipped) on the path each kind is there to reach
+        want = {"increasing": (True, True), "tied": (False, False), "nested": (True, False), "shuffled": (False, False)}
+        assert want[kind] in paths
+
+
 class TestArrayPaths:
     def test_cantor_hausdorff_is_subquadratic(self):
         # 65 536 against 32 768 components; the pairwise candidate scan took
