@@ -116,12 +116,12 @@ class _Model:
     passes ``step(spec, n)``, by default the spec with its level set to n.
     ``check`` refuses, allocating nothing, a measure step's spec whose
     approximant, or for a set model whose whole run up to it, would not fit
-    in memory.
+    in memory; a model that takes no measure command has none.
     """
 
     build: Callable[[dict], object]
     keys: dict
-    check: Callable[[dict], object] | None = None
+    check: Callable[[dict], object] | None
     step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
     sets: bool = False
 
@@ -138,7 +138,7 @@ def _free_step(spec, n):
     base = _int(spec["period_base"], "period_base")
     if base < 2:
         raise ConfigError("period_base must be >= 2")
-    return {"dim": spec["dim"], "periods": [base**n] * _int(spec["dim"], "dim")}
+    return {"dim": spec["dim"], "periods": models.free_periods(_int(spec["dim"], "dim"), base, n)}
 
 
 def _almost_mathieu(spec):
@@ -193,7 +193,11 @@ MODELS = {
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
         check=lambda s: models.check_fibonacci(_int(s["level"], "level")),
     ),
-    "potential": _Model(build=_literal_potential, keys={"bands": _keys("name", "dim", "periods", "cell")}),
+    "potential": _Model(
+        build=_literal_potential,
+        keys={"bands": _keys("name", "dim", "periods", "cell")},
+        check=None,
+    ),
 }
 
 
@@ -206,12 +210,6 @@ def _model(spec, command: str) -> _Model:
         raise ConfigError(f"unknown model: {spec['name']!r}")
     _check_keys(spec, *entry.keys[command], "model")
     return entry
-
-
-def _approximants(spec, steps):
-    """Step n of a measure run's model for each n in ``steps``, each built as it is read."""
-    model = _model(spec, "measure")
-    return (model.build(model.step(spec, n)) for n in steps)
 
 
 # keys of the fiber pipeline, which a set model's measure run has no use for
@@ -275,7 +273,7 @@ def cmd_measure(args) -> int:
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
     model.check(model.step(cfg["model"], steps[-1]))  # before step 1: every model's largest step is its last
-    approximants = _approximants(cfg["model"], steps)
+    approximants = (model.build(model.step(cfg["model"], n)) for n in steps)  # each built as it is read
     if model.sets:  # streamed: the report holds one step at a time
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
             raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")

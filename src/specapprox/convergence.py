@@ -38,6 +38,14 @@ FINITE_HORIZON_NOTE = (
     "the limiting hypotheses are not checkable from finite data"
 )
 
+
+def _pairs(s: IntervalSet):
+    """(lo, hi) of each component of ``s`` as Python floats, converted 4096 at a time: lists of all
+    of them would take 64 bytes per component, more than the set itself."""
+    for k in range(0, len(s.lows), 4096):
+        yield from zip(s.lows[k : k + 4096].tolist(), s.highs[k : k + 4096].tolist())
+
+
 @dataclass(frozen=True)
 class Lebesgue:
     """Length measure on the line."""
@@ -73,7 +81,7 @@ class PiecewiseDensity:
     def measure_of(self, s: IntervalSet) -> float:
         total = 0.0
         bp = self.breakpoints
-        for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
+        for lo, hi in _pairs(s):
             # portions outside the breakpoint range
             total += self.outside * max(0.0, min(hi, bp[0]) - lo)
             total += self.outside * max(0.0, hi - max(lo, bp[-1]))
@@ -105,7 +113,7 @@ class AtomicMeasure:
 
     def measure_of(self, s: IntervalSet) -> float:
         total = 0.0
-        for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
+        for lo, hi in _pairs(s):
             i = bisect_left(self.atoms, lo)
             j = bisect_right(self.atoms, hi)
             total += sum(self.weights[i:j])

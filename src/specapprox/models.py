@@ -54,12 +54,23 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
 
 
 def check_free(dim: int, periods) -> tuple[int, ...]:
-    """The periods of a free potential as a tuple, or ValueError if its cell could not be solved."""
+    """The periods of a free potential as a tuple of ints, or ValueError if its cell could not be solved.
+
+    ``periods`` may hold Decimals, such as sizes in _SIZES, which are sized before any is made an int.
+    """
     if dim not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
-    periods = tuple(int(p) for p in ((periods,) if isinstance(periods, int) else periods))
+    periods = (periods,) if isinstance(periods, int) else tuple(periods)
     check_fiber_stack(math.prod(periods), banded=dim == 1)  # any solve of the cell needs at least one real fiber
-    return periods
+    return tuple(int(p) for p in periods)
+
+
+def free_periods(dim: int, base: int, n: int) -> list[int]:
+    """[base^n] * dim, the periods of step n of a free measure run, or ValueError if its cell could not be
+    solved; sized in _SIZES first, since at an n whose cell no memory holds base^n is itself slow to compute."""
+    with localcontext(_SIZES):
+        check_free(dim, [Decimal(base) ** n] * dim)
+    return [base**n] * dim
 
 
 def free_potential(dim: int, periods) -> PeriodicPotential:

@@ -582,11 +582,10 @@ class TestModelRegistry:
         ids=["free-1d", "free-2d", "almost_mathieu", "fibonacci"],
     )
     def test_measure_step_matches_bands_spec(self, measure_model, bands_model):
-        steps = range(1, 6)
-        potentials = cli._approximants(measure_model, steps)
-        for n, potential in zip(steps, potentials):
+        model = cli._model(measure_model, "measure")
+        for n in range(1, 6):
             spec = bands_model(n)
-            assert potential == cli._model(spec, "bands").build(spec)
+            assert model.build(model.step(measure_model, n)) == cli._model(spec, "bands").build(spec)
 
     def test_operator_only_model_rejected_by_measure(self, tmp_path, capsys):
         model = {"name": "potential", "dim": 1, "periods": [2], "cell": [0.0, 1.0]}
@@ -604,23 +603,26 @@ class TestMeasureRunSize:
         [
             ({"name": "cantor"}, "cantor_approximation", 40),
             ({"name": "fibonacci", "coupling": 1.0}, "fibonacci_potential", 60),
+            # 3^(10^9) alone takes hours to compute; the run is sized without it
+            ({"name": "free", "dim": 1, "period_base": 3}, "free_potential", 10**9),
         ],
-        ids=["cantor", "fibonacci"],
+        ids=["cantor", "fibonacci", "free"],
     )
     def test_oversize_run_refused_before_step_one(self, tmp_path, capsys, monkeypatch, model, builder, n_max):
-        builds = []
+        builds, allowed = [], [4]
         build = getattr(models, builder)
 
-        def counting(level, *args):
-            builds.append(level)
-            if level > 4:  # a step of the oversize run; building it could take gigabytes
-                pytest.fail(f"level {level} of an oversize run was built")
-            return build(level, *args)
+        def counting(*args):
+            builds.append(args)
+            if len(builds) > allowed[0]:  # a step of the oversize run; building it could take gigabytes
+                pytest.fail(f"step {len(builds)} was built, with {allowed[0]} allowed")
+            return build(*args)
 
         monkeypatch.setattr(models, builder, counting)
         assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=4)]) == 0
-        assert builds == [1, 2, 3, 4]  # the counter sees every build of a run
+        assert len(builds) == 4  # the counter sees every build of a run
         builds.clear()
+        allowed[0] = 0
         (tmp_path / "out.csv").unlink()
         assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=n_max)]) == 2
         assert builds == []
@@ -642,19 +644,24 @@ class TestMeasureRunSize:
         assert len(alive) == 12
 
     @pytest.mark.parametrize(
-        "model, n_min, n_max",
+        "model, n_min, n_max, mu",
         [
-            ({"name": "cantor"}, 1, 16),
-            ({"name": "grid"}, 99998, 100000),
-            ({"name": "grid", "solid_to": 0.3}, 99998, 100000),
+            ({"name": "cantor"}, 1, 16, None),
+            # a measure that reads endpoints in Python; two steps, since the loop is slow under tracemalloc
+            ({"name": "cantor"}, 15, 16, {"type": "density", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}),
+            ({"name": "grid"}, 99998, 100000, None),
+            ({"name": "grid"}, 99999, 100000, {"type": "atomic", "atoms": [0.0, 0.5], "weights": [1.0, 2.0]}),
+            ({"name": "grid", "solid_to": 0.3}, 99998, 100000, None),
         ],
-        ids=["cantor", "grid", "grid-solid-to"],
+        ids=["cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to"],
     )
-    def test_run_peak_at_most_the_charge_of_its_last_step(self, tmp_path, capsys, monkeypatch, model, n_min, n_max):
+    def test_run_peak_at_most_the_charge_of_its_last_step(
+        self, tmp_path, capsys, monkeypatch, model, n_min, n_max, mu
+    ):
         charges = []
         check = models.check_bytes
         monkeypatch.setattr(models, "check_bytes", lambda need, what: charges.append(need) or check(need, what))
-        cfg = measure_config(tmp_path, model=model, n_min=n_min, n_max=n_max)
+        cfg = measure_config(tmp_path, model=model, n_min=n_min, n_max=n_max, **({"measure": mu} if mu else {}))
         assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
         charges.clear()
         tracemalloc.start()
