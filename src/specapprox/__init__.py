@@ -43,7 +43,6 @@ from .intervals import (
     IntervalSet,
     InvalidRadiusError,
     PointSet,
-    as_intervals,
     components,
     contains_set,
     directed_distance,

@@ -89,7 +89,7 @@ def hausdorff_content_upper(cover, alpha: float) -> float:
         raise ValueError(f"content exponent must be positive, got {alpha}")
     if not isinstance(cover, IntervalSet):
         cover = normalize(cover, 0.0)
-    return float(sum((hi - lo) ** alpha for lo, hi in zip(cover.lows.tolist(), cover.highs.tolist())))
+    return float(np.cumsum((cover.highs - cover.lows) ** alpha)[-1])  # summed left to right, as lebesgue
 
 
 @dataclass(frozen=True)

@@ -146,11 +146,6 @@ def normalize(pairs, tol: float = DEFAULT_TOL) -> IntervalSet:
     return interval_union(lows, highs, tol)
 
 
-def as_intervals(a: CompactSet) -> IntervalSet:
-    """View a compact set as an IntervalSet (points become degenerate intervals)."""
-    return a if isinstance(a, IntervalSet) else fatten(a, 0.0)
-
-
 def fatten(a: CompactSet, delta: float) -> IntervalSet:
     """Closed delta-neighborhood: union of [x - delta, x + delta] over x in a.
 

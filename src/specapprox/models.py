@@ -80,16 +80,13 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
 
 
 def check_almost_mathieu(frequency) -> Fraction:
-    """An almost-Mathieu frequency as a Fraction, or ValueError if its phases or its cell could not be computed."""
+    """An almost-Mathieu frequency as a Fraction, or ValueError if its cell could not be solved."""
     if not isinstance(frequency, Fraction):
         p, q = frequency
         if int(q) == 0:
             raise ValueError("frequency denominator must be nonzero")
         frequency = Fraction(int(p), int(q))
-    q = frequency.denominator
-    if abs(frequency.numerator) * (q - 1) > int(_FLOAT_MAX) * q:  # true division would overflow
-        raise ValueError(f"frequency numerator is too large: n * p / q overflows a float at site n = {q - 1}")
-    check_fiber_stack(q, banded=True)
+    check_fiber_stack(frequency.denominator, banded=True)
     return frequency
 
 
@@ -99,12 +96,14 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     ``frequency`` is a Fraction or (p, q) pair; the reduced denominator is
     the period.  Rational frequencies make the operator periodic, so the
     spectra of convergent frequencies approximate the quasiperiodic one.
-    A frequency whose phase n * p / q overflows a float at some site is refused.
+    The numerator is reduced mod q before the float phase n * (p mod q) / q,
+    so frequencies equal mod 1 give the same cell bit for bit, at any size.
     """
     frequency = check_almost_mathieu(frequency)
     q = frequency.denominator
+    p = frequency.numerator % q
     cell = np.fromiter(
-        (2.0 * coupling * math.cos(2.0 * math.pi * (n * frequency.numerator / q + offset)) for n in range(q)),
+        (2.0 * coupling * math.cos(2.0 * math.pi * (n * p / q + offset)) for n in range(q)),
         dtype=float,
         count=q,
     )

@@ -1,15 +1,19 @@
-"""Shared generators and the brute-force distance oracle.
+"""Shared generators, the brute-force distance oracle and the exact measure oracle.
 
-The oracle deliberately avoids the library's candidate-point algorithm: it
-samples each set on a uniform grid and takes max-of-min distances with
-plain numpy, so agreement between the two is a real cross-check.
+The distance oracle deliberately avoids the library's candidate-point
+algorithm: it samples each set on a uniform grid and takes max-of-min
+distances with plain numpy, so agreement between the two is a real
+cross-check.  The measure oracle works in exact rationals, one component
+at a time.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from specapprox import IntervalSet, PeriodicPotential, PointSet, normalize, point_set
+from specapprox import AtomicMeasure, IntervalSet, PeriodicPotential, PointSet, normalize, point_set
 
 
 def random_interval_set(rng, lo=-4.0, hi=4.0, max_components=6, max_len=0.5) -> IntervalSet:
@@ -65,3 +69,20 @@ def oracle_directed(a, b, spacing=1e-5) -> float:
 
 def oracle_hausdorff(a, b, spacing=1e-5) -> float:
     return max(oracle_directed(a, b, spacing), oracle_directed(b, a, spacing))
+
+
+def oracle_measure(mu, s) -> Fraction:
+    """mu(s) in exact rationals from the set's float endpoints, component by component and piece by
+    piece: a point set's points stay apart, and an atom counts when lo <= atom <= hi for some component."""
+    pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in zip(s.lows.tolist(), s.highs.tolist())]
+    if isinstance(mu, AtomicMeasure):
+        return sum(Fraction(w) for a, w in zip(mu.atoms, mu.weights) if any(lo <= a <= hi for lo, hi in pairs))
+    bp = [Fraction(b) for b in mu.breakpoints]
+    # finite stand-ins for -inf and +inf: no component reaches past them
+    edges = [min(bp[0], pairs[0][0]), *bp, max(bp[-1], pairs[-1][1])]
+    densities = [mu.outside, *mu.values, mu.outside]
+    return sum(
+        Fraction(c) * max(Fraction(0), min(hi, b) - max(lo, a))
+        for lo, hi in pairs
+        for c, a, b in zip(densities, edges, edges[1:])
+    )

@@ -123,11 +123,6 @@ MALFORMED_BANDS = {
     "offset-string": (REAL, {"model": {"name": "almost_mathieu", "coupling": 1, "frequency": [1, 3], "offset": "0.1"}}),
     "cell-string": (REAL, {"model": {"name": "potential", "dim": 1, "periods": [2], "cell": ["0", 1.0]}}),
     "coupling-huge-int": (REAL, {"model": {"name": "fibonacci", "level": 3, "coupling": 10**400}}),
-    # n * p / q overflowed in true division (exit 1)
-    "frequency-numerator-beyond-floats": (
-        "n * p / q overflows a float at site n = 2",
-        {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": [10**400, 3]}},
-    ),
     # np.prod wrapped the cell volume in int64: to 0, refused only as a reshape failure, and below 0
     "cell-count-wraps-to-zero": (
         "cell must hold 18446744073709551616 values, got 0",
@@ -495,6 +490,16 @@ class TestBandsCommand:
         assert main(["bands", "--config", cfg]) == 0
         assert "bands: 2" in capsys.readouterr().out
 
+    def test_frequency_numerator_beyond_floats_runs_as_its_residue(self, tmp_path, capsys):
+        # n * p / q overflowed in true division (exit 1), then was refused (exit 2); p mod q is 2
+        runs = []
+        for p in (2, 10**400 + 1):
+            model = {"name": "almost_mathieu", "coupling": 1.0, "frequency": [p, 3]}
+            cfg = write_json(tmp_path / "bands.json", {"model": model, "output_csv": str(tmp_path / "bands.csv")})
+            assert main(["bands", "--config", cfg]) == 0
+            runs.append((capsys.readouterr(), (tmp_path / "bands.csv").read_bytes()))
+        assert runs[1] == runs[0]
+
     def test_two_dimensional_grid(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bands.json",
@@ -647,7 +652,7 @@ class TestMeasureRunSize:
         "model, n_min, n_max, mu",
         [
             ({"name": "cantor"}, 1, 16, None),
-            # a measure that reads endpoints in Python; two steps, since the loop is slow under tracemalloc
+            # a density measure adds two buffers of the set's size to a step of the run
             ({"name": "cantor"}, 15, 16, {"type": "density", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}),
             ({"name": "grid"}, 99998, 100000, None),
             ({"name": "grid"}, 99999, 100000, {"type": "atomic", "atoms": [0.0, 0.5], "weights": [1.0, 2.0]}),

@@ -1,9 +1,11 @@
 import csv
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_interval_set
+from conftest import oracle_measure, random_compact_set, random_interval_set, random_point_set
 
 from specapprox import (
     ApproximationRecord,
@@ -86,6 +88,111 @@ class TestMeasures:
         for _ in range(30):
             a = random_interval_set(rng)
             assert measure(mu, fatten(a, 0.3)) >= measure(mu, a)
+
+
+def random_density(rng, lo=-3.0, hi=3.0) -> PiecewiseDensity:
+    breakpoints = np.unique(rng.uniform(lo, hi, size=int(rng.integers(2, 6))))
+    values = rng.uniform(0.0, 3.0, size=len(breakpoints) - 1)
+    return PiecewiseDensity(tuple(breakpoints.tolist()), tuple(values.tolist()), float(rng.uniform(0.1, 2.0)))
+
+
+def random_atoms(rng, s) -> AtomicMeasure:
+    """Atoms on some of the set's endpoints and at random points; dyadic weights, so every sum is exact."""
+    ends = np.concatenate((s.lows, s.highs))
+    atoms = np.unique(np.concatenate((rng.choice(ends, size=3), rng.uniform(-5.0, 5.0, size=3))))
+    weights = rng.integers(1, 16, size=len(atoms)) / 8
+    return AtomicMeasure(tuple(atoms.tolist()), tuple(weights.tolist()))
+
+
+def full_pass_density(mu, s) -> float:
+    """Each piece clipped over every component, not only those meeting it, which add exact zeros."""
+    edges = (-math.inf, *mu.breakpoints, math.inf)
+    total = 0.0
+    for c, a, b in zip((mu.outside, *mu.values, mu.outside), edges, edges[1:]):
+        total += c * float(np.cumsum(np.clip(s.highs, a, b) - np.clip(s.lows, a, b))[-1])
+    return total
+
+
+def assert_density_within_bound(mu, s):
+    """|computed - exact| <= (n + P) * 2^-52 * exact for n components and P pieces, outside ones included:
+    each nonnegative term is rounded once, then in one sum of n, one product and one sum of P."""
+    exact = oracle_measure(mu, s)
+    pieces = len(mu.values) + 2
+    assert abs(Fraction(measure(mu, s)) - exact) <= (len(s) + pieces) * Fraction(2**-52) * exact
+    assert measure(mu, s) == full_pass_density(mu, s)
+
+
+class TestMeasureOracle:
+    """Density and atomic measures against the exact rational oracle of conftest."""
+
+    def test_density_on_random_sets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            s = random_compact_set(rng) if rng.random() < 0.5 else random_interval_set(rng, max_components=40)
+            assert_density_within_bound(random_density(rng), s)
+
+    def test_density_on_components_straddling_breakpoints(self):
+        mu = PiecewiseDensity(breakpoints=(0.0, 0.1, 0.7, 1.0), values=(3.0, 0.3, 1.1), outside=0.7)
+        # one component over every breakpoint, and components each straddling one of them
+        for pairs in ([(-0.2, 1.3)], [(-0.05, 0.05), (0.09, 0.2), (0.65, 0.75), (0.95, 1.01)]):
+            assert_density_within_bound(mu, normalize(pairs))
+
+    @pytest.mark.parametrize("lo, hi", [(-9.0, -4.0), (4.0, 9.0)], ids=["left", "right"])
+    def test_density_on_sets_outside_the_breakpoints(self, lo, hi):
+        rng = np.random.default_rng(42)
+        mu = PiecewiseDensity(breakpoints=(-3.0, 0.5, 3.0), values=(2.0, 0.0), outside=0.3)
+        for _ in range(20):
+            s = random_interval_set(rng, lo=lo, hi=hi - 0.5, max_components=10)
+            assert_density_within_bound(mu, s)
+            assert measure(mu, s) > 0.0
+
+    def test_atomic_on_random_sets_equals_the_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            s = random_compact_set(rng) if rng.random() < 0.5 else random_interval_set(rng, max_components=40)
+            mu = random_atoms(rng, s)
+            assert measure(mu, s) == oracle_measure(mu, s)
+
+    def test_atomic_on_endpoints_counts_each_atom_once(self):
+        s = normalize([(0.0, 1.0), (2.0, 3.0)])
+        mu = AtomicMeasure(atoms=(-1.0, 0.0, 1.0, 1.5, 2.0, 3.0, 3.5), weights=(1.0, 0.5, 0.25, 8.0, 0.125, 2.0, 4.0))
+        assert measure(mu, s) == oracle_measure(mu, s) == 2.875
+        points = random_point_set(np.random.default_rng(44))
+        mu = AtomicMeasure(atoms=tuple(points.lows.tolist()), weights=(0.25,) * len(points))
+        assert measure(mu, points) == oracle_measure(mu, points) == 0.25 * len(points)
+
+    # two points 5e-13 apart, within DEFAULT_TOL, were once measured as the merged interval [0, 5e-13]
+    def test_points_closer_than_the_merge_tolerance_have_no_length(self):
+        points = point_set([0.0, 5e-13])
+        assert measure(Lebesgue(), points) == 0.0
+        assert measure(PiecewiseDensity(breakpoints=(-1.0, 1.0), values=(1.0,), outside=1.0), points) == 0.0
+
+    def test_atom_between_close_points_gets_no_weight(self):
+        points = point_set([0.0, 5e-13])
+        assert measure(AtomicMeasure(atoms=(2.5e-13,), weights=(1.0,)), points) == 0.0
+        assert measure(AtomicMeasure(atoms=(2.5e-13, 5e-13), weights=(1.0, 0.5)), points) == 0.5
+
+    def test_atomic_allocates_nothing_per_component(self):
+        s = cantor_approximation(16).set
+        mu = AtomicMeasure(atoms=(0.0, 0.5, 1.0), weights=(1.0, 2.0, 4.0))
+        tracemalloc.start()
+        try:
+            assert measure(mu, s) == 5.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, f"{peak} bytes for 3 atoms over {len(s)} components"
+
+    def test_density_holds_two_buffers(self):
+        s = cantor_approximation(16).set
+        mu = PiecewiseDensity(breakpoints=(0.0, 0.5, 1.0), values=(1.0, 3.0))
+        tracemalloc.start()
+        try:
+            measure(mu, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * s.lows.nbytes + 4096
 
 
 class TestApproximationRecord:

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from conftest import random_interval_set
 
 from specapprox import (
     ConvergenceReport,
@@ -86,6 +88,21 @@ class TestContent:
         s = cantor_approximation(4).set
         values = [hausdorff_content_upper(s, a) for a in (0.3, 0.5, 0.7, 0.9)]
         assert all(x > y for x, y in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.63, 1.0, 2.0])
+    def test_array_pass_against_the_loop(self, alpha):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            s = random_interval_set(rng, max_components=40)
+            got = hausdorff_content_upper(s, alpha)
+            # numpy's terms summed by a left-to-right loop: bit for bit
+            assert got == sum(((s.highs - s.lows) ** alpha).tolist())
+            # the loop's own terms, by the C library's pow: the two powers round apart by an ulp on some
+            # terms (never at alpha = 1), which moves the sum by at most (2n + 3) * 2^-52 of itself
+            loop = sum(d**alpha for d in (s.highs - s.lows).tolist())
+            assert abs(got - loop) <= (2 * len(s) + 3) * 2**-52 * loop
+            if alpha == 1.0:
+                assert got == loop
 
     def test_canonicalization_merges_before_summing(self):
         # abutting halves merge into one unit interval: 1^0.5 = 1, not 2 * 0.5^0.5

@@ -15,7 +15,6 @@ from specapprox import (
     Lebesgue,
     PiecewiseDensity,
     PointSet,
-    as_intervals,
     cantor_approximation,
     components,
     contains_set,
@@ -277,8 +276,8 @@ class TestFatteningAlgebra:
         for _ in range(80):
             a = random_compact_set(rng)
             delta = rng.uniform(0.0, 1.0)
-            q, _ = components(as_intervals(a))
-            assert lebesgue(fatten(a, delta)) <= lebesgue(as_intervals(a)) + 2 * q * delta + 1e-12
+            q, _ = components(a)
+            assert lebesgue(fatten(a, delta)) <= lebesgue(a) + 2 * q * delta + 1e-12
 
 
 class TestOracleAgreement:

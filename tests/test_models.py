@@ -18,7 +18,6 @@ from specapprox import (
     set_to_obj,
 )
 from specapprox import floquet, models
-from specapprox.intervals import as_intervals
 
 
 class TestConvergents:
@@ -97,10 +96,13 @@ class TestAlmostMathieu:
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
             almost_mathieu(0.5, (1, 10**12))
 
-    def test_numerator_refused_where_a_phase_overflows(self):
+    def test_numerator_reduced_mod_q(self):
+        # frequencies equal mod 1 share a cell bit for bit: the float phase n * p / q once gave
+        # [2, -0.705, -1.503] for (10^15 + 1) / 3 and overflowed for (10^400 + 1) / 3
+        cell = almost_mathieu(1.0, (2, 3)).cell.tobytes()
+        for p in (10**15 + 1, 10**400 + 1, -1):
+            assert almost_mathieu(1.0, (p, 3)).cell.tobytes() == cell
         assert almost_mathieu(0.5, (10**400, 1)).cell.tolist() == [1.0]  # site 0 alone: its phase is 0
-        with pytest.raises(ValueError, match="overflows a float at site n = 2"):
-            almost_mathieu(0.5, (10**400, 3))
 
     def test_offset_shifts_cell(self):
         v = almost_mathieu(0.5, Fraction(1, 3), offset=0.25)
@@ -232,7 +234,7 @@ class TestGridApproximation:
 
     def test_solid_variant(self):
         rec = grid_approximation(4, solid_to=0.5)
-        s = as_intervals(rec.set)
+        s = rec.set
         assert lebesgue(s) == 0.5
         assert rec.q == 3
         assert s.highs[0] == 0.5
