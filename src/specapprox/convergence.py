@@ -98,12 +98,12 @@ class AtomicMeasure:
             raise ValueError("atom weights must be positive")
 
     def measure_of(self, s: CompactSet) -> float:
-        """Sum, in atom order, of the weights of the atoms that lie in the last component starting
-        at or left of them."""
+        """Sum, left to right in atom order, of the weights of the atoms that lie in the last
+        component starting at or left of them; an uncovered atom adds an exact 0."""
         atoms = np.array(self.atoms)
         j = np.searchsorted(s.lows, atoms, side="right") - 1
         covered = (j >= 0) & (atoms <= s.highs[j])
-        return float(sum(itertools.compress(self.weights, covered.tolist())))
+        return float(np.cumsum(np.where(covered, self.weights, 0.0))[-1])
 
 
 Measure1D = Lebesgue | PiecewiseDensity | AtomicMeasure

@@ -161,6 +161,12 @@ class TestMeasureOracle:
         mu = AtomicMeasure(atoms=tuple(points.lows.tolist()), weights=(0.25,) * len(points))
         assert measure(mu, points) == oracle_measure(mu, points) == 0.25 * len(points)
 
+    def test_atomic_sums_left_to_right_in_atom_order(self):
+        # a compensated sum (Python's sum() from 3.12 on) would give the correctly rounded 1 + 2^-52
+        mu = AtomicMeasure(atoms=(0.0, 1.0, 2.0), weights=(1.0, 1e-16, 1e-16))
+        assert measure(mu, normalize([(0.0, 2.0)])) == 1.0
+        assert float(oracle_measure(mu, normalize([(0.0, 2.0)]))) == 1.0 + 2**-52
+
     # two points 5e-13 apart, within DEFAULT_TOL, were once measured as the merged interval [0, 5e-13]
     def test_points_closer_than_the_merge_tolerance_have_no_length(self):
         points = point_set([0.0, 5e-13])

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -95,11 +97,12 @@ class TestContent:
         for _ in range(200):
             s = random_interval_set(rng, max_components=40)
             got = hausdorff_content_upper(s, alpha)
-            # numpy's terms summed by a left-to-right loop: bit for bit
-            assert got == sum(((s.highs - s.lows) ** alpha).tolist())
+            # numpy's terms summed by a plain left-to-right loop (not sum(), which compensates from
+            # Python 3.12 on): bit for bit
+            assert got == functools.reduce(operator.add, ((s.highs - s.lows) ** alpha).tolist(), 0.0)
             # the loop's own terms, by the C library's pow: the two powers round apart by an ulp on some
             # terms (never at alpha = 1), which moves the sum by at most (2n + 3) * 2^-52 of itself
-            loop = sum(d**alpha for d in (s.highs - s.lows).tolist())
+            loop = functools.reduce(operator.add, (d**alpha for d in (s.highs - s.lows).tolist()), 0.0)
             assert abs(got - loop) <= (2 * len(s) + 3) * 2**-52 * loop
             if alpha == 1.0:
                 assert got == loop
