@@ -38,11 +38,9 @@ from .floquet import (
     proxy_deltas,
 )
 from .intervals import (
-    CompactSet,
     EmptySetError,
     IntervalSet,
     InvalidRadiusError,
-    PointSet,
     components,
     contains_set,
     directed_distance,

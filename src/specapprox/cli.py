@@ -313,20 +313,21 @@ def cmd_bands(args) -> int:
 
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()
-    violations = [i for i, w in enumerate(widths) if w > limit + 2 * spec.error_bound]
-    rows = [(i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(spec.bands)]
+    violations = np.flatnonzero(widths > limit + 2 * spec.error_bound).tolist()
+    bands = spec.bands.tolist()
+    rows = [(i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(bands)]
     convergence.write_csv(cfg["output_csv"], ("i", "lo", "hi", "width"), rows)
     if "output_json" in cfg:
         obj = {
-            "bands": [[lo, hi] for lo, hi in spec.bands],
+            "bands": bands,
             "error_bound": spec.error_bound,
             "bandwidth_bound": limit,
             "violations": violations,
         }
         convergence.write_json(cfg["output_json"], obj)
-    print(f"bands: {len(spec.bands)}")
+    print(f"bands: {len(bands)}")
     print(f"error_bound: {spec.error_bound:.6g}")
-    print(f"max_width: {max(widths):.6g}")
+    print(f"max_width: {widths.max():.6g}")
     print(f"width_bound: {limit:.6g}")
     print(f"violations: {len(violations)}")
     return 0

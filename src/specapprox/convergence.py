@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .intervals import CompactSet, components, fatten, lebesgue
+from .intervals import IntervalSet, components, fatten, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -37,7 +37,7 @@ FINITE_HORIZON_NOTE = (
 class Lebesgue:
     """Length measure on the line."""
 
-    def measure_of(self, s: CompactSet) -> float:
+    def measure_of(self, s: IntervalSet) -> float:
         return lebesgue(s)
 
 
@@ -55,6 +55,8 @@ class PiecewiseDensity:
     outside: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.breakpoints, *self.values, self.outside))):  # NaN fails every order check below
+            raise ValueError("breakpoints, density values and outside must be finite")
         if len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
         if len(self.values) != len(self.breakpoints) - 1:
@@ -65,7 +67,7 @@ class PiecewiseDensity:
         if any(v < 0 for v in self.values) or self.outside < 0:
             raise ValueError("densities must be nonnegative")
 
-    def measure_of(self, s: CompactSet) -> float:
+    def measure_of(self, s: IntervalSet) -> float:
         """Sum over the pieces, outside ones included, of the density times the length of ``s`` clipped
         to the piece, summed left to right in two buffers that every piece reuses.  Components that miss
         a piece would add exact zeros, so only those that meet it are clipped."""
@@ -89,6 +91,8 @@ class AtomicMeasure:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.atoms, *self.weights))):  # NaN fails every order check below
+            raise ValueError("atoms and weights must be finite")
         if not self.atoms or len(self.atoms) != len(self.weights):
             raise ValueError("need one positive weight per atom")
         for a, b in zip(self.atoms, self.atoms[1:]):
@@ -97,7 +101,7 @@ class AtomicMeasure:
         if any(w <= 0 for w in self.weights):
             raise ValueError("atom weights must be positive")
 
-    def measure_of(self, s: CompactSet) -> float:
+    def measure_of(self, s: IntervalSet) -> float:
         """Sum, left to right in atom order, of the weights of the atoms that lie in the last
         component starting at or left of them; an uncovered atom adds an exact 0."""
         atoms = np.array(self.atoms)
@@ -109,9 +113,9 @@ class AtomicMeasure:
 Measure1D = Lebesgue | PiecewiseDensity | AtomicMeasure
 
 
-def measure(mu: Measure1D, a: CompactSet) -> float:
-    """Measure of a compact set as it is (closed components, atoms on edges count): a point set's
-    points are never merged, so it has length 0 and holds only the atoms at its points."""
+def measure(mu: Measure1D, a: IntervalSet) -> float:
+    """Measure of a compact set as it is (closed components, atoms on edges count): the degenerate
+    components of a point set are never merged, so it has length 0 and holds only the atoms at its points."""
     return mu.measure_of(a)
 
 
@@ -123,13 +127,13 @@ class ApproximationRecord:
     ``q`` the component count and ``r`` the largest component diameter.
     """
 
-    set: CompactSet
+    set: IntervalSet
     delta: float
     q: int
     r: float
 
     @classmethod
-    def from_set(cls, a: CompactSet, delta: float) -> "ApproximationRecord":
+    def from_set(cls, a: IntervalSet, delta: float) -> "ApproximationRecord":
         q, r = components(a)
         return cls(set=a, delta=float(delta), q=q, r=r)
 
@@ -154,7 +158,7 @@ class ReportRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def report_row(n: int, delta: float, q: int, r: float, mu: Measure1D, cover: CompactSet, raw=None) -> ReportRow:
+def report_row(n: int, delta: float, q: int, r: float, mu: Measure1D, cover: IntervalSet, raw=None) -> ReportRow:
     """Row n of a report: mu of the ``raw`` set (NaN when there is none), mu of the ``cover``
     and q * delta.  Callers pass the cover as a call temporary, so no cover outlives its row."""
     mu_raw = math.nan if raw is None else measure(mu, raw)
@@ -243,7 +247,7 @@ class SemicontinuityReport:
 
 
 def semicontinuity_check(
-    sets, limit: CompactSet, mu: Measure1D, tolerance: float = DEFAULT_DIAGNOSTIC_TOL
+    sets, limit: IntervalSet, mu: Measure1D, tolerance: float = DEFAULT_DIAGNOSTIC_TOL
 ) -> SemicontinuityReport:
     """Check mu(limit) >= (tail max of raw measures) - tolerance.
 

@@ -56,7 +56,7 @@ from decimal import Decimal
 import numpy as np
 
 from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, measure, report_row
-from .intervals import IntervalSet, InvalidRadiusError, fatten, hausdorff_distance, interval_union, normalize
+from .intervals import IntervalSet, InvalidRadiusError, fatten, hausdorff_distance, interval_union
 
 HERMITICITY_TOL = 1e-12
 # Backward-stable dense eigensolver: eigenvalue error is a small multiple of
@@ -116,18 +116,22 @@ class PeriodicPotential:
         return math.prod(int(p) for p in self.periods)  # exact: np.prod wraps in int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the __eq__ below compares the array; an array field has no hash
 class BandSpectrum:
-    """Ordered band intervals plus a rigorous band-edge error bound."""
+    """Ordered bands, a read-only (n, 2) float64 array of [lo, hi] rows, plus a rigorous band-edge error bound."""
 
-    bands: tuple[tuple[float, float], ...]
+    bands: np.ndarray
     error_bound: float
 
-    def union(self) -> IntervalSet:
-        return normalize(self.bands)
+    def __eq__(self, other) -> bool:
+        same = type(other) is type(self) and self.error_bound == other.error_bound
+        return same and np.array_equal(self.bands, other.bands)
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.bands)
+    def union(self) -> IntervalSet:
+        return interval_union(self.bands[:, 0], self.bands[:, 1])
+
+    def widths(self) -> np.ndarray:
+        return self.bands[:, 1] - self.bands[:, 0]
 
 
 def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
@@ -341,7 +345,8 @@ def _band_sweep(potential, phases, grid_points):
     """Eigenvalue rows at the ``phases`` of _phase_set and the band spectrum they give.
     A 2-d error bound adds the Lipschitz term of the grid of ``grid_points`` per axis."""
     evs = _solve_phases(potential, phases)
-    bands = tuple((float(lo), float(hi)) for lo, hi in zip(evs.min(axis=0), evs.max(axis=0)))
+    bands = np.stack((evs.min(axis=0), evs.max(axis=0)), axis=1)
+    bands.flags.writeable = False
     lips = 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
     return evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 

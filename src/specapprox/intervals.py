@@ -1,9 +1,9 @@
 """Canonical arithmetic on compact subsets of the real line.
 
-A compact set is stored either as an :class:`IntervalSet` (sorted union of
-disjoint closed intervals) or as a :class:`PointSet` (sorted finite set of
-reals, i.e. degenerate intervals), each as two sorted read-only float64
-endpoint arrays ``lows`` and ``highs``.  Merging is a sort plus a running
+A compact set is an :class:`IntervalSet`, a sorted union of disjoint
+closed intervals held as two sorted read-only float64 endpoint arrays
+``lows`` and ``highs``; a finite point set is one whose components are
+all degenerate, with one array as both.  Merging is a sort plus a running
 maximum, each skipped where the endpoints are in order already, and
 Lebesgue measure a sum of lengths.  Hausdorff distance reduces to
 evaluating a piecewise-linear distance function at finitely many candidate
@@ -40,23 +40,42 @@ def _check_endpoints(lows: np.ndarray, highs: np.ndarray) -> None:
         raise ValueError(f"interval endpoints must be finite and ordered, got [{lows[i]}, {highs[i]}]")
 
 
-class _SortedSet:
-    """Storage shared by both set kinds: read-only sorted endpoint arrays."""
+class IntervalSet:
+    """Canonical finite union of closed intervals, held as two sorted
+    read-only float64 endpoint arrays ``lows`` and ``highs``.
+
+    Components are sorted and separated by strictly positive gaps: the
+    constructor checks that the endpoint arrays are, and merges nothing.
+    Build other input through :func:`normalize` or :func:`interval_union`,
+    and a finite point set, whose components are degenerate, through
+    :func:`point_set`.
+    """
 
     __slots__ = ("lows", "highs")
 
-    def _checked(self, lows: np.ndarray, highs: np.ndarray):
+    def __init__(self, lows, highs):
+        self._checked(np.array(lows, dtype=float), np.array(highs, dtype=float))
+
+    def _checked(self, lows: np.ndarray, highs: np.ndarray) -> "IntervalSet":
         if lows.size == 0:
-            raise EmptySetError(f"{type(self).__name__} must not be empty")
+            raise EmptySetError("IntervalSet must not be empty")
         _check_endpoints(lows, highs)
         if (lows[1:] <= highs[:-1]).any():
             raise ValueError("components must be sorted and separated by positive gaps")
         return self._store(lows, highs)
 
-    def _store(self, lows: np.ndarray, highs: np.ndarray):
+    def _store(self, lows: np.ndarray, highs: np.ndarray) -> "IntervalSet":
         lows.flags.writeable = highs.flags.writeable = False
         self.lows, self.highs = lows, highs
         return self
+
+    @property
+    def lo(self) -> float:
+        return float(self.lows[0])
+
+    @property
+    def hi(self) -> float:
+        return float(self.highs[-1])
 
     def __len__(self) -> int:
         return len(self.lows)
@@ -69,47 +88,13 @@ class _SortedSet:
         return hash((tuple(self.lows.tolist()), tuple(self.highs.tolist())))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({set_to_obj(self)!r})"
+        return f"IntervalSet({set_to_obj(self)!r})"
 
 
-class IntervalSet(_SortedSet):
-    """Canonical finite union of closed intervals.
-
-    Components are sorted and separated by strictly positive gaps: the
-    constructor checks that the endpoint arrays are, and merges nothing.
-    Build other input through :func:`normalize` or :func:`interval_union`.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, lows, highs):
-        self._checked(np.array(lows, dtype=float), np.array(highs, dtype=float))
-
-    @property
-    def lo(self) -> float:
-        return float(self.lows[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.highs[-1])
-
-
-class PointSet(_SortedSet):
-    """Finite set of reals, stored strictly increasing (``lows is highs``)."""
-
-    __slots__ = ()
-
-    def __init__(self, points):
-        pts = np.array(points, dtype=float).reshape(-1)
-        self._checked(pts, pts)
-
-
-CompactSet = IntervalSet | PointSet
-
-
-def point_set(values) -> PointSet:
-    """Sort values and drop repeats, then build a PointSet."""
-    return PointSet(np.unique(np.fromiter(values, dtype=float)))
+def point_set(values) -> IntervalSet:
+    """The finite set of ``values``, sorted and without repeats: one array held as both ``lows`` and ``highs``."""
+    pts = np.unique(np.fromiter(values, dtype=float))
+    return IntervalSet.__new__(IntervalSet)._checked(pts, pts)
 
 
 def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -146,18 +131,18 @@ def normalize(pairs, tol: float = DEFAULT_TOL) -> IntervalSet:
     return interval_union(lows, highs, tol)
 
 
-def fatten(a: CompactSet, delta: float) -> IntervalSet:
+def fatten(a: IntervalSet, delta: float) -> IntervalSet:
     """Closed delta-neighborhood: union of [x - delta, x + delta] over x in a.
 
-    delta = 0 is the identity on interval sets and turns a point set into
-    degenerate intervals.  Negative delta raises :class:`InvalidRadiusError`.
+    delta = 0 is the identity but for components within ``DEFAULT_TOL``
+    of each other, which merge.  Negative delta raises :class:`InvalidRadiusError`.
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
     return interval_union(a.lows - delta, a.highs + delta)
 
 
-def lebesgue(a: CompactSet) -> float:
+def lebesgue(a: IntervalSet) -> float:
     """Total length of the components (zero for point sets).
 
     Summed left to right like a plain loop; ``np.sum`` adds pairwise and can
@@ -166,12 +151,12 @@ def lebesgue(a: CompactSet) -> float:
     return float(np.cumsum(a.highs - a.lows)[-1])
 
 
-def components(a: CompactSet) -> tuple[int, float]:
+def components(a: IntervalSet) -> tuple[int, float]:
     """(component count, largest component diameter)."""
     return len(a), float(np.max(a.highs - a.lows))
 
 
-def _distances(b: CompactSet, xs: np.ndarray) -> np.ndarray:
+def _distances(b: IntervalSet, xs: np.ndarray) -> np.ndarray:
     """Distance from each entry of xs to b, one binary search per point: the
     point lies in the component before the first one starting right of it,
     or in the gap between the two."""
@@ -181,7 +166,7 @@ def _distances(b: CompactSet, xs: np.ndarray) -> np.ndarray:
     return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
 
 
-def directed_distance(a: CompactSet, b: CompactSet) -> float:
+def directed_distance(a: IntervalSet, b: IntervalSet) -> float:
     """sup over points of a of the distance to b.
 
     The distance-to-b function is piecewise linear with slope +-1, with
@@ -194,12 +179,12 @@ def directed_distance(a: CompactSet, b: CompactSet) -> float:
     return float(np.max(_distances(b, cands)))
 
 
-def hausdorff_distance(a: CompactSet, b: CompactSet) -> float:
+def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:
     """max of the two directed distances; a metric on nonempty compact sets."""
     return max(directed_distance(a, b), directed_distance(b, a))
 
 
-def contains_set(outer: CompactSet, inner: CompactSet, tol: float = DEFAULT_TOL) -> bool:
+def contains_set(outer: IntervalSet, inner: IntervalSet, tol: float = DEFAULT_TOL) -> bool:
     """Whether inner lies in the tol-neighborhood of outer.
 
     Equivalent to directed_distance(inner, outer) <= tol, which is the
@@ -208,13 +193,17 @@ def contains_set(outer: CompactSet, inner: CompactSet, tol: float = DEFAULT_TOL)
     return directed_distance(inner, outer) <= tol
 
 
-def sets_equal(a: CompactSet, b: CompactSet, tol: float = DEFAULT_TOL) -> bool:
+def sets_equal(a: IntervalSet, b: IntervalSet, tol: float = DEFAULT_TOL) -> bool:
     return hausdorff_distance(a, b) <= tol
 
 
-def set_to_obj(a: CompactSet):
-    """JSON-ready form: [[lo, hi], ...] for intervals, [x, ...] for points."""
-    return a.lows.tolist() if isinstance(a, PointSet) else np.column_stack((a.lows, a.highs)).tolist()
+def set_to_obj(a: IntervalSet):
+    """JSON-ready form: [x, ...] when every component is a point, else [[lo, hi], ...].
+
+    Points go out flat because :func:`set_from_obj` reads pairs through
+    :func:`normalize`, which would merge points within ``DEFAULT_TOL``.
+    """
+    return a.lows.tolist() if (a.lows == a.highs).all() else np.column_stack((a.lows, a.highs)).tolist()
 
 
 def _is_real(x) -> bool:
@@ -223,8 +212,8 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
 
 
-def set_from_obj(obj) -> CompactSet:
-    """Parse the JSON form; a flat list of real numbers is a point set."""
+def set_from_obj(obj) -> IntervalSet:
+    """Parse the JSON form: a flat list of real numbers is a point set, a list of [lo, hi] pairs is normalized."""
     if not isinstance(obj, list) or not obj:
         raise EmptySetError("compact set JSON must be a nonempty list")
     if all(_is_real(x) for x in obj):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential, check_bytes, check_fiber_stack
-from .intervals import _FLOAT_MAX, IntervalSet, PointSet, interval_union
+from .intervals import _FLOAT_MAX, IntervalSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
@@ -200,9 +200,9 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
     """
     check_grid(n, solid_to)
     delta = 1.0 / (2.0 * n)
-    if solid_to is None:
-        return ApproximationRecord.from_set(PointSet(np.arange(n + 1) / n), delta)
-    alpha = float(solid_to)
     pts = np.arange(n + 1) / n
+    if solid_to is None:  # a point set as point_set builds one, without its sort and copy
+        return ApproximationRecord.from_set(IntervalSet.__new__(IntervalSet)._checked(pts, pts), delta)
+    alpha = float(solid_to)
     welded = pts[pts > alpha]
     return ApproximationRecord.from_set(interval_union(np.append(0.0, welded), np.append(alpha, welded)), delta)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from specapprox import AtomicMeasure, IntervalSet, PeriodicPotential, PointSet, normalize, point_set
+from specapprox import AtomicMeasure, IntervalSet, PeriodicPotential, normalize, point_set
 
 
 def random_interval_set(rng, lo=-4.0, hi=4.0, max_components=6, max_len=0.5) -> IntervalSet:
@@ -23,7 +23,7 @@ def random_interval_set(rng, lo=-4.0, hi=4.0, max_components=6, max_len=0.5) -> 
     return normalize([(s, s + w) for s, w in zip(starts, lengths)])
 
 
-def random_point_set(rng, lo=-4.0, hi=4.0, max_points=8) -> PointSet:
+def random_point_set(rng, lo=-4.0, hi=4.0, max_points=8) -> IntervalSet:
     k = int(rng.integers(1, max_points + 1))
     return point_set(rng.uniform(lo, hi, size=k))
 
@@ -44,8 +44,13 @@ def random_potential(rng, dim=1, max_period=32, amplitude=3.0) -> PeriodicPotent
     return PeriodicPotential(dim=dim, periods=periods, cell=cell)
 
 
+def is_points(s) -> bool:
+    """Whether every component of s is degenerate."""
+    return bool((s.lows == s.highs).all())
+
+
 def _samples(s, spacing):
-    if isinstance(s, PointSet):
+    if is_points(s):
         return s.lows
     parts = []
     for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):
@@ -55,7 +60,7 @@ def _samples(s, spacing):
 
 
 def _pointwise_distance(xs, s):
-    if isinstance(s, PointSet):
+    if is_points(s):
         return np.min(np.abs(xs[:, None] - s.lows[None, :]), axis=1)
     d = np.full(xs.shape, np.inf)
     for lo, hi in zip(s.lows.tolist(), s.highs.tolist()):

@@ -677,6 +677,19 @@ class TestMeasureRunSize:
             tracemalloc.stop()
         assert peak <= charges[0] == max(charges)  # the first charge, the last step's, is the largest
 
+    def test_operator_run_peak_per_site_of_its_last_step(self, tmp_path, capsys):
+        # a proxy run holds every step's cell and band union until the last step is solved; with the
+        # bands as one array per step it peaks near 300 bytes per site of the last step (24 are charged)
+        cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_min=1, n_max=18)
+        assert main(["measure", "--config", cfg]) == 0  # imports, scipy's included, and caches come first
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * models.check_fibonacci(18)
+
 
 class TestDimensionCommand:
     @pytest.fixture()

@@ -58,6 +58,23 @@ class TestMeasures:
         with pytest.raises(ValueError):
             PiecewiseDensity(breakpoints=(1.0, 0.0), values=(1.0,))
 
+    # NaN failed every order check, so each of these was taken: a NaN atom measured 0.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: PiecewiseDensity(breakpoints=(0.0, x), values=(1.0,)),
+            lambda x: PiecewiseDensity(breakpoints=(0.0, 1.0), values=(x,)),
+            lambda x: PiecewiseDensity(breakpoints=(0.0, 1.0), values=(1.0,), outside=x),
+            lambda x: AtomicMeasure(atoms=(0.5, x), weights=(1.0, 1.0)),
+            lambda x: AtomicMeasure(atoms=(0.5,), weights=(x,)),
+        ],
+        ids=["breakpoints", "values", "outside", "atoms", "weights"],
+    )
+    def test_non_finite_parameter_refused(self, build, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
+
     def test_atoms_on_endpoints_count(self):
         mu = AtomicMeasure(atoms=(0.0, 1.0, 2.0), weights=(1.0, 1.0, 1.0))
         assert measure(mu, iset((0.5, 2.0))) == 2.0

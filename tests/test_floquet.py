@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import random_potential
 
 from specapprox import (
+    BandSpectrum,
     Lebesgue,
     NotHermitianError,
     PeriodicPotential,
@@ -407,7 +408,14 @@ class TestBandSpectrum:
             v = random_potential(rng, dim=1, max_period=24)
             e0, e1 = fiber_eigenvalues(v, 0.0), fiber_eigenvalues(v, 0.5)
             bands = band_spectrum(v).bands
-            assert bands == tuple((float(min(a, b)), float(max(a, b))) for a, b in zip(e0, e1))
+            assert bands.dtype == np.float64 and bands.shape == (v.q, 2) and not bands.flags.writeable
+            assert np.array_equal(bands, np.column_stack((np.minimum(e0, e1), np.maximum(e0, e1))))
+
+    def test_equality_compares_bands_and_bound(self):
+        s = band_spectrum(free_potential(1, 3))
+        assert s == band_spectrum(free_potential(1, 3))
+        assert s != BandSpectrum(s.bands, 2 * s.error_bound) and s != BandSpectrum(s.bands + 1.0, s.error_bound)
+        assert s != s.bands
 
     def test_chunked_sweep_equals_one_block(self):
         v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)

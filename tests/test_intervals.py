@@ -5,7 +5,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from conftest import oracle_hausdorff, random_compact_set, random_interval_set
+from conftest import is_points, oracle_hausdorff, random_compact_set, random_interval_set
 
 from specapprox import (
     AtomicMeasure,
@@ -14,13 +14,13 @@ from specapprox import (
     InvalidRadiusError,
     Lebesgue,
     PiecewiseDensity,
-    PointSet,
     cantor_approximation,
     components,
     contains_set,
     directed_distance,
     fatten,
     fattened_measure_sequence,
+    grid_approximation,
     hausdorff_content_upper,
     hausdorff_distance,
     lebesgue,
@@ -35,6 +35,11 @@ from specapprox import intervals
 
 def iset(*pairs):
     return normalize(pairs)
+
+
+def pairs_of(s):
+    """[[lo, hi], ...] of every component, points included; set_to_obj gives points flat."""
+    return np.column_stack((s.lows, s.highs)).tolist()
 
 
 # Loop references: the tuple-of-intervals algorithms the array code replaced,
@@ -56,7 +61,7 @@ def ref_normalize(pairs, tol=1e-12):
 
 def ref_distance(b, x):
     lows, highs = b.lows.tolist(), b.highs.tolist()
-    if isinstance(b, PointSet):
+    if is_points(b):
         i = bisect_left(lows, x)
         best = math.inf
         if i < len(lows):
@@ -78,7 +83,7 @@ def ref_distance(b, x):
 def ref_directed(a, b):
     # gap midpoints of b: between each component's high end and the next one's low end
     mids = [(hi + lo) / 2.0 for hi, lo in zip(b.highs.tolist(), b.lows.tolist()[1:])]
-    if isinstance(a, PointSet):
+    if is_points(a):
         cands = a.lows.tolist()
     else:
         cands = [e for lo, hi in zip(a.lows.tolist(), a.highs.tolist()) for e in (lo, hi)]
@@ -103,17 +108,17 @@ class TestConstruction:
 
     def test_degenerate_interval_allowed(self):
         s = IntervalSet([2.0], [2.0])
-        assert set_to_obj(s) == [[2.0, 2.0]] and lebesgue(s) == 0.0
+        assert s == point_set([2.0]) and set_to_obj(s) == [2.0] and lebesgue(s) == 0.0
 
     def test_interval_set_rejects_overlapping_components(self):
         with pytest.raises(ValueError, match="separated by positive gaps"):
             IntervalSet([0.0, 0.5], [1.0, 2.0])
 
     def test_point_set_requires_strict_increase(self):
-        with pytest.raises(ValueError):
-            PointSet((0.0, 0.0))
+        with pytest.raises(ValueError, match="separated by positive gaps"):
+            IntervalSet([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(EmptySetError):
-            PointSet(())
+            point_set(())
 
     def test_point_set_helper_sorts_and_dedupes(self):
         s = point_set([3.0, 1.0, 3.0, 2.0])
@@ -166,7 +171,7 @@ class TestFatten:
 
     def test_zero_radius_on_points_gives_degenerate_intervals(self):
         s = fatten(point_set([0.0, 1.0]), 0.0)
-        assert set_to_obj(s) == [[0.0, 0.0], [1.0, 1.0]]
+        assert pairs_of(s) == [[0.0, 0.0], [1.0, 1.0]] and s == point_set([0.0, 1.0])
         assert lebesgue(s) == 0.0
 
     def test_negative_radius_rejected(self):
@@ -320,7 +325,7 @@ class TestLoopReferences:
             tol = float(rng.choice([0.0, 1e-12, 0.25]))
             pairs = list(zip(lo.tolist(), hi.tolist()))
             s = normalize(pairs, tol)
-            assert set_to_obj(s) == [list(p) for p in ref_normalize(pairs, tol)]
+            assert pairs_of(s) == [list(p) for p in ref_normalize(pairs, tol)]
             assert lebesgue(s) == sum(h - l for l, h in ref_normalize(pairs, tol))
 
     def test_distances_match_candidate_loop_and_oracle(self):
@@ -375,7 +380,7 @@ class TestSortedPath:
             u = intervals.interval_union(lows, highs, tol)
             v = intervals.interval_union(lows[::-1], highs[::-1], tol)
             assert u.lows.tobytes() == v.lows.tobytes() and u.highs.tobytes() == v.highs.tobytes()
-            assert set_to_obj(u) == [list(p) for p in ref_normalize(zip(lows.tolist(), highs.tolist()), tol)]
+            assert pairs_of(u) == [list(p) for p in ref_normalize(zip(lows.tolist(), highs.tolist()), tol)]
         # (the sort is skipped, the maximum is skipped) on the path each kind is there to reach
         want = {"increasing": (True, True), "tied": (False, False), "nested": (True, False), "shuffled": (False, False)}
         assert want[kind] in paths
@@ -404,9 +409,9 @@ class TestArrayPaths:
         ids=["lebesgue", "density", "atomic"],
     )
     def test_measure_and_distance_build_no_interval_objects(self, mu):
-        # the arrays are the only form of a set: the module defines no per-component class
+        # the arrays are the only form of a set: the module defines one set class and no per-component class
         classes = {name for name, v in vars(intervals).items() if isinstance(v, type) and not issubclass(v, Exception)}
-        assert classes == {"_SortedSet", "IntervalSet", "PointSet"}
+        assert classes == {"IntervalSet"}
         records = [cantor_approximation(n) for n in range(1, 9)]
         report = fattened_measure_sequence(records, mu)
         assert report.rows[-1].q == 256
@@ -466,5 +471,33 @@ class TestSerialization:
 
     def test_points_parse_as_point_set(self):
         s = set_from_obj([3.0, 1.0])
-        assert isinstance(s, PointSet)
+        assert s == point_set([1.0, 3.0]) and s.lows is s.highs
         assert s.lows.tolist() == [1.0, 3.0]
+
+    def test_close_points_round_trip_exactly(self):
+        # as pairs, normalize would merge points within DEFAULT_TOL of each other
+        for p in (point_set([0.0, 5e-13, 1e-12]), IntervalSet([0.0, 5e-13, 1e-12], [0.0, 5e-13, 1e-12])):
+            assert set_to_obj(p) == [0.0, 5e-13, 1e-12]
+            back = set_from_obj(json.loads(json.dumps(set_to_obj(p))))
+            assert back == p and len(back) == 3
+
+    def test_degenerate_intervals_go_out_flat(self):
+        s = normalize([(1.0, 1.0), (0.0, 0.0)])
+        assert set_to_obj(s) == [0.0, 1.0] and set_from_obj(set_to_obj(s)) == s
+        assert set_to_obj(iset((0.0, 0.0), (1.0, 2.0))) == [[0.0, 0.0], [1.0, 2.0]]
+
+
+class TestPointSets:
+    """A finite point set is an IntervalSet whose components are all degenerate."""
+
+    def test_equals_and_hashes_as_degenerate_intervals(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            xs = rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 9))).tolist()
+            p, q = point_set(xs), normalize([(x, x) for x in xs])
+            assert p == q and hash(p) == hash(q)
+
+    def test_grid_set_has_zero_content(self):
+        g = grid_approximation(4).set
+        assert type(g) is IntervalSet and g == point_set([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert hausdorff_content_upper(g, 0.5) == 0.0
