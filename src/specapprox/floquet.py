@@ -18,11 +18,13 @@ assembled at once, real symmetric (float64) when every phase lies in
 makes that choice once for all its phases.  The same hops fill two
 storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
 in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
-3 x q upper band storage and solved by LAPACK's banded eigensolver
-(scipy.linalg.eigvals_banded): O(q) memory and no q x q matrix.  2-d
-fibers are dense q x q stacks solved by batched eigvalsh; a sweep streams
-small blocks of them through one worker thread per thread of numpy's BLAS,
-with BLAS pinned to one thread: BLAS threads buy nothing in solves this small.
+3 x q upper band storage and solved by LAPACK's banded eigensolver, dsbev
+or zhbev, from the LAPACK numpy links (scipy.linalg.eigvals_banded where
+numpy exports no ILP64 names for them): O(q) memory and no q x q matrix.
+2-d fibers are dense q x q stacks solved by batched eigvalsh; a sweep
+streams small blocks of them through one worker thread per thread of
+numpy's BLAS, with BLAS pinned to one thread: BLAS threads buy nothing in
+solves this small.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -47,6 +49,7 @@ its conjugate when the phase set holds either.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from contextlib import nullcontext
@@ -203,7 +206,8 @@ def _fibers(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
 
 
 def _band_storage(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
-    """Upper band storage of the 1-d fibers with the k x 1 phase factors ``z``, k x (u+1) x q.
+    """Upper band storage of the 1-d fibers with the k x 1 phase factors ``z``, k x (u+1) x q,
+    each fiber a Fortran-contiguous (u+1) x q array that LAPACK can overwrite in place.
 
     The sites are taken in zig-zag order 0, q-1, 1, q-2, ...: the ring's
     hops then reach 2 positions and its wrap 1, so each fiber has u =
@@ -214,7 +218,7 @@ def _band_storage(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
     u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
     sites = np.arange(q)
     pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
-    band = np.zeros((len(z), u + 1, q), dtype=z.dtype)
+    band = np.zeros((len(z), q, u + 1), dtype=z.dtype).transpose(0, 2, 1)  # each fiber Fortran-contiguous
     band[:, u, pos] = potential.cell
     for rows, cols, w in _hops(potential, z):
         i, j = pos[rows], pos[cols]
@@ -267,27 +271,78 @@ def _solver_bound(potential: PeriodicPotential) -> float:
     return SOLVER_TOL_FACTOR * max(1.0, norm)
 
 
+@functools.cache  # each CDLL handle makes a class, freed only by the cycle collector
+def _numpy_symbols(templates: tuple[str, ...], names: tuple[str, ...]):
+    """The functions ``names`` of numpy's linear-algebra library, spelled by the first of ``templates``
+    that resolves them all, or None.  The library's dependency scope holds numpy's BLAS and LAPACK."""
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for template in templates:
+        found = tuple(getattr(lib, template.format(name), None) for name in names)
+        if None not in found:
+            return found
+    return None
+
+
 def _blas_threads():
     """(get, set) of the thread count of numpy's OpenBLAS, or None where its symbols are not found."""
     import ctypes
 
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its dependency scope holds numpy's BLAS
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-        get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
+    found = _numpy_symbols(("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"), ("get", "set"))
+    if found is None:
+        return None
+    get, put = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _banded_eigvals():
+    """Solver of one Hermitian band in upper storage, a Fortran-contiguous (u+1) x q array that it may
+    overwrite, for its ascending eigenvalues.  It is numpy's own LAPACK, dsbev for a real band and
+    zhbev for a complex one, where numpy exports them under ILP64 names (the 64_ suffix: 64-bit
+    integers); elsewhere scipy.linalg.eigvals_banded, imported only then: that costs 0.3 s and 28 MB."""
+    found = _numpy_symbols(("scipy_{}_64_", "{}_64_"), ("dsbev", "zhbev"))
+    if found is None:
+        from scipy.linalg import eigvals_banded
+
+        return eigvals_banded
+    import ctypes
+
+    int64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, [rwork,] info, then the hidden lengths of jobz and uplo
+    head = [ctypes.c_char_p] * 2 + [int64, int64, ptr, int64, ptr, ptr, int64, ptr]
+    tail = [int64] + [ctypes.c_size_t] * 2
+    dsbev, zhbev = found
+    dsbev.argtypes, dsbev.restype = head + tail, None
+    zhbev.argtypes, zhbev.restype = head + [ptr] + tail, None
+
+    def solve(band):
+        real = not np.iscomplexobj(band)
+        ab = np.asfortranarray(band, dtype=float if real else complex)  # not a copy of _band_storage's fibers
+        rows, q = ab.shape
+        w, info = np.empty(q), ctypes.c_int64()
+        rwork = np.empty(max(1, 3 * q - 2))  # dsbev's work, zhbev's rwork
+        lapack, work = (dsbev, [rwork]) if real else (zhbev, [np.empty(q, complex), rwork])
+        n, kd, ldab, ldz = (ctypes.byref(ctypes.c_int64(v)) for v in (q, rows - 1, rows, 1))
+        spaces = [a.ctypes.data for a in work]  # the arrays stay referenced by work through the call
+        lapack(b"N", b"U", n, kd, ab.ctypes.data, ldab, w.ctypes.data, None, ldz, *spaces, info, 1, 1)
+        if info.value > 0:
+            raise np.linalg.LinAlgError(f"{lapack.__name__} did not converge: {info.value} off-diagonals remain")
+        if info.value < 0:
+            raise RuntimeError(f"{lapack.__name__} was passed an illegal argument {-info.value}")
+        return w
+
+    return solve
 
 
 def _solve_block(potential, z):
     """Eigenvalue rows of the fibers with a block of phase factors: banded in 1-d, one batched dense eigvalsh in 2-d."""
     if potential.dim == 2:
         return np.linalg.eigvalsh(_fibers(potential, z))
-    from scipy.linalg import eigvals_banded  # here, not at the top: importing it costs 0.2-0.3 s
-
-    return np.stack([eigvals_banded(band) for band in _band_storage(potential, z)])
+    solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
+    return np.stack([solve(band) for band in _band_storage(potential, z)])
 
 
 def _solve_phases(potential, phases):

@@ -679,9 +679,9 @@ class TestMeasureRunSize:
 
     def test_operator_run_peak_per_site_of_its_last_step(self, tmp_path, capsys):
         # a proxy run holds every step's cell and band union until the last step is solved; with the
-        # bands as one array per step it peaks near 300 bytes per site of the last step (24 are charged)
+        # bands as one array per step it peaks near 290 bytes per site of the last step (24 are charged)
         cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_min=1, n_max=18)
-        assert main(["measure", "--config", cfg]) == 0  # imports, scipy's included, and caches come first
+        assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
         tracemalloc.start()
         try:
             assert main(["measure", "--config", cfg]) == 0
@@ -834,21 +834,48 @@ class TestThreadsEnv:
 
 
 class TestConsoleScript:
-    def test_scipy_loaded_only_by_one_dimensional_solves(self, tmp_path):
-        # importing scipy.linalg costs 0.2-0.3 s and about 28 MB; set models and 2-d cells never pay it
-        measure = measure_config(tmp_path, n_max=4)
-        bands = write_json(
-            tmp_path / "bands.json",
-            {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "output_csv": str(tmp_path / "bands.csv")},
-        )
+    """Fresh interpreters, so that what a run imports shows in sys.modules: importing scipy.linalg costs
+    0.3 s and about 28 MB, and a run imports it only where numpy's own LAPACK has no ILP64 banded solver."""
+
+    def run_fresh(self, tmp_path, fallback=False):
+        """The '@' lines one interpreter prints, and the bytes its 1-d runs write.  It runs a cantor
+        measure and a 2-d bands, then a 1-d measure whose cover fiber is complex and a 1-d bands; after
+        each pair it prints whether 'scipy' is in sys.modules, and last the banded solver's name.  With
+        ``fallback`` the lookup of numpy's LAPACK finds nothing."""
+        out = tmp_path / ("fallback" if fallback else "lapack")
+        out.mkdir()
+        cantor = measure_config(out, n_max=4)
+        fib = {"name": "fibonacci", "coupling": 1.0}
+        outputs = {"output_csv": str(out / "measure.csv"), "output_json": str(out / "measure.json")}
+        measure = write_json(out / "fib.json", {"model": fib, "n_min": 1, "n_max": 10, "phase": 0.3, **outputs})
+        bands_2d = {"model": {"name": "free", "dim": 2, "periods": [2, 2]}, "output_csv": str(out / "bands-2d.csv")}
+        bands_2d = write_json(out / "bands-2d.json", bands_2d)
+        bands_1d = {"model": {**fib, "level": 12}, "output_csv": str(out / "bands.csv")}
+        bands_1d = write_json(out / "bands-1d.json", bands_1d)
         script = (
             "import sys\n"
+            "from specapprox import floquet\n"
             "from specapprox.cli import main\n"
-            "print('scipy' in sys.modules)\n"
-            f"main(['measure', '--config', {measure!r}]); main(['bands', '--config', {bands!r}])\n"
-            "print('scipy' in sys.modules)\n"
+            f"if {fallback}:\n"
+            "    floquet._numpy_symbols = lambda templates, names: None\n"
+            f"main(['measure', '--config', {cantor!r}]); main(['bands', '--config', {bands_2d!r}])\n"
+            "print('@', 'scipy' in sys.modules)\n"
+            f"main(['measure', '--config', {measure!r}]); main(['bands', '--config', {bands_1d!r}])\n"
+            "print('@', 'scipy' in sys.modules)\n"
+            "print('@', floquet._banded_eigvals().__qualname__)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[0] == "False"
-        assert proc.stdout.split()[-1] == "False"
+        written = {name: (out / name).read_bytes() for name in ("measure.csv", "measure.json", "bands.csv")}
+        return [line[2:] for line in proc.stdout.splitlines() if line.startswith("@ ")], written
+
+    def test_scipy_loaded_only_without_numpy_lapack(self, tmp_path):
+        (set_and_2d, one_d, solver), _ = self.run_fresh(tmp_path)
+        assert set_and_2d == "False"  # set models and 2-d cells never import it
+        assert one_d == str(solver == "eigvals_banded")
+
+    def test_scipy_fallback_writes_the_same_bytes(self, tmp_path):
+        _, written = self.run_fresh(tmp_path)
+        printed, fallback_written = self.run_fresh(tmp_path, fallback=True)
+        assert printed == ["False", "True", "eigvals_banded"]
+        assert fallback_written == written

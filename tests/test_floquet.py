@@ -100,7 +100,7 @@ def use_complex_full_sweep(monkeypatch):
 @pytest.fixture
 def solved(monkeypatch):
     """(solver, matrix count, dtype) of every call to np.linalg.eigvalsh
-    ("dense") and scipy.linalg.eigvals_banded ("banded")."""
+    ("dense") and to the banded solver of floquet._banded_eigvals ("banded")."""
     calls = []
 
     def counting(name, solve):
@@ -112,7 +112,8 @@ def solved(monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("dense", np.linalg.eigvalsh))
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", counting("banded", scipy.linalg.eigvals_banded))
+    banded = floquet._banded_eigvals
+    monkeypatch.setattr(floquet, "_banded_eigvals", lambda: counting("banded", banded()))
     return calls
 
 
@@ -160,7 +161,8 @@ class TestBandStorage:
                 ref[:, u + i[near] - j[near], j[near]] = dense[:, i[near], j[near]]
                 band = _band_storage(v, z)
                 assert band.dtype == dense.dtype
-                np.testing.assert_array_equal(band.view(np.uint64), ref.view(np.uint64))
+                assert all(b.flags.f_contiguous for b in band)  # as LAPACK takes it, with no copy
+                np.testing.assert_array_equal(np.ascontiguousarray(band).view(np.uint64), ref.view(np.uint64))
 
     def test_banded_eigenvalues_match_dense(self):
         rng = np.random.default_rng(71)
@@ -182,6 +184,35 @@ class TestBandStorage:
         assert _band_storage(v, _phase_factors([[0.0], [0.3]], 1)).shape == (2, 1, 1)
         for phi in (0.0, 0.3, 0.5):
             assert fiber_eigenvalues(v, phi) == pytest.approx([2.7 + 2 * math.cos(2 * math.pi * phi)], abs=1e-15)
+
+
+class TestNumpyLapack:
+    """The banded solver from numpy's own LAPACK against its fallback, scipy.linalg.eigvals_banded."""
+
+    @pytest.fixture
+    def solve(self):
+        solve = floquet._banded_eigvals()
+        if solve is scipy.linalg.eigvals_banded:
+            pytest.skip("numpy exports no ILP64 dsbev/zhbev: the solver is scipy's")
+        return solve
+
+    def test_rows_bitwise_equal_to_scipy(self, solve):
+        rng = np.random.default_rng(90)
+        pots = [PeriodicPotential(dim=1, periods=(q,), cell=rng.uniform(-3, 3, q)) for q in [*range(1, 13), 50, 987]]
+        pots += [fibonacci_potential(n, 1.5) for n in (14, 16)]
+        for v in pots:
+            for phases in ([[0.0], [0.5]], [[0.13], [0.77]]):  # dsbev, then zhbev
+                for band in _band_storage(v, _phase_factors(phases, 1)):
+                    want = scipy.linalg.eigvals_banded(band)  # from a copy
+                    got = solve(band)  # in place
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=f"q={v.q}")
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_convergence_is_lin_alg_error(self, solve, dtype):
+        # a NaN on the diagonal keeps LAPACK's QL iteration from converging: info > 0
+        band = np.asfortranarray(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, np.nan, 3.0, 4.0]], dtype=dtype))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve(band)
 
 
 class TestRealFibers:
