@@ -114,14 +114,13 @@ class _Model:
     a set model (``sets``), a periodic potential for an operator model.  A
     bands config passes its model spec as it is; step n of a measure config
     passes ``step(spec, n)``, by default the spec with its level set to n.
-    ``check`` refuses, allocating nothing, a measure step's spec whose
-    approximant, or for a set model whose whole run up to it, would not fit
-    in memory; a model that takes no measure command has none.
+    ``check`` refuses, allocating nothing, a spec whose run up to it would
+    not fit in memory (a literal potential's cell is in its config).
     """
 
     build: Callable[[dict], object]
     keys: dict
-    check: Callable[[dict], object] | None
+    check: Callable[[dict], object]
     step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
     sets: bool = False
 
@@ -130,15 +129,8 @@ def _grid_args(spec):
     return spec["level"], _real(spec["solid_to"], "solid_to") if "solid_to" in spec else None
 
 
-def _free_args(spec):
-    return _int(spec["dim"], "dim"), _int(spec["periods"], "periods")
-
-
-def _free_step(spec, n):
-    base = _int(spec["period_base"], "period_base")
-    if base < 2:
-        raise ConfigError("period_base must be >= 2")
-    return {"dim": spec["dim"], "periods": models.free_periods(_int(spec["dim"], "dim"), base, n)}
+def _free_args(spec, periods="periods"):
+    return _int(spec["dim"], "dim"), _int(spec[periods], periods)
 
 
 def _almost_mathieu(spec):
@@ -177,7 +169,7 @@ MODELS = {
         build=lambda s: models.free_potential(*_free_args(s)),
         keys={"measure": _keys("name", "dim", "period_base"), "bands": _keys("name", "dim", "periods")},
         check=lambda s: models.check_free(*_free_args(s)),
-        step=_free_step,
+        step=lambda s, n: {"dim": s["dim"], "periods": models.free_periods(*_free_args(s, "period_base"), n)},
     ),
     "almost_mathieu": _Model(
         build=_almost_mathieu,
@@ -196,7 +188,7 @@ MODELS = {
     "potential": _Model(
         build=_literal_potential,
         keys={"bands": _keys("name", "dim", "periods", "cell")},
-        check=None,
+        check=lambda s: None,
     ),
 }
 
@@ -233,30 +225,36 @@ def _grid_points(cfg, dim: int) -> int:
     return _int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points")
 
 
-def _pipeline_deltas(mode, cfg, potentials):
+def _pipeline_deltas(mode, cfg, model, steps):
     if mode == "proxy":
         return "proxy"
     if mode == "explicit":
         deltas = cfg.get("deltas")
-        if not isinstance(deltas, list) or len(deltas) != len(potentials):
+        if not isinstance(deltas, list) or len(deltas) != len(steps):
             raise ConfigError("explicit delta_mode needs a deltas list, one per step")
         return [_real(d, "deltas") for d in deltas]
     if mode == "holder":
+        if cfg["model"]["name"] != "almost_mathieu":
+            raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
         if "holder_constant" not in cfg or "holder_frequency" not in cfg:
             raise ConfigError("holder delta_mode needs holder_constant and holder_frequency")
-        c = _real(cfg["holder_constant"], "holder_constant")
-        target = _real(cfg["holder_frequency"], "holder_frequency")
-        deltas = []
-        for v in potentials:
-            # q is the denominator of the convergent the potential was built
-            # from; p is the numerator nearest to the target frequency
-            q = v.periods[0]
-            if not math.isfinite(target * q):  # round() would raise OverflowError
-                raise ConfigError(f"holder_frequency {target!r} times the period {q} overflows")
-            p = round(target * q)
-            deltas.append(c * abs(target - p / q) ** 0.5)
-        return deltas
+        c, target = _real(cfg["holder_constant"], "holder_constant"), _real(cfg["holder_frequency"], "holder_frequency")
+        # q, the period of each step, is its convergent's denominator; round(target * q) the nearest numerator
+        qs = [model.step(cfg["model"], n)["frequency"][1] for n in steps]
+        if overflow := [q for q in qs if not math.isfinite(target * q)]:  # round() would raise OverflowError
+            raise ConfigError(f"holder_frequency {target!r} times the period {overflow[0]} overflows")
+        return [c * abs(target - round(target * q) / q) ** 0.5 for q in qs]
     raise ConfigError(f"unknown delta_mode: {mode!r}")
+
+
+@dataclass(frozen=True)
+class _Steps:
+    """A measure run's approximants, each built by ``build(n)`` when it is read and not kept."""
+    build: Callable[[int], object]
+    steps: range
+    __len__ = lambda self: len(self.steps)
+    __getitem__ = lambda self, i: self.build(self.steps[i])
+    __iter__ = lambda self: map(self.build, self.steps)  # an IndexError in a build is not the end of the run
 
 
 def cmd_measure(args) -> int:
@@ -273,25 +271,20 @@ def cmd_measure(args) -> int:
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
     model.check(model.step(cfg["model"], steps[-1]))  # before step 1: every model's largest step is its last
-    approximants = (model.build(model.step(cfg["model"], n)) for n in steps)  # each built as it is read
-    if model.sets:  # streamed: the report holds one step at a time
+    approximants = _Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
+    if model.sets:
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
             raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")
         report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
-    else:
-        approximants = list(approximants)  # the proxy delta of each step needs the last one
-        mode = cfg.get("delta_mode", "proxy")
-        if mode == "holder" and cfg["model"]["name"] != "almost_mathieu":
-            raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
-        phase = cfg.get("phase", 0.0)
+    else:  # every argument is checked before the first step is built
+        mode, phase = cfg.get("delta_mode", "proxy"), cfg.get("phase", 0.0)
         report = floquet.estimate_measure_via_fibers(
             approximants,
             [_real(p, "phase") for p in phase] if isinstance(phase, list) else _real(phase, "phase"),
             mu,
-            deltas=_pipeline_deltas(mode, cfg, approximants),
-            grid_points=_grid_points(cfg, approximants[0].dim),
-            tail=tail,
-            tail_tol=tail_tol,
+            deltas=_pipeline_deltas(mode, cfg, model, steps),
+            grid_points=_grid_points(cfg, cfg["model"].get("dim", 1)),  # checked above; only a free cell is 2-d
+            tail=tail, tail_tol=tail_tol,
         )
         report.summary["delta_mode"] = mode
 
@@ -308,14 +301,16 @@ BANDS_KEYS = {"model", "grid_points", "output_csv", "output_json"}
 
 def cmd_bands(args) -> int:
     cfg = _load_config(args.config, BANDS_KEYS, {"model", "output_csv"})
-    potential = _model(cfg["model"], "bands").build(cfg["model"])
+    model = _model(cfg["model"], "bands")
+    model.check(cfg["model"])  # before the cell is built
+    potential = model.build(cfg["model"])
     spec = floquet.band_spectrum(potential, grid_points=_grid_points(cfg, potential.dim))
 
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()
     violations = np.flatnonzero(widths > limit + 2 * spec.error_bound).tolist()
     bands = spec.bands.tolist()
-    rows = [(i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(bands)]
+    rows = ((i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(bands))  # written as made, not held
     convergence.write_csv(cfg["output_csv"], ("i", "lo", "hi", "width"), rows)
     if "output_json" in cfg:
         obj = {

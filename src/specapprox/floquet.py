@@ -43,8 +43,8 @@ so a run builds it once for all its cells.
 The uniform bandwidth bound sum_j 4*pi/p_j turns fiber eigenvalues at any
 single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
-module exploits; it reuses the band sweeps' eigenvalues at that phase or
-its conjugate when the phase set holds either.
+module exploits; it reuses the sweeps' eigenvalues at that phase or its
+conjugate, and holds one step at a time beside the finest step's union.
 """
 
 from __future__ import annotations
@@ -467,45 +467,44 @@ def estimate_measure_via_fibers(
     the ball cover of radius delta_n + r_n around its eigenvalues is
     recorded (column ``mu_fattened``); r_n is the bandwidth bound and q_n
     the cell volume.  ``deltas`` is either an explicit list of distance
-    bounds or "proxy", which computes band spectra and uses the Hausdorff
-    distance of each against the finest approximant.  Band spectra are
-    computed in proxy mode and in one dimension, all over one phase set;
-    then the raw measure of the band union is recorded too, and the summary
-    carries the band-fattening estimates for comparison.
+    bounds or "proxy", which uses the Hausdorff distance of each band union
+    against the finest approximant's.  Band spectra are computed in proxy
+    mode and in one dimension, all over one phase set; then the raw measure
+    of the band union is recorded too, and the summary carries the
+    band-fattening estimates for comparison.  Each potential is read once,
+    by index, the last first, and dropped with its row.
     """
-    potentials = list(potentials)
-    if not potentials:
+    if not len(potentials):
         raise ValueError("need at least one potential")
-    dim = potentials[0].dim
-    if any(v.dim != dim for v in potentials):
-        raise ValueError("potentials must share a dimension")
     proxy = deltas == "proxy"
-    if not proxy:
-        delta_list = [float(d) for d in deltas]
-        if len(delta_list) != len(potentials):
-            raise ValueError("need one delta per potential")
-    phi = _phase_tuple(phase, dim)
+    if not proxy and (len(deltas := [float(d) for d in deltas]) != len(potentials) or any(d < 0 for d in deltas)):
+        raise ValueError("need one nonnegative delta per potential")  # before any potential is read
+    last = potentials[-1]  # read first: every proxy delta needs its band union
+    dim, phi = last.dim, _phase_tuple(phase, last.dim)
     if proxy or dim == 1:
         phases = _phase_set(dim, grid_points)
-        sweeps = [_band_sweep(v, phases, grid_points) for v in potentials]
-        # the sweeps' row at phi or at -phi mod 1, whose fiber has the same spectrum
+        # the sweep's row at phi or at -phi mod 1, whose fiber has the same spectrum
         hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
         row = hit.argmax() if hit.any() else None
     else:  # no sweep reads the grid, but a grid_points that could not be swept is refused all the same
-        _check_grid(dim, int(grid_points))
-        sweeps, row = [], None
-    unions = [spectrum.union() for _, spectrum in sweeps]
-    if proxy:
-        delta_list = proxy_deltas(unions)
+        phases, row = _check_grid(dim, int(grid_points)), None
 
-    rows = []
-    for n, (v, delta) in enumerate(zip(potentials, delta_list), start=1):
-        r = bandwidth_bound(v.periods)
-        eigs = fiber_eigenvalues(v, phase) if row is None else sweeps[n - 1][0][row]
-        raw = unions[n - 1] if sweeps else None
-        rows.append(report_row(n, delta, v.q, r, mu, cover_from_eigenvalues(eigs, delta, r), raw))
+    def solve(v):  # (q, r, eigenvalues at phi, band union or None) of a potential, which is not kept
+        if v.dim != dim:
+            raise ValueError("potentials must share a dimension")
+        evs, spectrum = _band_sweep(v, phases, grid_points) if phases is not None else (None, None)
+        eigs = fiber_eigenvalues(v, phase) if row is None else evs[row]
+        return v.q, bandwidth_bound(v.periods), eigs, spectrum and spectrum.union()
+    held, last, band_fattened = solve(last), None, []
+
+    def step_row(n):
+        q, r, eigs, union = held if n == len(potentials) else solve(potentials[n - 1])
+        delta = hausdorff_distance(union, held[3]) if proxy else deltas[n - 1]
+        if union is not None:
+            band_fattened.append(measure(mu, cover_from_bands(union, delta)))
+        return report_row(n, delta, q, r, mu, cover_from_eigenvalues(eigs, delta, r), union)
+    rows = map(step_row, range(1, len(potentials) + 1))  # map keeps no step between calls
     report = ConvergenceReport.build(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
-    if sweeps:
-        band_fattened = [measure(mu, cover_from_bands(u, delta)) for u, delta in zip(unions, delta_list)]
+    if phases is not None:
         report.summary.update(band_fattened=band_fattened, band_estimate=band_fattened[-1])
     return report

@@ -15,11 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from .convergence import ApproximationRecord
-from .floquet import PeriodicPotential, check_bytes, check_fiber_stack
+from .floquet import PeriodicPotential, check_bytes
 from .intervals import _FLOAT_MAX, IntervalSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
+# Bytes per site that a run over a 1-d cell holds, by tracemalloc on Fibonacci: `bands` at levels 19, 20 and 22, 184.6,
+# 175.2 and 165.7 (its bands as Python floats); a proxy `measure` run over 1..18 and 1..20, 153.8 and 149.0 (a sweep).
+SITE_BYTES = 200
 
 
 def convergents(cf_terms, count: int) -> list[Fraction]:
@@ -54,22 +57,25 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
 
 
 def check_free(dim: int, periods) -> tuple[int, ...]:
-    """The periods of a free potential as a tuple of ints, or ValueError if its cell could not be solved.
+    """The periods of a free potential as a tuple of ints, or ValueError if a run over its cell would not fit.
 
     ``periods`` may hold Decimals, such as sizes in _SIZES, which are sized before any is made an int.
     """
     if dim not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
     periods = (periods,) if isinstance(periods, int) else tuple(periods)
-    check_fiber_stack(math.prod(periods), banded=dim == 1)  # any solve of the cell needs at least one real fiber
+    q = math.prod(periods)  # in 2-d a run holds one real dense fiber, 8 q bytes per site, in any solve
+    check_bytes(q * (SITE_BYTES if dim == 1 else 8 * q), f"the {q} sites of a {dim}-d free cell")
     return tuple(int(p) for p in periods)
 
 
 def free_periods(dim: int, base: int, n: int) -> list[int]:
     """[base^n] * dim, the periods of step n of a free measure run, or ValueError if its cell could not be
     solved; sized in _SIZES first, since at an n whose cell no memory holds base^n is itself slow to compute."""
+    if base < 2:
+        raise ValueError("period_base must be >= 2")
     with localcontext(_SIZES):
-        check_free(dim, [Decimal(base) ** n] * dim)
+        check_free(dim, (Decimal(base) ** n for _ in range(dim)))  # no list: check_free refuses a dim first
     return [base**n] * dim
 
 
@@ -80,13 +86,13 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
 
 
 def check_almost_mathieu(frequency) -> Fraction:
-    """An almost-Mathieu frequency as a Fraction, or ValueError if its cell could not be solved."""
+    """An almost-Mathieu frequency as a Fraction, or ValueError if a run over its cell would not fit."""
     if not isinstance(frequency, Fraction):
         p, q = frequency
         if int(q) == 0:
             raise ValueError("frequency denominator must be nonzero")
         frequency = Fraction(int(p), int(q))
-    check_fiber_stack(frequency.denominator, banded=True)
+    check_bytes(SITE_BYTES * frequency.denominator, f"the {frequency.denominator} sites of an almost-Mathieu cell")
     return frequency
 
 
@@ -117,12 +123,12 @@ def _word_length(level: int) -> Decimal:
 
 
 def check_fibonacci(level: int) -> int:
-    """F_{level+1}, the sites of a Fibonacci level, or ValueError if its banded fiber would not fit."""
+    """F_{level+1}, the sites of a Fibonacci level, or ValueError if a run over them would not fit."""
     if level < 1:
         raise ValueError("level must be >= 1")
     with localcontext(_SIZES):
         letters = _word_length(level)
-        check_fiber_stack(letters, banded=True)
+        check_bytes(SITE_BYTES * letters, f"the {letters} sites of Fibonacci level {level}")
     return int(letters)
 
 
@@ -130,8 +136,8 @@ def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     """Periodized Fibonacci substitution word, a -> coupling, b -> 0.
 
     The level-n word w_n = w_{n-1} w_{n-2} (w_1 = a, w_2 = ab) has F_{n+1}
-    letters, about golden^(n+1) / sqrt(5); a level whose banded fiber would
-    not fit in memory is refused before its cell is allocated.  The cell is
+    letters, about golden^(n+1) / sqrt(5); a level whose run would not fit
+    in memory is refused before its cell is allocated.  The cell is
     filled in place: w_{n-2} is a prefix of w_{n-1}, so each level appends a
     copy of a prefix of what is already there.
     """

@@ -103,6 +103,14 @@ MALFORMED_MEASURE = {
     "tail-tol-zero": {"tail_tol": 0},
     "criterion-tol-negative": {"model": {"name": "grid"}, "criterion_tol": -1},
     "criterion-tol-zero": {"criterion_tol": 0.0},
+    # models.free_periods built [base^n] * dim before check_free refused the dim: OverflowError (exit 1)
+    "free-dim-1e308": {"model": {"name": "free", "dim": 1e308, "period_base": 7}},
+    "free-dim-2-pow-63": {"model": {"name": "free", "dim": 2**63, "period_base": 7}},
+    "period-base-one": {"model": {"name": "free", "dim": 1, "period_base": 1}},
+    # a negative delta was refused as a cover radius, once every step had been solved
+    "holder-constant-negative": {
+        "model": AM_CF, "delta_mode": "holder", "holder_constant": -1.0, "holder_frequency": 0.618
+    },
 }
 
 # The bands counterparts, with the error each must give: int() truncated or parsed each
@@ -308,10 +316,16 @@ class TestMeasureCommand:
         assert corollary["estimate"] == pytest.approx(2.0 * (2.0 / 3.0) ** 10)
 
     @pytest.mark.parametrize("overrides", MALFORMED_MEASURE.values(), ids=MALFORMED_MEASURE.keys())
-    def test_malformed_value_is_usage_error(self, tmp_path, capsys, overrides):
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, monkeypatch, overrides):
+        # every refusal comes before the first solve: "deltas-negative" once solved every step first
+        solves = []
+        solve = floquet._solve_block
+        monkeypatch.setattr(floquet, "_solve_block", lambda *args: solves.append(args) or solve(*args))
         cfg = measure_config(tmp_path, **{"n_max": 3, **overrides})
         assert main(["measure", "--config", cfg]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert solves == []
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
 
@@ -404,13 +418,25 @@ class TestBandsCommand:
         assert "error: frequency denominator must be nonzero" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
+    def test_level_38_refused_before_its_cell(self, tmp_path, capsys, monkeypatch):
+        # its banded fiber, 1.5e9 bytes, fit a 7.83 GiB host, but its sweep and bands as Python floats do not
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", int(7.83 * 2**30))
+        monkeypatch.setattr(models, "fibonacci_potential", lambda *args: pytest.fail("the cell was built"))
+        cfg = write_json(
+            tmp_path / "bands.json",
+            {"model": {"name": "fibonacci", "level": 38, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
+        )
+        assert main(["bands", "--config", cfg]) == 2
+        assert "the 63245986 sites of Fibonacci level 38 need 1.265e+10 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "bands.csv").exists()
+
     def test_oversize_fibonacci_level_refused(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bands.json",
             {"model": {"name": "fibonacci", "level": 60, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
         )
         assert main(["bands", "--config", cfg]) == 2
-        assert "1 banded 3 x 2504730781961 fiber(s) need 6.011e+13 bytes" in capsys.readouterr().err
+        assert "the 2504730781961 sites of Fibonacci level 60 need 5.009e+14 bytes" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_oversize_phase_grid_refused_before_its_indices(self, tmp_path, capsys, monkeypatch):
@@ -600,8 +626,8 @@ class TestModelRegistry:
 
 
 class TestMeasureRunSize:
-    """A measure run is sized by its last step before it builds its first, and a set-model run
-    builds each step only after the report has let go of the one before."""
+    """A measure run is sized by its last step before it builds its first, and builds each step only
+    after the report has let go of the one before; an operator run in proxy mode builds its last first."""
 
     @pytest.mark.parametrize(
         "model, builder, n_max",
@@ -610,8 +636,10 @@ class TestMeasureRunSize:
             ({"name": "fibonacci", "coupling": 1.0}, "fibonacci_potential", 60),
             # 3^(10^9) alone takes hours to compute; the run is sized without it
             ({"name": "free", "dim": 1, "period_base": 3}, "free_potential", 10**9),
+            # the fifth convergent's denominator is 5 * 10^15 + 3
+            ({**AM_CF, "frequency_cf": [0, 1, 1, 1, 1, 10**15]}, "almost_mathieu", 5),
         ],
-        ids=["cantor", "fibonacci", "free"],
+        ids=["cantor", "fibonacci", "free", "almost_mathieu"],
     )
     def test_oversize_run_refused_before_step_one(self, tmp_path, capsys, monkeypatch, model, builder, n_max):
         builds, allowed = [], [4]
@@ -648,38 +676,68 @@ class TestMeasureRunSize:
         assert main(["measure", "--config", measure_config(tmp_path, n_max=6)]) == 0
         assert len(alive) == 12
 
+    def test_operator_run_holds_one_step(self, tmp_path, capsys, monkeypatch):
+        # a proxy run builds its last step first and keeps only that step's row and band union
+        alive, levels = [], []
+        build = models.fibonacci_potential
+
+        def recording(level, coupling):
+            assert [ref() for ref in alive] == [None] * len(alive), f"a cell is alive when level {level} is built"
+            v = build(level, coupling)
+            levels.append(level)
+            alive.append(weakref.ref(v.cell))
+            return v
+
+        monkeypatch.setattr(models, "fibonacci_potential", recording)
+        cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_max=6)
+        assert main(["measure", "--config", cfg]) == 0
+        assert levels == [6, 1, 2, 3, 4, 5]
+
+    DENSITY = {"type": "density", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}
+
     @pytest.mark.parametrize(
-        "model, n_min, n_max, mu",
+        "command, overrides",
         [
-            ({"name": "cantor"}, 1, 16, None),
+            ("measure", {"model": {"name": "cantor"}, "n_min": 1, "n_max": 16}),
             # a density measure adds two buffers of the set's size to a step of the run
-            ({"name": "cantor"}, 15, 16, {"type": "density", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}),
-            ({"name": "grid"}, 99998, 100000, None),
-            ({"name": "grid"}, 99999, 100000, {"type": "atomic", "atoms": [0.0, 0.5], "weights": [1.0, 2.0]}),
-            ({"name": "grid", "solid_to": 0.3}, 99998, 100000, None),
+            ("measure", {"model": {"name": "cantor"}, "n_min": 15, "n_max": 16, "measure": DENSITY}),
+            ("measure", {"model": {"name": "grid"}, "n_min": 99998, "n_max": 100000}),
+            (
+                "measure",
+                {
+                    "model": {"name": "grid"}, "n_min": 99999, "n_max": 100000,
+                    "measure": {"type": "atomic", "atoms": [0.0, 0.5], "weights": [1.0, 2.0]},
+                },
+            ),
+            ("measure", {"model": {"name": "grid", "solid_to": 0.3}, "n_min": 99998, "n_max": 100000}),
+            ("measure", {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17}),
+            # the CSV writer's fixed 128 KiB adds 19 bytes per site at level 19
+            ("bands", {"model": {"name": "fibonacci", "level": 19, "coupling": 1.0}}),
         ],
-        ids=["cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to"],
+        ids=["cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to", "fibonacci-proxy", "fibonacci-bands"],
     )
-    def test_run_peak_at_most_the_charge_of_its_last_step(
-        self, tmp_path, capsys, monkeypatch, model, n_min, n_max, mu
-    ):
+    def test_run_peak_at_most_the_charge_of_its_last_step(self, tmp_path, capsys, monkeypatch, command, overrides):
         charges = []
         check = models.check_bytes
         monkeypatch.setattr(models, "check_bytes", lambda need, what: charges.append(need) or check(need, what))
-        cfg = measure_config(tmp_path, model=model, n_min=n_min, n_max=n_max, **({"measure": mu} if mu else {}))
-        assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
+        if command == "bands":
+            files = {"output_csv": str(tmp_path / "bands.csv"), "output_json": str(tmp_path / "bands.json")}
+            cfg = write_json(tmp_path / "bands-config.json", {**overrides, **files})
+        else:
+            cfg = measure_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg]) == 0  # imports and caches come first
         charges.clear()
         tracemalloc.start()
         try:
-            assert main(["measure", "--config", cfg]) == 0
+            assert main([command, "--config", cfg]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= charges[0] == max(charges)  # the first charge, the last step's, is the largest
 
     def test_operator_run_peak_per_site_of_its_last_step(self, tmp_path, capsys):
-        # a proxy run holds every step's cell and band union until the last step is solved; with the
-        # bands as one array per step it peaks near 290 bytes per site of the last step (24 are charged)
+        # a proxy run sweeps its last step first and keeps only that step's row and band union, so it
+        # peaks in that sweep, near 154 bytes per site of the last step (200 are charged)
         cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_min=1, n_max=18)
         assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
         tracemalloc.start()
@@ -688,7 +746,7 @@ class TestMeasureRunSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 400 * models.check_fibonacci(18)
+        assert peak <= 180 * models.check_fibonacci(18)
 
 
 class TestDimensionCommand:

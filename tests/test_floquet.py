@@ -818,14 +818,15 @@ class TestFiberSizeGuard:
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
             check_fiber_stack(10**12, banded=True)
         assert check_fiber_stack(100, count=2, itemsize=16, banded=True) == 2 * 3 * 100 * 16
-        with pytest.raises(ValueError, match=r"need 2\.400e\+13 bytes"):
+        # the builder charges the cell what a run over it holds, 200 bytes per site (models.SITE_BYTES)
+        with pytest.raises(ValueError, match=r"need 2\.000e\+14 bytes"):
             free_potential(1, 10**12)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 3 * 100 * 8)
-        v = free_potential(1, 100)  # its dense fiber, 8.0e4 bytes, would not fit
+        v = free_potential(1, 100)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 3 * 100 * 8)  # v's dense fiber, 8.0e4 bytes, would not fit
         assert len(band_spectrum(v).bands) == 100  # two real banded fibers fit
         with pytest.raises(ValueError, match=r"need 1\.440e\+4 bytes"):
             _band_sweep(v, _grid(1, 4), 4)  # three complex ones do not
-        with pytest.raises(ValueError, match=r"need 7\.200e\+3 bytes"):
+        with pytest.raises(ValueError, match=r"need 6\.000e\+4 bytes"):
             free_potential(1, 300)
 
 
