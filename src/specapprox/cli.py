@@ -309,18 +309,18 @@ def cmd_bands(args) -> int:
     limit = floquet.bandwidth_bound(potential.periods)
     widths = spec.widths()
     violations = np.flatnonzero(widths > limit + 2 * spec.error_bound).tolist()
-    bands = spec.bands.tolist()
-    rows = ((i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(bands))  # written as made, not held
+    pairs = (row.tolist() for row in spec.bands)  # the floats of one row at a time, written as made
+    rows = ((i, lo, hi, hi - lo) for i, (lo, hi) in enumerate(pairs))
     convergence.write_csv(cfg["output_csv"], ("i", "lo", "hi", "width"), rows)
     if "output_json" in cfg:
         obj = {
-            "bands": bands,
+            "bands": spec.bands.tolist(),
             "error_bound": spec.error_bound,
             "bandwidth_bound": limit,
             "violations": violations,
         }
         convergence.write_json(cfg["output_json"], obj)
-    print(f"bands: {len(bands)}")
+    print(f"bands: {len(spec.bands)}")
     print(f"error_bound: {spec.error_bound:.6g}")
     print(f"max_width: {widths.max():.6g}")
     print(f"width_bound: {limit:.6g}")

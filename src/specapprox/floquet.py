@@ -21,10 +21,13 @@ in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
 3 x q upper band storage and solved by LAPACK's banded eigensolver, dsbev
 or zhbev, from the LAPACK numpy links (scipy.linalg.eigvals_banded where
 numpy exports no ILP64 names for them): O(q) memory and no q x q matrix.
-2-d fibers are dense q x q stacks solved by batched eigvalsh; a sweep
-streams small blocks of them through one worker thread per thread of
-numpy's BLAS, with BLAS pinned to one thread: BLAS threads buy nothing in
-solves this small.
+2-d fibers are dense q x q stacks solved by batched eigvalsh.  A sweep's
+solves run on one worker thread per thread of numpy's BLAS, from a pool
+started once per process, with BLAS pinned to one thread: BLAS threads buy
+nothing in solves this small or this sequential.  A 2-d sweep streams small
+blocks of phases through the workers, each building and solving its own; a
+1-d sweep builds its band storage on the calling thread, and the workers
+solve the bands, so its two fibers are solved side by side.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -52,7 +55,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -337,33 +339,45 @@ def _banded_eigvals():
     return solve
 
 
-def _solve_block(potential, z):
-    """Eigenvalue rows of the fibers with a block of phase factors: banded in 1-d, one batched dense eigvalsh in 2-d."""
+def _solve_block(potential, z, fan=map):
+    """Eigenvalue rows of the fibers with a block of phase factors: banded in 1-d, the bands solved
+    through the map ``fan``; one batched dense eigvalsh in 2-d."""
     if potential.dim == 2:
         return np.linalg.eigvalsh(_fibers(potential, z))
     solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
-    return np.stack([solve(band) for band in _band_storage(potential, z)])
+    return np.stack(list(fan(solve, _band_storage(potential, z))))
+
+
+@functools.cache  # a pool per sweep costs more than the solves of a small sweep
+def _pool(n: int):
+    """n worker threads for the solves of every sweep, started once and idle between sweeps."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(n)
 
 
 def _solve_phases(potential, phases):
     """Eigenvalue rows at the k x d ``phases``, in order.  Their phase factors are computed once and
-    sliced into blocks of _CHUNK, so no row depends on how the phases fall into blocks.  In 2-d each
-    block is built and solved by one of as many worker threads as numpy's BLAS has (eigvalsh releases
-    the GIL), with BLAS pinned to one thread meanwhile.  What the workers can hold at once, and the
-    rows, held as blocks and as their stack, are charged before any fiber is built."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    sliced into blocks of _CHUNK, so no row depends on how the phases fall into blocks.  The solves
+    run on as many worker threads as numpy's BLAS has (LAPACK releases the GIL), with BLAS pinned to
+    one thread meanwhile: in 2-d each block is built and solved by one worker, in 1-d the calling
+    thread builds each block's band storage and the workers solve its bands.  What the sweep can hold
+    at once, and the rows, held as blocks and as their stack, are charged before any fiber is built."""
     z = _phase_factors(phases, potential.dim)
-    get, put = (_blas_threads() if potential.dim == 2 else None) or (lambda: 1, lambda n: None)
+    get, put = _blas_threads() or (lambda: 1, lambda n: None)
     n = get()
-    check_fiber_stack(potential.q, min(len(z), n * _CHUNK), z.itemsize, banded=potential.dim == 1)
+    held = min(len(z), (n if potential.dim == 2 else 1) * _CHUNK)
+    check_fiber_stack(potential.q, held, z.itemsize, banded=potential.dim == 1)
     check_bytes(2 * len(z) * potential.q * 8, f"{len(z)} eigenvalue rows of {potential.q} and their stack")
     blocks = [z[i : i + _CHUNK] for i in range(0, len(z), _CHUNK)]
+    fan = _pool(n).map if n > 1 else map
     put(1)
     try:
-        with ThreadPoolExecutor(n) if n > 1 else nullcontext() as pool:
-            rows = (pool.map if pool else map)(lambda block: _solve_block(potential, block), blocks)
-            return np.vstack(list(rows))
+        if potential.dim == 2:
+            rows = fan(lambda block: _solve_block(potential, block), blocks)
+        else:
+            rows = (_solve_block(potential, block, fan) for block in blocks)
+        return np.vstack(list(rows))
     finally:
         put(n)
 

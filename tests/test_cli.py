@@ -430,6 +430,21 @@ class TestBandsCommand:
         assert "the 63245986 sites of Fibonacci level 38 need 1.265e+10 bytes" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
+    def test_band_floats_held_only_for_json(self, tmp_path, capsys):
+        # the CSV is written from the band array one row at a time; only a JSON holds every band as Python floats
+        peaks = []
+        for files in ({}, {"output_json": str(tmp_path / "bands.json")}):
+            model = {"name": "fibonacci", "level": 16, "coupling": 1.0}
+            cfg = write_json(tmp_path / "config.json", {"model": model, "output_csv": str(tmp_path / "b.csv"), **files})
+            assert main(["bands", "--config", cfg]) == 0  # imports and caches come first
+            tracemalloc.start()
+            try:
+                assert main(["bands", "--config", cfg]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+
     def test_oversize_fibonacci_level_refused(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "bands.json",

@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -584,6 +586,97 @@ class TestSplitBlocks:
 
         monkeypatch.setattr(threading.Thread, "start", refused)
         assert band_spectrum(v, grid_points=8) == expect
+        assert get() == (1 if reachable else 2)
+
+
+class TestConcurrentBands:
+    """A 1-d sweep builds each block's band storage on the calling thread and
+    solves its bands on as many worker threads as numpy's BLAS has, with BLAS
+    pinned to one thread meanwhile."""
+
+    @pytest.fixture
+    def fast_switching(self):
+        """The interpreter switches threads every microsecond, so workers interleave as often as they can."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("phases", [_phase_set(1, 64), _grid(1, 64)], ids=["real-pair", "grid-of-33"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])  # 3: more workers than a 2-core host has cores
+    def test_rows_equal_serial_band_solves_bitwise(self, monkeypatch, fast_switching, workers, phases):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        builders, solvers = set(), set()
+        storage, banded = floquet._band_storage, floquet._banded_eigvals
+
+        def recording_storage(*args):
+            builders.add(threading.get_ident())
+            return storage(*args)
+
+        def recording_solve(band):
+            solvers.add(threading.get_ident())
+            return banded()(band)
+
+        monkeypatch.setattr(floquet, "_band_storage", recording_storage)
+        monkeypatch.setattr(floquet, "_banded_eigvals", lambda: recording_solve)
+        rng = np.random.default_rng(73)
+        pots = [random_potential(rng, dim=1, max_period=40) for _ in range(6)]
+        pots += [free_potential(1, 1), fibonacci_potential(14, 2.0)]
+        for v in pots:
+            evs, _ = _band_sweep(v, phases, 64)
+            serial = np.stack([banded()(band) for band in storage(v, _phase_factors(phases, 1))])
+            assert evs.dtype == np.float64 and evs.shape == (len(phases), v.q)
+            np.testing.assert_array_equal(evs.view(np.uint64), serial.view(np.uint64), err_msg=f"q={v.q}")
+        assert builders == {threading.get_ident()}  # each block's storage is built once, by the caller
+        assert (solvers == {threading.get_ident()}) == (workers == 1)
+
+    def test_solve_counts_independent_of_call_order(self, monkeypatch, solved):
+        pots = [fibonacci_potential(n, 2.0) for n in range(1, 10)]
+        counts = []
+        for workers in (1, 3):
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+            solved.clear()
+            estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
+            _band_sweep(pots[-1], _grid(1, 64), 64)
+            counts.append(collections.Counter(solved))
+        assert counts[0] == counts[1]
+        real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
+        assert counts[0] == {("banded", 1, real): 2 * len(pots), ("banded", 1, complex_): len(pots) + 33}
+
+    def test_blas_pinned_and_restored_after_a_failed_band(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        put(2)
+        inside = []
+
+        def failing(band):
+            inside.append((threading.get_ident(), get()))
+            raise np.linalg.LinAlgError("dsbev did not converge")
+
+        monkeypatch.setattr(floquet, "_banded_eigvals", lambda: failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            band_spectrum(fibonacci_potential(8, 1.0))
+        assert inside and all(thread != threading.get_ident() and n == 1 for thread, n in inside)
+        assert get() == 2
+
+    @pytest.mark.parametrize("reachable", [True, False])
+    def test_one_thread_or_no_count_starts_no_worker(self, monkeypatch, blas_threads, reachable):
+        get, put = blas_threads
+        v = fibonacci_potential(12, 1.5)
+        put(2)
+        expect = band_spectrum(v)
+        if reachable:
+            put(1)
+        else:
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: None)
+
+        def refused(thread):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        monkeypatch.setattr(floquet, "_pool", refused)
+        assert band_spectrum(v) == expect
         assert get() == (1 if reachable else 2)
 
 
