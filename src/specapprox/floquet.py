@@ -9,25 +9,23 @@ The spectrum of the full operator is the union over phases of the fiber
 spectra, and the range of the i-th ordered eigenvalue over phases is the
 i-th band.
 
-Fibers are assembled from hop index arrays: the sites of the cell are
-numbered in row-major order, a roll along each axis gives every site's
-forward neighbour, and a coordinate mask splits the hops inside the cell
-from the ones that wrap around its boundary.  Any number of phases is
-assembled at once, real symmetric (float64) when every phase lies in
-{0, 1/2}^d, where each wrap carries z = +-1, else complex; a band sweep
-makes that choice once for all its phases.  The same hops fill two
-storages.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
-in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is held as
-3 x q upper band storage and solved by LAPACK's banded eigensolver, dsbev
-or zhbev, from the LAPACK numpy links (scipy.linalg.eigvals_banded where
-numpy exports no ILP64 names for them): O(q) memory and no q x q matrix.
-2-d fibers are dense q x q stacks solved by batched eigvalsh.  A sweep's
-solves run on one worker thread per thread of numpy's BLAS, from a pool
-started once per process, with BLAS pinned to one thread: BLAS threads buy
-nothing in solves this small or this sequential.  A 2-d sweep streams small
-blocks of phases through the workers, each building and solving its own; a
-1-d sweep builds its band storage on the calling thread, and the workers
-solve the bands, so its two fibers are solved side by side.
+Any number of phases is assembled at once, real symmetric (float64) when
+every phase lies in {0, 1/2}^d, where each wrap carries z = +-1, else
+complex.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
+in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is written
+from slices of the cell into 3 x q upper band storage and solved by
+LAPACK's banded eigensolver, dsbev or zhbev, from the LAPACK numpy links
+(scipy.linalg.eigvals_banded where numpy exports no ILP64 names for them):
+O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks,
+assembled from hop index arrays (a roll along each axis gives every site's
+forward neighbour, a coordinate mask splits the hops inside the cell from
+the ones that wrap around its boundary) and solved by batched eigvalsh.
+A sweep cuts its phases into blocks, one phase in 1-d and a few in 2-d, and
+each block is built and solved, real or complex as its own phases are, by
+one of as many worker threads as numpy's BLAS has, from a pool started once
+per process, with BLAS pinned to one thread: BLAS threads buy nothing in
+solves this small or this sequential.  So the fibers of a 1-d sweep, and
+the fiber at a measure run's cover phase, are solved side by side.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -46,8 +44,9 @@ so a run builds it once for all its cells.
 The uniform bandwidth bound sum_j 4*pi/p_j turns fiber eigenvalues at any
 single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
-module exploits; it reuses the sweeps' eigenvalues at that phase or its
-conjugate, and holds one step at a time beside the finest step's union.
+module exploits; each step is one sweep, which reuses its eigenvalues at
+that phase or its conjugate or else solves the phase in a block of its own,
+and a run holds one step at a time beside the finest step's union.
 """
 
 from __future__ import annotations
@@ -214,18 +213,22 @@ def _band_storage(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
     The sites are taken in zig-zag order 0, q-1, 1, q-2, ...: the ring's
     hops then reach 2 positions and its wrap 1, so each fiber has u =
     min(2, q-1) bands above the diagonal, and entry (i, j), i <= j, of the
-    reordered fiber sits at row u + i - j of column j.  The dtype is as for _fibers.
+    reordered fiber sits at row u + i - j of column j.  It is written from
+    slices of the cell: the diagonal interleaves its first half with its second
+    reversed, every pair 2 apart is a hop within a half, the bond between the
+    halves sits at (q-2, q-1) and the wrap at (0, 1).  The dtype is z's.
     """
-    q = potential.q
+    q, z = potential.q, z[:, 0]
     u = min(2, q - 1)  # eigvals_banded returns wrong eigenvalues from storage with more rows than q
-    sites = np.arange(q)
-    pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
     band = np.zeros((len(z), q, u + 1), dtype=z.dtype).transpose(0, 2, 1)  # each fiber Fortran-contiguous
-    band[:, u, pos] = potential.cell
-    for rows, cols, w in _hops(potential, z):
-        i, j = pos[rows], pos[cols]
-        up = i <= j
-        band[:, u + i[up] - j[up], j[up]] += w
+    band[:, u, 0::2] = potential.cell[: (q + 1) // 2]
+    band[:, u, 1::2] = potential.cell[: (q - 1) // 2 : -1]
+    if q == 1:  # the site wraps onto itself, as in _hops
+        band[:, 0, 0] += z + np.conj(z)
+        return band
+    band[:, 0, 2:] = 1.0
+    band[:, u - 1, q - 1] += 1.0  # at q = 2 the bond between the halves is the wrap's, added in _hops' order
+    band[:, u - 1, 1] += np.conj(z)
     return band
 
 
@@ -300,6 +303,7 @@ def _blas_threads():
     return get, put
 
 
+@functools.cache  # one solver per process: workers call it once per block
 def _banded_eigvals():
     """Solver of one Hermitian band in upper storage, a Fortran-contiguous (u+1) x q array that it may
     overwrite, for its ascending eigenvalues.  It is numpy's own LAPACK, dsbev for a real band and
@@ -339,13 +343,14 @@ def _banded_eigvals():
     return solve
 
 
-def _solve_block(potential, z, fan=map):
-    """Eigenvalue rows of the fibers with a block of phase factors: banded in 1-d, the bands solved
-    through the map ``fan``; one batched dense eigvalsh in 2-d."""
+def _solve_block(potential, phases):
+    """Eigenvalue rows of the fibers at a block of k x d phases, real when every phase is in
+    {0, 1/2}^d: banded in 1-d, one batched dense eigvalsh in 2-d."""
+    z = _phase_factors(phases, potential.dim)
     if potential.dim == 2:
         return np.linalg.eigvalsh(_fibers(potential, z))
     solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
-    return np.stack(list(fan(solve, _band_storage(potential, z))))
+    return np.stack([solve(band) for band in _band_storage(potential, z)])
 
 
 @functools.cache  # a pool per sweep costs more than the solves of a small sweep
@@ -356,28 +361,25 @@ def _pool(n: int):
     return ThreadPoolExecutor(n)
 
 
-def _solve_phases(potential, phases):
-    """Eigenvalue rows at the k x d ``phases``, in order.  Their phase factors are computed once and
-    sliced into blocks of _CHUNK, so no row depends on how the phases fall into blocks.  The solves
-    run on as many worker threads as numpy's BLAS has (LAPACK releases the GIL), with BLAS pinned to
-    one thread meanwhile: in 2-d each block is built and solved by one worker, in 1-d the calling
-    thread builds each block's band storage and the workers solve its bands.  What the sweep can hold
-    at once, and the rows, held as blocks and as their stack, are charged before any fiber is built."""
-    z = _phase_factors(phases, potential.dim)
+def _solve_phases(potential, *phase_sets):
+    """Eigenvalue rows at the phases of each k x d set in ``phase_sets``, in order.  Each set is cut
+    into blocks, one phase in 1-d and _CHUNK in 2-d, each built and solved by one worker, real when
+    all its phases are in {0, 1/2}^d; the workers are as many threads as numpy's BLAS has (LAPACK
+    releases the GIL), with BLAS pinned to one thread meanwhile.  What they can hold at once, and
+    the rows, held as blocks and as their stack, are charged before any fiber is built."""
+    size = 1 if potential.dim == 1 else _CHUNK
+    sets = [np.asarray(phases, dtype=float).reshape(-1, potential.dim) for phases in phase_sets]
+    blocks = [phases[i : i + size] for phases in sets for i in range(0, len(phases), size)]
+    count = sum(map(len, sets))
+    itemsize = 8 if all(np.isin(phases, (0.0, 0.5)).all() for phases in sets) else 16
     get, put = _blas_threads() or (lambda: 1, lambda n: None)
     n = get()
-    held = min(len(z), (n if potential.dim == 2 else 1) * _CHUNK)
-    check_fiber_stack(potential.q, held, z.itemsize, banded=potential.dim == 1)
-    check_bytes(2 * len(z) * potential.q * 8, f"{len(z)} eigenvalue rows of {potential.q} and their stack")
-    blocks = [z[i : i + _CHUNK] for i in range(0, len(z), _CHUNK)]
+    check_fiber_stack(potential.q, min(count, n * size), itemsize, banded=potential.dim == 1)
+    check_bytes(2 * count * potential.q * 8, f"{count} eigenvalue rows of {potential.q} and their stack")
     fan = _pool(n).map if n > 1 else map
     put(1)
     try:
-        if potential.dim == 2:
-            rows = fan(lambda block: _solve_block(potential, block), blocks)
-        else:
-            rows = (_solve_block(potential, block, fan) for block in blocks)
-        return np.vstack(list(rows))
+        return np.vstack(list(fan(lambda block: _solve_block(potential, block), blocks)))
     finally:
         put(n)
 
@@ -410,14 +412,13 @@ def _phase_set(dim: int, grid_points: int) -> np.ndarray:
     return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, int(grid_points))
 
 
-def _band_sweep(potential, phases, grid_points):
-    """Eigenvalue rows at the ``phases`` of _phase_set and the band spectrum they give.
+def _spectrum(potential, evs, grid_points) -> BandSpectrum:
+    """Band spectrum of the eigenvalue rows ``evs`` of a sweep over _phase_set.
     A 2-d error bound adds the Lipschitz term of the grid of ``grid_points`` per axis."""
-    evs = _solve_phases(potential, phases)
     bands = np.stack((evs.min(axis=0), evs.max(axis=0)), axis=1)
     bands.flags.writeable = False
     lips = 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
-    return evs, BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
+    return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
 
 
 def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_POINTS) -> BandSpectrum:
@@ -432,7 +433,7 @@ def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
     """
-    return _band_sweep(potential, _phase_set(potential.dim, grid_points), grid_points)[1]
+    return _spectrum(potential, _solve_phases(potential, _phase_set(potential.dim, grid_points)), grid_points)
 
 
 def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
@@ -495,30 +496,29 @@ def estimate_measure_via_fibers(
         raise ValueError("need one nonnegative delta per potential")  # before any potential is read
     last = potentials[-1]  # read first: every proxy delta needs its band union
     dim, phi = last.dim, _phase_tuple(phase, last.dim)
-    if proxy or dim == 1:
-        phases = _phase_set(dim, grid_points)
-        # the sweep's row at phi or at -phi mod 1, whose fiber has the same spectrum
-        hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
-        row = hit.argmax() if hit.any() else None
-    else:  # no sweep reads the grid, but a grid_points that could not be swept is refused all the same
-        phases, row = _check_grid(dim, int(grid_points)), None
+    if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
+        _check_grid(dim, int(grid_points))
+    phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
+    # the sweep's row at phi or -phi mod 1 (the same spectrum), else phi's own block, first: its solve is the slowest
+    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
+    cover, row = ((), hit.argmax()) if hit.any() else (([phi],), 0)
 
     def solve(v):  # (q, r, eigenvalues at phi, band union or None) of a potential, which is not kept
         if v.dim != dim:
             raise ValueError("potentials must share a dimension")
-        evs, spectrum = _band_sweep(v, phases, grid_points) if phases is not None else (None, None)
-        eigs = fiber_eigenvalues(v, phase) if row is None else evs[row]
-        return v.q, bandwidth_bound(v.periods), eigs, spectrum and spectrum.union()
+        evs = _solve_phases(v, *cover, phases)
+        union = _spectrum(v, evs[len(cover) :], grid_points).union() if sweep else None
+        return v.q, bandwidth_bound(v.periods), evs[row], union
     held, last, band_fattened = solve(last), None, []
 
     def step_row(n):
         q, r, eigs, union = held if n == len(potentials) else solve(potentials[n - 1])
         delta = hausdorff_distance(union, held[3]) if proxy else deltas[n - 1]
-        if union is not None:
+        if sweep:
             band_fattened.append(measure(mu, cover_from_bands(union, delta)))
         return report_row(n, delta, q, r, mu, cover_from_eigenvalues(eigs, delta, r), union)
     rows = map(step_row, range(1, len(potentials) + 1))  # map keeps no step between calls
     report = ConvergenceReport.build(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
-    if phases is not None:
+    if sweep:
         report.summary.update(band_fattened=band_fattened, band_estimate=band_fattened[-1])
     return report

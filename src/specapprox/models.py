@@ -20,8 +20,8 @@ from .intervals import _FLOAT_MAX, IntervalSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
-# Bytes per site that a run over a 1-d cell holds, by tracemalloc on Fibonacci: `bands` at levels 19, 20 and 22, 184.6,
-# 175.2 and 165.7 (its bands as Python floats); a proxy `measure` run over 1..18 and 1..20, 153.8 and 149.0 (a sweep).
+# Bytes per site a run over a 1-d cell holds, by tracemalloc on Fibonacci: `bands` with an output_json at levels 19, 20
+# and 22, 167.3, 164.4 and 161.9 (bands as Python floats); a proxy `measure` over 1..18, 129.3, and 177.5 at phase 0.3.
 SITE_BYTES = 200
 
 

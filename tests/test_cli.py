@@ -726,10 +726,15 @@ class TestMeasureRunSize:
             ),
             ("measure", {"model": {"name": "grid", "solid_to": 0.3}, "n_min": 99998, "n_max": 100000}),
             ("measure", {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17}),
+            # a cover phase off {0, 1/2} adds a complex fiber to each step's sweep
+            ("measure", {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17, "phase": 0.3}),
             # the CSV writer's fixed 128 KiB adds 19 bytes per site at level 19
             ("bands", {"model": {"name": "fibonacci", "level": 19, "coupling": 1.0}}),
         ],
-        ids=["cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to", "fibonacci-proxy", "fibonacci-bands"],
+        ids=[
+            "cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to", "fibonacci-proxy",
+            "fibonacci-proxy-complex-cover", "fibonacci-bands",
+        ],
     )
     def test_run_peak_at_most_the_charge_of_its_last_step(self, tmp_path, capsys, monkeypatch, command, overrides):
         charges = []
@@ -752,7 +757,7 @@ class TestMeasureRunSize:
 
     def test_operator_run_peak_per_site_of_its_last_step(self, tmp_path, capsys):
         # a proxy run sweeps its last step first and keeps only that step's row and band union, so it
-        # peaks in that sweep, near 154 bytes per site of the last step (200 are charged)
+        # peaks in that sweep, near 130 bytes per site of the last step (200 are charged)
         cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_min=1, n_max=18)
         assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
         tracemalloc.start()
@@ -761,7 +766,7 @@ class TestMeasureRunSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 180 * models.check_fibonacci(18)
+        assert peak <= 150 * models.check_fibonacci(18)
 
 
 class TestDimensionCommand:
@@ -941,6 +946,13 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         written = {name: (out / name).read_bytes() for name in ("measure.csv", "measure.json", "bands.csv")}
         return [line[2:] for line in proc.stdout.splitlines() if line.startswith("@ ")], written
+
+    def test_cli_import_loads_neither_the_pool_nor_scipy(self):
+        # both load when a run first needs them: the worker pool's module, and scipy's banded solver
+        script = "import sys, specapprox.cli; print(sorted({'concurrent.futures', 'scipy'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_scipy_loaded_only_without_numpy_lapack(self, tmp_path):
         (set_and_2d, one_d, solver), _ = self.run_fresh(tmp_path)

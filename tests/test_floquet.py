@@ -35,13 +35,14 @@ from specapprox import floquet
 from specapprox.floquet import (
     _CHUNK,
     _band_storage,
-    _band_sweep,
     _fibers,
     _grid,
     _phase_factors,
     _phase_set,
     _solve_block,
+    _solve_phases,
     _solver_bound,
+    _spectrum,
     check_fiber_stack,
 )
 from specapprox.intervals import InvalidRadiusError
@@ -92,8 +93,9 @@ def use_complex_full_sweep(monkeypatch):
     def full_phase_set(dim, grid_points):
         return phase_set(dim, grid_points) if dim == 1 else full_mesh(int(grid_points), dim)
 
-    def dense_solve(v, phases):  # complex, whatever arithmetic the sweep would pick
-        return np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in np.reshape(phases, (-1, v.dim))])
+    def dense_solve(v, *phase_sets):  # complex, whatever arithmetic the sweep would pick
+        phases = np.concatenate([np.reshape(phases, (-1, v.dim)) for phases in phase_sets])
+        return np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in phases])
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
     monkeypatch.setattr(floquet, "_solve_phases", dense_solve)
@@ -145,6 +147,22 @@ def zigzag(q):
     return order
 
 
+def scattered_band_storage(potential, z):
+    """Band storage scattered from the hops of _hops through the zig-zag positions of the sites, with
+    int64 index arrays and masks: the reference for the closed form of _band_storage."""
+    q = potential.q
+    u = min(2, q - 1)
+    sites = np.arange(q)
+    pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
+    band = np.zeros((len(z), q, u + 1), dtype=z.dtype).transpose(0, 2, 1)
+    band[:, u, pos] = potential.cell
+    for rows, cols, w in floquet._hops(potential, z):
+        i, j = pos[rows], pos[cols]
+        up = i <= j
+        band[:, u + i[up] - j[up], j[up]] += w
+    return band
+
+
 class TestBandStorage:
     def test_bands_of_zigzag_dense_fibers_bitwise(self):
         # periods 1 (self-wrap on the diagonal) and 2 (a bond both interior and wrap) are the special cases
@@ -166,19 +184,43 @@ class TestBandStorage:
                 assert all(b.flags.f_contiguous for b in band)  # as LAPACK takes it, with no copy
                 np.testing.assert_array_equal(np.ascontiguousarray(band).view(np.uint64), ref.view(np.uint64))
 
+    def test_closed_form_equals_the_hop_scatter_bitwise(self):
+        rng = np.random.default_rng(74)
+        for q in [*range(1, 31), 987, 1597]:
+            v = PeriodicPotential(dim=1, periods=(q,), cell=rng.uniform(-3, 3, size=q))
+            for phases in ([[0.0], [0.5]], [[0.3]], [[0.0], [rng.uniform(0, 1)], [0.5]]):  # real, complex, mixed
+                z = _phase_factors(phases, 1)
+                band, ref = _band_storage(v, z), scattered_band_storage(v, z)
+                assert band.dtype == ref.dtype and band.shape == ref.shape
+                bits = [np.ascontiguousarray(b).view(np.uint64) for b in (band, ref)]
+                np.testing.assert_array_equal(*bits, err_msg=f"q={q}, phases={phases}")
+
+    def test_two_real_fibers_hold_only_their_band_storage(self):
+        # 2 x 3 x 8 = 48 bytes per site; the hop scatter's int64 index arrays and masks took about 140
+        v = fibonacci_potential(18, 2.0)
+        z = _phase_factors([[0.0], [0.5]], 1)
+        _band_storage(v, z)  # imports and caches come first
+        tracemalloc.start()
+        try:
+            band = _band_storage(v, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.dtype == np.float64 and band.shape == (2, 3, v.q)
+        assert peak <= 60 * v.q
+
     def test_banded_eigenvalues_match_dense(self):
         rng = np.random.default_rng(71)
-        z = _phase_factors([[0.0], [0.3], [0.5]], 1)
+        phases = [[0.0], [0.3], [0.5]]
         pots = [random_potential(rng, dim=1, max_period=32) for _ in range(60)]
         pots += [fibonacci_potential(n, c) for n in range(1, 14) for c in (1.0, 2.5)]
         for v in pots:
-            dense = np.linalg.eigvalsh(_fibers(v, z))
-            np.testing.assert_allclose(_solve_block(v, z), dense, rtol=0, atol=_solver_bound(v))
+            dense = np.linalg.eigvalsh(_fibers(v, _phase_factors(phases, 1)))
+            np.testing.assert_allclose(_solve_block(v, phases), dense, rtol=0, atol=_solver_bound(v))
         for n in (14, 15, 16):  # real fibers only: the dense complex solve at q = 1597 is slow
             v = fibonacci_potential(n, 2.0)
-            z = _phase_factors([[0.0], [0.5]], 1)
-            dense = np.linalg.eigvalsh(_fibers(v, z))
-            np.testing.assert_allclose(_solve_block(v, z), dense, rtol=0, atol=_solver_bound(v))
+            dense = np.linalg.eigvalsh(_fibers(v, _phase_factors([[0.0], [0.5]], 1)))
+            np.testing.assert_allclose(_solve_block(v, [[0.0], [0.5]]), dense, rtol=0, atol=_solver_bound(v))
 
     def test_period_one_storage_has_one_row(self):
         # a 1 x 1 fiber stored in more than one row comes back from eigvals_banded as [0.]
@@ -415,7 +457,7 @@ class TestBandSpectrum:
         for _ in range(12):
             v = random_potential(rng, dim=1, max_period=16)
             exact = band_spectrum(v)
-            _, grid = _band_sweep(v, _grid(1, 256), 256)
+            grid = _spectrum(v, _solve_phases(v, _grid(1, 256)), 256)
             bound = grid.error_bound + 4 * math.pi / (2 * 256 * v.periods[0])  # a 1-d sweep adds no Lipschitz term
             for (a, b), (c, d) in zip(exact.bands, grid.bands):
                 assert abs(a - c) <= bound
@@ -431,7 +473,7 @@ class TestBandSpectrum:
         rng = np.random.default_rng(37)
         v = random_potential(rng, dim=2, max_period=3)
         phases = [tuple(rng.uniform(0, 1, size=2)) for _ in range(5)]
-        block = _solve_block(v, _phase_factors(phases, 2))
+        block = _solve_block(v, phases)
         for row, phi in zip(block, phases):
             np.testing.assert_array_equal(row, fiber_eigenvalues(v, phi))
 
@@ -451,14 +493,20 @@ class TestBandSpectrum:
         assert s != s.bands
 
     def test_chunked_sweep_equals_one_block(self):
-        v1 = random_potential(np.random.default_rng(41), dim=1, max_period=6)
-        # at 256 points the last block is phi = 1/2 alone, real on its own but not in this sweep
-        for v, grid_points in [(free_potential(2, (3, 3)), 16), (v1, 258), (v1, 256)]:
-            phases = _grid(v.dim, grid_points)
-            evs, _ = _band_sweep(v, phases, grid_points)
-            assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
-            np.testing.assert_array_equal(evs, _solve_block(v, _phase_factors(phases, v.dim)))
-        assert len(phases) % _CHUNK == 1 and phases[-1].tolist() == [0.5]
+        # a 2-d sweep's blocks of _CHUNK give the rows of one block of all its phases: each block of the
+        # grid holds a complex phase, as the whole grid does
+        v = free_potential(2, (3, 3))
+        phases = _grid(2, 16)
+        assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
+        np.testing.assert_array_equal(_solve_phases(v, phases), _solve_block(v, phases))
+        # a 1-d sweep's blocks are single phases: each row is the fiber's at its phase, real at 0 and 1/2
+        v = random_potential(np.random.default_rng(41), dim=1, max_period=6)
+        phases = _grid(1, 258)
+        rows = _solve_phases(v, phases)
+        for row, phi in zip(rows, phases):
+            np.testing.assert_array_equal(row.view(np.uint64), fiber_eigenvalues(v, phi).view(np.uint64))
+        assert phases[[0, -1]].tolist() == [[0.0], [0.5]]
+        np.testing.assert_array_equal(rows[[0, -1]], _solve_block(v, [[0.0], [0.5]]))
 
 
 class TestConjugateHalvedGrid:
@@ -480,12 +528,19 @@ class TestConjugateHalvedGrid:
         for _ in range(6):
             v = random_potential(rng, dim=dim, max_period=8 if dim == 1 else 4)
             evs = np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in full_mesh(m, dim)]))
-            _, bs = _band_sweep(v, _grid(dim, m), m)
+            bs = _spectrum(v, _solve_phases(v, _grid(dim, m)), m)
             mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
             np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
             # a 1-d sweep counts its phases as exact
             lips = sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) if dim == 2 else 0.0
             assert bs.error_bound == lips + _solver_bound(v)
+
+    def test_every_block_of_a_grid_of_three_or_more_points_is_complex(self):
+        # so a 2-d sweep whose blocks pick their own arithmetic solves such a grid as one choice for it all did
+        for m in range(3, 41):
+            phases = _grid(2, m)
+            for i in range(0, len(phases), _CHUNK):
+                assert not np.isin(phases[i : i + _CHUNK], (0.0, 0.5)).all(), (m, i)
 
 
 @pytest.fixture
@@ -514,7 +569,7 @@ class TestSplitBlocks:
             v = random_potential(rng, dim=2, max_period=4)
             solved.clear()
             phases = _phase_set(2, 16)
-            evs, _ = _band_sweep(v, phases, 16)  # 130 phases: 16 full blocks and a tail of 2
+            evs = _solve_phases(v, phases)  # 130 phases: 16 full blocks and a tail of 2
             assert sorted(c for _, c, _ in solved) == [2] + [_CHUNK] * 16  # whatever the worker count
             whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
             np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
@@ -539,7 +594,7 @@ class TestSplitBlocks:
             v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
             builders.clear()
             phases = _phase_set(2, m)
-            evs, _ = _band_sweep(v, phases, m)
+            evs = _solve_phases(v, phases)
             assert (threading.get_ident() in builders) == (workers == 1)  # the workers build their own blocks
             np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2))))
 
@@ -590,9 +645,9 @@ class TestSplitBlocks:
 
 
 class TestConcurrentBands:
-    """A 1-d sweep builds each block's band storage on the calling thread and
-    solves its bands on as many worker threads as numpy's BLAS has, with BLAS
-    pinned to one thread meanwhile."""
+    """A 1-d sweep builds and solves each fiber's band storage on one of as
+    many worker threads as numpy's BLAS has, with BLAS pinned to one thread
+    meanwhile."""
 
     @pytest.fixture
     def fast_switching(self):
@@ -625,11 +680,11 @@ class TestConcurrentBands:
         pots = [random_potential(rng, dim=1, max_period=40) for _ in range(6)]
         pots += [free_potential(1, 1), fibonacci_potential(14, 2.0)]
         for v in pots:
-            evs, _ = _band_sweep(v, phases, 64)
-            serial = np.stack([banded()(band) for band in storage(v, _phase_factors(phases, 1))])
+            evs = _solve_phases(v, phases)
+            serial = np.stack([banded()(band) for phi in phases for band in storage(v, _phase_factors([phi], 1))])
             assert evs.dtype == np.float64 and evs.shape == (len(phases), v.q)
             np.testing.assert_array_equal(evs.view(np.uint64), serial.view(np.uint64), err_msg=f"q={v.q}")
-        assert builders == {threading.get_ident()}  # each block's storage is built once, by the caller
+        assert builders == solvers  # each fiber's storage is built by the worker that solves it
         assert (solvers == {threading.get_ident()}) == (workers == 1)
 
     def test_solve_counts_independent_of_call_order(self, monkeypatch, solved):
@@ -639,11 +694,11 @@ class TestConcurrentBands:
             monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
             solved.clear()
             estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
-            _band_sweep(pots[-1], _grid(1, 64), 64)
+            _solve_phases(pots[-1], _grid(1, 64))  # 33 phases, 0 and 1/2 among them
             counts.append(collections.Counter(solved))
         assert counts[0] == counts[1]
         real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
-        assert counts[0] == {("banded", 1, real): 2 * len(pots), ("banded", 1, complex_): len(pots) + 33}
+        assert counts[0] == {("banded", 1, real): 2 * len(pots) + 2, ("banded", 1, complex_): len(pots) + 31}
 
     def test_blas_pinned_and_restored_after_a_failed_band(self, monkeypatch, blas_threads):
         get, put = blas_threads
@@ -785,6 +840,28 @@ class TestSweepReuse:
         assert {s for s, _, _ in solved} == {"dense"}
         assert sum(c for _, c, _ in solved) == (len(_phase_set(2, 8)) + extra) * len(pots)
 
+    FIB = [fibonacci_potential(n, 2.0) for n in range(1, 7)]
+    FREE_2D = [free_potential(2, (p, p)) for p in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "pots, phase, deltas",
+        [(FIB, 0.3, "proxy"), (FIB, 0.5, [0.1] * 6), (FREE_2D, (0.3, 0.1), "proxy"), (FREE_2D, (0.3, 0.1), [0.1] * 3)],
+        ids=["1d-proxy-off-sweep", "1d-explicit-on-sweep", "2d-proxy-off-grid", "2d-explicit"],
+    )
+    def test_one_sweep_per_step(self, monkeypatch, pots, phase, deltas):
+        # the cover phase joins the step's sweep; no fiber is solved beside it
+        sweeps = []
+        solve = floquet._solve_phases
+        monkeypatch.setattr(floquet, "_solve_phases", lambda v, *sets: sweeps.append(v) or solve(v, *sets))
+        monkeypatch.setattr(floquet, "fiber_eigenvalues", None)
+        estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas=deltas, grid_points=8)
+        assert sweeps == [pots[-1], *pots[:-1]]
+
+    def test_cover_phase_solved_in_a_block_of_its_own(self, solved):
+        # a 2-point grid is 4 real phases; phi = (0.3, 0.1) in their block would make it complex
+        estimate_measure_via_fibers([free_potential(2, (2, 3))], (0.3, 0.1), Lebesgue(), deltas="proxy", grid_points=2)
+        assert sorted(solved, key=str) == [("dense", 1, np.complex128), ("dense", 4, np.float64)]
+
     def test_reused_rows_match_fresh_solves(self, monkeypatch, solved):
         # the cover eigenvalues of a one-step run: reused from the sweep at phi or -phi, solved afresh elsewhere
         covered = []
@@ -898,14 +975,15 @@ class TestFiberSizeGuard:
         assert len(_grid(1, 9)) == 5
 
     def test_eigenvalue_rows_charged_before_any_fiber(self, monkeypatch):
-        # 33 complex phases of a 1-d grid of 64: 8 banded fibers at once take 3.84e4 bytes, the rows 5.28e4
+        # 33 phases of a 1-d grid of 64: 8 workers' banded fibers at once take 3.84e4 bytes, the rows 5.28e4
         def no_solve(*args):
             raise AssertionError("a block was solved")
 
         monkeypatch.setattr(floquet, "_solve_block", no_solve)
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 8, lambda n: None))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 3 * 100 * 16)
         with pytest.raises(ValueError, match=r"33 eigenvalue rows of 100 and their stack need 5\.280e\+4 bytes"):
-            _band_sweep(free_potential(1, 100), _grid(1, 64), 64)
+            _solve_phases(free_potential(1, 100), _grid(1, 64))
 
     def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
@@ -916,9 +994,10 @@ class TestFiberSizeGuard:
             free_potential(1, 10**12)
         v = free_potential(1, 100)
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 3 * 100 * 8)  # v's dense fiber, 8.0e4 bytes, would not fit
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, lambda n: None))  # one fiber per worker
         assert len(band_spectrum(v).bands) == 100  # two real banded fibers fit
         with pytest.raises(ValueError, match=r"need 1\.440e\+4 bytes"):
-            _band_sweep(v, _grid(1, 4), 4)  # three complex ones do not
+            _solve_phases(v, _grid(1, 4))  # the three of _grid(1, 4), charged as complex, do not
         with pytest.raises(ValueError, match=r"need 6\.000e\+4 bytes"):
             free_potential(1, 300)
 
@@ -974,7 +1053,7 @@ class TestDeepOracles:
         for n in levels:
             v = fibonacci_potential(n, coupling)
             phases = _phase_set(1, 64)
-            evs, _ = _band_sweep(v, phases, 64)
+            evs = _solve_phases(v, phases)
             for phi, row in zip(phases[:, 0], evs):
                 x, dx = fibonacci_trace(n, coupling, row)
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))
