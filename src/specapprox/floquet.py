@@ -16,10 +16,9 @@ in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is written
 from slices of the cell into 3 x q upper band storage and solved by
 LAPACK's banded eigensolver, dsbev or zhbev, from the LAPACK numpy links
 (scipy.linalg.eigvals_banded where numpy exports no ILP64 names for them):
-O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks,
-assembled from hop index arrays (a roll along each axis gives every site's
-forward neighbour, a coordinate mask splits the hops inside the cell from
-the ones that wrap around its boundary) and solved by batched eigvalsh.
+O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks, the
+potential on the diagonal plus each axis's ring of hops, solved by batched
+eigvalsh.
 A sweep cuts its phases into blocks, one phase in 1-d and a few in 2-d, and
 each block is built and solved, real or complex as its own phases are, by
 one of as many worker threads as numpy's BLAS has, from a pool started once
@@ -54,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -70,6 +70,8 @@ SOLVER_TOL_FACTOR = 1e-12
 
 # Phases per block: a 2-d sweep holds at most workers * _CHUNK * q^2 * 16 bytes of fibers.
 _CHUNK = 8
+
+_BLAS_LOCK = threading.Lock()  # held by a sweep from reading BLAS's thread count to restoring it
 
 # Grid points per axis of a 2-d phase grid when a caller names none.
 DEFAULT_GRID_POINTS = 64
@@ -103,6 +105,7 @@ class PeriodicPotential:
             raise ValueError("need one period per axis")
         if any(p < 1 or p != int(p) for p in self.periods):
             raise ValueError("periods must be positive integers")
+        object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
         cell = np.asarray(self.cell, dtype=float)
         if cell.shape != (self.q,):
             raise ValueError(f"cell must hold {self.q} values, got {cell.size}")
@@ -117,7 +120,7 @@ class PeriodicPotential:
 
     @property
     def q(self) -> int:
-        return math.prod(int(p) for p in self.periods)  # exact: np.prod wraps in int64
+        return math.prod(self.periods)  # exact: np.prod wraps in int64
 
 
 @dataclass(frozen=True, eq=False)  # the __eq__ below compares the array; an array field has no hash
@@ -168,41 +171,36 @@ def _phase_factors(phases, dim: int) -> np.ndarray:
     return z.real if np.isin(phases, (0.0, 0.5)).all() else z
 
 
-def _hops(potential: PeriodicPotential, z):
-    """The hops of the fibers with phase factors ``z`` (k x d), as scatters
-    (rows, cols, values) that add up, in order, onto the potential on the
-    diagonal.
-
-    Interior hops contribute 1 in both directions.  A hop that crosses the
-    cell boundary forward along axis j carries z_j and its reverse conj(z_j),
-    added to what is already there: at period 2 a bond is both interior and
-    boundary.  At period 1 a site wraps onto itself; z_j + conj(z_j) goes onto
-    the diagonal as one term, rounded as in the dense form z*W + conj(z)*W^T.
-    """
-    sites = np.arange(potential.q).reshape(potential.periods)
-    coords = np.indices(potential.periods)
-    for j, p in enumerate(potential.periods):
-        ahead = np.roll(sites, -1, axis=j)
-        inside = coords[j] < p - 1
-        yield sites[inside], ahead[inside], 1.0
-        yield ahead[inside], sites[inside], 1.0
-        src, dst, zj = sites[~inside], ahead[~inside], z[:, j, None]
-        if p == 1:
-            yield src, dst, zj + np.conj(zj)
-        else:
-            yield src, dst, zj
-            yield dst, src, np.conj(zj)
+def _add_ring(out: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Add into the k x p x p ``out`` the ring of p sites with the k phase factors ``z``: 1 between neighbours, then
+    z on the wrap p-1 -> 0 and conj(z) back; at p = 1 z + conj(z) on the diagonal, as z*W + conj(z)*W^T rounds it."""
+    p = out.shape[-1]
+    if p == 1:
+        out[:, 0, 0] += z + np.conj(z)
+        return out
+    for neighbours in (out[:, :-1, 1:], out[:, 1:, :-1]):
+        diagonal = np.einsum("kii->ki", neighbours)  # a writeable view: (i, i+1), then (i+1, i)
+        diagonal += 1.0
+    out[:, p - 1, 0] += z
+    out[:, 0, p - 1] += np.conj(z)
+    return out
 
 
 def _fibers(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
-    """Stack of Hermitian q x q fibers, one per row of the k x d phase factors ``z``,
-    in their dtype: real factors +-1 give the real part of the complex stack."""
-    check_fiber_stack(potential.q, len(z), z.itemsize)
-    diag = np.arange(potential.q)
-    h = np.zeros((len(z), potential.q, potential.q), dtype=z.dtype)
-    h[:, diag, diag] = potential.cell
-    for rows, cols, w in _hops(potential, z):
-        h[:, rows, cols] += w
+    """Stack of Hermitian q x q fibers V + R1 (x) I + I (x) R2, one per row of the k x d phase factors ``z``, in
+    their dtype; axis j's ring of hops R_j goes into the stack in 1-d, in 2-d into a ring of -0.0, an exact identity."""
+    k, q = len(z), potential.q
+    check_fiber_stack(q, k, z.itemsize)
+    h = np.zeros((k, q, q), dtype=z.dtype)
+    h.reshape(k, q * q)[:, :: q + 1] = potential.cell
+    if potential.dim == 1:
+        return _add_ring(h, z[:, 0])
+    (p1, p2), cube = potential.periods, h.reshape(k, *potential.periods, *potential.periods)
+    rings = [_add_ring(np.full((k, p, p), -0.0, dtype=z.dtype), z[:, j]) for j, p in enumerate((p1, p2))]
+    for n in range(p2):  # R1 (x) I: sites (a, n) and (b, n) at [:, a, n, b, n]
+        cube[:, :, n, :, n] += rings[0]
+    for n in range(p1):  # I (x) R2
+        cube[:, n, :, n, :] += rings[1]
     return h
 
 
@@ -223,11 +221,11 @@ def _band_storage(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
     band = np.zeros((len(z), q, u + 1), dtype=z.dtype).transpose(0, 2, 1)  # each fiber Fortran-contiguous
     band[:, u, 0::2] = potential.cell[: (q + 1) // 2]
     band[:, u, 1::2] = potential.cell[: (q - 1) // 2 : -1]
-    if q == 1:  # the site wraps onto itself, as in _hops
+    if q == 1:  # the site wraps onto itself, as in _add_ring
         band[:, 0, 0] += z + np.conj(z)
         return band
     band[:, 0, 2:] = 1.0
-    band[:, u - 1, q - 1] += 1.0  # at q = 2 the bond between the halves is the wrap's, added in _hops' order
+    band[:, u - 1, q - 1] += 1.0  # at q = 2 the bond between the halves is the wrap's, added in _add_ring's order
     band[:, u - 1, 1] += np.conj(z)
     return band
 
@@ -373,15 +371,16 @@ def _solve_phases(potential, *phase_sets):
     count = sum(map(len, sets))
     itemsize = 8 if all(np.isin(phases, (0.0, 0.5)).all() for phases in sets) else 16
     get, put = _blas_threads() or (lambda: 1, lambda n: None)
-    n = get()
-    check_fiber_stack(potential.q, min(count, n * size), itemsize, banded=potential.dim == 1)
-    check_bytes(2 * count * potential.q * 8, f"{count} eigenvalue rows of {potential.q} and their stack")
-    fan = _pool(n).map if n > 1 else map
-    put(1)
-    try:
-        return np.vstack(list(fan(lambda block: _solve_block(potential, block), blocks)))
-    finally:
-        put(n)
+    with _BLAS_LOCK:  # a sweep started meanwhile would read the pinned 1 and restore it
+        n = get()
+        check_fiber_stack(potential.q, min(count, n * size), itemsize, banded=potential.dim == 1)
+        check_bytes(2 * count * potential.q * 8, f"{count} eigenvalue rows of {potential.q} and their stack")
+        fan = _pool(n).map if n > 1 else map
+        put(1)
+        try:
+            return np.vstack(list(fan(lambda block: _solve_block(potential, block), blocks)))
+        finally:
+            put(n)
 
 
 def _check_grid(dim: int, m: int) -> None:

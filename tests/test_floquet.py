@@ -121,6 +121,43 @@ def solved(monkeypatch):
     return calls
 
 
+def hop_scatter(potential: PeriodicPotential, z):
+    """The hops of the fibers with phase factors ``z`` (k x d), as scatters
+    (rows, cols, values) that add up, in order, onto the potential on the
+    diagonal.
+
+    Interior hops contribute 1 in both directions.  A hop that crosses the
+    cell boundary forward along axis j carries z_j and its reverse conj(z_j),
+    added to what is already there: at period 2 a bond is both interior and
+    boundary.  At period 1 a site wraps onto itself; z_j + conj(z_j) goes onto
+    the diagonal as one term, rounded as in the dense form z*W + conj(z)*W^T.
+    """
+    sites = np.arange(potential.q).reshape(potential.periods)
+    coords = np.indices(potential.periods)
+    for j, p in enumerate(potential.periods):
+        ahead = np.roll(sites, -1, axis=j)
+        inside = coords[j] < p - 1
+        yield sites[inside], ahead[inside], 1.0
+        yield ahead[inside], sites[inside], 1.0
+        src, dst, zj = sites[~inside], ahead[~inside], z[:, j, None]
+        if p == 1:
+            yield src, dst, zj + np.conj(zj)
+        else:
+            yield src, dst, zj
+            yield dst, src, np.conj(zj)
+
+
+def scattered_fibers(potential, z):
+    """The fibers as the potential on the diagonal plus the scatters of hop_scatter, with int64 index
+    arrays: the bitwise reference for the rings of _fibers."""
+    diag = np.arange(potential.q)
+    h = np.zeros((len(z), potential.q, potential.q), dtype=z.dtype)
+    h[:, diag, diag] = potential.cell
+    for rows, cols, w in hop_scatter(potential, z):
+        h[:, rows, cols] += w
+    return h
+
+
 class TestHopAssembly:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_dense_reference_bitwise(self, dim):
@@ -137,6 +174,25 @@ class TestHopAssembly:
                 np.testing.assert_array_equal(m, dense_fiber(v, phi))
             np.testing.assert_array_equal(build_fiber(v, phases[-1]), stack[-1])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rings_equal_the_hop_scatter_bitwise(self, dim):
+        # assert_array_equal takes -0.0 for 0.0: only the bits show an assembly that adds +0.0 to the diagonal
+        rng = np.random.default_rng(40 + dim)
+        for periods in np.ndindex(*(6,) * dim):
+            periods = tuple(p + 1 for p in periods)
+            cell = rng.uniform(-3, 3, size=math.prod(periods))
+            cell[rng.uniform(size=cell.size) < 0.4] = -0.0
+            cell[0] = -0.0
+            v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
+            # real, complex, and a real phase solved complex beside a complex one
+            for phases in ([[0.0] * dim, [0.5] * dim], rng.uniform(0, 1, size=(3, dim)), [[0.0] * dim, [0.3] * dim]):
+                z = _phase_factors(phases, dim)
+                stack, ref = _fibers(v, z), scattered_fibers(v, z)
+                assert stack.dtype == ref.dtype and stack.shape == ref.shape
+                np.testing.assert_array_equal(stack.view(np.uint64), ref.view(np.uint64), err_msg=f"{periods}")
+                fiber = build_fiber(v, phases[-1])  # the last phase alone picks the same arithmetic
+                np.testing.assert_array_equal(fiber.view(np.uint64), ref[-1].view(np.uint64))
+
 
 def zigzag(q):
     """Sites 0, q-1, 1, q-2, 2, ... of a ring of q sites."""
@@ -148,7 +204,7 @@ def zigzag(q):
 
 
 def scattered_band_storage(potential, z):
-    """Band storage scattered from the hops of _hops through the zig-zag positions of the sites, with
+    """Band storage scattered from the hops of hop_scatter through the zig-zag positions of the sites, with
     int64 index arrays and masks: the reference for the closed form of _band_storage."""
     q = potential.q
     u = min(2, q - 1)
@@ -156,7 +212,7 @@ def scattered_band_storage(potential, z):
     pos = np.minimum(2 * sites, 2 * (q - 1 - sites) + 1)
     band = np.zeros((len(z), q, u + 1), dtype=z.dtype).transpose(0, 2, 1)
     band[:, u, pos] = potential.cell
-    for rows, cols, w in floquet._hops(potential, z):
+    for rows, cols, w in hop_scatter(potential, z):
         i, j = pos[rows], pos[cols]
         up = i <= j
         band[:, u + i[up] - j[up], j[up]] += w
@@ -368,6 +424,17 @@ class TestPotentialValidation:
         assert v == PeriodicPotential(dim=1, periods=(3,), cell=np.array([1.0, 0.5, -2.0]))
         assert v != PeriodicPotential(dim=1, periods=(3,), cell=(1.0, 0.5, -2.5))
         assert v != PeriodicPotential(dim=2, periods=(1, 3), cell=(1.0, 0.5, -2.0))
+
+    def test_periods_stored_as_a_tuple_of_ints(self):
+        # float periods were kept, and the fibers' scatter then raised a TypeError
+        v = PeriodicPotential(dim=2, periods=(2.0, np.int64(3)), cell=np.zeros(6))
+        assert v.periods == (2, 3) and all(type(p) is int for p in v.periods)
+        assert band_spectrum(v, grid_points=4) == band_spectrum(free_potential(2, (2, 3)), grid_points=4)
+        # a list of periods compared unequal to the same tuple
+        assert PeriodicPotential(dim=1, periods=[3], cell=(1.0, 0.5, -2.0)).periods == (3,)
+        assert PeriodicPotential(dim=1, periods=[3], cell=(1.0, 0.5, -2.0)) == PeriodicPotential(
+            dim=1, periods=(3,), cell=(1.0, 0.5, -2.0)
+        )
 
 
 class TestEigenvalues:
@@ -647,7 +714,7 @@ class TestSplitBlocks:
 class TestConcurrentBands:
     """A 1-d sweep builds and solves each fiber's band storage on one of as
     many worker threads as numpy's BLAS has, with BLAS pinned to one thread
-    meanwhile."""
+    meanwhile; sweeps started from several threads run one at a time."""
 
     @pytest.fixture
     def fast_switching(self):
@@ -699,6 +766,55 @@ class TestConcurrentBands:
         assert counts[0] == counts[1]
         real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
         assert counts[0] == {("banded", 1, real): 2 * len(pots) + 2, ("banded", 1, complex_): len(pots) + 31}
+
+    def test_a_sweep_started_meanwhile_reads_and_restores_the_unpinned_count(self, monkeypatch):
+        # sweeps from two threads interleaved get, put(1), get, put(n), put(1): BLAS was left on one thread
+        count, read, second_read = [2], [], threading.Event()
+
+        def get():
+            read.append(count[0])
+            if len(read) == 2:
+                second_read.set()
+            return count[0]
+
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (get, lambda n: count.__setitem__(0, n)))
+        v, solve_block, first, second = fibonacci_potential(6, 2.0), floquet._solve_block, threading.Lock(), []
+
+        def waiting(potential, phases):
+            if first.acquire(blocking=False):  # the first block starts a second sweep and waits for it to read
+                second.append(threading.Thread(target=_solve_phases, args=(v, [[0.0], [0.5]])))
+                second[0].start()
+                second_read.wait(0.3)
+            return solve_block(potential, phases)
+
+        monkeypatch.setattr(floquet, "_solve_block", waiting)
+        _solve_phases(v, [[0.0], [0.5]])
+        second[0].join(10)
+        assert not second[0].is_alive()
+        assert read == [2, 2] and count == [2]
+
+    def test_sweeps_from_more_threads_than_cores_leave_the_count_as_found(self, monkeypatch, fast_switching):
+        count, read = [2], []
+
+        def get():
+            read.append(count[0])
+            return count[0]
+
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (get, lambda n: count.__setitem__(0, n)))
+        v, w = fibonacci_potential(8, 2.0), free_potential(2, (3, 3))
+
+        def sweeps():
+            for _ in range(10):
+                _solve_phases(v, [[0.0], [0.5]])
+                _solve_phases(w, _grid(2, 4))
+
+        threads = [threading.Thread(target=sweeps) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(read) == 80 and set(read) == {2} and count == [2]
 
     def test_blas_pinned_and_restored_after_a_failed_band(self, monkeypatch, blas_threads):
         get, put = blas_threads
