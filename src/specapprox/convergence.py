@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .intervals import IntervalSet, components, fatten, lebesgue
+from .intervals import IntervalSet, _length, components, fatten, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -69,17 +69,14 @@ class PiecewiseDensity:
 
     def measure_of(self, s: IntervalSet) -> float:
         """Sum over the pieces, outside ones included, of the density times the length of ``s`` clipped
-        to the piece, summed left to right in two buffers that every piece reuses.  Components that miss
-        a piece would add exact zeros, so only those that meet it are clipped."""
+        to the piece, summed left to right a block at a time.  Components that miss a piece would add
+        exact zeros, so only those that meet it are clipped."""
         edges = (-math.inf, *self.breakpoints, math.inf)
-        lo_buf, hi_buf = np.empty_like(s.lows), np.empty_like(s.highs)
         total = 0.0
         for c, a, b in zip((self.outside, *self.values, self.outside), edges, edges[1:]):
             i, j = np.searchsorted(s.highs, a), np.searchsorted(s.lows, b, side="right")  # those meeting [a, b]
             if i < j:
-                lo = np.clip(s.lows[i:j], a, b, out=lo_buf[: j - i])
-                hi = np.clip(s.highs[i:j], a, b, out=hi_buf[: j - i])
-                total += c * float(np.cumsum(np.subtract(hi, lo, out=hi), out=hi)[-1])
+                total += c * _length(s.lows[i:j], s.highs[i:j], (a, b))
         return total
 
 

@@ -289,10 +289,12 @@ def _numpy_symbols(templates: tuple[str, ...], names: tuple[str, ...]):
 
 
 def _blas_threads():
-    """(get, set) of the thread count of numpy's OpenBLAS, or None where its symbols are not found."""
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where its symbols are not found: numpy 2
+    wheels spell them scipy_openblas_get_num_threads64_, numpy 1 wheels openblas_get_num_threads64_."""
     import ctypes
 
-    found = _numpy_symbols(("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"), ("get", "set"))
+    templates = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+    found = _numpy_symbols(templates, ("get", "set"))
     if found is None:
         return None
     get, put = found

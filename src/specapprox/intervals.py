@@ -10,17 +10,25 @@ evaluating a piecewise-linear distance function at finitely many candidate
 points, each located by binary search: O((n+m) log(n+m)) for n and m
 components, with no grid discretization on the exact paths.
 
+Every O(n) pass over endpoints runs over blocks of ``_BLOCK`` of them, so an
+operation holds its input, its output and one block of temporaries.
+
 Merges, inclusion and equality use the absolute tolerance ``DEFAULT_TOL``
 so that eigenvalue-level noise from downstream pipelines does not flip them.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 DEFAULT_TOL = 1e-12
 
 _FLOAT_MAX = float(np.finfo(float).max)
+
+# Endpoints per block of a pass; at 2^13 a pass is as fast as over whole arrays.
+_BLOCK = 2**13
 
 
 class EmptySetError(ValueError):
@@ -31,13 +39,24 @@ class InvalidRadiusError(ValueError):
     """Fattening radius was negative."""
 
 
+def _blocks(n: int):
+    """Slices that cut range(n) into runs of ``_BLOCK``, the last one shorter."""
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
+def _all_pairs(op, later: np.ndarray, earlier: np.ndarray) -> bool:
+    """Whether op(later[i + 1], earlier[i]) holds for every i."""
+    return all(op(later[1:][s], earlier[:-1][s]).all() for s in _blocks(len(later) - 1))
+
+
 def _check_endpoints(lows: np.ndarray, highs: np.ndarray) -> None:
     if lows.ndim != 1 or lows.shape != highs.shape:
         raise ValueError("endpoint arrays must be one-dimensional and of equal length")
-    bad = ~(np.isfinite(lows) & np.isfinite(highs) & (lows <= highs))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"interval endpoints must be finite and ordered, got [{lows[i]}, {highs[i]}]")
+    for s in _blocks(len(lows)):
+        bad = ~(np.isfinite(lows[s]) & np.isfinite(highs[s]) & (lows[s] <= highs[s]))
+        if bad.any():
+            i = s.start + int(np.argmax(bad))
+            raise ValueError(f"interval endpoints must be finite and ordered, got [{lows[i]}, {highs[i]}]")
 
 
 class IntervalSet:
@@ -60,7 +79,7 @@ class IntervalSet:
         if lows.size == 0:
             raise EmptySetError("IntervalSet must not be empty")
         _check_endpoints(lows, highs)
-        if (lows[1:] <= highs[:-1]).any():
+        if not _all_pairs(np.greater, lows, highs):
             raise ValueError("components must be sorted and separated by positive gaps")
         return self._store(lows, highs)
 
@@ -113,13 +132,24 @@ def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
     if lows.size == 0:
         raise EmptySetError("cannot normalize an empty collection of intervals")
     _check_endpoints(lows, highs)
-    if not (lows[1:] > lows[:-1]).all():
+    if not _all_pairs(np.greater, lows, lows):
         order = np.lexsort((highs, lows))
         lows, highs = lows[order], highs[order]
-    reach = highs if (highs[1:] >= highs[:-1]).all() else np.maximum.accumulate(highs)
-    first = np.concatenate(([True], lows[1:] > reach[:-1] + tol))
-    last = np.append(first[1:], True)
-    return IntervalSet.__new__(IntervalSet)._store(lows[first], reach[last])  # canonical by construction
+    reach = highs if _all_pairs(np.greater_equal, highs, highs) else np.maximum.accumulate(highs)
+    first = np.empty(len(lows), dtype=bool)
+    first[0] = True
+    for s in _blocks(len(lows) - 1):
+        np.greater(lows[1:][s], reach[:-1][s] + tol, out=first[1:][s])
+    return IntervalSet.__new__(IntervalSet)._store(*_starts_and_ends(lows, reach, first))  # canonical by construction
+
+
+def _starts_and_ends(lows: np.ndarray, reach: np.ndarray, first: np.ndarray):
+    """The lows where ``first`` marks a new component, and the reach of each component: the reach
+    before the next mark, and the last.  ``first`` is shifted in place to mark those ends."""
+    starts = lows[first]
+    first[:-1] = first[1:]
+    first[-1] = True
+    return starts, reach[first]
 
 
 def normalize(pairs, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -136,10 +166,53 @@ def fatten(a: IntervalSet, delta: float) -> IntervalSet:
 
     delta = 0 is the identity but for components within ``DEFAULT_TOL``
     of each other, which merge.  Negative delta raises :class:`InvalidRadiusError`.
+
+    It is :func:`interval_union` of the shifted endpoints, which are checked and
+    compared a block at a time: their highs never decrease, and their lows
+    increase unless rounding ties two, which only the union's sort then orders.
+    The lows and highs that bound components are shifted after they are gathered.
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
-    return interval_union(a.lows - delta, a.highs + delta)
+    first = np.empty(len(a), dtype=bool)
+    first[0] = True
+    if not all(_mark_starts(a, delta, s, first) for s in _blocks(max(len(a) - 1, 1))):
+        return interval_union(a.lows - delta, a.highs + delta)
+    starts, ends = _starts_and_ends(a.lows, a.highs, first)
+    starts -= delta
+    ends += delta
+    return IntervalSet.__new__(IntervalSet)._store(starts, ends)
+
+
+def _mark_starts(a: IntervalSet, delta: float, s: slice, first: np.ndarray) -> bool:
+    """Mark in ``first`` where a component of the delta-fattening of ``a`` starts, among the pairs of
+    neighbours in block ``s``; False where rounding tied two shifted lows, which only a sort orders."""
+    lows, highs = a.lows[s.start : s.stop + 1] - delta, a.highs[s.start : s.stop + 1] + delta
+    _check_endpoints(lows, highs)
+    if not _all_pairs(np.greater, lows, lows):
+        return False
+    np.greater(lows[1:], np.add(highs[:-1], DEFAULT_TOL, out=highs[:-1]), out=first[s.start + 1 : s.stop + 1])
+    return True
+
+
+def _length(lows: np.ndarray, highs: np.ndarray, clip=None) -> float:
+    """Sum of highs - lows, each clipped to ``clip`` = (lo, hi) first if given, left to right like a
+    plain loop."""
+    total = 0.0
+    for s in _blocks(len(lows)):
+        total = _add_widths(total, lows[s], highs[s], clip)
+    return float(total)
+
+
+def _add_widths(total, lows: np.ndarray, highs: np.ndarray, clip):
+    """total plus the widths of one block, added one at a time from the left: total joins the first."""
+    if clip is None:
+        widths = highs - lows
+    else:
+        widths = np.clip(highs, *clip)
+        widths -= np.clip(lows, *clip)
+    widths[0] += total
+    return np.cumsum(widths, out=widths)[-1]
 
 
 def lebesgue(a: IntervalSet) -> float:
@@ -148,21 +221,22 @@ def lebesgue(a: IntervalSet) -> float:
     Summed left to right like a plain loop; ``np.sum`` adds pairwise and can
     move the last digits.
     """
-    return float(np.cumsum(a.highs - a.lows)[-1])
+    return _length(a.lows, a.highs)
 
 
 def components(a: IntervalSet) -> tuple[int, float]:
     """(component count, largest component diameter)."""
-    return len(a), float(np.max(a.highs - a.lows))
+    return len(a), max(float(np.max(a.highs[s] - a.lows[s])) for s in _blocks(len(a)))
 
 
 def _distances(b: IntervalSet, xs: np.ndarray) -> np.ndarray:
     """Distance from each entry of xs to b, one binary search per point: the
     point lies in the component before the first one starting right of it,
-    or in the gap between the two."""
+    or in the gap between the two; before the first component there is none
+    below it, and after the last none above."""
     j = np.searchsorted(b.lows, xs, side="right")
-    below = np.concatenate(([-np.inf], b.highs))[j]
-    above = np.concatenate((b.lows, [np.inf]))[j]
+    below = np.where(j > 0, b.highs.take(j - 1, mode="clip"), -np.inf)
+    above = np.where(j < len(b), b.lows.take(j, mode="clip"), np.inf)
     return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
 
 
@@ -172,11 +246,13 @@ def directed_distance(a: IntervalSet, b: IntervalSet) -> float:
     The distance-to-b function is piecewise linear with slope +-1, with
     local maxima only at midpoints of b's gaps, so the supremum over a is
     attained at a component endpoint of a or at a gap midpoint of b lying
-    inside a.  Evaluating those finitely many candidates is exact.
+    inside a.  Evaluating those finitely many candidates is exact; they are
+    evaluated a block at a time.
     """
-    mids = (b.highs[:-1] + b.lows[1:]) / 2.0
-    inside = mids[_distances(a, mids) == 0.0]
-    return max(float(np.max(_distances(b, x))) for x in (a.lows, a.highs, inside) if len(x))  # part by part: holds less
+    ends = (x[s] for x in (a.lows, a.highs) for s in _blocks(len(a)))
+    mids = ((b.highs[:-1][s] + b.lows[1:][s]) / 2.0 for s in _blocks(len(b) - 1))
+    inside = (m[_distances(a, m) == 0.0] for m in mids)
+    return float(max(np.max(_distances(b, x), initial=0.0) for x in itertools.chain(ends, inside)))
 
 
 def hausdorff_distance(a: IntervalSet, b: IntervalSet) -> float:

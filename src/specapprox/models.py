@@ -16,13 +16,16 @@ import numpy as np
 
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential, check_bytes
-from .intervals import _FLOAT_MAX, IntervalSet, interval_union
+from .intervals import _BLOCK, _FLOAT_MAX, IntervalSet, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
 # Bytes per site a run over a 1-d cell holds, by tracemalloc on Fibonacci: `bands` with an output_json at levels 19, 20
 # and 22, 167.3, 164.4 and 161.9 (bands as Python floats); a proxy `measure` over 1..18, 129.3, and 177.5 at phase 0.3.
 SITE_BYTES = 200
+# Bytes a set-model measure run holds beside its sets, at any level: one block of temporaries, and below 2^12
+# intervals the report's writers, which peak near 170 kB.
+BLOCK_BYTES = 24 * _BLOCK
 
 
 def convergents(cf_terms, count: int) -> list[Fraction]:
@@ -155,8 +158,10 @@ def check_cantor(level: int) -> None:
     """ValueError unless ``level`` >= 0 and a measure run up to it fits in memory."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    with localcontext(_SIZES):  # a measure run's peak, at its last level: measured 42 bytes per interval
-        check_bytes(48 * Decimal(2) ** level, f"the 2^{level} intervals of middle-thirds level {level}")
+    # a measure run peaks at its last level, holding the set, 16 bytes per interval, its cover, 8, and a 1-byte
+    # mask: measured 25.1 bytes per interval at levels 18 to 20, with a Lebesgue or a density measure
+    with localcontext(_SIZES):
+        check_bytes(26 * Decimal(2) ** level + BLOCK_BYTES, f"the 2^{level} intervals of middle-thirds level {level}")
 
 
 def cantor_approximation(level: int) -> ApproximationRecord:
@@ -191,10 +196,10 @@ def check_grid(n: int, solid_to: float | None = None) -> None:
         raise ValueError(f"grid level must lie in the float range, got {Decimal(n):.3e}")
     if solid_to is not None and not 0.0 < float(solid_to) <= 1.0:
         raise ValueError("solid_to must lie in (0, 1]")
-    # a measure run's peak, at its last level, measured: 42 bytes per point; with alpha, the larger of
-    # 17 per point (the builder's) and 8 per point plus 42 per point j/n > alpha welded on
+    # a measure run peaks in its last level's builder, measured: 16.1 bytes per point at n = 2^20; with alpha,
+    # 8 per point plus 41 per point j/n > alpha welded on
     above = 0 if solid_to is None else n - math.floor(float(solid_to) * n)
-    check_bytes((48 if solid_to is None else 24) * (n + 1) + 48 * above, f"the {n + 1} points of grid level {n}")
+    check_bytes(17 * (n + 1) + 41 * above + BLOCK_BYTES, f"the {n + 1} points of grid level {n}")
 
 
 def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRecord:

@@ -714,7 +714,7 @@ class TestMeasureRunSize:
         "command, overrides",
         [
             ("measure", {"model": {"name": "cantor"}, "n_min": 1, "n_max": 16}),
-            # a density measure adds two buffers of the set's size to a step of the run
+            # a density measure clips the components that meet each of its pieces, a block at a time
             ("measure", {"model": {"name": "cantor"}, "n_min": 15, "n_max": 16, "measure": DENSITY}),
             ("measure", {"model": {"name": "grid"}, "n_min": 99998, "n_max": 100000}),
             (
@@ -767,6 +767,19 @@ class TestMeasureRunSize:
         finally:
             tracemalloc.stop()
         assert peak <= 150 * models.check_fibonacci(18)
+
+    def test_set_run_peak_per_interval_of_its_last_step(self, tmp_path, capsys):
+        # a Cantor run peaks at its last level, holding the set, 16 bytes per interval, its cover, 8, a 1-byte
+        # mask and one block of temporaries: near 25 bytes per interval
+        cfg = measure_config(tmp_path, model={"name": "cantor"}, n_min=1, n_max=18)
+        assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**18
 
 
 class TestDimensionCommand:

@@ -1,8 +1,10 @@
 import collections
+import ctypes
 import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -620,6 +622,46 @@ def blas_threads():
     before = get()
     yield get, put
     put(before)
+
+
+class TestBlasThreadSymbols:
+    """numpy's OpenBLAS thread functions are found under the spelling of numpy 2 wheels, of numpy 1
+    wheels (every symbol suffixed 64_) or of an unsuffixed build, tried in that order."""
+
+    SPELLINGS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+    @pytest.mark.parametrize(
+        "exported, found",
+        [
+            (SPELLINGS, SPELLINGS[0]),
+            (SPELLINGS[1:], SPELLINGS[1]),
+            (SPELLINGS[2:], SPELLINGS[2]),
+            ((SPELLINGS[0], SPELLINGS[2]), SPELLINGS[0]),
+            ((), None),
+        ],
+        ids=["all", "numpy-1-wheel", "unsuffixed", "numpy-2-wheel", "none"],
+    )
+    def test_lookup_order(self, monkeypatch, exported, found):
+        def symbol(name):
+            def f(*args):
+                return None
+
+            f.__name__ = name
+            return f
+
+        names = [spelling.format(op) for spelling in exported for op in ("get", "set")]
+        library = types.SimpleNamespace(**{name: symbol(name) for name in names})
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
+        floquet._numpy_symbols.cache_clear()
+        try:
+            threads = floquet._blas_threads()
+        finally:
+            floquet._numpy_symbols.cache_clear()  # the next lookup opens numpy's own library again
+        if found is None:
+            assert threads is None
+        else:
+            assert [f.__name__ for f in threads] == [found.format("get"), found.format("set")]
+            assert threads[0].restype is ctypes.c_int and threads[1].argtypes == [ctypes.c_int]
 
 
 class TestSplitBlocks:

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import time
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -93,6 +95,68 @@ def ref_directed(a, b):
 
 def ref_hausdorff(a, b):
     return max(ref_directed(a, b), ref_directed(b, a))
+
+
+# Whole-array references: the passes as they ran over whole endpoint arrays before they ran block by
+# block, kept to pin the blockwise code to the same bits and the same errors.
+
+
+def whole_union(lows, highs, tol=intervals.DEFAULT_TOL):
+    lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+    bad = ~(np.isfinite(lows) & np.isfinite(highs) & (lows <= highs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"interval endpoints must be finite and ordered, got [{lows[i]}, {highs[i]}]")
+    if not (lows[1:] > lows[:-1]).all():
+        order = np.lexsort((highs, lows))
+        lows, highs = lows[order], highs[order]
+    reach = highs if (highs[1:] >= highs[:-1]).all() else np.maximum.accumulate(highs)
+    first = np.concatenate(([True], lows[1:] > reach[:-1] + tol))
+    last = np.append(first[1:], True)
+    return lows[first], reach[last]
+
+
+def whole_fatten(a, delta):
+    return whole_union(a.lows - delta, a.highs + delta)
+
+
+def whole_lebesgue(a):
+    return float(np.cumsum(a.highs - a.lows)[-1])
+
+
+def whole_components(a):
+    return len(a), float(np.max(a.highs - a.lows))
+
+
+def whole_distances(b, xs):
+    j = np.searchsorted(b.lows, xs, side="right")
+    below = np.concatenate(([-np.inf], b.highs))[j]
+    above = np.concatenate((b.lows, [np.inf]))[j]
+    return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
+
+
+def whole_directed(a, b):
+    mids = (b.highs[:-1] + b.lows[1:]) / 2.0
+    inside = mids[whole_distances(a, mids) == 0.0]
+    return max(float(np.max(whole_distances(b, x))) for x in (a.lows, a.highs, inside) if len(x))
+
+
+def whole_density(mu, s):
+    edges = (-math.inf, *mu.breakpoints, math.inf)
+    lo_buf, hi_buf = np.empty_like(s.lows), np.empty_like(s.highs)
+    total = 0.0
+    for c, a, b in zip((mu.outside, *mu.values, mu.outside), edges, edges[1:]):
+        i, j = np.searchsorted(s.highs, a), np.searchsorted(s.lows, b, side="right")
+        if i < j:
+            lo = np.clip(s.lows[i:j], a, b, out=lo_buf[: j - i])
+            hi = np.clip(s.highs[i:j], a, b, out=hi_buf[: j - i])
+            total += c * float(np.cumsum(np.subtract(hi, lo, out=hi), out=hi)[-1])
+    return total
+
+
+def bits(*xs):
+    """The bit patterns of floats and float arrays, so that -0.0 and 0.0 differ."""
+    return [np.asarray(x, dtype=float).view(np.uint64).tolist() for x in xs]
 
 
 class TestConstruction:
@@ -386,6 +450,93 @@ class TestSortedPath:
         assert want[kind] in paths
 
 
+class TestBlockwise:
+    """Every pass over endpoints runs over blocks of intervals._BLOCK of them; with blocks of 1, 2, 3
+    and 7 endpoints, sets of up to 50 components span many blocks, and each result has the bits of
+    the whole-array reference and raises its errors."""
+
+    DENSITY = PiecewiseDensity(breakpoints=(-1.0, 0.0, 0.5, 2.0), values=(0.3, 1.0, 2.5), outside=0.25)
+
+    @pytest.fixture(params=[1, 2, 3, 7], autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(intervals, "_BLOCK", request.param)
+
+    @staticmethod
+    def random_set(rng, k):
+        # steps of 0, about DEFAULT_TOL and more: touching, tol-close and separate components, and points
+        steps = rng.choice([0.0, 1e-12, 2e-12, 0.125, 1.0], size=2 * k) * rng.uniform(0.5, 1.5, size=2 * k)
+        ends = np.cumsum(steps) - rng.uniform(0.0, 2.0 * k)
+        lows, highs = ends[0::2], ends[1::2]
+        return intervals.interval_union(lows, lows if rng.random() < 0.3 else highs, 0.0)
+
+    def test_set_passes_match_whole_arrays(self):
+        rng = np.random.default_rng(19)
+        for k in range(1, 51):
+            s = self.random_set(rng, k)
+            assert bits(lebesgue(s), *components(s)[1:]) == bits(whole_lebesgue(s), *whole_components(s)[1:])
+            assert components(s)[0] == len(s)
+            assert bits(self.DENSITY.measure_of(s)) == bits(whole_density(self.DENSITY, s))
+            for delta in (0.0, 5e-13, 1e-12, 0.0625, float(rng.uniform(0.0, 2.0))):
+                f = fatten(s, delta)
+                assert bits(f.lows, f.highs) == bits(*whole_fatten(s, delta))
+
+    @pytest.mark.parametrize("tol", [0.0, intervals.DEFAULT_TOL])
+    @pytest.mark.parametrize("kind", ["increasing", "tied", "nested", "shuffled"])
+    def test_union_matches_whole_arrays(self, kind, tol):
+        rng = np.random.default_rng(20)
+        for k in range(1, 51):
+            lows, highs = TestSortedPath.pairs(rng, kind, k)
+            u = intervals.interval_union(lows, highs, tol)
+            assert bits(u.lows, u.highs) == bits(*whole_union(lows, highs, tol))
+
+    def test_distances_match_whole_arrays(self):
+        rng = np.random.default_rng(21)
+        for k in range(1, 51):
+            a, b = self.random_set(rng, k), self.random_set(rng, int(rng.integers(1, 51)))
+            xs = rng.uniform(a.lo - 1.0, a.hi + 1.0, size=k)
+            assert bits(intervals._distances(b, xs)) == bits(whole_distances(b, xs))
+            assert bits(directed_distance(a, b), directed_distance(b, a)) == bits(whole_directed(a, b), whole_directed(b, a))
+        for _ in range(10):
+            a, b = random_compact_set(rng), random_compact_set(rng)
+            assert abs(hausdorff_distance(a, b) - oracle_hausdorff(a, b)) <= 2e-5
+
+    def test_rounding_tie_between_shifted_lows(self):
+        # 1 and 1 + 2^-52 are neighbours; shifted by 4 both round to -3.0, so the fattening sorts them
+        lows = np.array([-10.0, -8.0, -6.0, -4.0, 1.0, 1.0 + 2.0**-52, 5.0])
+        highs = np.array([-9.0, -7.0, -5.0, -3.0, 1.0, 1.0 + 2.0**-52, 6.0])
+        a = IntervalSet(lows, highs)
+        assert (lows - 4.0)[4] == (lows - 4.0)[5]
+        for delta in (4.0, 0.25):
+            f = fatten(a, delta)
+            assert bits(f.lows, f.highs) == bits(*whole_fatten(a, delta))
+
+    def test_signed_zeros(self):
+        # -0.0 - 0.0 is -0.0 and -0.0 + 0.0 is 0.0, shifted before or after the gather
+        sets = [IntervalSet([-0.0, 1.0], [-0.0, 2.0]), IntervalSet([-1.0], [-0.0]), IntervalSet([-2.0, -0.0], [-1.0, 0.0])]
+        for s in sets:
+            for delta in (0.0, 0.5, 1.0):
+                f = fatten(s, delta)
+                assert bits(f.lows, f.highs) == bits(*whole_fatten(s, delta))
+            assert bits(lebesgue(s), components(s)[1]) == bits(whole_lebesgue(s), whole_components(s)[1])
+            assert bits(directed_distance(s, sets[0])) == bits(whole_directed(s, sets[0]))
+
+    @pytest.mark.parametrize(
+        "lows, highs, delta",
+        [
+            ([0.0, 2.0, 4.0], [1.0, 3.0, 5.0], math.nan),
+            ([-1e308, 0.0, 2.0, 4.0], [-1e308, 1.0, 3.0, 5.0], 1e308),  # -inf in the first block
+            ([0.0, 2e307, 4e307, 6e307, 1e308], [0.0, 2e307, 4e307, 6e307, 1e308], 8e307),  # inf in the last block
+            ([0.0, 1.0, 2.0, 1e308], [0.5, 1.5, 2.5, 1e308], 1e308),  # the lows tie first, then the union finds inf
+        ],
+    )
+    def test_errors_match_whole_arrays(self, lows, highs, delta):
+        a = IntervalSet(lows, highs)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as whole:
+            whole_fatten(a, delta)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(str(whole.value))):
+            fatten(a, delta)
+
+
 class TestArrayPaths:
     def test_cantor_hausdorff_is_subquadratic(self):
         # 65 536 against 32 768 components; the pairwise candidate scan took
@@ -398,6 +549,20 @@ class TestArrayPaths:
         elapsed = time.perf_counter() - t0
         assert d == pytest.approx(3.0**-16 / 2.0, rel=1e-9)
         assert elapsed < 2.0
+
+    def test_hausdorff_holds_one_block_of_temporaries(self):
+        # its candidates are evaluated a block at a time, with no copy of either set: 16 times the
+        # components hold no more than a few blocks' worth of temporaries
+        peaks = []
+        for level in (14, 18):
+            a, b = cantor_approximation(level).set, cantor_approximation(level - 1).set
+            tracemalloc.start()
+            try:
+                hausdorff_distance(a, b)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize(
         "mu",

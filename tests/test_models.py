@@ -214,14 +214,15 @@ class TestCantorApproximation:
             cantor_approximation(41)
 
     def test_oversize_level_refused_by_estimate(self, monkeypatch):
-        # 48 bytes per interval, a measure run's peak at its last level; nothing is allocated
-        with pytest.raises(ValueError, match=r"2\^40 intervals of middle-thirds level 40 need 5\.278e\+13 bytes"):
+        # 26 bytes per interval, a measure run's peak at its last level, and one block; nothing is allocated
+        assert models.BLOCK_BYTES == 24 * 2**13
+        with pytest.raises(ValueError, match=r"2\^40 intervals of middle-thirds level 40 need 2\.859e\+13 bytes"):
             cantor_approximation(40)
-        with pytest.raises(ValueError, match=r"need 4\.752e\+301031 bytes"):
+        with pytest.raises(ValueError, match=r"need 2\.574e\+301031 bytes"):
             cantor_approximation(10**6)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 48 * 2**10)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 26 * 2**10 + models.BLOCK_BYTES)
         assert cantor_approximation(10).q == 2**10
-        with pytest.raises(ValueError, match=r"need 9\.830e\+4 bytes"):
+        with pytest.raises(ValueError, match=r"need 2\.499e\+5 bytes"):
             cantor_approximation(11)
 
 
@@ -249,17 +250,17 @@ class TestGridApproximation:
             grid_approximation(10**400, solid_to=0.5)
 
     def test_oversize_level_refused_by_estimate(self, monkeypatch):
-        # 48 bytes per point, or with solid_to 24 per point plus 48 per point welded on above it;
-        # nothing is allocated
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 48 * 11)
+        # 17 bytes per point, plus 41 per point welded on above solid_to, and one block; nothing is allocated
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 17 * 11 + models.BLOCK_BYTES)
         assert grid_approximation(10).q == 11
-        assert grid_approximation(10, solid_to=0.5).q == 6  # 5 points above 0.5: 24 * 11 + 48 * 5
-        with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 5\.760e\+2 bytes"):
+        with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 1\.968e\+5 bytes"):
             grid_approximation(11)
-        with pytest.raises(ValueError, match=r"need 6\.480e\+2 bytes"):
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 17 * 11 + 41 * 5 + models.BLOCK_BYTES)
+        assert grid_approximation(10, solid_to=0.5).q == 6  # 5 points above 0.5
+        with pytest.raises(ValueError, match=r"need 1\.971e\+5 bytes"):
             grid_approximation(10, solid_to=0.2)  # 8 points above 0.2
         monkeypatch.undo()
-        with pytest.raises(ValueError, match=r"1000000000001 points of grid level 1000000000000 need 4\.800e\+13"):
+        with pytest.raises(ValueError, match=r"1000000000001 points of grid level 1000000000000 need 1\.700e\+13"):
             grid_approximation(10**12)
 
 
