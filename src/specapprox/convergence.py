@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .intervals import IntervalSet, _length, components, fatten, lebesgue
+from .intervals import IntervalSet, _sum, components, fatten, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -76,7 +76,9 @@ class PiecewiseDensity:
         for c, a, b in zip((self.outside, *self.values, self.outside), edges, edges[1:]):
             i, j = np.searchsorted(s.highs, a), np.searchsorted(s.lows, b, side="right")  # those meeting [a, b]
             if i < j:
-                total += c * _length(s.lows[i:j], s.highs[i:j], (a, b))
+                total += c * _sum(
+                    lambda h, lo: np.subtract(w := h.clip(a, b), lo.clip(a, b), out=w), s.highs[i:j], s.lows[i:j]
+                )
         return total
 
 

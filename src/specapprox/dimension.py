@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalSet, normalize
+from .intervals import IntervalSet, _sum, normalize
 
 
 class InsufficientDataError(ValueError):
@@ -85,11 +85,11 @@ def hausdorff_content_upper(cover, alpha: float) -> float:
     max diam; a raw cover of (lo, hi) pairs is merged where pairs overlap
     or touch, with no tolerance.  alpha must be positive.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN too
         raise ValueError(f"content exponent must be positive, got {alpha}")
     if not isinstance(cover, IntervalSet):
         cover = normalize(cover, 0.0)
-    return float(np.cumsum((cover.highs - cover.lows) ** alpha)[-1])  # summed left to right, as lebesgue
+    return _sum(lambda h, lo: (h - lo) ** alpha, cover.highs, cover.lows)  # summed left to right, as lebesgue
 
 
 @dataclass(frozen=True)

@@ -493,8 +493,10 @@ def estimate_measure_via_fibers(
     if not len(potentials):
         raise ValueError("need at least one potential")
     proxy = deltas == "proxy"
-    if not proxy and (len(deltas := [float(d) for d in deltas]) != len(potentials) or any(d < 0 for d in deltas)):
-        raise ValueError("need one nonnegative delta per potential")  # before any potential is read
+    if not proxy and (
+        len(deltas := [float(d) for d in deltas]) != len(potentials) or not all(0 <= d < math.inf for d in deltas)
+    ):
+        raise ValueError("need one finite nonnegative delta per potential")  # before any potential is read
     last = potentials[-1]  # read first: every proxy delta needs its band union
     dim, phi = last.dim, _phase_tuple(phase, last.dim)
     if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused

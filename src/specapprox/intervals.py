@@ -124,10 +124,12 @@ def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
     exceeds the running maximum of the right endpoints before it by more
     than ``tol``.  Strictly increasing lows are in that order already and
     are not sorted, and nondecreasing highs are their own running maximum;
-    either way the result is what the sort and the maximum give.  So unions
-    of sorted sets, such as fattenings, skip both unless rounding ties two
-    lows.  Raises :class:`EmptySetError` on empty input.
+    either way the result is what the sort and the maximum give.  Raises
+    :class:`EmptySetError` on empty input, and ``ValueError`` unless
+    ``tol >= 0``.
     """
+    if not tol >= 0:  # a negative tol keeps overlaps apart, a NaN one merges everything
+        raise ValueError(f"merge tolerance must be nonnegative, got {tol}")
     lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
     if lows.size == 0:
         raise EmptySetError("cannot normalize an empty collection of intervals")
@@ -136,20 +138,27 @@ def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
         order = np.lexsort((highs, lows))
         lows, highs = lows[order], highs[order]
     reach = highs if _all_pairs(np.greater_equal, highs, highs) else np.maximum.accumulate(highs)
+    return IntervalSet.__new__(IntervalSet)._store(*_merge(lows, reach, 0.0, tol))  # canonical by construction
+
+
+def _merge(lows: np.ndarray, highs: np.ndarray, delta: float, tol: float):
+    """The lows that start and the highs that end the components of the union of the intervals
+    [lows[i] - delta, highs[i] + delta], unshifted, for nondecreasing shifted lows and highs.
+
+    A component starts where a shifted low exceeds the shifted high before it by more than ``tol``.
+    Each block of pairs of neighbours is shifted, checked and compared on its own, so a bad shifted
+    endpoint is reported at its first index, as over whole arrays."""
     first = np.empty(len(lows), dtype=bool)
     first[0] = True
-    for s in _blocks(len(lows) - 1):
-        np.greater(lows[1:][s], reach[:-1][s] + tol, out=first[1:][s])
-    return IntervalSet.__new__(IntervalSet)._store(*_starts_and_ends(lows, reach, first))  # canonical by construction
-
-
-def _starts_and_ends(lows: np.ndarray, reach: np.ndarray, first: np.ndarray):
-    """The lows where ``first`` marks a new component, and the reach of each component: the reach
-    before the next mark, and the last.  ``first`` is shifted in place to mark those ends."""
+    for s in _blocks(max(len(lows) - 1, 1)):
+        lo, hi = lows[s.start : s.stop + 1] - delta, highs[s.start : s.stop + 1] + delta
+        _check_endpoints(lo, hi)
+        np.greater(lo[1:], np.add(hi[:-1], tol, out=hi[:-1]), out=first[s.start + 1 : s.stop + 1])
+        del lo, hi  # before the next block is made
     starts = lows[first]
-    first[:-1] = first[1:]
+    first[:-1] = first[1:]  # now marks the last interval of each component
     first[-1] = True
-    return starts, reach[first]
+    return starts, highs[first]
 
 
 def normalize(pairs, tol: float = DEFAULT_TOL) -> IntervalSet:
@@ -167,52 +176,32 @@ def fatten(a: IntervalSet, delta: float) -> IntervalSet:
     delta = 0 is the identity but for components within ``DEFAULT_TOL``
     of each other, which merge.  Negative delta raises :class:`InvalidRadiusError`.
 
-    It is :func:`interval_union` of the shifted endpoints, which are checked and
-    compared a block at a time: their highs never decrease, and their lows
-    increase unless rounding ties two, which only the union's sort then orders.
-    The lows and highs that bound components are shifted after they are gathered.
+    One merge pass over the shifted endpoints, with no sort: rounding is
+    monotone, so the shifted lows and highs of a canonical set never
+    decrease.  Where rounding ties two shifted lows, a stable sort would
+    leave them in place and they merge, as the tied low lies below the high
+    before it.  The lows and highs that bound components are shifted after
+    they are gathered.
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
-    first = np.empty(len(a), dtype=bool)
-    first[0] = True
-    if not all(_mark_starts(a, delta, s, first) for s in _blocks(max(len(a) - 1, 1))):
-        return interval_union(a.lows - delta, a.highs + delta)
-    starts, ends = _starts_and_ends(a.lows, a.highs, first)
+    starts, ends = _merge(a.lows, a.highs, delta, DEFAULT_TOL)
     starts -= delta
     ends += delta
     return IntervalSet.__new__(IntervalSet)._store(starts, ends)
 
 
-def _mark_starts(a: IntervalSet, delta: float, s: slice, first: np.ndarray) -> bool:
-    """Mark in ``first`` where a component of the delta-fattening of ``a`` starts, among the pairs of
-    neighbours in block ``s``; False where rounding tied two shifted lows, which only a sort orders."""
-    lows, highs = a.lows[s.start : s.stop + 1] - delta, a.highs[s.start : s.stop + 1] + delta
-    _check_endpoints(lows, highs)
-    if not _all_pairs(np.greater, lows, lows):
-        return False
-    np.greater(lows[1:], np.add(highs[:-1], DEFAULT_TOL, out=highs[:-1]), out=first[s.start + 1 : s.stop + 1])
-    return True
-
-
-def _length(lows: np.ndarray, highs: np.ndarray, clip=None) -> float:
-    """Sum of highs - lows, each clipped to ``clip`` = (lo, hi) first if given, left to right like a
-    plain loop."""
+def _sum(terms, *arrays) -> float:
+    """Sum of terms(*blocks) over the blocks of ``arrays``, left to right like a plain loop: the
+    running total joins each block's first term.  ``terms`` returns a fresh array, which is summed
+    in place and freed before the next block's is made."""
     total = 0.0
-    for s in _blocks(len(lows)):
-        total = _add_widths(total, lows[s], highs[s], clip)
+    for s in _blocks(len(arrays[0])):
+        t = terms(*(x[s] for x in arrays))
+        t[0] += total
+        total = np.cumsum(t, out=t)[-1]
+        del t
     return float(total)
-
-
-def _add_widths(total, lows: np.ndarray, highs: np.ndarray, clip):
-    """total plus the widths of one block, added one at a time from the left: total joins the first."""
-    if clip is None:
-        widths = highs - lows
-    else:
-        widths = np.clip(highs, *clip)
-        widths -= np.clip(lows, *clip)
-    widths[0] += total
-    return np.cumsum(widths, out=widths)[-1]
 
 
 def lebesgue(a: IntervalSet) -> float:
@@ -221,7 +210,7 @@ def lebesgue(a: IntervalSet) -> float:
     Summed left to right like a plain loop; ``np.sum`` adds pairwise and can
     move the last digits.
     """
-    return _length(a.lows, a.highs)
+    return _sum(np.subtract, a.highs, a.lows)
 
 
 def components(a: IntervalSet) -> tuple[int, float]:

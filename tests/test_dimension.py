@@ -114,7 +114,7 @@ class TestContent:
 
     def test_nonpositive_exponent_rejected(self):
         s = cantor_approximation(1).set
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 hausdorff_content_upper(s, alpha)
 

@@ -975,6 +975,16 @@ class TestMeasurePipeline:
                 [free_potential(1, 2)], 0.0, Lebesgue(), deltas=[0.1, 0.2]
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_explicit_deltas_refused_before_any_solve(self, bad, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a fiber")
+
+        monkeypatch.setattr(floquet, "_solve_phases", no_solve)
+        pots = [fibonacci_potential(n, 1.0) for n in (3, 4)]
+        with pytest.raises(ValueError, match="one finite nonnegative delta per potential"):
+            estimate_measure_via_fibers(pots, 0.0, Lebesgue(), deltas=[bad, bad])
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_measure_via_fibers(

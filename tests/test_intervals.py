@@ -124,6 +124,10 @@ def whole_lebesgue(a):
     return float(np.cumsum(a.highs - a.lows)[-1])
 
 
+def whole_content(a, alpha):
+    return float(np.cumsum((a.highs - a.lows) ** alpha)[-1])
+
+
 def whole_components(a):
     return len(a), float(np.max(a.highs - a.lows))
 
@@ -213,6 +217,14 @@ class TestNormalize:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             normalize([])
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tol_refused(self, tol):
+        # -1 would store the overlapping [0, 2] and [1.5, 3] unchecked, NaN would merge [0, 1] and [2, 3]
+        with pytest.raises(ValueError, match="merge tolerance"):
+            normalize([(0.0, 2.0), (1.5, 3.0)], tol)
+        with pytest.raises(ValueError, match="merge tolerance"):
+            normalize([(0.0, 1.0), (2.0, 3.0)], tol)
 
 
 class TestFatten:
@@ -480,6 +492,13 @@ class TestBlockwise:
                 f = fatten(s, delta)
                 assert bits(f.lows, f.highs) == bits(*whole_fatten(s, delta))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, math.log(2.0) / math.log(3.0), 2.0])
+    def test_content_matches_whole_arrays(self, alpha):
+        rng = np.random.default_rng(22)
+        for k in range(1, 51):
+            s = self.random_set(rng, k)
+            assert bits(hausdorff_content_upper(s, alpha)) == bits(whole_content(s, alpha))
+
     @pytest.mark.parametrize("tol", [0.0, intervals.DEFAULT_TOL])
     @pytest.mark.parametrize("kind", ["increasing", "tied", "nested", "shuffled"])
     def test_union_matches_whole_arrays(self, kind, tol):
@@ -500,15 +519,40 @@ class TestBlockwise:
             a, b = random_compact_set(rng), random_compact_set(rng)
             assert abs(hausdorff_distance(a, b) - oracle_hausdorff(a, b)) <= 2e-5
 
-    def test_rounding_tie_between_shifted_lows(self):
-        # 1 and 1 + 2^-52 are neighbours; shifted by 4 both round to -3.0, so the fattening sorts them
+    def test_rounding_tie_between_shifted_lows(self, monkeypatch):
+        # 1 and 1 + 2^-52 are neighbours; shifted by 4 both round to -3.0, and the fattening merges
+        # them in its one pass, neither sorting them nor handing them to the union
         lows = np.array([-10.0, -8.0, -6.0, -4.0, 1.0, 1.0 + 2.0**-52, 5.0])
         highs = np.array([-9.0, -7.0, -5.0, -3.0, 1.0, 1.0 + 2.0**-52, 6.0])
         a = IntervalSet(lows, highs)
         assert (lows - 4.0)[4] == (lows - 4.0)[5]
+        want = {delta: bits(*whole_fatten(a, delta)) for delta in (4.0, 0.25)}
+
+        def refused(*args, **kwargs):
+            raise AssertionError("fatten sorted its shifted endpoints or merged them a second time")
+
+        monkeypatch.setattr(intervals, "interval_union", refused)
+        monkeypatch.setattr(np, "lexsort", refused)
         for delta in (4.0, 0.25):
             f = fatten(a, delta)
+            assert bits(f.lows, f.highs) == want[delta]
+
+    def test_random_ties_between_shifted_lows(self):
+        # runs of neighbouring floats, as points or as intervals one float wide, shifted by radii of
+        # up to 2^20 of their spacings: rounding ties many shifted lows, at every block boundary too
+        rng = np.random.default_rng(23)
+        ties = 0
+        for _ in range(400):
+            x = float(rng.uniform(-4.0, 4.0))
+            ulp = abs(float(np.spacing(x)))
+            ends = x + ulp * np.arange(int(rng.integers(2, 41)))
+            ends = np.unique(np.concatenate((ends, rng.uniform(-6.0, 6.0, size=int(rng.integers(0, 4))))))
+            a = IntervalSet(ends, ends) if rng.random() < 0.5 else IntervalSet(ends[0:-1:2], ends[1::2])
+            delta = float(rng.choice([0.0, 0.5, 3.0, 17.0]) + ulp * rng.integers(0, 2**20))
+            ties += int(((a.lows[1:] - delta) == (a.lows[:-1] - delta)).any())
+            f = fatten(a, delta)
             assert bits(f.lows, f.highs) == bits(*whole_fatten(a, delta))
+        assert ties >= 100
 
     def test_signed_zeros(self):
         # -0.0 - 0.0 is -0.0 and -0.0 + 0.0 is 0.0, shifted before or after the gather
@@ -563,6 +607,18 @@ class TestArrayPaths:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_content_holds_one_block_of_temporaries(self):
+        # one block's widths and their powers, 16 B per endpoint of a block; the whole-array sum held
+        # 16 B per component, 4.19 MB at Cantor level 18
+        s = cantor_approximation(18).set
+        tracemalloc.start()
+        try:
+            hausdorff_content_upper(s, math.log(2.0) / math.log(3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * intervals._BLOCK + 2**14
 
     @pytest.mark.parametrize(
         "mu",

@@ -13,3 +13,11 @@ def test_python_blocks_run(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert "True" in capsys.readouterr().out.splitlines()
+
+
+def test_corpus_count_matches_corpus():
+    # an entry is a directory with a run.json, as tests/test_golden.py finds them
+    stated = re.search(r"runs the golden corpus: (\d+) CLI runs", README.read_text())
+    corpus = README.parent / "tests" / "golden" / "corpus"
+    assert stated is not None
+    assert int(stated.group(1)) == sum(1 for entry in corpus.iterdir() if (entry / "run.json").exists())
