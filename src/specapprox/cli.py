@@ -114,13 +114,14 @@ class _Model:
     a set model (``sets``), a periodic potential for an operator model.  A
     bands config passes its model spec as it is; step n of a measure config
     passes ``step(spec, n)``, by default the spec with its level set to n.
-    ``check`` refuses, allocating nothing, a spec whose run up to it would
-    not fit in memory (a literal potential's cell is in its config).
+    ``build`` refuses, before it allocates, a spec whose run up to it would
+    not fit in memory (a literal potential's cell is already in its config).
+    A measure run builds its last step, its largest, first, so that build is
+    the run's size check.
     """
 
     build: Callable[[dict], object]
     keys: dict
-    check: Callable[[dict], object]
     step: Callable[[dict, int], dict] = lambda spec, n: {**spec, "level": n}
     sets: bool = False
 
@@ -156,19 +157,16 @@ MODELS = {
     "cantor": _Model(
         build=lambda s: models.cantor_approximation(s["level"]),
         keys={"measure": _keys("name")},
-        check=lambda s: models.check_cantor(s["level"]),
         sets=True,
     ),
     "grid": _Model(
         build=lambda s: models.grid_approximation(*_grid_args(s)),
         keys={"measure": _keys("name", optional=("solid_to",))},
-        check=lambda s: models.check_grid(*_grid_args(s)),
         sets=True,
     ),
     "free": _Model(
         build=lambda s: models.free_potential(*_free_args(s)),
         keys={"measure": _keys("name", "dim", "period_base"), "bands": _keys("name", "dim", "periods")},
-        check=lambda s: models.check_free(*_free_args(s)),
         step=lambda s, n: {"dim": s["dim"], "periods": models.free_periods(*_free_args(s, "period_base"), n)},
     ),
     "almost_mathieu": _Model(
@@ -177,18 +175,15 @@ MODELS = {
             "measure": _keys("name", "coupling", "frequency_cf", optional=("offset",)),
             "bands": _keys("name", "coupling", "frequency", optional=("offset",)),
         },
-        check=lambda s: models.check_almost_mathieu(_int(s["frequency"], "frequency")),
         step=_almost_mathieu_step,
     ),
     "fibonacci": _Model(
         build=lambda s: models.fibonacci_potential(_int(s["level"], "level"), _real(s["coupling"], "coupling")),
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
-        check=lambda s: models.check_fibonacci(_int(s["level"], "level")),
     ),
     "potential": _Model(
         build=_literal_potential,
         keys={"bands": _keys("name", "dim", "periods", "cell")},
-        check=lambda s: None,
     ),
 }
 
@@ -254,7 +249,6 @@ class _Steps:
     steps: range
     __len__ = lambda self: len(self.steps)
     __getitem__ = lambda self, i: self.build(self.steps[i])
-    __iter__ = lambda self: map(self.build, self.steps)  # an IndexError in a build is not the end of the run
 
 
 def cmd_measure(args) -> int:
@@ -270,7 +264,6 @@ def cmd_measure(args) -> int:
             raise ConfigError(f"{key} must be positive, got {value!r}")
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
-    model.check(model.step(cfg["model"], steps[-1]))  # before step 1: every model's largest step is its last
     approximants = _Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
     if model.sets:
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
@@ -283,7 +276,8 @@ def cmd_measure(args) -> int:
             [_real(p, "phase") for p in phase] if isinstance(phase, list) else _real(phase, "phase"),
             mu,
             deltas=_pipeline_deltas(mode, cfg, model, steps),
-            grid_points=_grid_points(cfg, cfg["model"].get("dim", 1)),  # checked above; only a free cell is 2-d
+            # only a free cell is 2-d; its build refuses a dim other than 1 or 2, still before any solve
+            grid_points=_grid_points(cfg, _int(cfg["model"].get("dim", 1), "dim")),
             tail=tail, tail_tol=tail_tol,
         )
         report.summary["delta_mode"] = mode
@@ -302,7 +296,6 @@ BANDS_KEYS = {"model", "grid_points", "output_csv", "output_json"}
 def cmd_bands(args) -> int:
     cfg = _load_config(args.config, BANDS_KEYS, {"model", "output_csv"})
     model = _model(cfg["model"], "bands")
-    model.check(cfg["model"])  # before the cell is built
     potential = model.build(cfg["model"])
     spec = floquet.band_spectrum(potential, grid_points=_grid_points(cfg, potential.dim))
 
@@ -386,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # numpy's overflow and invalid-value warnings are not reported: explicit finiteness checks set the exit code
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # numerical failures first: LinAlgError is a ValueError too
     except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

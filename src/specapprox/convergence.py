@@ -11,7 +11,6 @@ summaries expose the standard finite-data diagnostics for that mechanism.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -228,13 +227,19 @@ def fattened_measure_sequence(
     Each set is fattened by its own declared delta before measuring.  The
     summary declares convergence when the last ``tail`` fattened values vary
     by less than ``tail_tol`` and reports the final fattened value as the
-    estimate.
+    estimate.  ``records`` is read by index, so it needs ``len()`` and
+    indexing (a list or a tuple; a generator raises TypeError): each record
+    is read once, the last first, and dropped with its row.
     """
-    def row(n, rec):
-        return report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
+    if not (steps := len(records)):
+        raise ValueError("need at least one step")
 
-    # map keeps no record between calls, so a generator's step n is gone before it builds step n + 1
-    return ConvergenceReport.build(map(row, itertools.count(1), records), tail, tail_tol)
+    def row(n):
+        rec = records[n - 1]
+        return report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
+    last = row(steps)  # the finest approximant, the largest in every model, so a run too large stops here
+    # map keeps no record between calls, so a lazy sequence's step n is gone before it builds step n + 1
+    return ConvergenceReport.build([*map(row, range(1, steps)), last], tail, tail_tol)
 
 
 @dataclass(frozen=True)

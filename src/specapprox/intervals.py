@@ -143,16 +143,14 @@ def interval_union(lows, highs, tol: float = DEFAULT_TOL) -> IntervalSet:
 
 def _merge(lows: np.ndarray, highs: np.ndarray, delta: float, tol: float):
     """The lows that start and the highs that end the components of the union of the intervals
-    [lows[i] - delta, highs[i] + delta], unshifted, for nondecreasing shifted lows and highs.
+    [lows[i] - delta, highs[i] + delta], unshifted, for finite nondecreasing shifted lows and highs.
 
     A component starts where a shifted low exceeds the shifted high before it by more than ``tol``.
-    Each block of pairs of neighbours is shifted, checked and compared on its own, so a bad shifted
-    endpoint is reported at its first index, as over whole arrays."""
+    Each block of pairs of neighbours is shifted and compared on its own."""
     first = np.empty(len(lows), dtype=bool)
     first[0] = True
     for s in _blocks(max(len(lows) - 1, 1)):
         lo, hi = lows[s.start : s.stop + 1] - delta, highs[s.start : s.stop + 1] + delta
-        _check_endpoints(lo, hi)
         np.greater(lo[1:], np.add(hi[:-1], tol, out=hi[:-1]), out=first[s.start + 1 : s.stop + 1])
         del lo, hi  # before the next block is made
     starts = lows[first]
@@ -181,10 +179,13 @@ def fatten(a: IntervalSet, delta: float) -> IntervalSet:
     decrease.  Where rounding ties two shifted lows, a stable sort would
     leave them in place and they merge, as the tied low lies below the high
     before it.  The lows and highs that bound components are shifted after
-    they are gathered.
+    they are gathered.  For the same reason every shifted endpoint is finite
+    when the outermost two are, so only those are checked up front.
     """
     if delta < 0:
         raise InvalidRadiusError(f"fattening radius must be nonnegative, got {delta}")
+    if not (-_FLOAT_MAX <= a.lo - delta and a.hi + delta <= _FLOAT_MAX):  # also false for a NaN delta
+        _check_endpoints(a.lows - delta, a.highs + delta)  # raises at the first bad index
     starts, ends = _merge(a.lows, a.highs, delta, DEFAULT_TOL)
     starts -= delta
     ends += delta
@@ -229,6 +230,16 @@ def _distances(b: IntervalSet, xs: np.ndarray) -> np.ndarray:
     return np.where(xs <= below, 0.0, np.minimum(xs - below, above - xs))
 
 
+def _midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(lo + hi) / 2, and lo / 2 + hi / 2 only where the sum overflows: halving first would round
+    some subnormal midpoints differently."""
+    with np.errstate(over="ignore"):
+        mids = np.add(lo, hi) / 2.0
+    big = np.isinf(mids)
+    mids[big] = lo[big] / 2.0 + hi[big] / 2.0
+    return mids
+
+
 def directed_distance(a: IntervalSet, b: IntervalSet) -> float:
     """sup over points of a of the distance to b.
 
@@ -239,7 +250,7 @@ def directed_distance(a: IntervalSet, b: IntervalSet) -> float:
     evaluated a block at a time.
     """
     ends = (x[s] for x in (a.lows, a.highs) for s in _blocks(len(a)))
-    mids = ((b.highs[:-1][s] + b.lows[1:][s]) / 2.0 for s in _blocks(len(b) - 1))
+    mids = (_midpoints(b.highs[:-1][s], b.lows[1:][s]) for s in _blocks(len(b) - 1))
     inside = (m[_distances(a, m) == 0.0] for m in mids)
     return float(max(np.max(_distances(b, x), initial=0.0) for x in itertools.chain(ends, inside)))
 

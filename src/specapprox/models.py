@@ -88,17 +88,6 @@ def free_potential(dim: int, periods) -> PeriodicPotential:
     return PeriodicPotential(dim=dim, periods=periods, cell=np.zeros(math.prod(periods)))
 
 
-def check_almost_mathieu(frequency) -> Fraction:
-    """An almost-Mathieu frequency as a Fraction, or ValueError if a run over its cell would not fit."""
-    if not isinstance(frequency, Fraction):
-        p, q = frequency
-        if int(q) == 0:
-            raise ValueError("frequency denominator must be nonzero")
-        frequency = Fraction(int(p), int(q))
-    check_bytes(SITE_BYTES * frequency.denominator, f"the {frequency.denominator} sites of an almost-Mathieu cell")
-    return frequency
-
-
 def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicPotential:
     """Cosine potential 2 * coupling * cos(2*pi*(n*p/q + offset)) on Z.
 
@@ -107,9 +96,15 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     spectra of convergent frequencies approximate the quasiperiodic one.
     The numerator is reduced mod q before the float phase n * (p mod q) / q,
     so frequencies equal mod 1 give the same cell bit for bit, at any size.
+    A cell whose run would not fit in memory is refused before it is allocated.
     """
-    frequency = check_almost_mathieu(frequency)
+    if not isinstance(frequency, Fraction):
+        p, q = frequency
+        if int(q) == 0:
+            raise ValueError("frequency denominator must be nonzero")
+        frequency = Fraction(int(p), int(q))
     q = frequency.denominator
+    check_bytes(SITE_BYTES * q, f"the {q} sites of an almost-Mathieu cell")
     p = frequency.numerator % q
     cell = np.fromiter(
         (2.0 * coupling * math.cos(2.0 * math.pi * (n * p / q + offset)) for n in range(q)),
@@ -154,23 +149,19 @@ def fibonacci_potential(level: int, coupling: float) -> PeriodicPotential:
     return PeriodicPotential(dim=1, periods=(q,), cell=cell)
 
 
-def check_cantor(level: int) -> None:
-    """ValueError unless ``level`` >= 0 and a measure run up to it fits in memory."""
+def cantor_approximation(level: int) -> ApproximationRecord:
+    """Level-``level`` middle-thirds cover: 2^level intervals of length 3^-level.
+
+    The declared distance bound is the conservative 3^-level (the true
+    Hausdorff distance to the limit set is 3^-(level+1) / 2).  A level whose
+    measure run would not fit in memory is refused before it is allocated.
+    """
     if level < 0:
         raise ValueError("level must be >= 0")
     # a measure run peaks at its last level, holding the set, 16 bytes per interval, its cover, 8, and a 1-byte
     # mask: measured 25.1 bytes per interval at levels 18 to 20, with a Lebesgue or a density measure
     with localcontext(_SIZES):
         check_bytes(26 * Decimal(2) ** level + BLOCK_BYTES, f"the 2^{level} intervals of middle-thirds level {level}")
-
-
-def cantor_approximation(level: int) -> ApproximationRecord:
-    """Level-``level`` middle-thirds cover: 2^level intervals of length 3^-level.
-
-    The declared distance bound is the conservative 3^-level (the true
-    Hausdorff distance to the limit set is 3^-(level+1) / 2).
-    """
-    check_cantor(level)
     # the intervals of level k sit at every 2^(level - k)-th index of the final arrays: [lo, hi] is
     # split, in place, into [lo, lo + w] at its own index and [hi - w, hi] halfway to the next one
     lows, highs = np.empty(2**level), np.empty(2**level)
@@ -187,9 +178,15 @@ def cantor_approximation(level: int) -> ApproximationRecord:
     return ApproximationRecord(set=s, delta=scale, q=len(s), r=scale)
 
 
-def check_grid(n: int, solid_to: float | None = None) -> None:
-    """ValueError unless ``n`` >= 1 lies in the float range, ``solid_to`` in (0, 1], and a measure run up to
-    level n fits in memory."""
+def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRecord:
+    """Uniform grid {j/n : 0 <= j <= n} with distance bound 1/(2n) to [0, 1].
+
+    With ``solid_to`` = alpha in (0, 1], the segment [0, alpha] is welded on,
+    giving a sequence whose raw Lebesgue measure stays at alpha while the
+    fattened one still converges to 1.  ``n`` must lie in the float range,
+    and a level whose measure run would not fit in memory is refused before
+    it is allocated.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _FLOAT_MAX:  # alpha * n would overflow
@@ -200,16 +197,6 @@ def check_grid(n: int, solid_to: float | None = None) -> None:
     # 8 per point plus 41 per point j/n > alpha welded on
     above = 0 if solid_to is None else n - math.floor(float(solid_to) * n)
     check_bytes(17 * (n + 1) + 41 * above + BLOCK_BYTES, f"the {n + 1} points of grid level {n}")
-
-
-def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRecord:
-    """Uniform grid {j/n : 0 <= j <= n} with distance bound 1/(2n) to [0, 1].
-
-    With ``solid_to`` = alpha in (0, 1], the segment [0, alpha] is welded on,
-    giving a sequence whose raw Lebesgue measure stays at alpha while the
-    fattened one still converges to 1.
-    """
-    check_grid(n, solid_to)
     delta = 1.0 / (2.0 * n)
     pts = np.arange(n + 1) / n
     if solid_to is None:  # a point set as point_set builds one, without its sort and copy

@@ -34,6 +34,16 @@ def measure_config(tmp_path, **overrides):
 FREE_1D = {"name": "free", "dim": 1, "period_base": 2}
 GOLDEN_CF = [0] + [1] * 12
 
+
+def forbid_allocation(monkeypatch):
+    """Make numpy's allocators of cells and sets raise, to show that a builder refuses before it allocates."""
+    def allocated(*args, **kwargs):
+        raise AssertionError("a cell or set was allocated")
+
+    for name in ("empty", "zeros", "fromiter"):
+        monkeypatch.setattr(np, name, allocated)
+
+
 AM_CF = {"name": "almost_mathieu", "coupling": 0.5, "frequency_cf": [0, 1, 1, 1]}
 
 FREE_2D_EXPLICIT = {
@@ -218,6 +228,25 @@ class TestMeasureCommand:
         summary = json.loads((tmp_path / "out.json").read_text())["summary"]
         assert summary["corollary"]["flag"] is True
         assert summary["corollary"]["estimate"] == pytest.approx((2.0 / 3.0) ** 10)
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"model": {"name": "fibonacci", "coupling": 1e308}, "n_max": 3}, 2),
+            ({"n_max": 3, "measure": {"type": "atomic", "atoms": [0.0, 1.0], "weights": [1e308, 1e308]}}, 3),
+            (
+                {"model": {"name": "fibonacci", "coupling": 1.0}, "n_max": 3, "delta_mode": "explicit",
+                 "deltas": [1e308] * 3},
+                3,
+            ),
+        ],
+        ids=["fibonacci-coupling", "atomic-weights", "explicit-deltas"],
+    )
+    def test_overflow_reported_by_its_exit_code_alone(self, tmp_path, capsys, overrides, code):
+        # numpy warns as each sum overflows; under warnings as errors the warning escaped main
+        assert main(["measure", "--config", measure_config(tmp_path, **overrides)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "out.csv").exists()
 
     def test_no_band_union_writes_nan_raw_measure(self, tmp_path, capsys):
         # explicit deltas in 2-d compute no band union, so there is no raw measure
@@ -421,7 +450,7 @@ class TestBandsCommand:
     def test_level_38_refused_before_its_cell(self, tmp_path, capsys, monkeypatch):
         # its banded fiber, 1.5e9 bytes, fit a 7.83 GiB host, but its sweep and bands as Python floats do not
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", int(7.83 * 2**30))
-        monkeypatch.setattr(models, "fibonacci_potential", lambda *args: pytest.fail("the cell was built"))
+        forbid_allocation(monkeypatch)  # the builder runs and refuses before it allocates the cell
         cfg = write_json(
             tmp_path / "bands.json",
             {"model": {"name": "fibonacci", "level": 38, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
@@ -641,54 +670,46 @@ class TestModelRegistry:
 
 
 class TestMeasureRunSize:
-    """A measure run is sized by its last step before it builds its first, and builds each step only
-    after the report has let go of the one before; an operator run in proxy mode builds its last first."""
+    """A measure run builds its last step, its largest, first, so that build is the run's size check and
+    refuses an oversize run before it allocates; then it builds steps 1 to N - 1 in order, each only after
+    the report has let go of the one before."""
 
     @pytest.mark.parametrize(
-        "model, builder, n_max",
+        "model, n_max, what",
         [
-            ({"name": "cantor"}, "cantor_approximation", 40),
-            ({"name": "fibonacci", "coupling": 1.0}, "fibonacci_potential", 60),
+            ({"name": "cantor"}, 40, "the 2^40 intervals of middle-thirds level 40"),
+            ({"name": "fibonacci", "coupling": 1.0}, 60, "the 2504730781961 sites of Fibonacci level 60"),
             # 3^(10^9) alone takes hours to compute; the run is sized without it
-            ({"name": "free", "dim": 1, "period_base": 3}, "free_potential", 10**9),
+            ({"name": "free", "dim": 1, "period_base": 3}, 10**9, "sites of a 1-d free cell"),
             # the fifth convergent's denominator is 5 * 10^15 + 3
-            ({**AM_CF, "frequency_cf": [0, 1, 1, 1, 1, 10**15]}, "almost_mathieu", 5),
+            ({**AM_CF, "frequency_cf": [0, 1, 1, 1, 1, 10**15]}, 5, "the 5000000000000003 sites of an almost-Mathieu"),
         ],
         ids=["cantor", "fibonacci", "free", "almost_mathieu"],
     )
-    def test_oversize_run_refused_before_step_one(self, tmp_path, capsys, monkeypatch, model, builder, n_max):
-        builds, allowed = [], [4]
-        build = getattr(models, builder)
-
-        def counting(*args):
-            builds.append(args)
-            if len(builds) > allowed[0]:  # a step of the oversize run; building it could take gigabytes
-                pytest.fail(f"step {len(builds)} was built, with {allowed[0]} allowed")
-            return build(*args)
-
-        monkeypatch.setattr(models, builder, counting)
-        assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=4)]) == 0
-        assert len(builds) == 4  # the counter sees every build of a run
-        builds.clear()
-        allowed[0] = 0
+    def test_oversize_run_refused_before_step_one(self, tmp_path, capsys, monkeypatch, model, n_max, what):
+        assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=4)]) == 0  # a valid model
         (tmp_path / "out.csv").unlink()
+        capsys.readouterr()
+        forbid_allocation(monkeypatch)  # the last step's builder runs and refuses before it allocates
         assert main(["measure", "--config", measure_config(tmp_path, model=model, n_max=n_max)]) == 2
-        assert builds == []
-        assert " bytes, memory holds " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert what in err and " bytes, memory holds " in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_set_run_holds_one_step(self, tmp_path, capsys, monkeypatch):
-        alive = []
+        alive, levels = [], []
         build = models.cantor_approximation
 
         def recording(level):
             assert [ref() for ref in alive] == [None] * len(alive), f"a step is alive when level {level} is built"
             rec = build(level)
+            levels.append(level)
             alive.extend((weakref.ref(rec), weakref.ref(rec.set.lows)))  # the record and its set's endpoints
             return rec
 
         monkeypatch.setattr(models, "cantor_approximation", recording)
         assert main(["measure", "--config", measure_config(tmp_path, n_max=6)]) == 0
+        assert levels == [6, 1, 2, 3, 4, 5]
         assert len(alive) == 12
 
     def test_operator_run_holds_one_step(self, tmp_path, capsys, monkeypatch):

@@ -264,6 +264,18 @@ class TestFattenedMeasureSequence:
         with pytest.raises(ValueError):
             fattened_measure_sequence([], Lebesgue())
 
+    def test_records_read_by_index_last_first(self):
+        reads = []
+
+        class Steps:
+            __len__ = lambda self: 4
+            __getitem__ = lambda self, i: reads.append(i) or cantor_approximation(i + 1)
+
+        rows = fattened_measure_sequence(Steps(), Lebesgue()).rows
+        assert reads == [3, 0, 1, 2] and [row.n for row in rows] == [1, 2, 3, 4]
+        with pytest.raises(TypeError):  # a generator has no len()
+            fattened_measure_sequence((cantor_approximation(n) for n in range(1, 5)), Lebesgue())
+
     @pytest.mark.parametrize("tail", [0, -2])
     def test_tail_below_one_rejected(self, tail):
         # rows[-tail:] took all 7 rows at tail 0 and 5 of them at -2, and the summary reported that tail

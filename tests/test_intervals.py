@@ -389,6 +389,18 @@ class TestOracleAgreement:
             assert exact > 0.0
             assert abs(exact - oracle_hausdorff(a, b, spacing=1e-5)) <= 2e-5
 
+    def test_hausdorff_near_the_float_maximum(self):
+        # the sum of the ends of b's gap overflows; the pair scaled to [1, 1.75] is within the oracle's reach
+        a, b = iset((1e308, 1.75e308)), iset((1e308, 1.1e308), (1.7e308, 1.75e308))
+        small_a, small_b = iset((1.0, 1.75)), iset((1.0, 1.1), (1.7, 1.75))
+        approx = oracle_hausdorff(small_a, small_b, spacing=1e-5)
+        assert abs(hausdorff_distance(small_a, small_b) - approx) <= 2e-5
+        assert hausdorff_distance(a, b) == pytest.approx(approx * 1e308, rel=1e-4)
+        assert not contains_set(b, a)
+        # a finite sum keeps the bits of (lo + hi) / 2, which lo / 2 + hi / 2 would change for subnormals
+        lo, hi = np.array([5e-324, 1.1e308]), np.array([1e-323, 1.7e308])
+        assert intervals._midpoints(lo, hi).tolist() == [(5e-324 + 1e-323) / 2, 1.1e308 / 2 + 1.7e308 / 2]
+
 
 class TestLoopReferences:
     def test_normalize_matches_merge_loop(self):
@@ -480,6 +492,21 @@ class TestBlockwise:
         ends = np.cumsum(steps) - rng.uniform(0.0, 2.0 * k)
         lows, highs = ends[0::2], ends[1::2]
         return intervals.interval_union(lows, lows if rng.random() < 0.3 else highs, 0.0)
+
+    def test_one_endpoint_check_per_operation(self, monkeypatch):
+        # a union checks its input once, whatever the blocks; a fattening of a canonical set checks its
+        # shifted endpoints only when one of its outermost two is not finite
+        s = self.random_set(np.random.default_rng(29), 40)
+        calls = []
+        check = intervals._check_endpoints
+        monkeypatch.setattr(intervals, "_check_endpoints", lambda *args: calls.append(args) or check(*args))
+        intervals.interval_union(s.lows, s.highs)
+        assert len(calls) == 1
+        fatten(s, 0.5)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="must be finite"):
+            fatten(s, math.inf)
+        assert len(calls) == 2
 
     def test_set_passes_match_whole_arrays(self):
         rng = np.random.default_rng(19)
