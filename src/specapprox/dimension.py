@@ -52,6 +52,8 @@ class CoverStats:
             for x in getattr(self, name):
                 if not math.isfinite(x):
                     raise ValueError(f"stats column {name} holds a non-finite value: {x}")
+        if not all(c > 0 for c in self.q):  # their logs are fitted
+            raise ValueError("component counts must be positive")
 
     def __len__(self) -> int:
         return len(self.n)

@@ -19,12 +19,14 @@ LAPACK's banded eigensolver, dsbev or zhbev, from the LAPACK numpy links
 O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks, the
 potential on the diagonal plus each axis's ring of hops, solved by batched
 eigvalsh.
-A sweep cuts its phases into blocks, one phase in 1-d and a few in 2-d, and
-each block is built and solved, real or complex as its own phases are, by
-one of as many worker threads as numpy's BLAS has, from a pool started once
-per process, with BLAS pinned to one thread: BLAS threads buy nothing in
-solves this small or this sequential.  So the fibers of a 1-d sweep, and
-the fiber at a measure run's cover phase, are solved side by side.
+A sweep cuts its phases into blocks, one phase in 1-d and in 2-d the fewest
+that numpy's eigvalsh solves with the GIL released, taken in turn by as many
+worker threads as numpy's BLAS has, from a pool started once per process,
+with BLAS pinned to one thread: BLAS threads buy nothing in solves this
+small or this sequential.  Each block folds into the per-index min and max
+of the eigenvalues, the bands, so no row per phase is kept.  The fibers of
+a 1-d sweep, and the fiber at a measure run's cover phase, are solved side
+by side.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -67,9 +69,6 @@ HERMITICITY_TOL = 1e-12
 # machine epsilon times the matrix norm.  1e-12 * norm is a generous ceiling
 # for the matrix sizes in scope (q <= a few thousand).
 SOLVER_TOL_FACTOR = 1e-12
-
-# Phases per block: a 2-d sweep holds at most workers * _CHUNK * q^2 * 16 bytes of fibers.
-_CHUNK = 8
 
 _BLAS_LOCK = threading.Lock()  # held by a sweep from reading BLAS's thread count to restoring it
 
@@ -163,12 +162,12 @@ def check_fiber_stack(q, count: int = 1, itemsize: int = 8, banded: bool = False
     return check_bytes(count * rows * q * itemsize, f"{count} {'banded' if banded else 'dense'} {rows} x {q} fiber(s)")
 
 
-def _phase_factors(phases, dim: int) -> np.ndarray:
-    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when every phase is 0 or 1/2,
+def _phase_factors(phases, dim: int, real: bool = True) -> np.ndarray:
+    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when ``real`` and every phase is 0 or 1/2,
     where z = +-1 is the real part of the complex z."""
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     z = np.exp(2j * np.pi * phases)
-    return z.real if np.isin(phases, (0.0, 0.5)).all() else z
+    return z.real if real and np.isin(phases, (0.0, 0.5)).all() else z
 
 
 def _add_ring(out: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -186,12 +185,14 @@ def _add_ring(out: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fibers(potential: PeriodicPotential, z: np.ndarray) -> np.ndarray:
+def _fibers(potential: PeriodicPotential, z: np.ndarray, out=None) -> np.ndarray:
     """Stack of Hermitian q x q fibers V + R1 (x) I + I (x) R2, one per row of the k x d phase factors ``z``, in
-    their dtype; axis j's ring of hops R_j goes into the stack in 1-d, in 2-d into a ring of -0.0, an exact identity."""
+    their dtype, from the flat buffer ``out`` if given; axis j's ring of hops R_j goes into the stack in 1-d, in
+    2-d into a ring of -0.0, an exact identity."""
     k, q = len(z), potential.q
     check_fiber_stack(q, k, z.itemsize)
-    h = np.zeros((k, q, q), dtype=z.dtype)
+    h = (np.empty(k * q * q, z.dtype) if out is None else out.view(z.dtype)[: k * q * q]).reshape(k, q, q)
+    h.fill(0.0)
     h.reshape(k, q * q)[:, :: q + 1] = potential.cell
     if potential.dim == 1:
         return _add_ring(h, z[:, 0])
@@ -257,7 +258,7 @@ def eigenvalues(matrix) -> np.ndarray:
 
 def fiber_eigenvalues(potential: PeriodicPotential, phase) -> np.ndarray:
     """Sorted eigenvalues of the fiber at the given phase(s), solved as the band sweep solves it."""
-    return _solve_phases(potential, [_phase_tuple(phase, potential.dim)])[0]
+    return _sweep(potential, [phi := _phase_tuple(phase, potential.dim)], phi)[1]
 
 
 def bandwidth_bound(periods) -> float:
@@ -343,14 +344,19 @@ def _banded_eigvals():
     return solve
 
 
-def _solve_block(potential, phases):
-    """Eigenvalue rows of the fibers at a block of k x d phases, real when every phase is in
-    {0, 1/2}^d: banded in 1-d, one batched dense eigvalsh in 2-d."""
-    z = _phase_factors(phases, potential.dim)
+def _solve_block(potential, z, out=None):
+    """Eigenvalue rows of the fibers with a block of k x d phase factors ``z``, in their dtype: banded
+    in 1-d, one batched dense eigvalsh in 2-d of fibers built in the buffer ``out`` if one is given."""
     if potential.dim == 2:
-        return np.linalg.eigvalsh(_fibers(potential, z))
+        return np.linalg.eigvalsh(_fibers(potential, z, out))
     solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
     return np.stack([solve(band) for band in _band_storage(potential, z)])
+
+
+def _block_size(dim: int, q: int) -> int:
+    """Phases per block: one in 1-d, whose banded LAPACK call releases the GIL, and in 2-d the fewest
+    whose k * q eigenvalues are over 500, the smallest output that numpy's eigvalsh solves without it."""
+    return 1 if dim == 1 else 500 // q + 1
 
 
 @functools.cache  # a pool per sweep costs more than the solves of a small sweep
@@ -361,28 +367,57 @@ def _pool(n: int):
     return ThreadPoolExecutor(n)
 
 
-def _solve_phases(potential, *phase_sets):
-    """Eigenvalue rows at the phases of each k x d set in ``phase_sets``, in order.  Each set is cut
-    into blocks, one phase in 1-d and _CHUNK in 2-d, each built and solved by one worker, real when
-    all its phases are in {0, 1/2}^d; the workers are as many threads as numpy's BLAS has (LAPACK
-    releases the GIL), with BLAS pinned to one thread meanwhile.  What they can hold at once, and
-    the rows, held as blocks and as their stack, are charged before any fiber is built."""
-    size = 1 if potential.dim == 1 else _CHUNK
-    sets = [np.asarray(phases, dtype=float).reshape(-1, potential.dim) for phases in phase_sets]
-    blocks = [phases[i : i + size] for phases in sets for i in range(0, len(phases), size)]
-    count = sum(map(len, sets))
-    itemsize = 8 if all(np.isin(phases, (0.0, 0.5)).all() for phases in sets) else 16
+def _sweep(potential, phases, cover=None):
+    """(bands, eigenvalues): the n x 2 per-index min and max of the eigenvalues over the k x d ``phases``, and
+    the eigenvalues at the phase ``cover``, if given: the row at cover or -cover mod 1 (the same spectrum), else
+    cover solved first in a block of its own, left out of the bands.  Blocks of _block_size phases, real when
+    their set is in {0, 1/2}^d (in 1-d, their one phase), are taken in turn by as many worker threads as numpy's
+    BLAS has, with BLAS pinned to one thread; 2-d blocks are built in one buffer per worker.  Each block folds
+    into the bands row by row, exact in any order.  The workers' fibers are charged before any is made."""
+    dim, q, size = potential.dim, potential.q, _block_size(potential.dim, potential.q)
+    phases = np.asarray(phases, dtype=float).reshape(-1, dim)
+    real = dim == 1 or np.isin(phases, (0.0, 0.5)).all()  # a 2-d block may be real only where its set is
+    row, blocks = None, [(i, phases[i : i + size]) for i in range(0, len(phases), size)]
+    if cover is not None:  # a row of the sweep, else the one row of a block at -1
+        hit = (phases == cover).all(axis=1) | (phases == np.negative(cover) % 1.0).all(axis=1)
+        row, blocks = (int(hit.argmax()), blocks) if hit.any() else (-1, [(-1, np.reshape(cover, (1, dim)))] + blocks)
+    dtype = np.dtype(float if all(np.isin(block, (0.0, 0.5)).all() for _, block in blocks) else complex)
+    bands, eigs, lock, todo = None, None, threading.Lock(), iter(blocks)  # a list iterator hands each block out once
+
+    def fold(i, evs):  # the rows of the block at phases[i] into the bands, and the one at ``row`` into eigs
+        nonlocal bands, eigs
+        if row in range(i, i + len(evs)):
+            eigs = evs[row - i]
+        with lock:  # row by row, as a reduction folds them
+            if bands is None and i >= 0:  # made once a block is solved, not beside the first solves
+                bands = np.full((q, 2), (np.inf, -np.inf))
+            for e in evs if i >= 0 else ():
+                np.minimum(bands[:, 0], e, out=bands[:, 0])
+                np.maximum(bands[:, 1], e, out=bands[:, 1])
+
+    def work(out):  # None, or what stopped the worker, for the calling thread to raise once all have stopped
+        try:
+            for i, block in todo:
+                fold(i, _solve_block(potential, _phase_factors(block, dim, real or i < 0), out))
+        except Exception as error:
+            blocks.clear()  # the other workers take no more
+            return error
+
     get, put = _blas_threads() or (lambda: 1, lambda n: None)
     with _BLAS_LOCK:  # a sweep started meanwhile would read the pinned 1 and restore it
         n = get()
-        check_fiber_stack(potential.q, min(count, n * size), itemsize, banded=potential.dim == 1)
-        check_bytes(2 * count * potential.q * 8, f"{count} eigenvalue rows of {potential.q} and their stack")
-        fan = _pool(n).map if n > 1 else map
+        workers, k = min(n, len(blocks)), max(len(block) for _, block in blocks)
+        items = check_fiber_stack(q, workers * k, dtype.itemsize, banded=dim == 1) // workers // dtype.itemsize
+        buffers = [np.empty(items, dtype) if dim == 2 else None for _ in range(workers)]  # 1-d storage is per block
+        fan = _pool(n).map if workers > 1 else map
         put(1)
         try:
-            return np.vstack(list(fan(lambda block: _solve_block(potential, block), blocks)))
+            errors = [error for error in fan(work, buffers) if error]  # each worker stops before BLAS is restored
         finally:
             put(n)
+    if errors:
+        raise errors[0]
+    return bands, eigs
 
 
 def _check_grid(dim: int, m: int) -> None:
@@ -413,10 +448,9 @@ def _phase_set(dim: int, grid_points: int) -> np.ndarray:
     return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, int(grid_points))
 
 
-def _spectrum(potential, evs, grid_points) -> BandSpectrum:
-    """Band spectrum of the eigenvalue rows ``evs`` of a sweep over _phase_set.
+def _spectrum(potential, bands, grid_points) -> BandSpectrum:
+    """Band spectrum of the ``bands`` of a sweep over _phase_set, which it makes read-only.
     A 2-d error bound adds the Lipschitz term of the grid of ``grid_points`` per axis."""
-    bands = np.stack((evs.min(axis=0), evs.max(axis=0)), axis=1)
     bands.flags.writeable = False
     lips = 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
     return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
@@ -434,7 +468,7 @@ def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
     """
-    return _spectrum(potential, _solve_phases(potential, _phase_set(potential.dim, grid_points)), grid_points)
+    return _spectrum(potential, _sweep(potential, _phase_set(potential.dim, grid_points))[0], grid_points)
 
 
 def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
@@ -502,16 +536,12 @@ def estimate_measure_via_fibers(
     if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
         _check_grid(dim, int(grid_points))
     phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
-    # the sweep's row at phi or -phi mod 1 (the same spectrum), else phi's own block, first: its solve is the slowest
-    hit = (phases == phi).all(axis=1) | (phases == np.negative(phi) % 1.0).all(axis=1)
-    cover, row = ((), hit.argmax()) if hit.any() else (([phi],), 0)
 
     def solve(v):  # (q, r, eigenvalues at phi, band union or None) of a potential, which is not kept
         if v.dim != dim:
             raise ValueError("potentials must share a dimension")
-        evs = _solve_phases(v, *cover, phases)
-        union = _spectrum(v, evs[len(cover) :], grid_points).union() if sweep else None
-        return v.q, bandwidth_bound(v.periods), evs[row], union
+        bands, eigs = _sweep(v, phases, phi)  # phi off the sweep is solved first: its solve is the slowest
+        return v.q, bandwidth_bound(v.periods), eigs, _spectrum(v, bands, grid_points).union() if sweep else None
     held, last, band_fattened = solve(last), None, []
 
     def step_row(n):

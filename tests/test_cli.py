@@ -856,6 +856,16 @@ class TestDimensionCommand:
         assert run() == 2
         assert f"error: stats column {column} holds a non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["last", "direct"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count_rejected(self, tmp_path, capsys, method, count):
+        # last once exited 3 after LAPACK's DLASCL complaints; direct exited 0 with a residual of nan
+        rows = [f"{n},{count if n == 1 else 2**n},{2.0**-n},{3.0**-n},{(2 / 3) ** n}" for n in range(1, 5)]
+        path = tmp_path / "stats.csv"
+        path.write_text("n,q,delta,r,mu_fattened\n" + "\n".join(rows) + "\n")
+        assert main(["dimension", "--stats", str(path), "--method", method, "--tail-fraction", "1"]) == 2
+        assert capsys.readouterr().err == "error: component counts must be positive\n"
+
 
 class TestOutputPaths:
     @pytest.mark.parametrize("command", ["measure", "bands"])

@@ -52,6 +52,11 @@ class TestCoverStats:
             CoverStats(n=(1, 2), q=(2,), delta=(0.5, 0.25), r=(0.5, 0.25),
                        mu_fattened=(3.0, 2.0))
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="component counts must be positive"):
+            CoverStats(n=(1, 2, 3), q=(count, 4, 8), delta=(0.5,) * 3, r=(0.5,) * 3, mu_fattened=(1.0,) * 3)
+
     def test_from_report_csv(self, tmp_path):
         rows = [
             ReportRow(n=n, delta=1.0 / n, q=n, r=0.0, mu_raw=1.0,

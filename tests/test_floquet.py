@@ -3,6 +3,7 @@ import ctypes
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -35,16 +36,16 @@ from specapprox import (
 )
 from specapprox import floquet
 from specapprox.floquet import (
-    _CHUNK,
     _band_storage,
+    _block_size,
     _fibers,
     _grid,
     _phase_factors,
     _phase_set,
     _solve_block,
-    _solve_phases,
     _solver_bound,
     _spectrum,
+    _sweep,
     check_fiber_stack,
 )
 from specapprox.intervals import InvalidRadiusError
@@ -95,12 +96,40 @@ def use_complex_full_sweep(monkeypatch):
     def full_phase_set(dim, grid_points):
         return phase_set(dim, grid_points) if dim == 1 else full_mesh(int(grid_points), dim)
 
-    def dense_solve(v, *phase_sets):  # complex, whatever arithmetic the sweep would pick
-        phases = np.concatenate([np.reshape(phases, (-1, v.dim)) for phases in phase_sets])
-        return np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in phases])
+    def dense_sweep(v, phases, cover=None):  # complex, whatever arithmetic the sweep would pick
+        evs = np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in np.reshape(phases, (-1, v.dim))])
+        eigs = None if cover is None else np.linalg.eigvalsh(dense_fiber(v, cover))
+        return np.stack((evs.min(axis=0), evs.max(axis=0)), axis=1), eigs
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
-    monkeypatch.setattr(floquet, "_solve_phases", dense_solve)
+    monkeypatch.setattr(floquet, "_sweep", dense_sweep)
+
+
+def whole_solve_phases(potential, *phase_sets):
+    """The row-stacking sweep that the fold replaced: the eigenvalue rows at the phases of each k x d set in
+    ``phase_sets``, in order, each set cut into blocks of one phase in 1-d and 8 in 2-d, each block solved
+    real when all its phases are in {0, 1/2}^d, and every row kept."""
+    size = 1 if potential.dim == 1 else 8
+    sets = [np.asarray(phases, dtype=float).reshape(-1, potential.dim) for phases in phase_sets]
+    blocks = [phases[i : i + size] for phases in sets for i in range(0, len(phases), size)]
+    return np.vstack([_solve_block(potential, _phase_factors(block, potential.dim)) for block in blocks])
+
+
+def whole_sweep(potential, phases, cover=None):
+    """_sweep's (bands, eigenvalues) from the stacked rows of whole_solve_phases: the row at the cover
+    phase or its conjugate, else the cover's own first set, left out of the bands."""
+    phases = np.reshape(phases, (-1, potential.dim))
+    at = [] if cover is None else [list(cover), [-c % 1.0 for c in cover]]
+    hits = [i for i, p in enumerate(phases.tolist()) if p in at]
+    evs = whole_solve_phases(potential, *([[cover]] if cover is not None and not hits else []), phases)
+    swept = evs[len(evs) - len(phases) :]
+    eigs = None if cover is None else swept[hits[0]] if hits else evs[0]
+    return np.stack((swept.min(axis=0), swept.max(axis=0)), axis=1), eigs
+
+
+def bits(*arrays):
+    """The arrays' bytes as uint64 words, for comparisons that tell -0.0 from 0.0."""
+    return [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in arrays]
 
 
 @pytest.fixture
@@ -274,11 +303,13 @@ class TestBandStorage:
         pots += [fibonacci_potential(n, c) for n in range(1, 14) for c in (1.0, 2.5)]
         for v in pots:
             dense = np.linalg.eigvalsh(_fibers(v, _phase_factors(phases, 1)))
-            np.testing.assert_allclose(_solve_block(v, phases), dense, rtol=0, atol=_solver_bound(v))
+            banded = _solve_block(v, _phase_factors(phases, 1))
+            np.testing.assert_allclose(banded, dense, rtol=0, atol=_solver_bound(v))
         for n in (14, 15, 16):  # real fibers only: the dense complex solve at q = 1597 is slow
             v = fibonacci_potential(n, 2.0)
-            dense = np.linalg.eigvalsh(_fibers(v, _phase_factors([[0.0], [0.5]], 1)))
-            np.testing.assert_allclose(_solve_block(v, [[0.0], [0.5]]), dense, rtol=0, atol=_solver_bound(v))
+            z = _phase_factors([[0.0], [0.5]], 1)
+            dense = np.linalg.eigvalsh(_fibers(v, z))
+            np.testing.assert_allclose(_solve_block(v, z), dense, rtol=0, atol=_solver_bound(v))
 
     def test_period_one_storage_has_one_row(self):
         # a 1 x 1 fiber stored in more than one row comes back from eigvals_banded as [0.]
@@ -526,7 +557,7 @@ class TestBandSpectrum:
         for _ in range(12):
             v = random_potential(rng, dim=1, max_period=16)
             exact = band_spectrum(v)
-            grid = _spectrum(v, _solve_phases(v, _grid(1, 256)), 256)
+            grid = _spectrum(v, _sweep(v, _grid(1, 256))[0], 256)
             bound = grid.error_bound + 4 * math.pi / (2 * 256 * v.periods[0])  # a 1-d sweep adds no Lipschitz term
             for (a, b), (c, d) in zip(exact.bands, grid.bands):
                 assert abs(a - c) <= bound
@@ -542,7 +573,7 @@ class TestBandSpectrum:
         rng = np.random.default_rng(37)
         v = random_potential(rng, dim=2, max_period=3)
         phases = [tuple(rng.uniform(0, 1, size=2)) for _ in range(5)]
-        block = _solve_block(v, phases)
+        block = _solve_block(v, _phase_factors(phases, 2))
         for row, phi in zip(block, phases):
             np.testing.assert_array_equal(row, fiber_eigenvalues(v, phi))
 
@@ -562,20 +593,28 @@ class TestBandSpectrum:
         assert s != s.bands
 
     def test_chunked_sweep_equals_one_block(self):
-        # a 2-d sweep's blocks of _CHUNK give the rows of one block of all its phases: each block of the
-        # grid holds a complex phase, as the whole grid does
+        # a 2-d sweep's blocks of _block_size give the bands and rows of one block of all its phases, which
+        # are solved complex, as the whole grid is
         v = free_potential(2, (3, 3))
         phases = _grid(2, 16)
-        assert len(phases) > 2 * _CHUNK and len(phases) % _CHUNK  # several blocks and a short tail
-        np.testing.assert_array_equal(_solve_phases(v, phases), _solve_block(v, phases))
+        k = _block_size(2, v.q)
+        assert len(phases) > 2 * k and len(phases) % k  # several blocks and a short tail
+        whole = _solve_block(v, _phase_factors(phases, 2))
+        assert whole.dtype == np.float64 and _phase_factors(phases, 2).dtype == np.complex128
+        ref = np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)
+        np.testing.assert_array_equal(*bits(_sweep(v, phases)[0], ref))
+        for row in (0, k - 1, k, len(phases) - 1):
+            np.testing.assert_array_equal(*bits(_sweep(v, phases, tuple(phases[row]))[1], whole[row]))
         # a 1-d sweep's blocks are single phases: each row is the fiber's at its phase, real at 0 and 1/2
         v = random_potential(np.random.default_rng(41), dim=1, max_period=6)
         phases = _grid(1, 258)
-        rows = _solve_phases(v, phases)
-        for row, phi in zip(rows, phases):
-            np.testing.assert_array_equal(row.view(np.uint64), fiber_eigenvalues(v, phi).view(np.uint64))
+        rows = np.stack([fiber_eigenvalues(v, phi) for phi in phases])
+        ref = np.stack((rows.min(axis=0), rows.max(axis=0)), axis=1)
+        np.testing.assert_array_equal(*bits(_sweep(v, phases)[0], ref))
+        for row in (0, 1, len(phases) - 1):
+            np.testing.assert_array_equal(*bits(_sweep(v, phases, tuple(phases[row]))[1], rows[row]))
         assert phases[[0, -1]].tolist() == [[0.0], [0.5]]
-        np.testing.assert_array_equal(rows[[0, -1]], _solve_block(v, [[0.0], [0.5]]))
+        np.testing.assert_array_equal(rows[[0, -1]], _solve_block(v, _phase_factors([[0.0], [0.5]], 1)))
 
 
 class TestConjugateHalvedGrid:
@@ -597,19 +636,33 @@ class TestConjugateHalvedGrid:
         for _ in range(6):
             v = random_potential(rng, dim=dim, max_period=8 if dim == 1 else 4)
             evs = np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in full_mesh(m, dim)]))
-            bs = _spectrum(v, _solve_phases(v, _grid(dim, m)), m)
+            bs = _spectrum(v, _sweep(v, _grid(dim, m))[0], m)
             mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
             np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
             # a 1-d sweep counts its phases as exact
             lips = sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) if dim == 2 else 0.0
             assert bs.error_bound == lips + _solver_bound(v)
 
-    def test_every_block_of_a_grid_of_three_or_more_points_is_complex(self):
-        # so a 2-d sweep whose blocks pick their own arithmetic solves such a grid as one choice for it all did
-        for m in range(3, 41):
-            phases = _grid(2, m)
-            for i in range(0, len(phases), _CHUNK):
-                assert not np.isin(phases[i : i + _CHUNK], (0.0, 0.5)).all(), (m, i)
+    def test_every_block_of_a_grid_of_three_or_more_points_is_complex(self, monkeypatch):
+        # a 2-d block takes its whole set's arithmetic: at q = 167 (blocks of 3) the grid of 4 ends in a
+        # block of (1/2, 1/2) alone, and at q = 501 (blocks of 1) the four real phases are blocks of their own
+        dtypes = []
+
+        def recording(v, z, out=None):
+            dtypes.append(z.dtype)
+            return np.zeros((len(z), v.q))
+
+        monkeypatch.setattr(floquet, "_solve_block", recording)
+        assert [_block_size(2, q) for q in (167, 501)] == [3, 1] and len(_grid(2, 4)) % 3 == 1
+        for periods in ((1, 167), (1, 501), (3, 3), (12, 12)):
+            v = free_potential(2, periods)
+            for m in range(3, 41):
+                dtypes.clear()
+                _sweep(v, _grid(2, m))
+                assert set(dtypes) == {np.dtype(np.complex128)}, (periods, m)
+            dtypes.clear()
+            _sweep(v, _grid(2, 2))  # four real phases: a real set
+            assert set(dtypes) == {np.dtype(np.float64)}
 
 
 @pytest.fixture
@@ -665,9 +718,9 @@ class TestBlasThreadSymbols:
 
 
 class TestSplitBlocks:
-    """A 2-d sweep is streamed in blocks of _CHUNK phases, each built and solved
-    by one of as many worker threads as numpy's BLAS has, with BLAS pinned to
-    one thread meanwhile."""
+    """A 2-d sweep is streamed in blocks of _block_size phases, each built and
+    solved by one of as many worker threads as numpy's BLAS has, with BLAS
+    pinned to one thread meanwhile."""
 
     @pytest.mark.parametrize("workers", [None, 3])  # None: as many as BLAS has here
     def test_rows_equal_one_unsplit_solve(self, monkeypatch, solved, workers):
@@ -678,10 +731,13 @@ class TestSplitBlocks:
             v = random_potential(rng, dim=2, max_period=4)
             solved.clear()
             phases = _phase_set(2, 16)
-            evs = _solve_phases(v, phases)  # 130 phases: 16 full blocks and a tail of 2
-            assert sorted(c for _, c, _ in solved) == [2] + [_CHUNK] * 16  # whatever the worker count
+            bands = _sweep(v, phases)[0]  # 130 phases: full blocks of k and a tail
+            k = _block_size(2, v.q)
+            tail = [130 % k] if 130 % k else []
+            assert sorted(c for _, c, _ in solved) == sorted(tail + [k] * (130 // k))  # whatever the worker count
             whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
-            np.testing.assert_allclose(evs, whole, rtol=0, atol=_solver_bound(v))
+            ref = np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)
+            np.testing.assert_allclose(bands, ref, rtol=0, atol=_solver_bound(v))
             phi = tuple(rng.uniform(0, 1, size=2))
             one = np.linalg.eigvalsh(_fibers(v, _phase_factors([phi], 2)))[0]
             np.testing.assert_allclose(fiber_eigenvalues(v, phi), one, rtol=0, atol=_solver_bound(v))
@@ -698,14 +754,16 @@ class TestSplitBlocks:
 
         monkeypatch.setattr(floquet, "_fibers", recording)
         rng = np.random.default_rng(72)
-        # 5, 145, 545, 4 (all real) and 13 phases: one short block, or full blocks and a tail
-        for periods, m in [((3, 5), 3), ((1, 7), 17), ((2, 2), 33), ((5, 4), 2), ((12, 12), 5)]:
+        # 5, 145, 545, 4 (all real), 13 and 41 phases: one short block, or full blocks and a tail
+        for periods, m in [((3, 5), 3), ((1, 7), 17), ((2, 2), 33), ((5, 4), 2), ((12, 12), 5), ((6, 6), 9)]:
             v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
             builders.clear()
             phases = _phase_set(2, m)
-            evs = _solve_phases(v, phases)
-            assert (threading.get_ident() in builders) == (workers == 1)  # the workers build their own blocks
-            np.testing.assert_array_equal(evs, np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2))))
+            bands = _sweep(v, phases)[0]
+            blocks = -(-len(phases) // _block_size(2, v.q))
+            assert (threading.get_ident() in builders) == (min(workers, blocks) == 1)  # workers build their blocks
+            whole = np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2)))
+            np.testing.assert_array_equal(*bits(bands, np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)))
 
     def test_blas_pinned_to_one_thread_and_restored(self, monkeypatch, blas_threads):
         get, put = blas_threads
@@ -753,6 +811,108 @@ class TestSplitBlocks:
         assert get() == (1 if reachable else 2)
 
 
+class TestFoldAgainstWholeRows:
+    """The fold's bands and cover rows equal, bit for bit, those of the row-stacking sweep it replaced,
+    whole_solve_phases: min and max are exact, and every 2-d grid of three or more points was solved
+    complex in every block of 8, as the fold solves its whole set."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: request.param, lambda n: None))
+        return request.param
+
+    @staticmethod
+    def assert_fold_equals_whole(v, phases, cover):
+        bands, eigs = _sweep(v, phases, cover)
+        want_bands, want_eigs = whole_sweep(v, phases, cover)
+        assert bands.shape == want_bands.shape and eigs.shape == want_eigs.shape
+        np.testing.assert_array_equal(*bits(bands, want_bands), err_msg=f"{v.periods}, {len(phases)} phases")
+        np.testing.assert_array_equal(*bits(eigs, want_eigs), err_msg=f"{v.periods}, cover {cover}")
+
+    @classmethod
+    def assert_rows_equal(cls, v, phases, rows):
+        # each row is found at its phase and, but for 0 and 1/2, at its conjugate, which is off the set
+        for row in rows:
+            cls.assert_fold_equals_whole(v, phases, tuple(phases[row]))
+            cls.assert_fold_equals_whole(v, phases, tuple(-phases[row] % 1.0))
+
+    # q = 36, 63, 64 and 144 take blocks of 14, 8, 8 and 4: on both sides of k * q > 500 at k = 8
+    @pytest.mark.parametrize("periods", [(6, 6), (7, 9), (8, 8), (12, 12)])
+    def test_cells_about_the_block_boundary(self, workers, periods):
+        rng = np.random.default_rng(sum(periods))
+        v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-2, 2, size=math.prod(periods)))
+        k = _block_size(2, v.q)
+        # 4 real phases; 13 and 34 complex ones, which end in a short tail block at every k here
+        for m in (2, 5, 8):
+            phases = _grid(2, m)
+            assert m == 2 or len(phases) % k
+            self.assert_rows_equal(v, phases, {0, min(k, len(phases) - 1), len(phases) - 1})
+            self.assert_fold_equals_whole(v, phases, (0.3, 0.1))  # complex, off the grid
+            self.assert_fold_equals_whole(v, phases, (0.5, 0.5) if m % 2 else (0.1, 0.5))  # real or complex, off it
+
+    def test_random_cells(self, workers):
+        rng = np.random.default_rng(82)
+        for _ in range(20):
+            v = random_potential(rng, dim=2, max_period=5)
+            for m in (2, 3, 8):
+                phases = _grid(2, m)
+                self.assert_rows_equal(v, phases, [int(rng.integers(len(phases)))])
+                self.assert_fold_equals_whole(v, phases, tuple(rng.uniform(0, 1, size=2)))
+        for _ in range(20):
+            v = random_potential(rng, dim=1, max_period=40)
+            # the real pair, a complex set, and a grid that mixes both
+            for phases in (_phase_set(1, 64), rng.uniform(0, 1, size=(3, 1)), _grid(1, 9), _grid(1, 8)):
+                self.assert_rows_equal(v, phases, [int(rng.integers(len(phases)))])
+            self.assert_fold_equals_whole(v, _phase_set(1, 64), (0.3,))
+
+    def test_measure_run_off_the_sweep(self, monkeypatch, workers):
+        # at phase 0.3 each 1-d step solves its cover fiber in a block of its own, left out of the bands
+        pots = [fibonacci_potential(n, 2.0) for n in range(1, 12)]
+        for v in pots:
+            self.assert_fold_equals_whole(v, _phase_set(1, 64), (0.3,))
+        new = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
+        monkeypatch.setattr(floquet, "_sweep", whole_sweep)
+        old = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
+
+        def fields(report):
+            rows = [[r.delta, r.q, r.r, r.mu_raw, r.mu_fattened, r.q_times_delta] for r in report.rows]
+            return rows, report.summary["band_fattened"]
+
+        for got, want in zip(fields(new), fields(old)):
+            np.testing.assert_array_equal(*bits(got, want))
+
+
+class TestGilRelease:
+    """numpy's eigvalsh solves a 2-d block of _block_size fibers with the GIL released, which is what
+    lets the workers' solves run side by side.  Only that case is pinned, not numpy's threshold."""
+
+    @pytest.mark.parametrize("q", [16, 36, 144])
+    def test_block_solve_releases_the_gil(self, q):
+        rng = np.random.default_rng(q)
+        a = rng.standard_normal((_block_size(2, q), q, q)) * (1 + 1j)
+        block = a + a.conj().transpose(0, 2, 1)
+        go, ticks = threading.Event(), []
+
+        def count():  # a plain Python thread: it can tick only while the solving thread has let go of the GIL
+            go.wait()
+            ticks.append(1)
+
+        counter = threading.Thread(target=count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5.0)  # longer than the solves: the interpreter forces no switch meanwhile
+        try:
+            counter.start()
+            go.set()
+            start = time.perf_counter()
+            while not ticks and time.perf_counter() - start < 1.0:
+                np.linalg.eigvalsh(block)
+            ticked = bool(ticks)
+        finally:
+            sys.setswitchinterval(interval)
+            counter.join(10)
+        assert ticked
+
+
 class TestConcurrentBands:
     """A 1-d sweep builds and solves each fiber's band storage on one of as
     many worker threads as numpy's BLAS has, with BLAS pinned to one thread
@@ -789,12 +949,25 @@ class TestConcurrentBands:
         pots = [random_potential(rng, dim=1, max_period=40) for _ in range(6)]
         pots += [free_potential(1, 1), fibonacci_potential(14, 2.0)]
         for v in pots:
-            evs = _solve_phases(v, phases)
+            bands, eigs = _sweep(v, phases, tuple(phases[-1]))
             serial = np.stack([banded()(band) for phi in phases for band in storage(v, _phase_factors([phi], 1))])
-            assert evs.dtype == np.float64 and evs.shape == (len(phases), v.q)
-            np.testing.assert_array_equal(evs.view(np.uint64), serial.view(np.uint64), err_msg=f"q={v.q}")
+            ref = np.stack((serial.min(axis=0), serial.max(axis=0)), axis=1)
+            assert bands.dtype == np.float64 and bands.shape == (v.q, 2)
+            np.testing.assert_array_equal(*bits(bands, ref), err_msg=f"q={v.q}")
+            np.testing.assert_array_equal(*bits(eigs, serial[-1]), err_msg=f"q={v.q}")
         assert builders == solvers  # each fiber's storage is built by the worker that solves it
         assert (solvers == {threading.get_ident()}) == (workers == 1)
+
+    def test_concurrent_folds_lose_no_row(self, monkeypatch, fast_switching):
+        # a stand-in solve hands out precomputed rows of 40000 values, so four workers spend their time
+        # folding side by side, where numpy's minimum and maximum run without the GIL: the lock alone keeps
+        # every row in the bands
+        rows = np.random.default_rng(75).standard_normal((64, 40_000))
+        stand_in = iter(rows)
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 4, lambda n: None))
+        monkeypatch.setattr(floquet, "_solve_block", lambda v, z, out=None: next(stand_in)[None])
+        bands = _sweep(free_potential(1, rows.shape[1]), _grid(1, 126))[0]  # 64 phases
+        np.testing.assert_array_equal(bands, np.stack((rows.min(axis=0), rows.max(axis=0)), axis=1))
 
     def test_solve_counts_independent_of_call_order(self, monkeypatch, solved):
         pots = [fibonacci_potential(n, 2.0) for n in range(1, 10)]
@@ -803,7 +976,7 @@ class TestConcurrentBands:
             monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
             solved.clear()
             estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
-            _solve_phases(pots[-1], _grid(1, 64))  # 33 phases, 0 and 1/2 among them
+            _sweep(pots[-1], _grid(1, 64))  # 33 phases, 0 and 1/2 among them
             counts.append(collections.Counter(solved))
         assert counts[0] == counts[1]
         real, complex_ = np.dtype(np.float64), np.dtype(np.complex128)
@@ -822,15 +995,15 @@ class TestConcurrentBands:
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (get, lambda n: count.__setitem__(0, n)))
         v, solve_block, first, second = fibonacci_potential(6, 2.0), floquet._solve_block, threading.Lock(), []
 
-        def waiting(potential, phases):
+        def waiting(*args):
             if first.acquire(blocking=False):  # the first block starts a second sweep and waits for it to read
-                second.append(threading.Thread(target=_solve_phases, args=(v, [[0.0], [0.5]])))
+                second.append(threading.Thread(target=_sweep, args=(v, [[0.0], [0.5]])))
                 second[0].start()
                 second_read.wait(0.3)
-            return solve_block(potential, phases)
+            return solve_block(*args)
 
         monkeypatch.setattr(floquet, "_solve_block", waiting)
-        _solve_phases(v, [[0.0], [0.5]])
+        _sweep(v, [[0.0], [0.5]])
         second[0].join(10)
         assert not second[0].is_alive()
         assert read == [2, 2] and count == [2]
@@ -847,8 +1020,8 @@ class TestConcurrentBands:
 
         def sweeps():
             for _ in range(10):
-                _solve_phases(v, [[0.0], [0.5]])
-                _solve_phases(w, _grid(2, 4))
+                _sweep(v, [[0.0], [0.5]])
+                _sweep(w, _grid(2, 4))
 
         threads = [threading.Thread(target=sweeps) for _ in range(4)]
         for thread in threads:
@@ -980,7 +1153,7 @@ class TestMeasurePipeline:
         def no_solve(*args):
             raise AssertionError("solved a fiber")
 
-        monkeypatch.setattr(floquet, "_solve_phases", no_solve)
+        monkeypatch.setattr(floquet, "_sweep", no_solve)
         pots = [fibonacci_potential(n, 1.0) for n in (3, 4)]
         with pytest.raises(ValueError, match="one finite nonnegative delta per potential"):
             estimate_measure_via_fibers(pots, 0.0, Lebesgue(), deltas=[bad, bad])
@@ -1019,8 +1192,8 @@ class TestSweepReuse:
     def test_one_sweep_per_step(self, monkeypatch, pots, phase, deltas):
         # the cover phase joins the step's sweep; no fiber is solved beside it
         sweeps = []
-        solve = floquet._solve_phases
-        monkeypatch.setattr(floquet, "_solve_phases", lambda v, *sets: sweeps.append(v) or solve(v, *sets))
+        solve = floquet._sweep
+        monkeypatch.setattr(floquet, "_sweep", lambda v, *args: sweeps.append(v) or solve(v, *args))
         monkeypatch.setattr(floquet, "fiber_eigenvalues", None)
         estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas=deltas, grid_points=8)
         assert sweeps == [pots[-1], *pots[:-1]]
@@ -1110,7 +1283,7 @@ class TestFiberSizeGuard:
             free_potential(2, (10**12, 10**12))
 
     def test_fibers_refused_before_the_stack(self, monkeypatch):
-        v = free_potential(2, (2, 5))
+        v, w = free_potential(2, (2, 5)), free_potential(2, (10, 10))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 10 * 10 * 8)
         assert _fibers(v, _phase_factors([[0.0, 0.5], [0.5, 0.0]], 2)).shape == (2, 10, 10)  # two real fibers fit
         with pytest.raises(ValueError, match=r"need 3\.200e\+3 bytes"):
@@ -1121,8 +1294,8 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_fibers", None)
         with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
             band_spectrum(v, grid_points=4)  # 10 complex phases, fewer than 3 blocks
-        with pytest.raises(ValueError, match=r"need 3\.840e\+4 bytes"):
-            band_spectrum(v, grid_points=8)  # 34 complex phases, 3 blocks of 8 at once
+        with pytest.raises(ValueError, match=r"need 2\.880e\+6 bytes"):
+            band_spectrum(w, grid_points=8)  # 34 complex phases, 3 workers' blocks of 6 fibers of 100 sites
         assert pinned == []
 
     def test_phase_grid_refused_before_its_indices(self, monkeypatch):
@@ -1142,16 +1315,17 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 9 + 9 + 16 * 5)
         assert len(_grid(1, 9)) == 5
 
-    def test_eigenvalue_rows_charged_before_any_fiber(self, monkeypatch):
-        # 33 phases of a 1-d grid of 64: 8 workers' banded fibers at once take 3.84e4 bytes, the rows 5.28e4
-        def no_solve(*args):
-            raise AssertionError("a block was solved")
-
-        monkeypatch.setattr(floquet, "_solve_block", no_solve)
+    def test_eigenvalue_rows_not_charged(self, monkeypatch):
+        # 33 phases of a 1-d grid of 64: 8 workers' banded fibers at once take 3.84e4 bytes; the sweep keeps
+        # no row per phase, so the 5.28e4 bytes that 33 rows and their stack took are not charged
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 8, lambda n: None))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 3 * 100 * 16)
-        with pytest.raises(ValueError, match=r"33 eigenvalue rows of 100 and their stack need 5\.280e\+4 bytes"):
-            _solve_phases(free_potential(1, 100), _grid(1, 64))
+        v = free_potential(1, 100)
+        bands = _sweep(v, _grid(1, 64))[0]
+        np.testing.assert_array_equal(*bits(bands, whole_sweep(v, _grid(1, 64))[0]))
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 3 * 100 * 16 - 1)
+        with pytest.raises(ValueError, match=r"8 banded 3 x 100 fiber\(s\) need 3\.840e\+4 bytes"):
+            _sweep(v, _grid(1, 64))
 
     def test_one_dimensional_cells_charged_their_band_arrays(self, monkeypatch):
         with pytest.raises(ValueError, match=r"1 banded 3 x 1000000000000 fiber\(s\) need 2\.400e\+13 bytes"):
@@ -1165,26 +1339,47 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, lambda n: None))  # one fiber per worker
         assert len(band_spectrum(v).bands) == 100  # two real banded fibers fit
         with pytest.raises(ValueError, match=r"need 1\.440e\+4 bytes"):
-            _solve_phases(v, _grid(1, 4))  # the three of _grid(1, 4), charged as complex, do not
+            _sweep(v, _grid(1, 4))  # the three of _grid(1, 4), charged as complex, do not
         with pytest.raises(ValueError, match=r"need 6\.000e\+4 bytes"):
             free_potential(1, 300)
 
 
 class TestSweepMemory:
-    def test_sweep_holds_only_the_workers_blocks(self, monkeypatch):
-        workers = 2
-        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
-        rng = np.random.default_rng(80)
-        v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
-        expect = band_spectrum(v, grid_points=16)  # 130 phases; imports and caches come first
+    WORKERS = 2
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: self.WORKERS, lambda n: None))
+
+    @staticmethod
+    def traced_peak(call, warm_up):
+        warm_up()  # imports and caches come first
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
-            assert band_spectrum(v, grid_points=16) == expect
-            peak = tracemalloc.get_traced_memory()[1]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (workers * _CHUNK + 2) * v.q**2 * 16  # the workers' blocks, the rows and their stack
+
+    def test_sweep_holds_only_the_workers_blocks(self):
+        rng = np.random.default_rng(80)
+        v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
+        expect = band_spectrum(v, grid_points=16)  # 130 phases
+        spectrum, peak = self.traced_peak(lambda: band_spectrum(v, grid_points=16), lambda: None)
+        assert spectrum == expect
+        # each worker's one block of 4 fibers, and O(q) per worker: a block's rows and rings, and the bands
+        assert peak <= self.WORKERS * (_block_size(2, v.q) * v.q**2 * 16 + 1024 * v.q)
         assert peak < 130 * v.q**2 * 16 / 4  # far below the sweep's 130 fibers held at once
+
+    def test_sweep_holds_no_row_per_phase(self):
+        # 5002 phases of a 6 x 6 cell: one copy of their eigenvalue rows is 1.44 MB
+        v = PeriodicPotential(dim=2, periods=(6, 6), cell=np.random.default_rng(81).uniform(-2, 2, size=36))
+        phases = _grid(2, 100)
+        (bands, _), peak = self.traced_peak(lambda: _sweep(v, phases), lambda: _sweep(v, _grid(2, 8)))
+        assert bands.shape == (v.q, 2)
+        # the workers' blocks of 14 fibers and their O(q) terms, then the phases' blocks, views of 14 phases each
+        assert peak <= self.WORKERS * (_block_size(2, v.q) * v.q**2 * 16 + 1024 * v.q) + 32 * len(phases)
+        assert peak < len(phases) * v.q * 8  # less than one copy of the rows
 
 
 def fibonacci_trace(level, coupling, e):
@@ -1220,8 +1415,7 @@ class TestDeepOracles:
         # the fiber at phase phi has its eigenvalues where x_n = cos(2 pi phi): +1 at 0, -1 at 1/2
         for n in levels:
             v = fibonacci_potential(n, coupling)
-            phases = _phase_set(1, 64)
-            evs = _solve_phases(v, phases)
-            for phi, row in zip(phases[:, 0], evs):
+            bands, eigs = _sweep(v, [[0.0]], cover=(0.5,))  # side by side: phi = 0 in the bands, 1/2 the cover
+            for phi, row in ((0.0, bands[:, 0]), (0.5, eigs)):
                 x, dx = fibonacci_trace(n, coupling, row)
                 assert np.all(np.abs(x - math.cos(2 * math.pi * phi)) <= np.abs(dx) * _solver_bound(v))
