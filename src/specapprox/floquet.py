@@ -17,16 +17,19 @@ from slices of the cell into 3 x q upper band storage and solved by
 LAPACK's banded eigensolver, dsbev or zhbev, from the LAPACK numpy links
 (scipy.linalg.eigvals_banded where numpy exports no ILP64 names for them):
 O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks, the
-potential on the diagonal plus each axis's ring of hops, solved by batched
-eigvalsh.
+potential on the diagonal plus each axis's ring of hops, each solved where
+it was built by the dense eigensolver of the same LAPACK, dsyevd or zheevd, as
+numpy's eigvalsh calls it (by eigvalsh itself where numpy exports no ILP64
+names).  Every LAPACK call releases the GIL.
 A sweep cuts its phases into blocks, one phase in 1-d and in 2-d the fewest
-that numpy's eigvalsh solves with the GIL released, taken in turn by as many
-worker threads as numpy's BLAS has, from a pool started once per process,
-with BLAS pinned to one thread: BLAS threads buy nothing in solves this
-small or this sequential.  Each block folds into the per-index min and max
-of the eigenvalues, the bands, so no row per phase is kept.  The fibers of
-a 1-d sweep, and the fiber at a measure run's cover phase, are solved side
-by side.
+fibers that hold 2^14 entries, one fiber from q = 128 up, taken in turn by
+as many worker threads as numpy's BLAS has, from a pool started once per
+process, with BLAS pinned to one thread: BLAS threads buy nothing in solves
+this small or this sequential.  A worker builds its 2-d blocks in a buffer
+of its own.  Each block folds into the per-index min and max of the
+eigenvalues, the bands, so no row per phase is kept.  The fibers of a 1-d
+sweep, and the fiber at a measure run's cover phase, are solved side by
+side.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -52,6 +55,7 @@ and a run holds one step at a time beside the finest step's union.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -193,15 +197,19 @@ def _fibers(potential: PeriodicPotential, z: np.ndarray, out=None) -> np.ndarray
     check_fiber_stack(q, k, z.itemsize)
     h = (np.empty(k * q * q, z.dtype) if out is None else out.view(z.dtype)[: k * q * q]).reshape(k, q, q)
     h.fill(0.0)
-    h.reshape(k, q * q)[:, :: q + 1] = potential.cell
     if potential.dim == 1:
+        h.reshape(k, q * q)[:, :: q + 1] = potential.cell
         return _add_ring(h, z[:, 0])
     (p1, p2), cube = potential.periods, h.reshape(k, *potential.periods, *potential.periods)
     rings = [_add_ring(np.full((k, p, p), -0.0, dtype=z.dtype), z[:, j]) for j, p in enumerate((p1, p2))]
-    for n in range(p2):  # R1 (x) I: sites (a, n) and (b, n) at [:, a, n, b, n]
-        cube[:, :, n, :, n] += rings[0]
-    for n in range(p1):  # I (x) R2
-        cube[:, n, :, n, :] += rings[1]
+    # R1 (x) I, at [:, a, n, b, n], and I (x) R2, at [:, n, a, n, b], meet only on the diagonal, so each is written
+    # whole through a view as its sum with the 0.0 there, and the diagonal last as V + R1 + R2: numpy buffers an
+    # in-place add through such a view, up to 136 kB, where a write takes nothing
+    np.einsum("kanbn->kabn", cube)[...] = rings[0][..., None] + 0.0
+    np.einsum("knanb->knab", cube)[...] = rings[1][:, None] + 0.0
+    diagonal = potential.cell.reshape(p1, p2) + np.einsum("kaa->ka", rings[0])[:, :, None]
+    diagonal += np.einsum("knn->kn", rings[1])[:, None]
+    h.reshape(k, q * q)[:, :: q + 1] = diagonal.reshape(k, q)
     return h
 
 
@@ -279,8 +287,6 @@ def _solver_bound(potential: PeriodicPotential) -> float:
 def _numpy_symbols(templates: tuple[str, ...], names: tuple[str, ...]):
     """The functions ``names`` of numpy's linear-algebra library, spelled by the first of ``templates``
     that resolves them all, or None.  The library's dependency scope holds numpy's BLAS and LAPACK."""
-    import ctypes
-
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for template in templates:
         found = tuple(getattr(lib, template.format(name), None) for name in names)
@@ -292,8 +298,6 @@ def _numpy_symbols(templates: tuple[str, ...], names: tuple[str, ...]):
 def _blas_threads():
     """(get, set) of the thread count of numpy's OpenBLAS, or None where its symbols are not found: numpy 2
     wheels spell them scipy_openblas_get_num_threads64_, numpy 1 wheels openblas_get_num_threads64_."""
-    import ctypes
-
     templates = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
     found = _numpy_symbols(templates, ("get", "set"))
     if found is None:
@@ -304,59 +308,117 @@ def _blas_threads():
     return get, put
 
 
+# How many arguments each LAPACK routine called here takes after jobz and uplo, info the last.
+_LAPACK_ARGS = {"dsbev": 9, "zhbev": 10, "dsyevd": 9, "zheevd": 11}
+
+
+@functools.cache  # one lookup per pair of routines
+def _lapack(real: str, complex_: str):
+    """numpy's own LAPACK routines ``real`` and ``complex_``, where numpy exports them under ILP64 names (the 64_
+    suffix: 64-bit integers), else None.  Each takes jobz and uplo, then the address of every other argument, info
+    last and every integer an int64, then the hidden lengths of jobz and uplo; _check reads its info."""
+    found = _numpy_symbols(("scipy_{}_64_", "{}_64_"), (real, complex_))
+    for routine, name in zip(found or (), (real, complex_)):
+        routine.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * _LAPACK_ARGS[name] + [ctypes.c_size_t] * 2
+        routine.restype = None
+    return found
+
+
+def _check(routine, info: int) -> None:
+    """Raise unless ``info``, what the LAPACK ``routine`` returned in it, is 0."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} did not converge: {info} off-diagonals remain")
+    if info < 0:
+        raise RuntimeError(f"{routine.__name__} was passed an illegal argument {-info}")
+
+
 @functools.cache  # one solver per process: workers call it once per block
 def _banded_eigvals():
     """Solver of one Hermitian band in upper storage, a Fortran-contiguous (u+1) x q array that it may
     overwrite, for its ascending eigenvalues.  It is numpy's own LAPACK, dsbev for a real band and
-    zhbev for a complex one, where numpy exports them under ILP64 names (the 64_ suffix: 64-bit
-    integers); elsewhere scipy.linalg.eigvals_banded, imported only then: that costs 0.3 s and 28 MB."""
-    found = _numpy_symbols(("scipy_{}_64_", "{}_64_"), ("dsbev", "zhbev"))
-    if found is None:
+    zhbev for a complex one, where numpy exports them (_lapack); elsewhere scipy.linalg.eigvals_banded,
+    imported only then: that costs 0.3 s and 28 MB."""
+    lapack = _lapack("dsbev", "zhbev")
+    if lapack is None:
         from scipy.linalg import eigvals_banded
 
         return eigvals_banded
-    import ctypes
-
-    int64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    # jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, [rwork,] info, then the hidden lengths of jobz and uplo
-    head = [ctypes.c_char_p] * 2 + [int64, int64, ptr, int64, ptr, ptr, int64, ptr]
-    tail = [int64] + [ctypes.c_size_t] * 2
-    dsbev, zhbev = found
-    dsbev.argtypes, dsbev.restype = head + tail, None
-    zhbev.argtypes, zhbev.restype = head + [ptr] + tail, None
 
     def solve(band):
         real = not np.iscomplexobj(band)
         ab = np.asfortranarray(band, dtype=float if real else complex)  # not a copy of _band_storage's fibers
         rows, q = ab.shape
-        w, info = np.empty(q), ctypes.c_int64()
+        w, ints = np.empty(q), np.array([q, rows - 1, rows, 1, 0], np.int64)  # n, kd, ldab, ldz and info
         rwork = np.empty(max(1, 3 * q - 2))  # dsbev's work, zhbev's rwork
-        lapack, work = (dsbev, [rwork]) if real else (zhbev, [np.empty(q, complex), rwork])
-        n, kd, ldab, ldz = (ctypes.byref(ctypes.c_int64(v)) for v in (q, rows - 1, rows, 1))
+        work = [rwork] if real else [np.empty(q, complex), rwork]
+        n, kd, ldab, ldz, info = (ints.ctypes.data + 8 * j for j in range(5))
+        routine = lapack[not real]
         spaces = [a.ctypes.data for a in work]  # the arrays stay referenced by work through the call
-        lapack(b"N", b"U", n, kd, ab.ctypes.data, ldab, w.ctypes.data, None, ldz, *spaces, info, 1, 1)
-        if info.value > 0:
-            raise np.linalg.LinAlgError(f"{lapack.__name__} did not converge: {info.value} off-diagonals remain")
-        if info.value < 0:
-            raise RuntimeError(f"{lapack.__name__} was passed an illegal argument {-info.value}")
+        routine(b"N", b"U", n, kd, ab.ctypes.data, ldab, w.ctypes.data, None, ldz, *spaces, info, 1, 1)
+        _check(routine, int(ints[4]))
         return w
 
     return solve
 
 
-def _solve_block(potential, z, out=None):
-    """Eigenvalue rows of the fibers with a block of k x d phase factors ``z``, in their dtype: banded
-    in 1-d, one batched dense eigvalsh in 2-d of fibers built in the buffer ``out`` if one is given."""
+class _DenseSolver:
+    """One sweep worker's solver of 2-d blocks of up to k fibers of q sites.  It builds each block in its own
+    buffer and solves each fiber there as numpy's eigvalsh does: numpy's own dsyevd for a real block and zheevd
+    for a complex one, jobz 'N' and uplo 'L' on the C-order fiber, which is Hermitian, with the workspace that a
+    query asks for, each call's arguments made once per dtype.  The eigenvalues go into its own rows, which its
+    next block overwrites.  Where numpy exports no ILP64 names, each block is solved by numpy's eigvalsh."""
+
+    def __init__(self, q: int, k: int, dtype):
+        self.buffer, self.rows, self.info = np.empty(k * q * q, dtype), np.empty((k, q)), ctypes.c_int64()
+        self.workspace, self.arguments = {}, {}  # by dtype: the arrays a query sized, and each fiber's call
+
+    def __call__(self, potential, z):
+        fibers = _fibers(potential, z, self.buffer)
+        lapack = _lapack("dsyevd", "zheevd")
+        if lapack is None:
+            return np.linalg.eigvalsh(fibers)
+        routine = lapack[fibers.dtype == complex]
+        if fibers.dtype not in self.arguments:
+            self._prepare(routine, fibers.dtype)
+        for args in self.arguments[fibers.dtype][: len(z)]:
+            routine(*args)
+            _check(routine, self.info.value)
+        return self.rows[: len(z)]
+
+    def _prepare(self, routine, dtype):
+        """The arguments of ``routine`` on each fiber of the buffer in ``dtype``: n = lda = q, then work, [rwork,]
+        and iwork, each with its length, in int64 cells, sized by a query with every length at -1."""
+        k, q = self.rows.shape
+        kinds = [dtype, np.dtype(float), np.dtype(np.int64)] if dtype == complex else [dtype, np.dtype(np.int64)]
+        ints, spaces = np.array([q] + [-1] * len(kinds), np.int64), [np.empty(1, kind) for kind in kinds]
+
+        def arguments(i):  # jobz, uplo, n, a, lda, w, each space and its length, info, and the hidden lengths
+            sized = [x for j, a in enumerate(spaces) for x in (a.ctypes.data, ints.ctypes.data + 8 * (j + 1))]
+            a = self.buffer.ctypes.data + i * q * q * dtype.itemsize
+            n, w, info = ints.ctypes.data, self.rows[i].ctypes.data, ctypes.addressof(self.info)
+            return b"N", b"L", n, a, n, w, *sized, info, 1, 1
+
+        routine(*arguments(0))  # the query: each space's first entry holds the length it asks for
+        _check(routine, self.info.value)
+        ints[1:] = [int(a[0].real) for a in spaces]
+        spaces = [np.empty(m, kind) for m, kind in zip(ints[1:], kinds)]
+        self.workspace[dtype] = [ints, *spaces]  # referenced while the addresses are in use
+        self.arguments[dtype] = [arguments(i) for i in range(k)]
+
+
+def _solve_block(potential, z, solver=None):
+    """Eigenvalue rows of the fibers with a block of k x d phase factors ``z``, in their dtype: banded in 1-d, in
+    2-d by ``solver``, a sweep worker's _DenseSolver, or else a new one; the worker's next block overwrites them."""
     if potential.dim == 2:
-        return np.linalg.eigvalsh(_fibers(potential, z, out))
+        return (solver or _DenseSolver(potential.q, len(z), z.dtype))(potential, z)
     solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
     return np.stack([solve(band) for band in _band_storage(potential, z)])
 
 
 def _block_size(dim: int, q: int) -> int:
-    """Phases per block: one in 1-d, whose banded LAPACK call releases the GIL, and in 2-d the fewest
-    whose k * q eigenvalues are over 500, the smallest output that numpy's eigvalsh solves without it."""
-    return 1 if dim == 1 else 500 // q + 1
+    """Phases per block: one in 1-d, and in 2-d the fewest fibers that hold 2^14 entries, one from q = 128 up,
+    so that a block's build, a few dozen numpy calls whatever its size, is small beside its solves."""
+    return 1 if dim == 1 else -(-(2**14) // q**2)
 
 
 @functools.cache  # a pool per sweep costs more than the solves of a small sweep
@@ -372,8 +434,9 @@ def _sweep(potential, phases, cover=None):
     the eigenvalues at the phase ``cover``, if given: the row at cover or -cover mod 1 (the same spectrum), else
     cover solved first in a block of its own, left out of the bands.  Blocks of _block_size phases, real when
     their set is in {0, 1/2}^d (in 1-d, their one phase), are taken in turn by as many worker threads as numpy's
-    BLAS has, with BLAS pinned to one thread; 2-d blocks are built in one buffer per worker.  Each block folds
-    into the bands row by row, exact in any order.  The workers' fibers are charged before any is made."""
+    BLAS has, with BLAS pinned to one thread; each worker has a _DenseSolver in 2-d.  Each block folds into the
+    bands row by row, exact in any order, the first row held as both edges until a second arrives.  The workers'
+    fibers are charged before any is made."""
     dim, q, size = potential.dim, potential.q, _block_size(potential.dim, potential.q)
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     real = dim == 1 or np.isin(phases, (0.0, 0.5)).all()  # a 2-d block may be real only where its set is
@@ -387,18 +450,21 @@ def _sweep(potential, phases, cover=None):
     def fold(i, evs):  # the rows of the block at phases[i] into the bands, and the one at ``row`` into eigs
         nonlocal bands, eigs
         if row in range(i, i + len(evs)):
-            eigs = evs[row - i]
+            eigs = evs[row - i].copy()  # the worker's next block overwrites its rows
         with lock:  # row by row, as a reduction folds them
-            if bands is None and i >= 0:  # made once a block is solved, not beside the first solves
-                bands = np.full((q, 2), (np.inf, -np.inf))
             for e in evs if i >= 0 else ():
+                if bands is None:  # the first row is both edges until a second arrives, not (q, 2) beside the solves
+                    bands = e.copy()
+                    continue
+                if bands.ndim == 1:
+                    bands = np.stack((bands, bands), axis=1)
                 np.minimum(bands[:, 0], e, out=bands[:, 0])
                 np.maximum(bands[:, 1], e, out=bands[:, 1])
 
-    def work(out):  # None, or what stopped the worker, for the calling thread to raise once all have stopped
+    def work(solver):  # None, or what stopped the worker, for the calling thread to raise once all have stopped
         try:
             for i, block in todo:
-                fold(i, _solve_block(potential, _phase_factors(block, dim, real or i < 0), out))
+                fold(i, _solve_block(potential, _phase_factors(block, dim, real or i < 0), solver))
         except Exception as error:
             blocks.clear()  # the other workers take no more
             return error
@@ -407,17 +473,17 @@ def _sweep(potential, phases, cover=None):
     with _BLAS_LOCK:  # a sweep started meanwhile would read the pinned 1 and restore it
         n = get()
         workers, k = min(n, len(blocks)), max(len(block) for _, block in blocks)
-        items = check_fiber_stack(q, workers * k, dtype.itemsize, banded=dim == 1) // workers // dtype.itemsize
-        buffers = [np.empty(items, dtype) if dim == 2 else None for _ in range(workers)]  # 1-d storage is per block
+        check_fiber_stack(q, workers * k, dtype.itemsize, banded=dim == 1)
+        solvers = [_DenseSolver(q, k, dtype) if dim == 2 else None for _ in range(workers)]  # 1-d storage is per block
         fan = _pool(n).map if workers > 1 else map
         put(1)
         try:
-            errors = [error for error in fan(work, buffers) if error]  # each worker stops before BLAS is restored
+            errors = [error for error in fan(work, solvers) if error]  # each worker stops before BLAS is restored
         finally:
             put(n)
     if errors:
         raise errors[0]
-    return bands, eigs
+    return (bands if bands.ndim == 2 else np.stack((bands, bands), axis=1)), eigs
 
 
 def _check_grid(dim: int, m: int) -> None:

@@ -789,6 +789,21 @@ class TestMeasureRunSize:
             tracemalloc.stop()
         assert peak <= 150 * models.check_fibonacci(18)
 
+    def test_complex_cover_run_peak_per_site_of_its_last_step(self, tmp_path, capsys, monkeypatch):
+        # at phase 0.3 each step's sweep solves its complex cover fiber on one of two workers beside the real pair
+        # on the other; that worker holds its first row as both band edges until the second arrives, so the run
+        # peaks near 177 bytes per site of the last step, where making the edges beside the first solves took 186
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 2, lambda n: None))
+        cfg = measure_config(tmp_path, model={"name": "fibonacci", "coupling": 1.0}, n_min=1, n_max=18, phase=0.3)
+        assert main(["measure", "--config", cfg]) == 0  # imports and caches come first
+        tracemalloc.start()
+        try:
+            assert main(["measure", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 181 * models.check_fibonacci(18)
+
     def test_set_run_peak_per_interval_of_its_last_step(self, tmp_path, capsys):
         # a Cantor run peaks at its last level, holding the set, 16 bytes per interval, its cover, 8, a 1-byte
         # mask and one block of temporaries: near 25 bytes per interval

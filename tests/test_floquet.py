@@ -132,10 +132,19 @@ def bits(*arrays):
     return [np.ascontiguousarray(a, dtype=np.float64).view(np.uint64) for a in arrays]
 
 
+def workspace_bytes(q, dtype=complex):
+    """Bytes of the workspace, and of its lengths, that a _DenseSolver of fibers of q sites in ``dtype`` holds
+    once numpy's LAPACK has been asked for it: none where numpy's eigvalsh solves the blocks."""
+    solver = floquet._DenseSolver(q, 1, np.dtype(dtype))
+    solver(free_potential(2, (1, q)), _phase_factors([(0.25, 0.5) if dtype == complex else (0.5, 0.5)], 2))
+    return sum(a.nbytes for arrays in solver.workspace.values() for a in arrays)
+
+
 @pytest.fixture
 def solved(monkeypatch):
-    """(solver, matrix count, dtype) of every call to np.linalg.eigvalsh
-    ("dense") and to the banded solver of floquet._banded_eigvals ("banded")."""
+    """(solver, matrix count, dtype) of every block a 2-d sweep's solver, floquet._DenseSolver, solves and of
+    every call to np.linalg.eigvalsh ("dense"), and of every call to the banded solver of
+    floquet._banded_eigvals ("banded")."""
     calls = []
 
     def counting(name, solve):
@@ -149,6 +158,14 @@ def solved(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("dense", np.linalg.eigvalsh))
     banded = floquet._banded_eigvals
     monkeypatch.setattr(floquet, "_banded_eigvals", lambda: counting("banded", banded()))
+    if floquet._lapack("dsyevd", "zheevd") is not None:  # else the solver calls eigvalsh, counted above
+        dense = floquet._DenseSolver.__call__
+
+        def solve(solver, v, z):
+            calls.append(("dense", len(z), z.dtype))
+            return dense(solver, v, z)
+
+        monkeypatch.setattr(floquet._DenseSolver, "__call__", solve)
     return calls
 
 
@@ -192,13 +209,14 @@ def scattered_fibers(potential, z):
 class TestHopAssembly:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_dense_reference_bitwise(self, dim):
-        # every period (pair) from 1 to 6: period 1 wraps onto itself, period 2 wraps onto an interior bond
+        # every period (pair) from 1 to 6: period 1 wraps onto itself, period 2 wraps onto an interior bond; at
+        # periods (1, 1) enough random phases tell the order in which both rings add onto the diagonal
         rng = np.random.default_rng(30 + dim)
         for periods in np.ndindex(*(6,) * dim):
             periods = tuple(p + 1 for p in periods)
             cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
             v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
-            phases = [np.full(dim, t) for t in (0.0, 0.5, 0.25)] + list(rng.uniform(0, 1, size=(3, dim)))
+            phases = [np.full(dim, t) for t in (0.0, 0.5, 0.25)] + list(rng.uniform(0, 1, size=(16, dim)))
             stack = _fibers(v, _phase_factors(phases, dim))
             assert stack.shape == (len(phases), v.q, v.q)
             for m, phi in zip(stack, phases):
@@ -595,7 +613,7 @@ class TestBandSpectrum:
     def test_chunked_sweep_equals_one_block(self):
         # a 2-d sweep's blocks of _block_size give the bands and rows of one block of all its phases, which
         # are solved complex, as the whole grid is
-        v = free_potential(2, (3, 3))
+        v = free_potential(2, (5, 5))
         phases = _grid(2, 16)
         k = _block_size(2, v.q)
         assert len(phases) > 2 * k and len(phases) % k  # several blocks and a short tail
@@ -644,8 +662,8 @@ class TestConjugateHalvedGrid:
             assert bs.error_bound == lips + _solver_bound(v)
 
     def test_every_block_of_a_grid_of_three_or_more_points_is_complex(self, monkeypatch):
-        # a 2-d block takes its whole set's arithmetic: at q = 167 (blocks of 3) the grid of 4 ends in a
-        # block of (1/2, 1/2) alone, and at q = 501 (blocks of 1) the four real phases are blocks of their own
+        # a 2-d block takes its whole set's arithmetic: at q = 80 (blocks of 3) the grid of 4 ends in a
+        # block of (1/2, 1/2) alone, and at q = 144 (blocks of 1) the four real phases are blocks of their own
         dtypes = []
 
         def recording(v, z, out=None):
@@ -653,8 +671,8 @@ class TestConjugateHalvedGrid:
             return np.zeros((len(z), v.q))
 
         monkeypatch.setattr(floquet, "_solve_block", recording)
-        assert [_block_size(2, q) for q in (167, 501)] == [3, 1] and len(_grid(2, 4)) % 3 == 1
-        for periods in ((1, 167), (1, 501), (3, 3), (12, 12)):
+        assert [_block_size(2, q) for q in (80, 144)] == [3, 1] and len(_grid(2, 4)) % 3 == 1
+        for periods in ((1, 80), (3, 3), (12, 12)):
             v = free_potential(2, periods)
             for m in range(3, 41):
                 dtypes.clear()
@@ -727,12 +745,13 @@ class TestSplitBlocks:
         if workers is not None:
             monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
         rng = np.random.default_rng(70)
-        for _ in range(3):
-            v = random_potential(rng, dim=2, max_period=4)
+        for periods in ((4, 4), (3, 5), (5, 5)):  # blocks of 64, 73 and 27
+            v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-3, 3, size=math.prod(periods)))
             solved.clear()
             phases = _phase_set(2, 16)
             bands = _sweep(v, phases)[0]  # 130 phases: full blocks of k and a tail
             k = _block_size(2, v.q)
+            assert 130 // k and 130 % k
             tail = [130 % k] if 130 % k else []
             assert sorted(c for _, c, _ in solved) == sorted(tail + [k] * (130 // k))  # whatever the worker count
             whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
@@ -754,8 +773,10 @@ class TestSplitBlocks:
 
         monkeypatch.setattr(floquet, "_fibers", recording)
         rng = np.random.default_rng(72)
-        # 5, 145, 545, 4 (all real), 13 and 41 phases: one short block, or full blocks and a tail
-        for periods, m in [((3, 5), 3), ((1, 7), 17), ((2, 2), 33), ((5, 4), 2), ((12, 12), 5), ((6, 6), 9)]:
+        # 5, 841, 2050, 4 (all real), 13, 41 and 20 phases: one short block, full blocks and a tail, or blocks of
+        # one fiber at q = 144
+        cells = [((3, 5), 3), ((1, 7), 41), ((2, 2), 64), ((5, 4), 2), ((12, 12), 5), ((6, 6), 9), ((9, 9), 6)]
+        for periods, m in cells:
             v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
             builders.clear()
             phases = _phase_set(2, m)
@@ -769,13 +790,13 @@ class TestSplitBlocks:
         get, put = blas_threads
         put(3)
         inside = []
-        solve = np.linalg.eigvalsh
+        solve = floquet._DenseSolver.__call__
 
-        def recording(a):
+        def recording(solver, v, z):
             inside.append(get())
-            return solve(a)
+            return solve(solver, v, z)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        monkeypatch.setattr(floquet._DenseSolver, "__call__", recording)
         band_spectrum(free_potential(2, (3, 3)), grid_points=8)
         assert inside and set(inside) == {1}
         assert get() == 3
@@ -784,10 +805,10 @@ class TestSplitBlocks:
         get, put = blas_threads
         put(2)
 
-        def failing(a):
+        def failing(solver, v, z):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(floquet._DenseSolver, "__call__", failing)
         with pytest.raises(np.linalg.LinAlgError):
             band_spectrum(free_potential(2, (3, 3)), grid_points=8)
         assert get() == 2
@@ -836,16 +857,17 @@ class TestFoldAgainstWholeRows:
             cls.assert_fold_equals_whole(v, phases, tuple(phases[row]))
             cls.assert_fold_equals_whole(v, phases, tuple(-phases[row] % 1.0))
 
-    # q = 36, 63, 64 and 144 take blocks of 14, 8, 8 and 4: on both sides of k * q > 500 at k = 8
-    @pytest.mark.parametrize("periods", [(6, 6), (7, 9), (8, 8), (12, 12)])
+    # q = 63, 64, 90 and 144 take blocks of 5, 4, 3 and 1: below and above q = 128, from where a block is one
+    # fiber, and each unlike the reference's blocks of 8
+    @pytest.mark.parametrize("periods", [(7, 9), (8, 8), (9, 10), (12, 12)])
     def test_cells_about_the_block_boundary(self, workers, periods):
         rng = np.random.default_rng(sum(periods))
         v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-2, 2, size=math.prod(periods)))
         k = _block_size(2, v.q)
-        # 4 real phases; 13 and 34 complex ones, which end in a short tail block at every k here
+        # 4 real phases; 13 and 34 complex ones, which end in a short tail block at every k here but 1
         for m in (2, 5, 8):
             phases = _grid(2, m)
-            assert m == 2 or len(phases) % k
+            assert m == 2 or k == 1 or len(phases) % k
             self.assert_rows_equal(v, phases, {0, min(k, len(phases) - 1), len(phases) - 1})
             self.assert_fold_equals_whole(v, phases, (0.3, 0.1))  # complex, off the grid
             self.assert_fold_equals_whole(v, phases, (0.5, 0.5) if m % 2 else (0.1, 0.5))  # real or complex, off it
@@ -882,35 +904,92 @@ class TestFoldAgainstWholeRows:
             np.testing.assert_array_equal(*bits(got, want))
 
 
-class TestGilRelease:
-    """numpy's eigvalsh solves a 2-d block of _block_size fibers with the GIL released, which is what
-    lets the workers' solves run side by side.  Only that case is pinned, not numpy's threshold."""
+class TestDenseSolver:
+    """A sweep worker's 2-d solver calls numpy's own dsyevd or zheevd on each fiber of a block, as numpy's
+    eigvalsh calls them, so its rows are eigvalsh's bit for bit; each call lets go of the GIL, which is what
+    lets the workers' solves run side by side.  Where numpy exports no ILP64 names, eigvalsh solves each block."""
 
-    @pytest.mark.parametrize("q", [16, 36, 144])
-    def test_block_solve_releases_the_gil(self, q):
-        rng = np.random.default_rng(q)
-        a = rng.standard_normal((_block_size(2, q), q, q)) * (1 + 1j)
-        block = a + a.conj().transpose(0, 2, 1)
-        go, ticks = threading.Event(), []
+    @pytest.fixture
+    def lapack(self):
+        lapack = floquet._lapack("dsyevd", "zheevd")
+        if lapack is None:
+            pytest.skip("numpy exports no ILP64 dsyevd/zheevd: the blocks are solved by eigvalsh")
+        return lapack
 
-        def count():  # a plain Python thread: it can tick only while the solving thread has let go of the GIL
-            go.wait()
-            ticks.append(1)
+    # random cells with an axis of period 1 or 2, then q = 4, 16, 36, 63, 64, 144 and 256
+    CELLS = [(1, 5), (2, 7), (9, 1), (6, 2), (1, 1), (2, 2), (4, 4), (6, 6), (7, 9), (8, 8), (12, 12), (16, 16)]
 
-        counter = threading.Thread(target=count)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(5.0)  # longer than the solves: the interpreter forces no switch meanwhile
+    @pytest.mark.parametrize("periods", CELLS, ids=str)
+    def test_rows_bitwise_equal_to_eigvalsh(self, lapack, periods):
+        rng = np.random.default_rng(math.prod(periods))
+        v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-3, 3, size=math.prod(periods)))
+        k = _block_size(2, v.q)
+        solver = floquet._DenseSolver(v.q, k, np.dtype(complex))
+        # one solver takes a full complex block, the real corners, as a complex sweep's real cover block would be,
+        # and a short tail: the rows of each are eigvalsh's, after the blocks before it have used the same arrays
+        corners = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)][: min(4, k)]
+        blocks = [rng.uniform(0, 1, size=(k, 2)), corners, rng.uniform(0, 1, size=(max(1, k // 3), 2))]
+        for phases in blocks:
+            z = _phase_factors(phases, 2)
+            want = np.linalg.eigvalsh(_fibers(v, z))
+            np.testing.assert_array_equal(*bits(solver(v, z), want), err_msg=f"{len(z)} phases, {z.dtype}")
+
+    def test_fallback_gives_the_same_bands(self, monkeypatch):
+        cells = [free_potential(2, (2, 3)), random_potential(np.random.default_rng(96), dim=2, max_period=9)]
+        expect = [band_spectrum(v, grid_points=8) for v in cells]
+        monkeypatch.setattr(floquet, "_numpy_symbols", lambda templates, names: None)
+        floquet._lapack.cache_clear()
         try:
+            assert floquet._lapack("dsyevd", "zheevd") is None
+            for v, want in zip(cells, expect):
+                np.testing.assert_array_equal(*bits(band_spectrum(v, grid_points=8).bands, want.bands))
+        finally:
+            floquet._lapack.cache_clear()  # the next lookup finds numpy's own LAPACK again
+
+    def test_fiber_solve_releases_the_gil(self, lapack, monkeypatch):
+        # a counter thread waits until the call is about to start; from there to the call's return the solving
+        # thread runs no Python and holds the GIL unless the call lets go of it, with no forced switch for 5 s
+        v = PeriodicPotential(dim=2, periods=(12, 12), cell=np.random.default_rng(144).uniform(-2, 2, size=144))
+        solver, z = floquet._DenseSolver(v.q, 1, np.dtype(complex)), _phase_factors([(0.3, 0.1)], 2)
+        solver(v, z)  # the workspace query comes first
+        ticked = []
+
+        def watched(*args):
+            go, ticks = threading.Event(), []
+            counter = threading.Thread(target=lambda: (go.wait(), ticks.append(1)))  # a plain Python thread
             counter.start()
             go.set()
+            lapack[1](*args)
+            ticked.append(bool(ticks))
+            counter.join(10)
+            assert not counter.is_alive()
+
+        monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5.0)
+        try:
             start = time.perf_counter()
-            while not ticks and time.perf_counter() - start < 1.0:
-                np.linalg.eigvalsh(block)
-            ticked = bool(ticks)
+            while not any(ticked) and time.perf_counter() - start < 2.0:
+                solver(v, z)
         finally:
             sys.setswitchinterval(interval)
-            counter.join(10)
-        assert ticked
+        assert any(ticked)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_convergence_is_lin_alg_error(self, lapack, dtype):
+        # NaN hops keep LAPACK's QL iteration from converging: info > 0
+        v = free_potential(2, (2, 3))
+        z = np.full((1, 2), np.nan, dtype=dtype)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge: 5 off-diagonals remain"):
+            floquet._DenseSolver(v.q, 1, z.dtype)(v, z)
+
+    def test_info_checked(self, lapack):
+        for routine in lapack:
+            assert floquet._check(routine, 0) is None
+            with pytest.raises(np.linalg.LinAlgError, match=f"{routine.__name__} did not converge: 3 off-diagonals"):
+                floquet._check(routine, 3)
+            with pytest.raises(RuntimeError, match=f"{routine.__name__} was passed an illegal argument 5"):
+                floquet._check(routine, -5)
 
 
 class TestConcurrentBands:
@@ -1294,8 +1373,8 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_fibers", None)
         with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
             band_spectrum(v, grid_points=4)  # 10 complex phases, fewer than 3 blocks
-        with pytest.raises(ValueError, match=r"need 2\.880e\+6 bytes"):
-            band_spectrum(w, grid_points=8)  # 34 complex phases, 3 workers' blocks of 6 fibers of 100 sites
+        with pytest.raises(ValueError, match=r"need 9\.600e\+5 bytes"):
+            band_spectrum(w, grid_points=8)  # 34 complex phases, 3 workers' blocks of 2 fibers of 100 sites
         assert pinned == []
 
     def test_phase_grid_refused_before_its_indices(self, monkeypatch):
@@ -1367,8 +1446,9 @@ class TestSweepMemory:
         expect = band_spectrum(v, grid_points=16)  # 130 phases
         spectrum, peak = self.traced_peak(lambda: band_spectrum(v, grid_points=16), lambda: None)
         assert spectrum == expect
-        # each worker's one block of 4 fibers, and O(q) per worker: a block's rows and rings, and the bands
-        assert peak <= self.WORKERS * (_block_size(2, v.q) * v.q**2 * 16 + 1024 * v.q)
+        # each worker's one fiber, its zheevd workspace, and O(q) per worker: its rows, a block's rings, the bands
+        assert _block_size(2, v.q) == 1
+        assert peak <= self.WORKERS * (v.q**2 * 16 + workspace_bytes(v.q) + 1024 * v.q)
         assert peak < 130 * v.q**2 * 16 / 4  # far below the sweep's 130 fibers held at once
 
     def test_sweep_holds_no_row_per_phase(self):
@@ -1377,8 +1457,10 @@ class TestSweepMemory:
         phases = _grid(2, 100)
         (bands, _), peak = self.traced_peak(lambda: _sweep(v, phases), lambda: _sweep(v, _grid(2, 8)))
         assert bands.shape == (v.q, 2)
-        # the workers' blocks of 14 fibers and their O(q) terms, then the phases' blocks, views of 14 phases each
-        assert peak <= self.WORKERS * (_block_size(2, v.q) * v.q**2 * 16 + 1024 * v.q) + 32 * len(phases)
+        # the workers' blocks of 13 fibers, their workspaces and O(q) terms, then the phases' blocks, views of 13
+        # phases each
+        k = _block_size(2, v.q)
+        assert peak <= self.WORKERS * (k * v.q**2 * 16 + workspace_bytes(v.q) + 1024 * v.q) + 32 * len(phases)
         assert peak < len(phases) * v.q * 8  # less than one copy of the rows
 
 

@@ -241,6 +241,20 @@ class TestGridApproximation:
         assert rec.q == 3
         assert s.highs[0] == 0.5
 
+    def test_solid_variant_matches_masked_grid_bitwise(self):
+        # the welded points are the j/n above alpha of np.arange(n + 1) / n, as the division rounds them, also
+        # where alpha is a grid point or one ulp off it: at n = 22, 15/22 * 22 rounds below 15
+        from specapprox.intervals import interval_union
+
+        for n in (1, 3, 10, 22, 49, 1000, 99999):
+            pts = np.arange(n + 1) / n
+            alphas = {float(x) for j in range(1, n + 1, max(1, n // 13)) for x in np.nextafter(j / n, [0, j / n, 2])}
+            for alpha in sorted(alphas - {float(np.nextafter(1.0, 2))}):
+                welded = pts[pts > alpha]
+                want = interval_union(np.append(0.0, welded), np.append(alpha, welded))
+                got = grid_approximation(n, solid_to=alpha).set
+                assert got.lows.tobytes() == want.lows.tobytes() and got.highs.tobytes() == want.highs.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_approximation(0)
@@ -250,12 +264,12 @@ class TestGridApproximation:
             grid_approximation(10**400, solid_to=0.5)
 
     def test_oversize_level_refused_by_estimate(self, monkeypatch):
-        # 17 bytes per point, plus 41 per point welded on above solid_to, and one block; nothing is allocated
+        # 17 bytes per point, plus 33 per point welded on above solid_to, and one block; nothing is allocated
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 17 * 11 + models.BLOCK_BYTES)
         assert grid_approximation(10).q == 11
         with pytest.raises(ValueError, match=r"the 12 points of grid level 11 need 1\.968e\+5 bytes"):
             grid_approximation(11)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 17 * 11 + 41 * 5 + models.BLOCK_BYTES)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 17 * 11 + 33 * 5 + models.BLOCK_BYTES)
         assert grid_approximation(10, solid_to=0.5).q == 6  # 5 points above 0.5
         with pytest.raises(ValueError, match=r"need 1\.971e\+5 bytes"):
             grid_approximation(10, solid_to=0.2)  # 8 points above 0.2
