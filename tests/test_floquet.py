@@ -904,17 +904,609 @@ class TestFoldAgainstWholeRows:
             np.testing.assert_array_equal(*bits(got, want))
 
 
+@pytest.fixture
+def lapack():
+    """numpy's own dsyevd and zheevd, which a 2-d sweep's solver calls; the test is skipped where they are absent."""
+    lapack = floquet._lapack("dsyevd", "zheevd")
+    if lapack is None:
+        pytest.skip("numpy exports no ILP64 dsyevd/zheevd: the blocks are solved by eigvalsh")
+    return lapack
+
+
 class TestDenseSolver:
     """A sweep worker's 2-d solver calls numpy's own dsyevd or zheevd on each fiber of a block, as numpy's
     eigvalsh calls them, so its rows are eigvalsh's bit for bit; each call lets go of the GIL, which is what
     lets the workers' solves run side by side.  Where numpy exports no ILP64 names, eigvalsh solves each block."""
 
-    @pytest.fixture
-    def lapack(self):
-        lapack = floquet._lapack("dsyevd", "zheevd")
-        if lapack is None:
-            pytest.skip("numpy exports no ILP64 dsyevd/zheevd: the blocks are solved by eigvalsh")
-        return lapack
+    # random cells with an axis of period 1 or 2, then q = 4, 16, 36, 63, 64, 144 and 256
+    CELLS = [(1, 5), (2, 7), (9, 1), (6, 2), (1, 1), (2, 2), (4, 4), (6, 6), (7, 9), (8, 8), (12, 12), (16, 16)]
+
+    @pytest.mark.parametrize("periods", CELLS, ids=str)
+    def test_rows_bitwise_equal_to_eigvalsh(self, lapack, periods):
+        rng = np.random.default_rng(math.prod(periods))
+        v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-3, 3, size=math.prod(periods)))
+        k = _block_size(2, v.q)
+        solver = floquet._DenseSolver(v.q, k, np.dtype(complex))
+        # one solver takes a full complex block, the real corners, as a complex sweep's real cover block would be,
+        # and a short tail: the rows of each are eigvalsh's, after the blocks before it have used the same arrays
+        corners = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)][: min(4, k)]
+        blocks = [rng.uniform(0, 1, size=(k, 2)), corners, rng.uniform(0, 1, size=(max(1, k // 3), 2))]
+        for phases in blocks:
+            z = _phase_factors(phases, 2)
+            want = np.linalg.eigvalsh(_fibers(v, z))
+            np.testing.assert_array_equal(*bits(solver(v, z), want), err_msg=f"{len(z)} phases, {z.dtype}")
+
+    def test_fallback_gives_the_same_bands(self, monkeypatch):
+        cells = [free_potential(2, (2, 3)), random_potential(np.random.default_rng(96), dim=2, max_period=9)]
+        expect = [band_spectrum(v, grid_points=8) for v in cells]
+        monkeypatch.setattr(floquet, "_numpy_symbols", lambda templates, names: None)
+        floquet._lapack.cache_clear()
+        try:
+            assert floquet._lapack("dsyevd", "zheevd") is None
+            for v, want in zip(cells, expect):
+                np.testing.assert_array_equal(*bits(band_spectrum(v, grid_points=8).bands, want.bands))
+        finally:
+            floquet._lapack.cache_clear()  # the next lookup finds numpy's own LAPACK again
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_convergence_is_lin_alg_error(self, solve, dtype):
+        # a NaN on the diagonal keeps LAPACK's QL iteration from converging: info > 0
+        band = np.asfortranarray(np.array([[0.0, 1.0, 1.0, 1.0], [2.0, np.nan, 3.0, 4.0]], dtype=dtype))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve(band)
+
+
+class TestRealFibers:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_integer_phases_are_real_parts_of_dense_reference(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        corners = [np.array(c) / 2.0 for c in np.ndindex(*(2,) * dim)]  # {0, 1/2}^d
+        for periods in np.ndindex(*(6,) * dim):
+            periods = tuple(p + 1 for p in periods)
+            cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
+            v = PeriodicPotential(dim=dim, periods=periods, cell=cell)
+            stack = _fibers(v, _phase_factors(corners, dim))
+            assert stack.dtype == np.float64
+            for m, phi in zip(stack, corners):
+                ref = dense_fiber(v, phi)
+                np.testing.assert_array_equal(m, ref.real)
+                assert np.abs(ref.imag).max() <= 2.5e-16  # sin(pi) rounded
+                assert build_fiber(v, phi).dtype == np.float64
+            # one phase off {0, 1/2}^d makes the whole block complex
+            assert _fibers(v, _phase_factors(corners + [np.full(dim, 0.25)], dim)).dtype == np.complex128
+
+    def test_real_fibers_solved_in_real_arithmetic(self, solved):
+        v = almost_mathieu(0.9, (3, 8))
+        band_spectrum(v)
+        fiber_eigenvalues(v, 0.5)
+        fiber_eigenvalues(v, 0.3)
+        assert solved == [("banded", 1, np.float64)] * 3 + [("banded", 1, np.complex128)]
+
+
+class TestBuildFiber:
+    def test_period_one_is_twice_cosine(self):
+        v = free_potential(1, 1)
+        for phi in (0.0, 0.125, 0.3, 0.5, 0.9):
+            m = build_fiber(v, phi)
+            assert m.shape == (1, 1)
+            assert m[0, 0] == pytest.approx(2 * math.cos(2 * math.pi * phi), abs=1e-14)
+
+    def test_period_two_accumulates_interior_and_wrap(self):
+        v = free_potential(1, 2)
+        m = build_fiber(v, 0.3)
+        z = np.exp(-2j * np.pi * 0.3)
+        assert m[0, 1] == pytest.approx(1 + z, abs=1e-14)
+        assert m[1, 0] == pytest.approx(1 + np.conj(z), abs=1e-14)
+
+    def test_period_two_special_phases(self):
+        v = free_potential(1, 2)
+        np.testing.assert_allclose(build_fiber(v, 0.0), [[0, 2], [2, 0]], atol=1e-15)
+        np.testing.assert_allclose(build_fiber(v, 0.5), np.zeros((2, 2)), atol=1e-15)
+
+    def test_potential_sits_on_diagonal(self):
+        v = PeriodicPotential(dim=1, periods=(3,), cell=(1.0, -2.0, 0.5))
+        m = build_fiber(v, 0.2)
+        np.testing.assert_allclose(np.diag(m).real, [1.0, -2.0, 0.5])
+
+    def test_two_dimensional_free_block_structure(self):
+        v = free_potential(2, (2, 2))
+        e = fiber_eigenvalues(v, (0.0, 0.0))
+        np.testing.assert_allclose(e, [-4.0, 0.0, 0.0, 4.0], atol=1e-12)
+
+    def test_exactly_hermitian_by_construction(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            v = random_potential(rng, dim=1, max_period=16)
+            phi = rng.uniform(0, 1)
+            m = build_fiber(v, phi)
+            assert np.max(np.abs(m - m.conj().T)) == 0.0
+        for _ in range(10):
+            v = random_potential(rng, dim=2, max_period=4)
+            m = build_fiber(v, rng.uniform(0, 1, size=2))
+            assert np.max(np.abs(m - m.conj().T)) == 0.0
+
+    def test_gauge_periodicity(self):
+        v = free_potential(1, 5)
+        # dyadic phases reduce exactly
+        np.testing.assert_array_equal(build_fiber(v, 0.25), build_fiber(v, 1.25))
+        # generic phases reduce up to representation error
+        np.testing.assert_allclose(build_fiber(v, 0.3), build_fiber(v, 1.3), atol=1e-13)
+
+    def test_phase_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            build_fiber(free_potential(2, (2, 2)), (0.1, 0.2, 0.3))
+
+
+class TestPotentialValidation:
+    def test_dimension_restricted(self):
+        with pytest.raises(ValueError):
+            PeriodicPotential(dim=3, periods=(2, 2, 2), cell=(0.0,) * 8)
+
+    def test_cell_size_must_match(self):
+        with pytest.raises(ValueError):
+            PeriodicPotential(dim=1, periods=(3,), cell=(0.0, 0.0))
+        with pytest.raises(ValueError, match="cell must hold 4 values"):
+            PeriodicPotential(dim=2, periods=(2, 2), cell=[[0.0, 1.0], [2.0, 3.0]])
+
+    def test_cell_volume_is_exact(self):
+        # np.prod wrapped in int64: 2^64 sites became q = 0, and this empty cell was accepted
+        with pytest.raises(ValueError, match="cell must hold 18446744073709551616 values, got 0"):
+            PeriodicPotential(dim=2, periods=(2**32, 2**32), cell=())
+        with pytest.raises(ValueError, match="cell must hold 13835058055282163712 values, got 1"):
+            PeriodicPotential(dim=2, periods=(3, 2**62), cell=(0.0,))
+
+    def test_cell_is_a_read_only_float64_array(self):
+        v = PeriodicPotential(dim=1, periods=(3,), cell=(1, 0.5, -2))
+        assert v.cell.dtype == np.float64 and v.cell.tolist() == [1.0, 0.5, -2.0]
+        with pytest.raises(ValueError):
+            v.cell[0] = 7.0
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicPotential(dim=1, periods=(2,), cell=(0.0, math.inf))
+        assert v == PeriodicPotential(dim=1, periods=(3,), cell=np.array([1.0, 0.5, -2.0]))
+        assert v != PeriodicPotential(dim=1, periods=(3,), cell=(1.0, 0.5, -2.5))
+        assert v != PeriodicPotential(dim=2, periods=(1, 3), cell=(1.0, 0.5, -2.0))
+
+    def test_periods_stored_as_a_tuple_of_ints(self):
+        # float periods were kept, and the fibers' scatter then raised a TypeError
+        v = PeriodicPotential(dim=2, periods=(2.0, np.int64(3)), cell=np.zeros(6))
+        assert v.periods == (2, 3) and all(type(p) is int for p in v.periods)
+        assert band_spectrum(v, grid_points=4) == band_spectrum(free_potential(2, (2, 3)), grid_points=4)
+        # a list of periods compared unequal to the same tuple
+        assert PeriodicPotential(dim=1, periods=[3], cell=(1.0, 0.5, -2.0)).periods == (3,)
+        assert PeriodicPotential(dim=1, periods=[3], cell=(1.0, 0.5, -2.0)) == PeriodicPotential(
+            dim=1, periods=(3,), cell=(1.0, 0.5, -2.0)
+        )
+
+
+class TestEigenvalues:
+    def test_sorted_output(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        h = (x + x.conj().T) / 2
+        e = eigenvalues(h)
+        assert np.all(np.diff(e) >= 0)
+
+    def test_rejects_asymmetry(self):
+        m = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+        with pytest.raises(NotHermitianError):
+            eigenvalues(m)
+
+    def test_rejects_nan(self):
+        # NaN > tol is False, so a plain threshold test would let this through
+        with pytest.raises(NotHermitianError):
+            eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            eigenvalues(np.zeros((2, 3)))
+
+    def test_lipschitz_in_phase(self):
+        # gauge-spread bound: moving phi_j by t moves every ordered eigenvalue by at most 4 sin(pi t / p_j)
+        rng = np.random.default_rng(33)
+        cells = [random_potential(rng, dim=1, max_period=12) for _ in range(25)]
+        cells += [random_potential(rng, dim=2, max_period=4) for _ in range(10)]
+        for periods in [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 5)]:
+            cell = tuple(float(x) for x in rng.uniform(-3, 3, size=math.prod(periods)))
+            cells.append(PeriodicPotential(dim=len(periods), periods=periods, cell=cell))
+        for v in cells:
+            for step in range(8):
+                a = rng.uniform(0, 1, size=v.dim)
+                b = rng.uniform(0, 1, size=v.dim)
+                if step % 2:  # along one axis only
+                    b = np.where(np.arange(v.dim) == rng.integers(v.dim), b, a)
+                t = np.minimum(np.abs(a - b), 1 - np.abs(a - b))
+                bound = sum(4 * math.sin(math.pi * tj / p) for tj, p in zip(t, v.periods))
+                diff = np.abs(fiber_eigenvalues(v, a) - fiber_eigenvalues(v, b))
+                assert diff.max() <= bound + _solver_bound(v)
+
+
+# ---------------------------------------------------------------------------
+# band spectra
+# ---------------------------------------------------------------------------
+
+
+class TestBandSpectrum:
+    def test_free_period_four_bands(self):
+        bs = band_spectrum(free_potential(1, 4))
+        s2 = math.sqrt(2.0)
+        expect = [(-2.0, -s2), (-s2, 0.0), (0.0, s2), (s2, 2.0)]
+        for (lo, hi), (elo, ehi) in zip(bs.bands, expect):
+            assert lo == pytest.approx(elo, abs=1e-12)
+            assert hi == pytest.approx(ehi, abs=1e-12)
+        u = bs.union()
+        assert len(u) == 1
+        assert (u.lo, u.hi) == (pytest.approx(-2.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
+
+    def test_bandwidth_bound_formula(self):
+        assert bandwidth_bound(4) == pytest.approx(math.pi)
+        assert bandwidth_bound((8, 8)) == pytest.approx(math.pi)
+        assert bandwidth_bound((2,)) == pytest.approx(2 * math.pi)
+        with pytest.raises(ValueError):
+            bandwidth_bound(0)
+
+    def test_widths_respect_uniform_bound_random_1d(self):
+        rng = np.random.default_rng(34)
+        for _ in range(160):
+            v = random_potential(rng, dim=1, max_period=32)
+            bs = band_spectrum(v)
+            limit = bandwidth_bound(v.periods) + 2 * bs.error_bound
+            assert max(bs.widths()) <= limit
+
+    def test_widths_respect_uniform_bound_random_2d(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            v = random_potential(rng, dim=2, max_period=6)
+            bs = band_spectrum(v, grid_points=16)
+            limit = bandwidth_bound(v.periods) + 2 * bs.error_bound
+            assert max(bs.widths()) <= limit
+
+    def test_exact_matches_fine_grid(self):
+        rng = np.random.default_rng(36)
+        for _ in range(12):
+            v = random_potential(rng, dim=1, max_period=16)
+            exact = band_spectrum(v)
+            grid = _spectrum(v, _sweep(v, _grid(1, 256))[0], 256)
+            bound = grid.error_bound + 4 * math.pi / (2 * 256 * v.periods[0])  # a 1-d sweep adds no Lipschitz term
+            for (a, b), (c, d) in zip(exact.bands, grid.bands):
+                assert abs(a - c) <= bound
+                assert abs(b - d) <= bound
+
+    def test_grid_error_bound_value(self):
+        v = free_potential(2, (2, 5))
+        bs = band_spectrum(v, grid_points=32)
+        lips = 4 * math.pi / (2 * 32 * 2) + 4 * math.pi / (2 * 32 * 5)
+        assert bs.error_bound == pytest.approx(lips, rel=1e-6)
+
+    def test_solve_block_matches_single_fibers(self):
+        rng = np.random.default_rng(37)
+        v = random_potential(rng, dim=2, max_period=3)
+        phases = [tuple(rng.uniform(0, 1, size=2)) for _ in range(5)]
+        block = _solve_block(v, _phase_factors(phases, 2))
+        for row, phi in zip(block, phases):
+            np.testing.assert_array_equal(row, fiber_eigenvalues(v, phi))
+
+    def test_exact_bands_are_min_max_of_two_fibers(self):
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            v = random_potential(rng, dim=1, max_period=24)
+            e0, e1 = fiber_eigenvalues(v, 0.0), fiber_eigenvalues(v, 0.5)
+            bands = band_spectrum(v).bands
+            assert bands.dtype == np.float64 and bands.shape == (v.q, 2) and not bands.flags.writeable
+            assert np.array_equal(bands, np.column_stack((np.minimum(e0, e1), np.maximum(e0, e1))))
+
+    def test_equality_compares_bands_and_bound(self):
+        s = band_spectrum(free_potential(1, 3))
+        assert s == band_spectrum(free_potential(1, 3))
+        assert s != BandSpectrum(s.bands, 2 * s.error_bound) and s != BandSpectrum(s.bands + 1.0, s.error_bound)
+        assert s != s.bands
+
+    def test_chunked_sweep_equals_one_block(self):
+        # a 2-d sweep's blocks of _block_size give the bands and rows of one block of all its phases, which
+        # are solved complex, as the whole grid is
+        v = free_potential(2, (5, 5))
+        phases = _grid(2, 16)
+        k = _block_size(2, v.q)
+        assert len(phases) > 2 * k and len(phases) % k  # several blocks and a short tail
+        whole = _solve_block(v, _phase_factors(phases, 2))
+        assert whole.dtype == np.float64 and _phase_factors(phases, 2).dtype == np.complex128
+        ref = np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)
+        np.testing.assert_array_equal(*bits(_sweep(v, phases)[0], ref))
+        for row in (0, k - 1, k, len(phases) - 1):
+            np.testing.assert_array_equal(*bits(_sweep(v, phases, tuple(phases[row]))[1], whole[row]))
+        # a 1-d sweep's blocks are single phases: each row is the fiber's at its phase, real at 0 and 1/2
+        v = random_potential(np.random.default_rng(41), dim=1, max_period=6)
+        phases = _grid(1, 258)
+        rows = np.stack([fiber_eigenvalues(v, phi) for phi in phases])
+        ref = np.stack((rows.min(axis=0), rows.max(axis=0)), axis=1)
+        np.testing.assert_array_equal(*bits(_sweep(v, phases)[0], ref))
+        for row in (0, 1, len(phases) - 1):
+            np.testing.assert_array_equal(*bits(_sweep(v, phases, tuple(phases[row]))[1], rows[row]))
+        assert phases[[0, -1]].tolist() == [[0.0], [0.5]]
+        np.testing.assert_array_equal(rows[[0, -1]], _solve_block(v, _phase_factors([[0.0], [0.5]], 1)))
+
+
+class TestConjugateHalvedGrid:
+    CASES = [(1, 2), (1, 7), (1, 8), (2, 2), (2, 5), (2, 6), (2, 16)]
+
+    @pytest.mark.parametrize("dim,m", CASES)
+    def test_one_phase_of_each_conjugate_pair(self, dim, m):
+        phases = _grid(dim, m)
+        assert len(phases) == (m**dim + (2**dim if m % 2 == 0 else 1)) // 2
+        k = {tuple(x) for x in np.rint(phases * m).astype(int)}
+        conj = {tuple(-np.array(x) % m) for x in k}
+        mesh = {tuple(x) for x in np.rint(full_mesh(m, dim) * m).astype(int)}
+        assert k | conj == mesh
+        assert len(k & conj) == len(phases) * 2 - m**dim  # only the self-conjugate phases overlap
+
+    @pytest.mark.parametrize("dim,m", CASES)
+    def test_bands_match_full_mesh(self, dim, m):
+        rng = np.random.default_rng(60 + 10 * dim + m)
+        for _ in range(6):
+            v = random_potential(rng, dim=dim, max_period=8 if dim == 1 else 4)
+            evs = np.linalg.eigvalsh(np.stack([dense_fiber(v, p) for p in full_mesh(m, dim)]))
+            bs = _spectrum(v, _sweep(v, _grid(dim, m))[0], m)
+            mesh_bands = np.stack([evs.min(axis=0), evs.max(axis=0)], axis=1)
+            np.testing.assert_allclose(bs.bands, mesh_bands, rtol=0, atol=_solver_bound(v))
+            # a 1-d sweep counts its phases as exact
+            lips = sum(4.0 * math.pi / (2.0 * m * p) for p in v.periods) if dim == 2 else 0.0
+            assert bs.error_bound == lips + _solver_bound(v)
+
+    def test_every_block_of_a_grid_of_three_or_more_points_is_complex(self, monkeypatch):
+        # a 2-d block takes its whole set's arithmetic: at q = 80 (blocks of 3) the grid of 4 ends in a
+        # block of (1/2, 1/2) alone, and at q = 144 (blocks of 1) the four real phases are blocks of their own
+        dtypes = []
+
+        def recording(v, z, out=None):
+            dtypes.append(z.dtype)
+            return np.zeros((len(z), v.q))
+
+        monkeypatch.setattr(floquet, "_solve_block", recording)
+        assert [_block_size(2, q) for q in (80, 144)] == [3, 1] and len(_grid(2, 4)) % 3 == 1
+        for periods in ((1, 80), (3, 3), (12, 12)):
+            v = free_potential(2, periods)
+            for m in range(3, 41):
+                dtypes.clear()
+                _sweep(v, _grid(2, m))
+                assert set(dtypes) == {np.dtype(np.complex128)}, (periods, m)
+            dtypes.clear()
+            _sweep(v, _grid(2, 2))  # four real phases: a real set
+            assert set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's BLAS thread count; the count is put back afterwards."""
+    threads = floquet._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread count here")
+    get, put = threads
+    before = get()
+    yield get, put
+    put(before)
+
+
+class TestBlasThreadSymbols:
+    """numpy's OpenBLAS thread functions are found under the spelling of numpy 2 wheels, of numpy 1
+    wheels (every symbol suffixed 64_) or of an unsuffixed build, tried in that order."""
+
+    SPELLINGS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+    @pytest.mark.parametrize(
+        "exported, found",
+        [
+            (SPELLINGS, SPELLINGS[0]),
+            (SPELLINGS[1:], SPELLINGS[1]),
+            (SPELLINGS[2:], SPELLINGS[2]),
+            ((SPELLINGS[0], SPELLINGS[2]), SPELLINGS[0]),
+            ((), None),
+        ],
+        ids=["all", "numpy-1-wheel", "unsuffixed", "numpy-2-wheel", "none"],
+    )
+    def test_lookup_order(self, monkeypatch, exported, found):
+        def symbol(name):
+            def f(*args):
+                return None
+
+            f.__name__ = name
+            return f
+
+        names = [spelling.format(op) for spelling in exported for op in ("get", "set")]
+        library = types.SimpleNamespace(**{name: symbol(name) for name in names})
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
+        floquet._numpy_symbols.cache_clear()
+        try:
+            threads = floquet._blas_threads()
+        finally:
+            floquet._numpy_symbols.cache_clear()  # the next lookup opens numpy's own library again
+        if found is None:
+            assert threads is None
+        else:
+            assert [f.__name__ for f in threads] == [found.format("get"), found.format("set")]
+            assert threads[0].restype is ctypes.c_int and threads[1].argtypes == [ctypes.c_int]
+
+
+class TestSplitBlocks:
+    """A 2-d sweep is streamed in blocks of _block_size phases, each built and
+    solved by one of as many worker threads as numpy's BLAS has, with BLAS
+    pinned to one thread meanwhile."""
+
+    @pytest.mark.parametrize("workers", [None, 3])  # None: as many as BLAS has here
+    def test_rows_equal_one_unsplit_solve(self, monkeypatch, solved, workers):
+        if workers is not None:
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        rng = np.random.default_rng(70)
+        for periods in ((4, 4), (3, 5), (5, 5)):  # blocks of 64, 73 and 27
+            v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-3, 3, size=math.prod(periods)))
+            solved.clear()
+            phases = _phase_set(2, 16)
+            bands = _sweep(v, phases)[0]  # 130 phases: full blocks of k and a tail
+            k = _block_size(2, v.q)
+            assert 130 // k and 130 % k
+            tail = [130 % k] if 130 % k else []
+            assert sorted(c for _, c, _ in solved) == sorted(tail + [k] * (130 // k))  # whatever the worker count
+            whole = np.linalg.eigvalsh(_fibers(v, np.exp(2j * np.pi * phases)))
+            ref = np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)
+            np.testing.assert_allclose(bands, ref, rtol=0, atol=_solver_bound(v))
+            phi = tuple(rng.uniform(0, 1, size=2))
+            one = np.linalg.eigvalsh(_fibers(v, _phase_factors([phi], 2)))[0]
+            np.testing.assert_allclose(fiber_eigenvalues(v, phi), one, rtol=0, atol=_solver_bound(v))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_streamed_rows_equal_one_stacked_solve(self, monkeypatch, workers):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
+        builders = set()
+        fibers = floquet._fibers
+
+        def recording(*args):
+            builders.add(threading.get_ident())
+            return fibers(*args)
+
+        monkeypatch.setattr(floquet, "_fibers", recording)
+        rng = np.random.default_rng(72)
+        # 5, 841, 2050, 4 (all real), 13, 41 and 20 phases: one short block, full blocks and a tail, or blocks of
+        # one fiber at q = 144
+        cells = [((3, 5), 3), ((1, 7), 41), ((2, 2), 64), ((5, 4), 2), ((12, 12), 5), ((6, 6), 9), ((9, 9), 6)]
+        for periods, m in cells:
+            v = PeriodicPotential(dim=2, periods=periods, cell=tuple(rng.uniform(-2, 2, size=math.prod(periods))))
+            builders.clear()
+            phases = _phase_set(2, m)
+            bands = _sweep(v, phases)[0]
+            blocks = -(-len(phases) // _block_size(2, v.q))
+            assert (threading.get_ident() in builders) == (min(workers, blocks) == 1)  # workers build their blocks
+            whole = np.linalg.eigvalsh(fibers(v, _phase_factors(phases, 2)))
+            np.testing.assert_array_equal(*bits(bands, np.stack((whole.min(axis=0), whole.max(axis=0)), axis=1)))
+
+    def test_blas_pinned_to_one_thread_and_restored(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        put(3)
+        inside = []
+        solve = floquet._DenseSolver.__call__
+
+        def recording(solver, v, z):
+            inside.append(get())
+            return solve(solver, v, z)
+
+        monkeypatch.setattr(floquet._DenseSolver, "__call__", recording)
+        band_spectrum(free_potential(2, (3, 3)), grid_points=8)
+        assert inside and set(inside) == {1}
+        assert get() == 3
+
+    def test_blas_threads_restored_after_failed_solve(self, monkeypatch, blas_threads):
+        get, put = blas_threads
+        put(2)
+
+        def failing(solver, v, z):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(floquet._DenseSolver, "__call__", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            band_spectrum(free_potential(2, (3, 3)), grid_points=8)
+        assert get() == 2
+
+    @pytest.mark.parametrize("reachable", [True, False])
+    def test_one_thread_or_no_count_starts_no_worker(self, monkeypatch, blas_threads, reachable):
+        get, put = blas_threads
+        v = random_potential(np.random.default_rng(71), dim=2, max_period=4)
+        put(2)
+        expect = band_spectrum(v, grid_points=8)
+        if reachable:
+            put(1)
+        else:
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: None)
+
+        def refused(thread):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert band_spectrum(v, grid_points=8) == expect
+        assert get() == (1 if reachable else 2)
+
+
+class TestFoldAgainstWholeRows:
+    """The fold's bands and cover rows equal, bit for bit, those of the row-stacking sweep it replaced,
+    whole_solve_phases: min and max are exact, and every 2-d grid of three or more points was solved
+    complex in every block of 8, as the fold solves its whole set."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: request.param, lambda n: None))
+        return request.param
+
+    @staticmethod
+    def assert_fold_equals_whole(v, phases, cover):
+        bands, eigs = _sweep(v, phases, cover)
+        want_bands, want_eigs = whole_sweep(v, phases, cover)
+        assert bands.shape == want_bands.shape and eigs.shape == want_eigs.shape
+        np.testing.assert_array_equal(*bits(bands, want_bands), err_msg=f"{v.periods}, {len(phases)} phases")
+        np.testing.assert_array_equal(*bits(eigs, want_eigs), err_msg=f"{v.periods}, cover {cover}")
+
+    @classmethod
+    def assert_rows_equal(cls, v, phases, rows):
+        # each row is found at its phase and, but for 0 and 1/2, at its conjugate, which is off the set
+        for row in rows:
+            cls.assert_fold_equals_whole(v, phases, tuple(phases[row]))
+            cls.assert_fold_equals_whole(v, phases, tuple(-phases[row] % 1.0))
+
+    # q = 63, 64, 90 and 144 take blocks of 5, 4, 3 and 1: below and above q = 128, from where a block is one
+    # fiber, and each unlike the reference's blocks of 8
+    @pytest.mark.parametrize("periods", [(7, 9), (8, 8), (9, 10), (12, 12)])
+    def test_cells_about_the_block_boundary(self, workers, periods):
+        rng = np.random.default_rng(sum(periods))
+        v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-2, 2, size=math.prod(periods)))
+        k = _block_size(2, v.q)
+        # 4 real phases; 13 and 34 complex ones, which end in a short tail block at every k here but 1
+        for m in (2, 5, 8):
+            phases = _grid(2, m)
+            assert m == 2 or k == 1 or len(phases) % k
+            self.assert_rows_equal(v, phases, {0, min(k, len(phases) - 1), len(phases) - 1})
+            self.assert_fold_equals_whole(v, phases, (0.3, 0.1))  # complex, off the grid
+            self.assert_fold_equals_whole(v, phases, (0.5, 0.5) if m % 2 else (0.1, 0.5))  # real or complex, off it
+
+    def test_random_cells(self, workers):
+        rng = np.random.default_rng(82)
+        for _ in range(20):
+            v = random_potential(rng, dim=2, max_period=5)
+            for m in (2, 3, 8):
+                phases = _grid(2, m)
+                self.assert_rows_equal(v, phases, [int(rng.integers(len(phases)))])
+                self.assert_fold_equals_whole(v, phases, tuple(rng.uniform(0, 1, size=2)))
+        for _ in range(20):
+            v = random_potential(rng, dim=1, max_period=40)
+            # the real pair, a complex set, and a grid that mixes both
+            for phases in (_phase_set(1, 64), rng.uniform(0, 1, size=(3, 1)), _grid(1, 9), _grid(1, 8)):
+                self.assert_rows_equal(v, phases, [int(rng.integers(len(phases)))])
+            self.assert_fold_equals_whole(v, _phase_set(1, 64), (0.3,))
+
+    def test_measure_run_off_the_sweep(self, monkeypatch, workers):
+        # at phase 0.3 each 1-d step solves its cover fiber in a block of its own, left out of the bands
+        pots = [fibonacci_potential(n, 2.0) for n in range(1, 12)]
+        for v in pots:
+            self.assert_fold_equals_whole(v, _phase_set(1, 64), (0.3,))
+        new = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
+        monkeypatch.setattr(floquet, "_sweep", whole_sweep)
+        old = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="proxy")
+
+        def fields(report):
+            rows = [[r.delta, r.q, r.r, r.mu_raw, r.mu_fattened, r.q_times_delta] for r in report.rows]
+            return rows, report.summary["band_fattened"]
+
+        for got, want in zip(fields(new), fields(old)):
+            np.testing.assert_array_equal(*bits(got, want))
+
+
+@pytest.fixture
+def lapack():
+    """numpy's own dsyevd and zheevd, which a 2-d sweep's solver calls; the test is skipped where they are absent."""
+    lapack = floquet._lapack("dsyevd", "zheevd")
+    if lapack is None:
+        pytest.skip("numpy exports no ILP64 dsyevd/zheevd: the blocks are solved by eigvalsh")
+    return lapack
+
+
+class TestDenseSolver:
+    """A sweep worker's 2-d solver calls numpy's own dsyevd or zheevd on each fiber of a block, as numpy's
+    eigvalsh calls them, so its rows are eigvalsh's bit for bit; each call lets go of the GIL, which is what
+    lets the workers' solves run side by side.  Where numpy exports no ILP64 names, eigvalsh solves each block."""
 
     # random cells with an axis of period 1 or 2, then q = 4, 16, 36, 63, 64, 144 and 256
     CELLS = [(1, 5), (2, 7), (9, 1), (6, 2), (1, 1), (2, 2), (4, 4), (6, 6), (7, 9), (8, 8), (12, 12), (16, 16)]
@@ -990,6 +1582,42 @@ class TestDenseSolver:
                 floquet._check(routine, 3)
             with pytest.raises(RuntimeError, match=f"{routine.__name__} was passed an illegal argument 5"):
                 floquet._check(routine, -5)
+
+
+class TestGilRelease:
+    """A sweep worker's solver lets go of the GIL in each fiber's LAPACK call of a 2-d block of _block_size
+    fibers, which is what lets the workers' solves run side by side, whatever the block's size."""
+
+    @pytest.mark.parametrize("q", [16, 36, 144])
+    def test_block_solve_releases_the_gil(self, lapack, monkeypatch, q):
+        # a counter thread waits until a call is about to start; from there to the call's return the solving
+        # thread runs no Python and holds the GIL unless the call lets go of it, with no forced switch for 5 s
+        rng, side, k = np.random.default_rng(q), math.isqrt(q), _block_size(2, q)
+        v = PeriodicPotential(dim=2, periods=(side, side), cell=rng.uniform(-2, 2, size=q))
+        solver, z = floquet._DenseSolver(q, k, np.dtype(complex)), _phase_factors(rng.uniform(0, 1, size=(k, 2)), 2)
+        solver(v, z)  # the workspace query comes first
+        ticked = []
+
+        def watched(*args):
+            go, ticks = threading.Event(), []
+            counter = threading.Thread(target=lambda: (go.wait(), ticks.append(1)))  # a plain Python thread
+            counter.start()
+            go.set()
+            lapack[1](*args)
+            ticked.append(bool(ticks))
+            counter.join(10)
+            assert not counter.is_alive()
+
+        monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5.0)
+        try:
+            start = time.perf_counter()
+            while not any(ticked) and time.perf_counter() - start < 2.0:
+                solver(v, z)
+        finally:
+            sys.setswitchinterval(interval)
+        assert any(ticked)
 
 
 class TestConcurrentBands:
