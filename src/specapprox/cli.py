@@ -1,10 +1,10 @@
 """Command-line front end: hausdorff, measure, bands, dimension.
 
 Exit codes: 0 success, 2 bad usage or malformed input, 3 numerical failure.
-Configurations are JSON with strict key checking.  Every measure report and
-corollary comes from the one report builder in ``convergence`` (``report_row``,
-``ConvergenceReport.build``, ``corollary``), and every output file from its one
-writer pair, ``write_csv`` (15 significant digits) and ``write_json``.
+Configurations are JSON with strict key checking.  Every measure report comes
+from the one measure run loop in ``convergence``, for set and operator models
+alike, every corollary from ``convergence.corollary``, and every output file
+from its one writer pair, ``write_csv`` (15 significant digits) and ``write_json``.
 """
 
 from __future__ import annotations
@@ -242,15 +242,6 @@ def _pipeline_deltas(mode, cfg, model, steps):
     raise ConfigError(f"unknown delta_mode: {mode!r}")
 
 
-@dataclass(frozen=True)
-class _Steps:
-    """A measure run's approximants, each built by ``build(n)`` when it is read and not kept."""
-    build: Callable[[int], object]
-    steps: range
-    __len__ = lambda self: len(self.steps)
-    __getitem__ = lambda self, i: self.build(self.steps[i])
-
-
 def cmd_measure(args) -> int:
     cfg = _load_config(args.config, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"})
     mu = _parse_measure(cfg.get("measure"))
@@ -264,7 +255,7 @@ def cmd_measure(args) -> int:
             raise ConfigError(f"{key} must be positive, got {value!r}")
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
-    approximants = _Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
+    approximants = convergence._Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
     if model.sets:
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
             raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")

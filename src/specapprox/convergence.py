@@ -14,10 +14,11 @@ import csv
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet, _sum, components, fatten, lebesgue
+from .intervals import IntervalSet, _sum, components, fatten, hausdorff_distance, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -156,13 +157,6 @@ class ReportRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def report_row(n: int, delta: float, q: int, r: float, mu: Measure1D, cover: IntervalSet, raw=None) -> ReportRow:
-    """Row n of a report: mu of the ``raw`` set (NaN when there is none), mu of the ``cover``
-    and q * delta.  Callers pass the cover as a call temporary, so no cover outlives its row."""
-    mu_raw = math.nan if raw is None else measure(mu, raw)
-    return ReportRow(n, delta, q, r, mu_raw, measure(mu, cover), q * delta)
-
-
 @dataclass
 class ConvergenceReport:
     rows: list[ReportRow]
@@ -219,6 +213,41 @@ def corollary(rows, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOS
     return {"flag": flag, "products_tail": products, "estimate": last_raw if flag and math.isfinite(last_raw) else None}
 
 
+@dataclass(frozen=True)
+class _Steps:
+    """A measure run's steps, step i made by ``build(items[i])`` when it is read and not kept."""
+    build: Callable
+    items: Sequence
+    __len__ = lambda self: len(self.items)
+    __getitem__ = lambda self, i: self.build(self.items[i])
+
+
+def _run(steps, mu: Measure1D, tail: int, tail_tol: float, proxy: bool = False, **extra):
+    """(report, fattened) of a measure run, the one loop of every measure pipeline.  Step n, ``steps[n - 1]``, is
+    (set or None, delta, q, r, cover or None): row n holds mu of the set (mu_raw, NaN where there is none) and of
+    cover(delta), or with no cover of the set fattened by delta (mu_fattened); fattened[n - 1] is mu of the fattened
+    set (None with no set).  With ``proxy`` each delta is the Hausdorff distance of the set to the finest, the last
+    step's, the one set kept past its row.  ``steps`` is read by index, each step once, the last first, so that its
+    build, the largest, is the run's size check; every other step is gone before the next is read."""
+    if not len(steps):
+        raise ValueError("need at least one step")
+    finest = None
+
+    def row(n):
+        nonlocal finest
+        a, delta, q, r, cover = steps[n - 1]
+        if proxy:
+            finest = a if finest is None else finest
+            delta = hausdorff_distance(a, finest)
+        fattened = None if a is None else measure(mu, fatten(a, delta))
+        mu_raw = math.nan if a is None else measure(mu, a)
+        mu_cover = fattened if cover is None else measure(mu, cover(delta))
+        return ReportRow(n, delta, q, r, mu_raw, mu_cover, q * delta), fattened
+    last = row(len(steps))
+    rows, fattened = zip(*map(row, range(1, len(steps))), last)  # map keeps no step between calls
+    return ConvergenceReport.build(rows, tail, tail_tol, **extra), list(fattened)
+
+
 def fattened_measure_sequence(
     records, mu: Measure1D, tail: int = DEFAULT_TAIL, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> ConvergenceReport:
@@ -231,15 +260,7 @@ def fattened_measure_sequence(
     indexing (a list or a tuple; a generator raises TypeError): each record
     is read once, the last first, and dropped with its row.
     """
-    if not (steps := len(records)):
-        raise ValueError("need at least one step")
-
-    def row(n):
-        rec = records[n - 1]
-        return report_row(n, rec.delta, rec.q, rec.r, mu, fatten(rec.set, rec.delta), rec.set)
-    last = row(steps)  # the finest approximant, the largest in every model, so a run too large stops here
-    # map keeps no record between calls, so a lazy sequence's step n is gone before it builds step n + 1
-    return ConvergenceReport.build([*map(row, range(1, steps)), last], tail, tail_tol)
+    return _run(_Steps(lambda rec: (rec.set, rec.delta, rec.q, rec.r, None), records), mu, tail, tail_tol)[0]
 
 
 @dataclass(frozen=True)

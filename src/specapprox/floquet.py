@@ -50,7 +50,8 @@ single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
 module exploits; each step is one sweep, which reuses its eigenvalues at
 that phase or its conjugate or else solves the phase in a block of its own,
-and a run holds one step at a time beside the finest step's union.
+and the measure run loop of ``convergence`` holds one step at a time, and
+in proxy mode the finest step's union, against which every delta is taken.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, measure, report_row
+from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, _run, _Steps
 from .intervals import IntervalSet, InvalidRadiusError, fatten, hausdorff_distance, interval_union
 
 HERMITICITY_TOL = 1e-12
@@ -592,32 +593,26 @@ def estimate_measure_via_fibers(
     """
     if not len(potentials):
         raise ValueError("need at least one potential")
-    proxy = deltas == "proxy"
+    proxy = isinstance(deltas, str) and deltas == "proxy"
     if not proxy and (
         len(deltas := [float(d) for d in deltas]) != len(potentials) or not all(0 <= d < math.inf for d in deltas)
     ):
         raise ValueError("need one finite nonnegative delta per potential")  # before any potential is read
-    last = potentials[-1]  # read first: every proxy delta needs its band union
-    dim, phi = last.dim, _phase_tuple(phase, last.dim)
+    held = [potentials[-1]]  # read first, for the dimension that picks the phase set; the run's first step takes it
+    dim, phi = held[0].dim, _phase_tuple(phase, held[0].dim)
     if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
         _check_grid(dim, int(grid_points))
     phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
 
-    def solve(v):  # (q, r, eigenvalues at phi, band union or None) of a potential, which is not kept
+    def step(i):  # (band union or None, delta, q, r, ball cover) of potential i, which is not kept
+        v = held.pop() if held else potentials[i]
         if v.dim != dim:
             raise ValueError("potentials must share a dimension")
         bands, eigs = _sweep(v, phases, phi)  # phi off the sweep is solved first: its solve is the slowest
-        return v.q, bandwidth_bound(v.periods), eigs, _spectrum(v, bands, grid_points).union() if sweep else None
-    held, last, band_fattened = solve(last), None, []
-
-    def step_row(n):
-        q, r, eigs, union = held if n == len(potentials) else solve(potentials[n - 1])
-        delta = hausdorff_distance(union, held[3]) if proxy else deltas[n - 1]
-        if sweep:
-            band_fattened.append(measure(mu, cover_from_bands(union, delta)))
-        return report_row(n, delta, q, r, mu, cover_from_eigenvalues(eigs, delta, r), union)
-    rows = map(step_row, range(1, len(potentials) + 1))  # map keeps no step between calls
-    report = ConvergenceReport.build(rows, tail, tail_tol, delta_mode="proxy" if proxy else "analytic", phase=list(phi))
+        r, union = bandwidth_bound(v.periods), _spectrum(v, bands, grid_points).union() if sweep else None
+        return union, None if proxy else deltas[i], v.q, r, lambda delta: cover_from_eigenvalues(eigs, delta, r)
+    steps, mode = _Steps(step, range(len(potentials))), "proxy" if proxy else "analytic"
+    report, fattened = _run(steps, mu, tail, tail_tol, proxy, delta_mode=mode, phase=list(phi))
     if sweep:
-        report.summary.update(band_fattened=band_fattened, band_estimate=band_fattened[-1])
+        report.summary.update(band_fattened=fattened, band_estimate=fattened[-1])
     return report

@@ -21,8 +21,9 @@ from .intervals import _BLOCK, _FLOAT_MAX, IntervalSet, interval_union
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
 # Bytes per site a run over a 1-d cell holds, by tracemalloc on Fibonacci: `bands` with an output_json at levels 19, 20
-# and 22, 167.3, 164.4 and 161.9 (bands as Python floats); a proxy `measure` over 1..18, 129.3, and 177.5 at phase 0.3.
-SITE_BYTES = 200
+# and 22, 167.3, 164.4 and 161.9 (bands as Python floats); a proxy `measure` over 1..18, 129.3, and at phase 0.3, over
+# 1..17, 184.2 with two workers and 233.8 with three or four, which solve the complex cover fiber beside both real ones.
+SITE_BYTES = 240
 # Bytes a set-model measure run holds beside its sets, at any level: one block of temporaries, and below 2^12
 # intervals the report's writers, which peak near 170 kB.
 BLOCK_BYTES = 24 * _BLOCK

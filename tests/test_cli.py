@@ -456,7 +456,7 @@ class TestBandsCommand:
             {"model": {"name": "fibonacci", "level": 38, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
         )
         assert main(["bands", "--config", cfg]) == 2
-        assert "the 63245986 sites of Fibonacci level 38 need 1.265e+10 bytes" in capsys.readouterr().err
+        assert "the 63245986 sites of Fibonacci level 38 need 1.518e+10 bytes" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_band_floats_held_only_for_json(self, tmp_path, capsys):
@@ -480,7 +480,7 @@ class TestBandsCommand:
             {"model": {"name": "fibonacci", "level": 60, "coupling": 1.0}, "output_csv": str(tmp_path / "bands.csv")},
         )
         assert main(["bands", "--config", cfg]) == 2
-        assert "the 2504730781961 sites of Fibonacci level 60 need 5.009e+14 bytes" in capsys.readouterr().err
+        assert "the 2504730781961 sites of Fibonacci level 60 need 6.011e+14 bytes" in capsys.readouterr().err
         assert not (tmp_path / "bands.csv").exists()
 
     def test_oversize_phase_grid_refused_before_its_indices(self, tmp_path, capsys, monkeypatch):
@@ -731,33 +731,44 @@ class TestMeasureRunSize:
 
     DENSITY = {"type": "density", "breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 3.0]}
 
+    FIBONACCI_17 = {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17}
+    COMPLEX_COVER = {**FIBONACCI_17, "phase": 0.3}
+
     @pytest.mark.parametrize(
-        "command, overrides",
+        "command, overrides, workers",
         [
-            ("measure", {"model": {"name": "cantor"}, "n_min": 1, "n_max": 16}),
+            ("measure", {"model": {"name": "cantor"}, "n_min": 1, "n_max": 16}, None),
             # a density measure clips the components that meet each of its pieces, a block at a time
-            ("measure", {"model": {"name": "cantor"}, "n_min": 15, "n_max": 16, "measure": DENSITY}),
-            ("measure", {"model": {"name": "grid"}, "n_min": 99998, "n_max": 100000}),
+            ("measure", {"model": {"name": "cantor"}, "n_min": 15, "n_max": 16, "measure": DENSITY}, None),
+            ("measure", {"model": {"name": "grid"}, "n_min": 99998, "n_max": 100000}, None),
             (
                 "measure",
                 {
                     "model": {"name": "grid"}, "n_min": 99999, "n_max": 100000,
                     "measure": {"type": "atomic", "atoms": [0.0, 0.5], "weights": [1.0, 2.0]},
                 },
+                None,
             ),
-            ("measure", {"model": {"name": "grid", "solid_to": 0.3}, "n_min": 99998, "n_max": 100000}),
-            ("measure", {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17}),
-            # a cover phase off {0, 1/2} adds a complex fiber to each step's sweep
-            ("measure", {"model": {"name": "fibonacci", "coupling": 1.0}, "n_min": 1, "n_max": 17, "phase": 0.3}),
+            ("measure", {"model": {"name": "grid", "solid_to": 0.3}, "n_min": 99998, "n_max": 100000}, None),
+            ("measure", FIBONACCI_17, None),
+            # a cover phase off {0, 1/2} adds a complex fiber to each step's sweep, solved beside both real ones from
+            # three workers up: the charge holds whatever number of workers the host's BLAS gives
+            ("measure", COMPLEX_COVER, 2),
+            ("measure", COMPLEX_COVER, 3),
+            ("measure", COMPLEX_COVER, 4),
             # the CSV writer's fixed 128 KiB adds 19 bytes per site at level 19
-            ("bands", {"model": {"name": "fibonacci", "level": 19, "coupling": 1.0}}),
+            ("bands", {"model": {"name": "fibonacci", "level": 19, "coupling": 1.0}}, None),
         ],
         ids=[
             "cantor", "cantor-density", "grid", "grid-atomic", "grid-solid-to", "fibonacci-proxy",
-            "fibonacci-proxy-complex-cover", "fibonacci-bands",
+            *[f"fibonacci-proxy-complex-cover-{n}-workers" for n in (2, 3, 4)], "fibonacci-bands",
         ],
     )
-    def test_run_peak_at_most_the_charge_of_its_last_step(self, tmp_path, capsys, monkeypatch, command, overrides):
+    def test_run_peak_at_most_the_charge_of_its_last_step(
+        self, tmp_path, capsys, monkeypatch, command, overrides, workers
+    ):
+        if workers:  # the number of workers a sweep takes from numpy's BLAS
+            monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: workers, lambda n: None))
         charges = []
         check = models.check_bytes
         monkeypatch.setattr(models, "check_bytes", lambda need, what: charges.append(need) or check(need, what))

@@ -93,8 +93,8 @@ class TestAlmostMathieu:
             assert not np.array_equal(np.roll(cell, -m), cell)
 
     def test_oversize_period_refused_before_its_cell(self):
-        # a cell is charged what a run over it holds, 200 bytes per site (models.SITE_BYTES)
-        with pytest.raises(ValueError, match=r"1000000000000 sites of an almost-Mathieu cell need 2\.000e\+14 bytes"):
+        # a cell is charged what a run over it holds, 240 bytes per site (models.SITE_BYTES)
+        with pytest.raises(ValueError, match=r"1000000000000 sites of an almost-Mathieu cell need 2\.400e\+14 bytes"):
             almost_mathieu(0.5, (1, 10**12))
 
     def test_numerator_reduced_mod_q(self):
@@ -156,16 +156,16 @@ class TestFibonacci:
             raise AssertionError("the cell was allocated")
 
         monkeypatch.setattr(np, "empty", no_cell)
-        # F_61 = 2504730781961 sites, 200 bytes each for a run over them (models.SITE_BYTES)
-        with pytest.raises(ValueError, match=r"the 2504730781961 sites of Fibonacci level 60 need 5\.009e\+14 bytes"):
+        # F_61 = 2504730781961 sites, 240 bytes each for a run over them (models.SITE_BYTES)
+        with pytest.raises(ValueError, match=r"the 2504730781961 sites of Fibonacci level 60 need 6\.011e\+14 bytes"):
             fibonacci_potential(60, 1.0)
-        with pytest.raises(ValueError, match=r"need 6\.321e\+208989 bytes"):
+        with pytest.raises(ValueError, match=r"need 7\.585e\+208989 bytes"):
             fibonacci_potential(10**6, 1.0)
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 200 * 88)
-        with pytest.raises(ValueError, match=r"the 89 sites of Fibonacci level 10 need 1\.780e\+4 bytes"):
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 240 * 88)
+        with pytest.raises(ValueError, match=r"the 89 sites of Fibonacci level 10 need 2\.136e\+4 bytes"):
             fibonacci_potential(10, 1.0)
         monkeypatch.undo()
-        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 200 * 89)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 240 * 89)
         assert fibonacci_potential(10, 1.0).q == 89
 
 
