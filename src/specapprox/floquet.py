@@ -15,21 +15,22 @@ complex.  A 1-d fiber is a cyclic tridiagonal matrix; with its sites taken
 in zig-zag order 0, q-1, 1, q-2, ... it has bandwidth 2, so it is written
 from slices of the cell into 3 x q upper band storage and solved by
 LAPACK's banded eigensolver, dsbev or zhbev, from the LAPACK numpy links
-(scipy.linalg.eigvals_banded where numpy exports no ILP64 names for them):
-O(q) memory and no q x q matrix.  2-d fibers are dense q x q stacks, the
-potential on the diagonal plus each axis's ring of hops, each solved where
-it was built by the dense eigensolver of the same LAPACK, dsyevd or zheevd, as
-numpy's eigvalsh calls it (by eigvalsh itself where numpy exports no ILP64
-names).  Every LAPACK call releases the GIL.
+(scipy.linalg.eigvals_banded, which holds the GIL, where numpy exports no
+ILP64 names for them): O(q) memory and no q x q matrix.  2-d fibers are dense
+q x q stacks, the potential on the diagonal plus each axis's ring of hops,
+each solved where it was built by the dense eigensolver of the same LAPACK,
+dsyevd or zheevd, as numpy's eigvalsh calls it (by eigvalsh itself where numpy
+exports no ILP64 names).  Every call into numpy's LAPACK releases the GIL.
 A sweep cuts its phases into blocks, one phase in 1-d and in 2-d the fewest
-fibers that hold 2^14 entries, one fiber from q = 128 up, taken in turn by
-as many worker threads as numpy's BLAS has, from a pool started once per
-process, with BLAS pinned to one thread: BLAS threads buy nothing in solves
-this small or this sequential.  A worker builds its 2-d blocks in a buffer
-of its own.  Each block folds into the per-index min and max of the
-eigenvalues, the bands, so no row per phase is kept.  The fibers of a 1-d
-sweep, and the fiber at a measure run's cover phase, are solved side by
-side.
+fibers that hold 2^14 entries, one fiber from q = 128 up (where eigvalsh
+solves them, at least 500 // q + 1, the fewest on which it lets go of the
+GIL), taken in turn by as many worker threads as numpy's BLAS has, from a
+pool started once per process, with BLAS pinned to one thread: BLAS threads
+buy nothing in solves this small or this sequential.  A worker builds its 2-d
+blocks in a buffer of its own.  Each block folds into the per-index min and
+max of the eigenvalues, the bands, so no row per phase is kept.  The fibers
+of a 1-d sweep, and the fiber at a measure run's cover phase, are solved side
+by side, but for scipy's, which take turns.
 
 The dimension picks the phase set.  For d = 1 the band edges are attained
 exactly at the periodic and antiperiodic fibers (phi = 0 and 1/2), since
@@ -333,33 +334,28 @@ def _check(routine, info: int) -> None:
         raise RuntimeError(f"{routine.__name__} was passed an illegal argument {-info}")
 
 
-@functools.cache  # one solver per process: workers call it once per block
-def _banded_eigvals():
-    """Solver of one Hermitian band in upper storage, a Fortran-contiguous (u+1) x q array that it may
-    overwrite, for its ascending eigenvalues.  It is numpy's own LAPACK, dsbev for a real band and
-    zhbev for a complex one, where numpy exports them (_lapack); elsewhere scipy.linalg.eigvals_banded,
-    imported only then: that costs 0.3 s and 28 MB."""
+def _banded_eigvals(band):
+    """Ascending eigenvalues of one Hermitian band in upper storage, a Fortran-contiguous (u+1) x q array that
+    may be overwritten.  It is solved by numpy's own LAPACK, dsbev for a real band and zhbev for a complex one,
+    where numpy exports them (_lapack); elsewhere by scipy.linalg.eigvals_banded, imported only then: that costs
+    0.3 s and 28 MB, and it holds the GIL, so a sweep's workers take its bands one at a time."""
     lapack = _lapack("dsbev", "zhbev")
     if lapack is None:
         from scipy.linalg import eigvals_banded
 
-        return eigvals_banded
-
-    def solve(band):
-        real = not np.iscomplexobj(band)
-        ab = np.asfortranarray(band, dtype=float if real else complex)  # not a copy of _band_storage's fibers
-        rows, q = ab.shape
-        w, ints = np.empty(q), np.array([q, rows - 1, rows, 1, 0], np.int64)  # n, kd, ldab, ldz and info
-        rwork = np.empty(max(1, 3 * q - 2))  # dsbev's work, zhbev's rwork
-        work = [rwork] if real else [np.empty(q, complex), rwork]
-        n, kd, ldab, ldz, info = (ints.ctypes.data + 8 * j for j in range(5))
-        routine = lapack[not real]
-        spaces = [a.ctypes.data for a in work]  # the arrays stay referenced by work through the call
-        routine(b"N", b"U", n, kd, ab.ctypes.data, ldab, w.ctypes.data, None, ldz, *spaces, info, 1, 1)
-        _check(routine, int(ints[4]))
-        return w
-
-    return solve
+        return eigvals_banded(band)
+    real = not np.iscomplexobj(band)
+    ab = np.asfortranarray(band, dtype=float if real else complex)  # not a copy of _band_storage's fibers
+    rows, q = ab.shape
+    w, ints = np.empty(q), np.array([q, rows - 1, rows, 1, 0], np.int64)  # n, kd, ldab, ldz and info
+    rwork = np.empty(max(1, 3 * q - 2))  # dsbev's work, zhbev's rwork
+    work = [rwork] if real else [np.empty(q, complex), rwork]
+    n, kd, ldab, ldz, info = (ints.ctypes.data + 8 * j for j in range(5))
+    routine = lapack[not real]
+    spaces = [a.ctypes.data for a in work]  # the arrays stay referenced by work through the call
+    routine(b"N", b"U", n, kd, ab.ctypes.data, ldab, w.ctypes.data, None, ldz, *spaces, info, 1, 1)
+    _check(routine, int(ints[4]))
+    return w
 
 
 class _DenseSolver:
@@ -412,14 +408,16 @@ def _solve_block(potential, z, solver=None):
     2-d by ``solver``, a sweep worker's _DenseSolver, or else a new one; the worker's next block overwrites them."""
     if potential.dim == 2:
         return (solver or _DenseSolver(potential.q, len(z), z.dtype))(potential, z)
-    solve = _banded_eigvals()  # each band is scratch: LAPACK overwrites it
-    return np.stack([solve(band) for band in _band_storage(potential, z)])
+    return np.stack([_banded_eigvals(band) for band in _band_storage(potential, z)])  # each band is scratch
 
 
 def _block_size(dim: int, q: int) -> int:
     """Phases per block: one in 1-d, and in 2-d the fewest fibers that hold 2^14 entries, one from q = 128 up,
-    so that a block's build, a few dozen numpy calls whatever its size, is small beside its solves."""
-    return 1 if dim == 1 else -(-(2**14) // q**2)
+    so that a block's build, a few dozen numpy calls whatever its size, is small beside its solves.  Where numpy
+    exports no ILP64 dsyevd/zheevd (_lapack), a block is solved by eigvalsh, which lets go of the GIL only on
+    more than 500 eigenvalues, so it holds at least 500 // q + 1 fibers."""
+    fewest = -(-(2**14) // q**2)
+    return 1 if dim == 1 else fewest if _lapack("dsyevd", "zheevd") else max(fewest, 500 // q + 1)
 
 
 @functools.cache  # a pool per sweep costs more than the solves of a small sweep

@@ -121,6 +121,13 @@ MALFORMED_MEASURE = {
     "holder-constant-negative": {
         "model": AM_CF, "delta_mode": "holder", "holder_constant": -1.0, "holder_frequency": 0.618
     },
+    "model-not-an-object": {"model": "cantor"},
+    "model-without-name": {"model": {"coupling": 1.0}},
+    "explicit-without-deltas": {"model": FREE_1D, "delta_mode": "explicit"},
+    "explicit-deltas-one-short": {"model": FREE_1D, "delta_mode": "explicit", "deltas": [0.0, 0.0]},
+    "holder-without-frequency": {"model": AM_CF, "delta_mode": "holder", "holder_constant": 1.0},
+    "unknown-delta-mode": {"model": FREE_1D, "delta_mode": "guess"},
+    "lebesgue-extra-key": {"measure": {"type": "lebesgue", "atoms": [0.5]}},
 }
 
 # The bands counterparts, with the error each must give: int() truncated or parsed each
@@ -321,6 +328,25 @@ class TestMeasureCommand:
         assert "tail" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"n_min": 1,', "invalid JSON in "), ("[1, 2]", "config must be a JSON object")],
+        ids=["invalid-json", "not-an-object"],
+    )
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["measure", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_lebesgue_measure_is_the_default(self, tmp_path):
+        written = []
+        for spec in ({}, {"measure": {"type": "lebesgue"}}):
+            assert main(["measure", "--config", measure_config(tmp_path, n_max=4, **spec)]) == 0
+            written.append([(tmp_path / name).read_bytes() for name in ("out.csv", "out.json")])
+        assert written[0] == written[1]
+
     def test_unknown_measure_type_rejected(self, tmp_path):
         cfg = measure_config(tmp_path, measure={"type": "counting"})
         assert main(["measure", "--config", cfg]) == 2
@@ -364,6 +390,13 @@ class TestMeasureCommand:
             ("holder-frequency-overflow", "holder_frequency"),
             ("tail-tol-zero", "tail_tol must be positive"),
             ("criterion-tol-negative", "criterion_tol must be positive"),
+            ("model-not-an-object", "model must be an object with a name"),
+            ("model-without-name", "model must be an object with a name"),
+            ("explicit-without-deltas", "explicit delta_mode needs a deltas list, one per step"),
+            ("explicit-deltas-one-short", "explicit delta_mode needs a deltas list, one per step"),
+            ("holder-without-frequency", "holder delta_mode needs holder_constant and holder_frequency"),
+            ("unknown-delta-mode", "unknown delta_mode: 'guess'"),
+            ("lebesgue-extra-key", "unknown keys in measure: ['atoms']"),
         ],
     )
     def test_refusal_names_the_key(self, tmp_path, capsys, case, key):
@@ -988,8 +1021,8 @@ class TestConsoleScript:
     def run_fresh(self, tmp_path, fallback=False):
         """The '@' lines one interpreter prints, and the bytes its 1-d runs write.  It runs a cantor
         measure and a 2-d bands, then a 1-d measure whose cover fiber is complex and a 1-d bands; after
-        each pair it prints whether 'scipy' is in sys.modules, and last the banded solver's name.  With
-        ``fallback`` the lookup of numpy's LAPACK finds nothing."""
+        each pair it prints whether 'scipy' is in sys.modules, and last whether the banded solver falls back
+        to scipy's.  With ``fallback`` the lookup of numpy's LAPACK finds nothing."""
         out = tmp_path / ("fallback" if fallback else "lapack")
         out.mkdir()
         cantor = measure_config(out, n_max=4)
@@ -1010,7 +1043,7 @@ class TestConsoleScript:
             "print('@', 'scipy' in sys.modules)\n"
             f"main(['measure', '--config', {measure!r}]); main(['bands', '--config', {bands_1d!r}])\n"
             "print('@', 'scipy' in sys.modules)\n"
-            "print('@', floquet._banded_eigvals().__qualname__)\n"
+            "print('@', floquet._lapack('dsbev', 'zhbev') is None)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1025,12 +1058,12 @@ class TestConsoleScript:
         assert proc.stdout == "[]\n"
 
     def test_scipy_loaded_only_without_numpy_lapack(self, tmp_path):
-        (set_and_2d, one_d, solver), _ = self.run_fresh(tmp_path)
+        (set_and_2d, one_d, fallback), _ = self.run_fresh(tmp_path)
         assert set_and_2d == "False"  # set models and 2-d cells never import it
-        assert one_d == str(solver == "eigvals_banded")
+        assert one_d == fallback
 
     def test_scipy_fallback_writes_the_same_bytes(self, tmp_path):
         _, written = self.run_fresh(tmp_path)
         printed, fallback_written = self.run_fresh(tmp_path, fallback=True)
-        assert printed == ["False", "True", "eigvals_banded"]
+        assert printed == ["False", "True", "True"]
         assert fallback_written == written

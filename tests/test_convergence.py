@@ -10,6 +10,7 @@ from conftest import oracle_measure, random_compact_set, random_interval_set, ra
 from specapprox import (
     ApproximationRecord,
     AtomicMeasure,
+    ConvergenceReport,
     Lebesgue,
     PiecewiseDensity,
     cantor_approximation,
@@ -57,6 +58,8 @@ class TestMeasures:
             PiecewiseDensity(breakpoints=(0.0, 1.0), values=(-1.0,))
         with pytest.raises(ValueError):
             PiecewiseDensity(breakpoints=(1.0, 0.0), values=(1.0,))
+        with pytest.raises(ValueError, match="need one density value per piece"):
+            PiecewiseDensity(breakpoints=(0.0, 1.0, 2.0), values=(1.0,))
 
     # NaN failed every order check, so each of these was taken: a NaN atom measured 0.0
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -89,6 +92,8 @@ class TestMeasures:
             AtomicMeasure(atoms=(0.0, 1.0), weights=(1.0,))
         with pytest.raises(ValueError):
             AtomicMeasure(atoms=(0.0,), weights=(0.0,))
+        with pytest.raises(ValueError, match="atoms must be strictly increasing"):
+            AtomicMeasure(atoms=(1.0, 0.0), weights=(1.0, 1.0))
 
     def test_additivity_over_disjoint_components(self):
         rng = np.random.default_rng(21)
@@ -285,6 +290,10 @@ class TestFattenedMeasureSequence:
 
 
 class TestReportSerialization:
+    def test_report_of_no_rows_refused(self):
+        with pytest.raises(ValueError, match="need at least one step"):
+            ConvergenceReport.build([], tail=3, tail_tol=1e-3)
+
     def test_csv_header_and_determinism(self, tmp_path):
         records = [cantor_approximation(n) for n in range(1, 6)]
         report = fattened_measure_sequence(records, Lebesgue())
@@ -320,6 +329,10 @@ class TestReportSerialization:
 
 
 class TestSemicontinuity:
+    def test_no_sets_refused(self):
+        with pytest.raises(ValueError, match="need at least one set"):
+            semicontinuity_check([], iset((0.0, 1.0)), Lebesgue())
+
     def test_growing_exhaustion_passes(self):
         sets = [iset((0.0, 1.0 - 1.0 / n)) for n in range(2, 30)]
         rep = semicontinuity_check(sets, iset((0.0, 1.0)), Lebesgue())

@@ -149,6 +149,11 @@ class TestDimBoundLast:
         assert narrow.window[0] > wide.window[0]
         assert narrow.estimate == pytest.approx(wide.estimate, abs=1e-3)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_tail_fraction_outside_unit_interval_refused(self, fraction):
+        with pytest.raises(ValueError, match=r"tail_fraction must lie in \(0, 1\]"):
+            dim_bound_last(cantor_stats(), tail_fraction=fraction)
+
     def test_needs_three_rows(self):
         st = CoverStats(n=(1, 2), q=(2, 4), delta=(0.5, 0.25), r=(0.5, 0.25),
                         mu_fattened=(3.0, 2.0))
@@ -187,6 +192,19 @@ class TestDimBoundDirect:
         st = CoverStats(n=ns, q=tuple(2**n for n in ns), delta=(0.1,) * 5,
                         r=tuple(0.1 * n for n in ns), mu_fattened=(1.0,) * 5)
         with pytest.raises(NotApplicableError):
+            dim_bound_direct(st)
+
+    def test_zero_diameters_not_applicable(self):
+        ns = tuple(range(1, 6))
+        st = CoverStats(n=ns, q=tuple(2**n for n in ns), delta=(0.0,) * 5, r=(0.0,) * 5, mu_fattened=(1.0,) * 5)
+        with pytest.raises(NotApplicableError, match="cover diameters must be positive"):
+            dim_bound_direct(st)
+
+    def test_constant_diameters_not_applicable(self):
+        # r vanishes, but delta does not shrink: the diameters stay at 0.2
+        ns = tuple(range(1, 6))
+        st = CoverStats(n=ns, q=tuple(2**n for n in ns), delta=(0.1,) * 5, r=(0.0,) * 5, mu_fattened=(1.0,) * 5)
+        with pytest.raises(NotApplicableError, match="cover diameters must decrease along the tail"):
             dim_bound_direct(st)
 
     def test_vanishing_radius_tolerated(self):

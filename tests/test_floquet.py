@@ -144,7 +144,7 @@ def workspace_bytes(q, dtype=complex):
 @pytest.fixture
 def solved(monkeypatch):
     """(solver, matrix count, dtype) of every block a 2-d sweep's solver, floquet._DenseSolver, solves and of
-    every call to np.linalg.eigvalsh ("dense"), and of every call to the banded solver of
+    every call to np.linalg.eigvalsh ("dense"), and of every call to the banded solver,
     floquet._banded_eigvals ("banded")."""
     calls = []
 
@@ -157,8 +157,7 @@ def solved(monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("dense", np.linalg.eigvalsh))
-    banded = floquet._banded_eigvals
-    monkeypatch.setattr(floquet, "_banded_eigvals", lambda: counting("banded", banded()))
+    monkeypatch.setattr(floquet, "_banded_eigvals", counting("banded", floquet._banded_eigvals))
     if floquet._lapack("dsyevd", "zheevd") is not None:  # else the solver calls eigvalsh, counted above
         dense = floquet._DenseSolver.__call__
 
@@ -343,10 +342,9 @@ class TestNumpyLapack:
 
     @pytest.fixture
     def solve(self):
-        solve = floquet._banded_eigvals()
-        if solve is scipy.linalg.eigvals_banded:
+        if floquet._lapack("dsbev", "zhbev") is None:
             pytest.skip("numpy exports no ILP64 dsbev/zhbev: the solver is scipy's")
-        return solve
+        return floquet._banded_eigvals
 
     def test_rows_bitwise_equal_to_scipy(self, solve):
         rng = np.random.default_rng(90)
@@ -452,6 +450,12 @@ class TestPotentialValidation:
     def test_dimension_restricted(self):
         with pytest.raises(ValueError):
             PeriodicPotential(dim=3, periods=(2, 2, 2), cell=(0.0,) * 8)
+
+    def test_one_integer_period_per_axis(self):
+        with pytest.raises(ValueError, match="need one period per axis"):
+            PeriodicPotential(dim=2, periods=(3,), cell=(0.0,) * 3)
+        with pytest.raises(ValueError, match="periods must be positive integers"):
+            PeriodicPotential(dim=1, periods=(2.5,), cell=(0.0, 0.0))
 
     def test_cell_size_must_match(self):
         with pytest.raises(ValueError):
@@ -914,6 +918,45 @@ def lapack():
     return lapack
 
 
+@pytest.fixture
+def fallback(monkeypatch):
+    """hide(*routines) makes _lapack find none of numpy's own LAPACK ``routines``, every one it looks up when none
+    are named, as on a numpy with no ILP64 names; BLAS's thread symbols are still found.  _lapack's cache is
+    cleared at each hide and after the test."""
+    symbols = floquet._numpy_symbols
+
+    def hide(*routines):
+        hidden = set(routines or floquet._LAPACK_ARGS)
+
+        def found(templates, names):
+            return None if hidden & set(names) else symbols(templates, names)
+
+        monkeypatch.setattr(floquet, "_numpy_symbols", found)
+        floquet._lapack.cache_clear()
+
+    yield hide
+    floquet._lapack.cache_clear()  # the next lookup finds numpy's own LAPACK again
+
+
+def watched(solve, ticked):
+    """``solve``, with a plain Python counter thread that waits until each call is about to start; whether it ran
+    before the call returned goes into ``ticked``.  From the start to the return the calling thread runs no
+    Python and holds the GIL unless the call lets go of it, with no forced switch while the interval is 5 s."""
+
+    def call(*args):
+        go, ticks = threading.Event(), []
+        counter = threading.Thread(target=lambda: (go.wait(), ticks.append(1)))
+        counter.start()
+        go.set()
+        result = solve(*args)
+        ticked.append(bool(ticks))
+        counter.join(10)
+        assert not counter.is_alive()
+        return result
+
+    return call
+
+
 class TestDenseSolver:
     """A sweep worker's 2-d solver calls numpy's own dsyevd or zheevd on each fiber of a block, as numpy's
     eigvalsh calls them, so its rows are eigvalsh's bit for bit; each call lets go of the GIL, which is what
@@ -937,46 +980,20 @@ class TestDenseSolver:
             want = np.linalg.eigvalsh(_fibers(v, z))
             np.testing.assert_array_equal(*bits(solver(v, z), want), err_msg=f"{len(z)} phases, {z.dtype}")
 
-    def test_fallback_gives_the_same_bands(self, monkeypatch):
-        cells = [free_potential(2, (2, 3)), random_potential(np.random.default_rng(96), dim=2, max_period=9)]
+    def test_fallback_gives_the_same_bands(self, fallback):
+        # the 12 x 12 cell's blocks are one fiber of numpy's zheevd, and with the fallback four of eigvalsh's;
+        # with every LAPACK name hidden, the 1-d cell's fibers are solved by scipy's eigvals_banded too
+        rng = np.random.default_rng(96)
+        cells = [free_potential(2, (2, 3)), random_potential(rng, dim=2, max_period=9), fibonacci_potential(10, 1.5)]
+        cells.append(PeriodicPotential(dim=2, periods=(12, 12), cell=rng.uniform(-2, 2, size=144)))
         expect = [band_spectrum(v, grid_points=8) for v in cells]
-        monkeypatch.setattr(floquet, "_numpy_symbols", lambda templates, names: None)
-        floquet._lapack.cache_clear()
-        try:
-            assert floquet._lapack("dsyevd", "zheevd") is None
+        assert _block_size(2, 144) == (4 if floquet._lapack("dsyevd", "zheevd") is None else 1)
+        for hidden in (("dsyevd", "zheevd"), ()):
+            fallback(*hidden)
+            assert floquet._lapack("dsyevd", "zheevd") is None and _block_size(2, 144) == 4
+            assert (floquet._lapack("dsbev", "zhbev") is None) == (not hidden)
             for v, want in zip(cells, expect):
                 np.testing.assert_array_equal(*bits(band_spectrum(v, grid_points=8).bands, want.bands))
-        finally:
-            floquet._lapack.cache_clear()  # the next lookup finds numpy's own LAPACK again
-
-    def test_fiber_solve_releases_the_gil(self, lapack, monkeypatch):
-        # a counter thread waits until the call is about to start; from there to the call's return the solving
-        # thread runs no Python and holds the GIL unless the call lets go of it, with no forced switch for 5 s
-        v = PeriodicPotential(dim=2, periods=(12, 12), cell=np.random.default_rng(144).uniform(-2, 2, size=144))
-        solver, z = floquet._DenseSolver(v.q, 1, np.dtype(complex)), _phase_factors([(0.3, 0.1)], 2)
-        solver(v, z)  # the workspace query comes first
-        ticked = []
-
-        def watched(*args):
-            go, ticks = threading.Event(), []
-            counter = threading.Thread(target=lambda: (go.wait(), ticks.append(1)))  # a plain Python thread
-            counter.start()
-            go.set()
-            lapack[1](*args)
-            ticked.append(bool(ticks))
-            counter.join(10)
-            assert not counter.is_alive()
-
-        monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(5.0)
-        try:
-            start = time.perf_counter()
-            while not any(ticked) and time.perf_counter() - start < 2.0:
-                solver(v, z)
-        finally:
-            sys.setswitchinterval(interval)
-        assert any(ticked)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_convergence_is_lin_alg_error(self, lapack, dtype):
@@ -997,29 +1014,19 @@ class TestDenseSolver:
 
 class TestGilRelease:
     """A sweep worker's solver lets go of the GIL in each fiber's LAPACK call of a 2-d block of _block_size
-    fibers, which is what lets the workers' solves run side by side, whatever the block's size."""
+    fibers, which is what lets the workers' solves run side by side, whatever the block's size; so does eigvalsh
+    where it solves each block, on a numpy with no ILP64 names, which it does only on more than 500 eigenvalues."""
 
-    @pytest.mark.parametrize("q", [16, 36, 144])
-    def test_block_solve_releases_the_gil(self, lapack, monkeypatch, q):
-        # a counter thread waits until a call is about to start; from there to the call's return the solving
-        # thread runs no Python and holds the GIL unless the call lets go of it, with no forced switch for 5 s
+    @staticmethod
+    def assert_ticks_inside(q, watch):
+        """A counter thread ticks inside some solve that ``watch(ticked)`` has wrapped in ``watched``, while a
+        _DenseSolver solves a complex block of _block_size(2, q) fibers of a random cell again and again."""
         rng, side, k = np.random.default_rng(q), math.isqrt(q), _block_size(2, q)
         v = PeriodicPotential(dim=2, periods=(side, side), cell=rng.uniform(-2, 2, size=q))
         solver, z = floquet._DenseSolver(q, k, np.dtype(complex)), _phase_factors(rng.uniform(0, 1, size=(k, 2)), 2)
         solver(v, z)  # the workspace query comes first
         ticked = []
-
-        def watched(*args):
-            go, ticks = threading.Event(), []
-            counter = threading.Thread(target=lambda: (go.wait(), ticks.append(1)))  # a plain Python thread
-            counter.start()
-            go.set()
-            lapack[1](*args)
-            ticked.append(bool(ticks))
-            counter.join(10)
-            assert not counter.is_alive()
-
-        monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched))
+        watch(ticked)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(5.0)
         try:
@@ -1029,6 +1036,23 @@ class TestGilRelease:
         finally:
             sys.setswitchinterval(interval)
         assert any(ticked)
+
+    @pytest.mark.parametrize("q", [16, 36, 144])
+    def test_block_solve_releases_the_gil(self, lapack, monkeypatch, q):
+        def watch(ticked):
+            monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched(lapack[1], ticked)))
+
+        self.assert_ticks_inside(q, watch)
+
+    # eigvalsh holds the GIL on the fast path's blocks of 13 fibers at q = 36, 4 at q = 64 and 1 at q = 144
+    @pytest.mark.parametrize("q", [36, 64, 144])
+    def test_fallback_block_solve_releases_the_gil(self, fallback, monkeypatch, q):
+        fallback("dsyevd", "zheevd")
+
+        def watch(ticked):
+            monkeypatch.setattr(np.linalg, "eigvalsh", watched(np.linalg.eigvalsh, ticked))
+
+        self.assert_ticks_inside(q, watch)
 
 
 class TestConcurrentBands:
@@ -1059,16 +1083,16 @@ class TestConcurrentBands:
 
         def recording_solve(band):
             solvers.add(threading.get_ident())
-            return banded()(band)
+            return banded(band)
 
         monkeypatch.setattr(floquet, "_band_storage", recording_storage)
-        monkeypatch.setattr(floquet, "_banded_eigvals", lambda: recording_solve)
+        monkeypatch.setattr(floquet, "_banded_eigvals", recording_solve)
         rng = np.random.default_rng(73)
         pots = [random_potential(rng, dim=1, max_period=40) for _ in range(6)]
         pots += [free_potential(1, 1), fibonacci_potential(14, 2.0)]
         for v in pots:
             bands, eigs = _sweep(v, phases, tuple(phases[-1]))
-            serial = np.stack([banded()(band) for phi in phases for band in storage(v, _phase_factors([phi], 1))])
+            serial = np.stack([banded(band) for phi in phases for band in storage(v, _phase_factors([phi], 1))])
             ref = np.stack((serial.min(axis=0), serial.max(axis=0)), axis=1)
             assert bands.dtype == np.float64 and bands.shape == (v.q, 2)
             np.testing.assert_array_equal(*bits(bands, ref), err_msg=f"q={v.q}")
@@ -1158,7 +1182,7 @@ class TestConcurrentBands:
             inside.append((threading.get_ident(), get()))
             raise np.linalg.LinAlgError("dsbev did not converge")
 
-        monkeypatch.setattr(floquet, "_banded_eigvals", lambda: failing)
+        monkeypatch.setattr(floquet, "_banded_eigvals", failing)
         with pytest.raises(np.linalg.LinAlgError):
             band_spectrum(fibonacci_potential(8, 1.0))
         assert inside and all(thread != threading.get_ident() and n == 1 for thread, n in inside)
@@ -1259,6 +1283,10 @@ class TestMeasurePipeline:
         assert "note" in report.summary
         for row in report.rows:
             assert row.mu_fattened >= row.mu_raw - 1e-12
+
+    def test_no_potentials_refused(self):
+        with pytest.raises(ValueError, match="need at least one potential"):
+            estimate_measure_via_fibers([], 0.0, Lebesgue())
 
     def test_explicit_deltas_length_checked(self):
         with pytest.raises(ValueError):
@@ -1442,6 +1470,18 @@ class TestFiberSizeGuard:
         with pytest.raises(ValueError, match=r"need 9\.600e\+5 bytes"):
             band_spectrum(w, grid_points=8)  # 34 complex phases, 3 workers' blocks of 2 fibers of 100 sites
         assert pinned == []
+
+    def test_fallback_blocks_charged(self, monkeypatch, fallback):
+        # where eigvalsh solves the blocks, a 12 x 12 cell's is 4 fibers, not 1: 2 workers hold 8 complex fibers
+        fallback("dsyevd", "zheevd")
+        monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 2, lambda n: None))
+        v = PeriodicPotential(dim=2, periods=(12, 12), cell=np.random.default_rng(84).uniform(-2, 2, size=144))
+        expect = band_spectrum(v, grid_points=8)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 144**2 * 16 - 1)
+        with pytest.raises(ValueError, match=r"8 dense 144 x 144 fiber\(s\) need 2\.654e\+6 bytes"):
+            band_spectrum(v, grid_points=8)
+        monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 8 * 144**2 * 16)
+        assert band_spectrum(v, grid_points=8) == expect
 
     def test_phase_grid_refused_before_its_indices(self, monkeypatch):
         def no_arange(*args, **kwargs):

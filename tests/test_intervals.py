@@ -217,6 +217,8 @@ class TestNormalize:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             normalize([])
+        with pytest.raises(EmptySetError, match="cannot normalize an empty collection of intervals"):
+            intervals.interval_union([], [])
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan])
     def test_negative_or_nan_tol_refused(self, tol):
