@@ -19,90 +19,56 @@ from typing import Callable
 import numpy as np
 
 from . import convergence, dimension, floquet, models
-from .intervals import _is_real, hausdorff_distance, set_from_obj
-
-
-class ConfigError(ValueError):
-    pass
+from .intervals import _int, _is_real, hausdorff_distance, set_from_obj
 
 
 def _load_json(path):
     def finite(text):  # NaN, Infinity, and literals such as 1e999 that overflow
         if math.isfinite(x := float(text)):
             return x
-        raise ConfigError(f"non-finite number {text} in {path}")
+        raise ValueError(f"non-finite number {text} in {path}")
 
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON in {path}: {e}")
+        raise ValueError(f"invalid JSON in {path}: {e}")
 
 
 def _check_keys(obj: dict, allowed, required, where: str):
     unknown = set(obj) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = set(required) - set(obj)
     if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        raise ValueError(f"missing keys in {where}: {sorted(missing)}")
 
 
 def _load_config(path, allowed, required) -> dict:
     """A command's config object with its keys checked and its output paths strings (open() takes an int as an fd)."""
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     _check_keys(cfg, allowed, required, "config")
     for key in ("output_csv", "output_json"):
         if not isinstance(cfg.get(key, ""), str):
-            raise ConfigError(f"{key} must be a path string, got {cfg[key]!r}")
+            raise ValueError(f"{key} must be a path string, got {cfg[key]!r}")
     return cfg
-
-
-def _parse_measure(spec) -> convergence.Measure1D:
-    if spec is None:
-        return convergence.Lebesgue()
-    _check_keys(spec, {"type", "breakpoints", "values", "outside", "atoms", "weights"}, {"type"}, "measure")
-    kind = spec["type"]
-    if kind == "lebesgue":
-        _check_keys(spec, {"type"}, {"type"}, "measure")
-        return convergence.Lebesgue()
-    if kind == "density":
-        _check_keys(spec, {"type", "breakpoints", "values", "outside"}, {"type", "breakpoints", "values"}, "measure")
-        return convergence.PiecewiseDensity(
-            breakpoints=tuple(_real(b, "breakpoints") for b in spec["breakpoints"]),
-            values=tuple(_real(v, "values") for v in spec["values"]),
-            outside=_real(spec.get("outside", 0.0), "outside"),
-        )
-    if kind == "atomic":
-        _check_keys(spec, {"type", "atoms", "weights"}, {"type", "atoms", "weights"}, "measure")
-        return convergence.AtomicMeasure(
-            atoms=tuple(_real(a, "atoms") for a in spec["atoms"]),
-            weights=tuple(_real(w, "weights") for w in spec["weights"]),
-        )
-    raise ConfigError(f"unknown measure type: {kind!r}")
-
-
-def _int(value, key: str):
-    """``value``, or each item of a list ``value``, as an int; booleans, strings and
-    numbers with a fractional part are refused, where int() would take or truncate them."""
-    if isinstance(value, list):
-        return [_int(v, key) for v in value]
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _real(value, key: str) -> float:
     """``value`` as a float; refuses booleans, strings and ints beyond the float range, which float() takes."""
     if _is_real(value):
         return float(value)
-    raise ConfigError(f"{key} must be a real number, got {value!r}")
+    raise ValueError(f"{key} must be a real number, got {value!r}")
+
+
+def _reals(spec, *keys) -> list[tuple[float, ...]]:
+    return [tuple(_real(x, key) for x in spec[key]) for key in keys]
 
 
 def _keys(*required, optional=()):
-    """(allowed, required) key sets of a model spec."""
+    """(allowed, required) key sets of a model or measure spec."""
     return {*required, *optional}, set(required)
 
 
@@ -191,12 +157,36 @@ MODELS = {
 def _model(spec, command: str) -> _Model:
     """Registry entry of a model spec, after checking the spec's keys for ``command``."""
     if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("model must be an object with a name")
+        raise ValueError("model must be an object with a name")
     entry = MODELS.get(spec["name"])
     if entry is None or command not in entry.keys:
-        raise ConfigError(f"unknown model: {spec['name']!r}")
+        raise ValueError(f"unknown model: {spec['name']!r}")
     _check_keys(spec, *entry.keys[command], "model")
     return entry
+
+
+# measure type -> (constructor from a spec, the spec's keys)
+MEASURES = {
+    "lebesgue": (lambda s: convergence.Lebesgue(), _keys("type")),
+    "density": (
+        lambda s: convergence.PiecewiseDensity(
+            *_reals(s, "breakpoints", "values"), _real(s.get("outside", 0.0), "outside")
+        ),
+        _keys("type", "breakpoints", "values", optional=("outside",)),
+    ),
+    "atomic": (lambda s: convergence.AtomicMeasure(*_reals(s, "atoms", "weights")), _keys("type", "atoms", "weights")),
+}
+
+
+def _parse_measure(spec) -> convergence.Measure1D:
+    if spec is None:
+        return convergence.Lebesgue()
+    _check_keys(spec, set().union(*(keys[0] for _, keys in MEASURES.values())), {"type"}, "measure")
+    if not isinstance(kind := spec["type"], str) or kind not in MEASURES:
+        raise ValueError(f"unknown measure type: {kind!r}")
+    build, keys = MEASURES[kind]
+    _check_keys(spec, *keys, "measure")
+    return build(spec)
 
 
 # keys of the fiber pipeline, which a set model's measure run has no use for
@@ -209,15 +199,15 @@ MEASURE_KEYS = OPERATOR_KEYS | {
 def _n_range(cfg) -> range:
     n_min, n_max = _int(cfg["n_min"], "n_min"), _int(cfg["n_max"], "n_max")
     if n_min < 1 or n_max < n_min:
-        raise ConfigError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min}..{n_max}")
     return range(n_min, n_max + 1)
 
 
-def _grid_points(cfg, dim: int) -> int:
+def _grid_points(cfg, dim: int):
     """A bands or measure config's grid points per axis; 1-d cells solve their two exact fibers and take none."""
     if dim == 1 and "grid_points" in cfg:
-        raise ConfigError("one-dimensional cells take no grid_points: their two fibers give the band edges exactly")
-    return _int(cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS), "grid_points")
+        raise ValueError("one-dimensional cells take no grid_points: their two fibers give the band edges exactly")
+    return cfg.get("grid_points", floquet.DEFAULT_GRID_POINTS)
 
 
 def _pipeline_deltas(mode, cfg, model, steps):
@@ -226,20 +216,20 @@ def _pipeline_deltas(mode, cfg, model, steps):
     if mode == "explicit":
         deltas = cfg.get("deltas")
         if not isinstance(deltas, list) or len(deltas) != len(steps):
-            raise ConfigError("explicit delta_mode needs a deltas list, one per step")
+            raise ValueError("explicit delta_mode needs a deltas list, one per step")
         return [_real(d, "deltas") for d in deltas]
     if mode == "holder":
         if cfg["model"]["name"] != "almost_mathieu":
-            raise ConfigError("holder delta_mode applies to the almost_mathieu model only")
+            raise ValueError("holder delta_mode applies to the almost_mathieu model only")
         if "holder_constant" not in cfg or "holder_frequency" not in cfg:
-            raise ConfigError("holder delta_mode needs holder_constant and holder_frequency")
+            raise ValueError("holder delta_mode needs holder_constant and holder_frequency")
         c, target = _real(cfg["holder_constant"], "holder_constant"), _real(cfg["holder_frequency"], "holder_frequency")
         # q, the period of each step, is its convergent's denominator; round(target * q) the nearest numerator
         qs = [model.step(cfg["model"], n)["frequency"][1] for n in steps]
         if overflow := [q for q in qs if not math.isfinite(target * q)]:  # round() would raise OverflowError
-            raise ConfigError(f"holder_frequency {target!r} times the period {overflow[0]} overflows")
+            raise ValueError(f"holder_frequency {target!r} times the period {overflow[0]} overflows")
         return [c * abs(target - round(target * q) / q) ** 0.5 for q in qs]
-    raise ConfigError(f"unknown delta_mode: {mode!r}")
+    raise ValueError(f"unknown delta_mode: {mode!r}")
 
 
 def cmd_measure(args) -> int:
@@ -247,18 +237,18 @@ def cmd_measure(args) -> int:
     mu = _parse_measure(cfg.get("measure"))
     tail = _int(cfg.get("tail", convergence.DEFAULT_TAIL), "tail")
     if tail < 1:
-        raise ConfigError(f"tail must be >= 1, got {tail}")
+        raise ValueError(f"tail must be >= 1, got {tail}")
     tail_tol = _real(cfg.get("tail_tol", convergence.DEFAULT_TAIL_TOL), "tail_tol")
     crit_tol = _real(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL), "criterion_tol")
     for key, value in (("tail_tol", tail_tol), ("criterion_tol", crit_tol)):
         if value <= 0:  # spread < tail_tol and q * delta < criterion_tol never hold then
-            raise ConfigError(f"{key} must be positive, got {value!r}")
+            raise ValueError(f"{key} must be positive, got {value!r}")
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
     approximants = convergence._Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
     if model.sets:
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
-            raise ConfigError(f"set model {cfg['model']['name']!r} does not take {unused}")
+            raise ValueError(f"set model {cfg['model']['name']!r} does not take {unused}")
         report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
     else:  # every argument is checked before the first step is built
         mode, phase = cfg.get("delta_mode", "proxy"), cfg.get("phase", 0.0)
@@ -319,12 +309,13 @@ def cmd_hausdorff(args) -> int:
     return 0
 
 
+# --method -> its fit's name in dimension, looked up at each call: perfbench's tracer patches the module's functions
+FITS = {"last": "dim_bound_last", "direct": "dim_bound_direct"}
+
+
 def cmd_dimension(args) -> int:
     stats = dimension.CoverStats.from_csv(args.stats)
-    if args.method == "last":
-        fit = dimension.dim_bound_last(stats, tail_fraction=args.tail_fraction)
-    else:
-        fit = dimension.dim_bound_direct(stats, tail_fraction=args.tail_fraction)
+    fit = getattr(dimension, FITS[args.method])(stats, tail_fraction=args.tail_fraction)
     print(f"bound: {fit.estimate:.6g}")
     print(f"residual: {fit.residual:.6g}")
     if args.json:
@@ -361,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="dimension bound from a stats CSV")
     p.add_argument("--stats", required=True)
-    p.add_argument("--method", choices=("last", "direct"), required=True)
+    p.add_argument("--method", choices=tuple(FITS), required=True)
     p.add_argument("--tail-fraction", type=float, default=0.5)
     p.add_argument("--json")
     p.set_defaults(func=cmd_dimension)
@@ -377,7 +368,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError) as e:  # ConfigError is a ValueError
+    except (ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

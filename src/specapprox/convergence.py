@@ -205,6 +205,8 @@ def write_json(path, obj) -> None:
 def corollary(rows, tail: int = DEFAULT_TAIL, tolerance: float = DEFAULT_DIAGNOSTIC_TOL) -> dict:
     """Vanishing-product corollary of report rows: once q_n * delta_n stays below ``tolerance``
     over the last ``tail`` rows, the raw measure of the last step is trusted as the estimate."""
+    if not rows:
+        raise ValueError("need at least one step")
     if tail < 1:
         raise ValueError(f"tail must be >= 1, got {tail}")
     products = [row.q_times_delta for row in rows[-tail:]]

@@ -68,7 +68,7 @@ from decimal import Decimal
 import numpy as np
 
 from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, _run, _Steps
-from .intervals import IntervalSet, InvalidRadiusError, fatten, hausdorff_distance, interval_union
+from .intervals import IntervalSet, InvalidRadiusError, _int, fatten, hausdorff_distance, interval_union
 
 HERMITICITY_TOL = 1e-12
 # Backward-stable dense eigensolver: eigenvalue error is a small multiple of
@@ -272,8 +272,8 @@ def fiber_eigenvalues(potential: PeriodicPotential, phase) -> np.ndarray:
 
 
 def bandwidth_bound(periods) -> float:
-    """Uniform bound sum_j 4*pi/p_j on the width of every band."""
-    periods = tuple(int(p) for p in np.atleast_1d(periods))
+    """Uniform bound sum_j 4*pi/p_j on the width of every band; a period that is not an integer is refused."""
+    periods = tuple(_int(p, "periods") for p in np.atleast_1d(periods))
     if any(p < 1 for p in periods):
         raise ValueError("periods must be positive integers")
     return float(sum(4.0 * math.pi / p for p in periods))
@@ -510,7 +510,7 @@ def _grid(dim: int, m: int) -> np.ndarray:
 def _phase_set(dim: int, grid_points: int) -> np.ndarray:
     """Phases (k x dim) a band sweep solves: the periodic and antiperiodic fibers in 1-d,
     which give every band edge exactly, and the grid of ``grid_points`` per axis in 2-d."""
-    return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, int(grid_points))
+    return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, grid_points)
 
 
 def _spectrum(potential, bands, grid_points) -> BandSpectrum:
@@ -532,8 +532,10 @@ def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_
     In 2-d: ``grid_points`` equispaced phases per axis (one of each
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
+    A ``grid_points`` that is not an integer is refused in either dimension.
     """
-    return _spectrum(potential, _sweep(potential, _phase_set(potential.dim, grid_points))[0], grid_points)
+    m = _int(grid_points, "grid_points")
+    return _spectrum(potential, _sweep(potential, _phase_set(potential.dim, m))[0], m)
 
 
 def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
@@ -587,8 +589,10 @@ def estimate_measure_via_fibers(
     mode and in one dimension, all over one phase set; then the raw measure
     of the band union is recorded too, and the summary carries the
     band-fattening estimates for comparison.  Each potential is read once,
-    by index, the last first, and dropped with its row.
+    by index, the last first, and dropped with its row.  A ``grid_points``
+    that is not an integer is refused in either dimension.
     """
+    grid_points = _int(grid_points, "grid_points")
     if not len(potentials):
         raise ValueError("need at least one potential")
     proxy = isinstance(deltas, str) and deltas == "proxy"
@@ -599,7 +603,7 @@ def estimate_measure_via_fibers(
     held = [potentials[-1]]  # read first, for the dimension that picks the phase set; the run's first step takes it
     dim, phi = held[0].dim, _phase_tuple(phase, held[0].dim)
     if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
-        _check_grid(dim, int(grid_points))
+        _check_grid(dim, grid_points)
     phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
 
     def step(i):  # (band union or None, delta, q, r, ball cover) of potential i, which is not kept

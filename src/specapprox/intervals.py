@@ -19,6 +19,7 @@ so that eigenvalue-level noise from downstream pipelines does not flip them.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -286,6 +287,17 @@ def _is_real(x) -> bool:
     """Whether a JSON value is a real number: an int or a float, not a bool, that a float holds.
     NaN, infinities and ints beyond the float range, which float() would overflow on, are not."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
+def _int(value, name: str):
+    """``value``, or each item of a list ``value``, as the int it equals, the package's one integer rule: booleans
+    (numpy's too), strings and infinite, NaN or fractional numbers raise ValueError naming ``name``."""
+    if isinstance(value, list):
+        return [_int(v, name) for v in value]
+    with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity, a NaN or a string it cannot parse
+        if not isinstance(value, (bool, np.bool_)) and (n := int(value)) == value:  # no string equals an int
+            return n
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def set_from_obj(obj) -> IntervalSet:

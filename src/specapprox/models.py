@@ -16,7 +16,7 @@ import numpy as np
 
 from .convergence import ApproximationRecord
 from .floquet import PeriodicPotential, check_bytes
-from .intervals import _BLOCK, _FLOAT_MAX, IntervalSet, interval_union
+from .intervals import _BLOCK, _FLOAT_MAX, IntervalSet, _int, interval_union
 
 # The sizes of deep levels overflow floats and the default decimal context; this one holds them.
 _SIZES = Context(Emax=MAX_EMAX, traps=[])
@@ -35,9 +35,9 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
     ``cf_terms`` lists the partial quotients, leading term a0 >= 0 and the
     rest positive.  For numbers in [0, 1) (a0 = 0) the trivial convergent
     0/1 is omitted, so the golden-mean terms [0, 1, 1, 1, ...] yield
-    1/1, 1/2, 2/3, 3/5, ...
+    1/1, 1/2, 2/3, 3/5, ...  A term that is not an integer is refused.
     """
-    terms = [int(t) for t in cf_terms]
+    terms = [_int(t, "cf_terms") for t in cf_terms]
     if not terms:
         raise ValueError("need at least one partial quotient")
     if terms[0] < 0 or any(t < 1 for t in terms[1:]):
@@ -63,14 +63,14 @@ def convergents(cf_terms, count: int) -> list[Fraction]:
 def check_free(dim: int, periods) -> tuple[int, ...]:
     """The periods of a free potential as a tuple of ints, or ValueError if a run over its cell would not fit.
 
-    ``periods`` may hold Decimals, such as sizes in _SIZES, which are sized before any is made an int.
+    ``periods`` may hold Decimals, such as sizes in _SIZES, sized before any is read as an int; a fraction is refused.
     """
     if dim not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dim}")
     periods = (periods,) if isinstance(periods, int) else tuple(periods)
     q = math.prod(periods)  # in 2-d a run holds one real dense fiber, 8 q bytes per site, in any solve
     check_bytes(q * (SITE_BYTES if dim == 1 else 8 * q), f"the {q} sites of a {dim}-d free cell")
-    return tuple(int(p) for p in periods)
+    return tuple(_int(p, "periods") for p in periods)
 
 
 def free_periods(dim: int, base: int, n: int) -> list[int]:
@@ -97,13 +97,14 @@ def almost_mathieu(coupling: float, frequency, offset: float = 0.0) -> PeriodicP
     spectra of convergent frequencies approximate the quasiperiodic one.
     The numerator is reduced mod q before the float phase n * (p mod q) / q,
     so frequencies equal mod 1 give the same cell bit for bit, at any size.
-    A cell whose run would not fit in memory is refused before it is allocated.
+    A cell whose run would not fit in memory, or a (p, q) pair that is not of
+    integers, is refused before it is allocated.
     """
     if not isinstance(frequency, Fraction):
         p, q = frequency
-        if int(q) == 0:
+        if (q := _int(q, "frequency")) == 0:
             raise ValueError("frequency denominator must be nonzero")
-        frequency = Fraction(int(p), int(q))
+        frequency = Fraction(_int(p, "frequency"), q)
     q = frequency.denominator
     check_bytes(SITE_BYTES * q, f"the {q} sites of an almost-Mathieu cell")
     p = frequency.numerator % q
@@ -184,11 +185,11 @@ def grid_approximation(n: int, solid_to: float | None = None) -> ApproximationRe
 
     With ``solid_to`` = alpha in (0, 1], the segment [0, alpha] is welded on,
     giving a sequence whose raw Lebesgue measure stays at alpha while the
-    fattened one still converges to 1.  ``n`` must lie in the float range,
-    and a level whose measure run would not fit in memory is refused before
-    it is allocated.
+    fattened one still converges to 1.  ``n`` must be an integer in the
+    float range, and a level whose measure run would not fit in memory is
+    refused before it is allocated.
     """
-    if n < 1:
+    if (n := _int(n, "n")) < 1:
         raise ValueError("n must be >= 1")
     if n > _FLOAT_MAX:  # alpha * n would overflow
         raise ValueError(f"grid level must lie in the float range, got {Decimal(n):.3e}")

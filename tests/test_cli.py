@@ -1021,8 +1021,10 @@ class TestConsoleScript:
     def run_fresh(self, tmp_path, fallback=False):
         """The '@' lines one interpreter prints, and the bytes its 1-d runs write.  It runs a cantor
         measure and a 2-d bands, then a 1-d measure whose cover fiber is complex and a 1-d bands; after
-        each pair it prints whether 'scipy' is in sys.modules, and last whether the banded solver falls back
-        to scipy's.  With ``fallback`` the lookup of numpy's LAPACK finds nothing."""
+        each pair it prints whether 'scipy' is in sys.modules, then whether the banded solver falls back
+        to scipy's, and last BLAS's thread count, the workers a sweep starts.  With ``fallback`` the lookup
+        of numpy's LAPACK routines finds none, as the ``fallback`` fixture of test_floquet.py hides them;
+        BLAS's thread symbols are still found."""
         out = tmp_path / ("fallback" if fallback else "lapack")
         out.mkdir()
         cantor = measure_config(out, n_max=4)
@@ -1038,12 +1040,16 @@ class TestConsoleScript:
             "from specapprox import floquet\n"
             "from specapprox.cli import main\n"
             f"if {fallback}:\n"
-            "    floquet._numpy_symbols = lambda templates, names: None\n"
+            "    symbols = floquet._numpy_symbols\n"
+            "    def found(templates, names):\n"
+            "        return None if set(floquet._LAPACK_ARGS) & set(names) else symbols(templates, names)\n"
+            "    floquet._numpy_symbols = found\n"
             f"main(['measure', '--config', {cantor!r}]); main(['bands', '--config', {bands_2d!r}])\n"
             "print('@', 'scipy' in sys.modules)\n"
             f"main(['measure', '--config', {measure!r}]); main(['bands', '--config', {bands_1d!r}])\n"
             "print('@', 'scipy' in sys.modules)\n"
             "print('@', floquet._lapack('dsbev', 'zhbev') is None)\n"
+            "print('@', floquet._blas_threads()[0]())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -1058,12 +1064,13 @@ class TestConsoleScript:
         assert proc.stdout == "[]\n"
 
     def test_scipy_loaded_only_without_numpy_lapack(self, tmp_path):
-        (set_and_2d, one_d, fallback), _ = self.run_fresh(tmp_path)
+        (set_and_2d, one_d, fallback, _), _ = self.run_fresh(tmp_path)
         assert set_and_2d == "False"  # set models and 2-d cells never import it
         assert one_d == fallback
 
     def test_scipy_fallback_writes_the_same_bytes(self, tmp_path):
-        _, written = self.run_fresh(tmp_path)
+        # hiding every symbol of numpy's library hid BLAS's thread count too, so each fallback sweep ran on one worker
+        (*_, workers), written = self.run_fresh(tmp_path)
         printed, fallback_written = self.run_fresh(tmp_path, fallback=True)
-        assert printed == ["False", "True", "True"]
+        assert printed == ["False", "True", "True", workers]
         assert fallback_written == written

@@ -367,6 +367,11 @@ class TestCorollaryCriterion:
         with pytest.raises(ValueError, match=f"tail must be >= 1, got {tail}"):
             corollary(rows, tail=tail)
 
+    def test_no_rows_refused(self):
+        # rows[-1] raised IndexError
+        with pytest.raises(ValueError, match="need at least one step"):
+            corollary([])
+
     def test_grid_products_stall_at_one_half(self):
         records = [grid_approximation(n) for n in range(1, 40)]
         rep = corollary(fattened_measure_sequence(records, Lebesgue()).rows)

@@ -559,6 +559,23 @@ class TestBandSpectrum:
         with pytest.raises(ValueError):
             bandwidth_bound(0)
 
+    # int() read each of these: it solved the 8-point grid but certified it with the 8.9-point Lipschitz term, and it
+    # took 2.7 as the period 2 and True as 1
+    NON_INTEGERS = {
+        "grid-points": (lambda: band_spectrum(free_potential(2, (2, 2)), grid_points=8.9), "grid_points"),
+        "fiber-run-grid-points": (
+            lambda: estimate_measure_via_fibers([free_potential(2, (2, 2))], 0.3, Lebesgue(), [0.0], grid_points=8.9),
+            "grid_points",
+        ),
+        "bound-fraction": (lambda: bandwidth_bound([2.7]), "periods"),
+        "bound-bool": (lambda: bandwidth_bound([True]), "periods"),
+    }
+
+    @pytest.mark.parametrize("call, name", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+    def test_non_integer_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
     def test_widths_respect_uniform_bound_random_1d(self):
         rng = np.random.default_rng(34)
         for _ in range(160):

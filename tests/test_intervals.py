@@ -4,6 +4,8 @@ import re
 import time
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -751,3 +753,33 @@ class TestPointSets:
         g = grid_approximation(4).set
         assert type(g) is IntervalSet and g == point_set([0.0, 0.25, 0.5, 0.75, 1.0])
         assert hausdorff_content_upper(g, 0.5) == 0.0
+
+
+# value -> the int the one integer rule reads it as, or None where it refuses it
+INTEGERS = {
+    "int": (3, 3),
+    "integral-float": (3.0, 3),
+    "numpy-int64": (np.int64(3), 3),
+    "integral-decimal": (Decimal(4), 4),
+    "int-beyond-floats": (10**400, 10**400),
+    "list": ([3, 4.0], [3, 4]),
+    "bool": (True, None),
+    "numpy-bool": (np.True_, None),
+    "string": ("3", None),
+    "fraction-float": (2.5, None),
+    "fraction-float64": (np.float64(2.5), None),
+    "inf": (math.inf, None),
+    "nan": (math.nan, None),
+    "fraction": (Fraction(5, 2), None),
+}
+
+
+@pytest.mark.parametrize("value, expected", INTEGERS.values(), ids=INTEGERS.keys())
+def test_integer_rule(value, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(value))}$"):
+            intervals._int(value, "k")
+    else:
+        got = intervals._int(value, "k")
+        assert got == expected
+        assert all(type(n) is int for n in (got if isinstance(got, list) else [got]))

@@ -20,6 +20,23 @@ from specapprox import (
 from specapprox import floquet, models
 
 
+# int() read each of these, truncating 1.9 to 1 and parsing "2" as 2; grid_approximation took 2.5 as it was and made
+# the points 0, 0.4, 0.8 and 1.2 its grid on [0, 1]
+NON_INTEGERS = {
+    "convergents-fraction": (lambda: convergents([0, 1.9, 1], 2), "cf_terms"),
+    "convergents-strings": (lambda: convergents(["0", "2", "3"], 2), "cf_terms"),
+    "free-periods-fraction": (lambda: free_potential(2, (2.5, 3)), "periods"),
+    "frequency-fractions": (lambda: almost_mathieu(1.0, (1.5, 2.9)), "frequency"),
+    "grid-level-fraction": (lambda: grid_approximation(2.5), "n"),
+}
+
+
+@pytest.mark.parametrize("call, name", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_non_integer_refused(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 class TestConvergents:
     def test_golden_mean(self):
         got = convergents([0, 1, 1, 1, 1, 1], 5)
