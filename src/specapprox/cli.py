@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import convergence, dimension, floquet, models
-from .intervals import _int, _is_real, hausdorff_distance, set_from_obj
+from .intervals import IntervalSet, _int, _is_real, hausdorff_distance, set_from_obj
 
 
 def _load_json(path):
@@ -302,9 +302,18 @@ def cmd_bands(args) -> int:
     return 0
 
 
+def _load_set(path) -> IntervalSet:
+    """The compact set in a JSON file, its numbers read by json's C float parser, which takes 1e999 as an infinity.
+    A file that parser or set_from_obj refuses is read again through _load_json, so the refusal names the literal."""
+    try:
+        with open(path) as fh:
+            return set_from_obj(json.load(fh))
+    except ValueError:
+        return set_from_obj(_load_json(path))
+
+
 def cmd_hausdorff(args) -> int:
-    a = set_from_obj(_load_json(args.set_a))
-    b = set_from_obj(_load_json(args.set_b))
+    a, b = _load_set(args.set_a), _load_set(args.set_b)
     print(f"{hausdorff_distance(a, b):.12g}")
     return 0
 

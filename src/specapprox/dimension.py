@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalSet, _sum, normalize
+from .intervals import IntervalSet, _int, _sum, normalize
 
 
 class InsufficientDataError(ValueError):
@@ -60,10 +60,16 @@ class CoverStats:
 
     @classmethod
     def from_rows(cls, rows) -> "CoverStats":
+        """Stats from rows of a stats CSV's columns; ``n`` and ``q`` that are not CSV text are read by the
+        package's integer rule, so a fraction is refused, not truncated."""
+
+        def count(row, key):
+            return int(value) if isinstance(value := row[key], str) else _int(value, key)
+
         n, q, delta, r, mu = [], [], [], [], []
         for row in rows:
-            n.append(int(row["n"]))
-            q.append(int(row["q"]))
+            n.append(count(row, "n"))
+            q.append(count(row, "q"))
             delta.append(float(row["delta"]))
             r.append(float(row["r"]))
             mu.append(float(row["mu_fattened"]))

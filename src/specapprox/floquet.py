@@ -68,7 +68,7 @@ from decimal import Decimal
 import numpy as np
 
 from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, _run, _Steps
-from .intervals import IntervalSet, InvalidRadiusError, _int, fatten, hausdorff_distance, interval_union
+from .intervals import IntervalSet, InvalidRadiusError, _int, _is_real, fatten, hausdorff_distance, interval_union
 
 HERMITICITY_TOL = 1e-12
 # Backward-stable dense eigensolver: eigenvalue error is a small multiple of
@@ -146,13 +146,24 @@ class BandSpectrum:
         return self.bands[:, 1] - self.bands[:, 0]
 
 
+def _item(x):
+    """``x``, or the Python number a numpy number holds, for :func:`_is_real`'s rule."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(phase, dtype=float))
-    if arr.size == 1 and dim > 1:
-        arr = np.full(dim, arr[0])
-    if arr.size != dim:
-        raise ValueError(f"need {dim} phase components, got {arr.size}")
-    return tuple(float(p) % 1.0 for p in arr)
+    """``phase``, one number for every axis or one per axis, as ``dim`` components in [0, 1).
+
+    Each component must be a real number by :func:`_is_real`'s rule, a numpy number taken as the
+    Python one it holds: booleans (numpy's too), strings, NaN and infinities raise ValueError."""
+    comps = [_item(p) for p in np.ravel(np.asarray(phase, dtype=object))]
+    if not all(_is_real(p) for p in comps):
+        raise ValueError(f"phase must be finite real numbers, got {phase!r}")
+    if len(comps) == 1 and dim > 1:
+        comps *= dim
+    if len(comps) != dim:
+        raise ValueError(f"need {dim} phase components, got {len(comps)}")
+    return tuple(float(p) % 1.0 for p in comps)
 
 
 def check_bytes(need, what: str):
@@ -590,14 +601,15 @@ def estimate_measure_via_fibers(
     of the band union is recorded too, and the summary carries the
     band-fattening estimates for comparison.  Each potential is read once,
     by index, the last first, and dropped with its row.  A ``grid_points``
-    that is not an integer is refused in either dimension.
+    that is not an integer is refused in either dimension, and a phase or
+    delta that is a boolean, a string, NaN or infinite is refused.
     """
     grid_points = _int(grid_points, "grid_points")
     if not len(potentials):
         raise ValueError("need at least one potential")
     proxy = isinstance(deltas, str) and deltas == "proxy"
     if not proxy and (
-        len(deltas := [float(d) for d in deltas]) != len(potentials) or not all(0 <= d < math.inf for d in deltas)
+        len(deltas := [_item(d) for d in deltas]) != len(potentials) or not all(_is_real(d) and d >= 0 for d in deltas)
     ):
         raise ValueError("need one finite nonnegative delta per potential")  # before any potential is read
     held = [potentials[-1]]  # read first, for the dimension that picks the phase set; the run's first step takes it
@@ -612,7 +624,7 @@ def estimate_measure_via_fibers(
             raise ValueError("potentials must share a dimension")
         bands, eigs = _sweep(v, phases, phi)  # phi off the sweep is solved first: its solve is the slowest
         r, union = bandwidth_bound(v.periods), _spectrum(v, bands, grid_points).union() if sweep else None
-        return union, None if proxy else deltas[i], v.q, r, lambda delta: cover_from_eigenvalues(eigs, delta, r)
+        return union, None if proxy else float(deltas[i]), v.q, r, lambda delta: cover_from_eigenvalues(eigs, delta, r)
     steps, mode = _Steps(step, range(len(potentials))), "proxy" if proxy else "analytic"
     report, fattened = _run(steps, mu, tail, tail_tol, proxy, delta_mode=mode, phase=list(phi))
     if sweep:

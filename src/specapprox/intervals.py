@@ -300,12 +300,33 @@ def _int(value, name: str):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real_array(items: list):
+    """``items`` as a float array when :func:`_is_real` holds for every one, else None.
+
+    float() overflows on an int far beyond the float range but rounds one just beyond it to the float
+    maximum, so the items converted to that, to an infinity or to NaN are the ones tested one by one."""
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, items))):
+        return None
+    try:
+        values = np.array(items, dtype=float)
+    except OverflowError:
+        return None
+    edge = np.flatnonzero(~(np.abs(values) < _FLOAT_MAX))
+    return values if all(_is_real(items[i]) for i in edge) else None
+
+
 def set_from_obj(obj) -> IntervalSet:
-    """Parse the JSON form: a flat list of real numbers is a point set, a list of [lo, hi] pairs is normalized."""
+    """Parse the JSON form: a flat list of real numbers is a point set, a list of [lo, hi] pairs is normalized.
+
+    The numbers are checked as one array, not one by one: :func:`_is_real`'s class test runs once per
+    distinct type of the items (or of the pairs' items), then one float conversion and one pass over
+    the array leave to its range test only the items converted to NaN, an infinity or the float maximum."""
     if not isinstance(obj, list) or not obj:
         raise EmptySetError("compact set JSON must be a nonempty list")
-    if all(_is_real(x) for x in obj):
-        return point_set(obj)
-    if all(isinstance(x, (list, tuple)) and len(x) == 2 and _is_real(x[0]) and _is_real(x[1]) for x in obj):
-        return normalize(obj)
+    if (points := _real_array(obj)) is not None:
+        points = np.unique(points)  # sorted, without repeats and finite: canonical, as point_set makes it
+        return IntervalSet.__new__(IntervalSet)._store(points, points)
+    if all(issubclass(t, (list, tuple)) for t in set(map(type, obj))) and set(map(len, obj)) == {2}:
+        if (ends := _real_array(list(itertools.chain.from_iterable(obj)))) is not None:
+            return interval_union(ends[0::2], ends[1::2])
     raise ValueError("compact set JSON must be a list of real numbers or of [lo, hi] pairs of them")

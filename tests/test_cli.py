@@ -211,6 +211,16 @@ class TestHausdorff:
         assert main(["hausdorff", a, b]) == 2
         assert "must be a list of real numbers" in capsys.readouterr().err
 
+    # json's C float parser reads 1e999 as an infinity; the refusal still names the literal as written
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "NaN", "Infinity"])
+    @pytest.mark.parametrize("text", ["[[0, 1], [2.5, {}]]", "[0.5, {}, 3]"], ids=["pair", "point"])
+    def test_non_finite_number_named(self, tmp_path, capsys, literal, text):
+        a = tmp_path / "a.json"
+        a.write_text(text.format(literal))
+        b = write_json(tmp_path / "b.json", [0.0])
+        assert main(["hausdorff", str(a), b]) == 2
+        assert f"error: non-finite number {literal} in {a}\n" == capsys.readouterr().err
+
     def test_empty_set_rejected(self, tmp_path):
         a = write_json(tmp_path / "a.json", [])
         b = write_json(tmp_path / "b.json", [0.0])

@@ -47,6 +47,22 @@ class TestCoverStats:
         assert st.mu_fattened == (3.0, 2.0)
         assert len(st) == 2
 
+    # int() truncated these: n 2.9 read as 2, q 2.5 as 2
+    @pytest.mark.parametrize("key, value", [("n", 2.9), ("q", 2.5), ("q", np.float64(4.5)), ("q", True)])
+    def test_fractional_counts_refused(self, key, value):
+        rows = [{"n": 1, "q": 2, "delta": 0.5, "r": 0.5, "mu_fattened": 3.0}]
+        rows[0][key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got"):
+            CoverStats.from_rows(rows)
+
+    def test_integral_counts_read_as_ints(self):
+        rows = [
+            {"n": 1.0, "q": np.int64(2), "delta": 0.5, "r": 0.5, "mu_fattened": 3.0},
+            {"n": "2", "q": "4", "delta": "0.25", "r": "0.25", "mu_fattened": "2.0"},  # CSV text
+        ]
+        st = CoverStats.from_rows(rows)
+        assert (st.n, st.q) == ((1, 2), (2, 4)) and all(type(c) is int for c in st.n + st.q)
+
     def test_column_lengths_checked(self):
         with pytest.raises(ValueError):
             CoverStats(n=(1, 2), q=(2,), delta=(0.5, 0.25), r=(0.5, 0.25),

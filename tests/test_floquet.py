@@ -1,6 +1,7 @@
 import collections
 import ctypes
 import math
+import re
 import sys
 import threading
 import time
@@ -444,6 +445,33 @@ class TestBuildFiber:
     def test_phase_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_fiber(free_potential(2, (2, 2)), (0.1, 0.2, 0.3))
+
+    # np.asarray(phase, dtype=float) read "0.3" as 0.3 and True as 0, and a NaN reached LAPACK as LinAlgError
+    @pytest.mark.parametrize(
+        "phase",
+        ["0.3", True, np.True_, math.nan, -math.inf, 10**400, (0.3, "0.1"), [True, 0.2], np.array([0.1, np.nan])],
+        ids=["string", "bool", "numpy-bool", "nan", "-inf", "huge-int", "string-item", "bool-item", "nan-item"],
+    )
+    def test_phase_not_a_finite_real_refused_before_any_fiber(self, monkeypatch, phase):
+        def no_fiber(*args):
+            raise AssertionError("built a fiber")
+
+        monkeypatch.setattr(floquet, "_fibers", no_fiber)
+        monkeypatch.setattr(floquet, "_sweep", no_fiber)
+        calls = (build_fiber, fiber_eigenvalues, lambda v, phi: estimate_measure_via_fibers([v], phi, Lebesgue()))
+        refusal = "^phase must be finite real numbers, got " + re.escape(repr(phase))
+        for v in (fibonacci_potential(4, 1.0), free_potential(2, (2, 2))):
+            for call in calls:
+                with pytest.raises(ValueError, match=refusal):
+                    call(v, phase)
+
+    def test_numeric_phases_kept(self):
+        v = free_potential(2, (2, 3))
+        want = fiber_eigenvalues(v, (0.25, 0.0))
+        for phase in ([0.25, 0], np.array([0.25, 0.0]), (np.float32(0.25), np.int64(1)), np.array([1.25, 2.0])):
+            np.testing.assert_array_equal(fiber_eigenvalues(v, phase), want)
+            np.testing.assert_array_equal(build_fiber(v, phase), build_fiber(v, (0.25, 0.0)))
+        np.testing.assert_array_equal(build_fiber(v, np.float32(0.5)), build_fiber(v, (0.5, 0.5)))
 
 
 class TestPotentialValidation:
@@ -1315,21 +1343,22 @@ class TestMeasurePipeline:
         # comparing a numpy array with "proxy" gives an array, whose truth value is ambiguous
         pots = [fibonacci_potential(n, 1.0) for n in (3, 4, 5)]
         want = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas=[0.1, 0.05, 0.0])
-        for deltas in (np.array([0.1, 0.05, 0.0]), (0.1, 0.05, 0.0)):
+        for deltas in (np.array([0.1, 0.05, 0.0]), (0.1, 0.05, 0.0), [np.float64(0.1), 0.05, np.int64(0)]):
             got = estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas=deltas)
             assert (got.rows, got.summary) == (want.rows, want.summary)
-        with pytest.raises(ValueError, match="could not convert string to float"):  # only "proxy" names the proxy
+        with pytest.raises(ValueError, match="one finite nonnegative delta per"):  # only "proxy" names the proxy
             estimate_measure_via_fibers(pots, 0.3, Lebesgue(), deltas="pro")
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
-    def test_explicit_deltas_refused_before_any_solve(self, bad, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("solved a fiber")
+    # float() read True as 1.0 and "0.1" as 0.1
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, True, np.True_, "0.1"])
+    def test_explicit_deltas_refused_before_any_solve(self, bad):
+        class Unread(list):  # refused before any potential is read, so before any solve
+            def __getitem__(self, i):
+                raise AssertionError("read a potential")
 
-        monkeypatch.setattr(floquet, "_sweep", no_solve)
-        pots = [fibonacci_potential(n, 1.0) for n in (3, 4)]
+        pots = Unread(fibonacci_potential(n, 1.0) for n in (3, 4, 5))
         with pytest.raises(ValueError, match="one finite nonnegative delta per potential"):
-            estimate_measure_via_fibers(pots, 0.0, Lebesgue(), deltas=[bad, bad])
+            estimate_measure_via_fibers(pots, 0.0, Lebesgue(), deltas=[bad, 0.1, 0.1])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -699,6 +699,54 @@ class TestArrayPaths:
             IntervalSet([], [])
 
 
+# The per-item reader that set_from_obj's array check replaced, kept to pin it to the same sets and refusals.
+
+
+def ref_set_from_obj(obj):
+    if not isinstance(obj, list) or not obj:
+        raise EmptySetError("compact set JSON must be a nonempty list")
+    real = intervals._is_real
+    if all(real(x) for x in obj):
+        return point_set(obj)
+    if all(isinstance(x, (list, tuple)) and len(x) == 2 and real(x[0]) and real(x[1]) for x in obj):
+        return normalize(obj)
+    raise ValueError("compact set JSON must be a list of real numbers or of [lo, hi] pairs of them")
+
+
+PLAIN_ITEMS = (0, 1, -2, 3.0, 0.5, -1.25, -0.0, 1e-300, 2**53 + 1)
+ODD_ITEMS = (
+    True, False, np.True_, np.float64(0.75), np.int64(3), np.float32(0.25), "1", None,
+    10**400, -(10**400), int(intervals._FLOAT_MAX) + 1, -int(intervals._FLOAT_MAX) - 1, int(intervals._FLOAT_MAX),
+    intervals._FLOAT_MAX, -intervals._FLOAT_MAX, math.nan, math.inf, -math.inf,
+    (0.0, 1.0), [1.0], [1.0, 2.0, 3.0], [], [2.0, 1.0], np.array([0.0, 1.0]), {},
+)
+
+
+def odd_set_obj(rng):
+    """A flat list or a list of pairs, of one to five items, each plain but now and then odd."""
+
+    def value():
+        table = ODD_ITEMS if rng.random() < 0.15 else PLAIN_ITEMS
+        return table[int(rng.integers(len(table)))]
+
+    def pair():
+        return (list if rng.random() < 0.8 else tuple)((value(), value()))
+
+    size = int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        return [value() for _ in range(size)]
+    return [value() if rng.random() < 0.05 else pair() for _ in range(size)]
+
+
+def read_outcome(read, obj):
+    """The bits and pointness of the set ``read`` makes of ``obj``, else its exception's type and text."""
+    try:
+        s = read(obj)
+    except Exception as e:
+        return type(e), str(e)
+    return bits(s.lows, s.highs), s.lows is s.highs
+
+
 class TestSerialization:
     def test_interval_round_trip(self):
         s = iset((0.0, 1.0), (2.0, 3.0))
@@ -732,6 +780,18 @@ class TestSerialization:
             assert set_to_obj(p) == [0.0, 5e-13, 1e-12]
             back = set_from_obj(json.loads(json.dumps(set_to_obj(p))))
             assert back == p and len(back) == 3
+
+    @pytest.mark.parametrize("obj", [[], {}, "[1]", None, (1.0,), [[]], [[1.0, 2.0], 3.0], [[[1.0], [2.0]]]])
+    def test_reads_as_the_per_item_reader(self, obj):
+        assert read_outcome(set_from_obj, obj) == read_outcome(ref_set_from_obj, obj)
+
+    def test_seeded_odd_values_read_as_the_per_item_reader(self):
+        rng = np.random.default_rng(35)
+        objs = [odd_set_obj(rng) for _ in range(600)]
+        outcomes = [(read_outcome(set_from_obj, obj), read_outcome(ref_set_from_obj, obj)) for obj in objs]
+        assert [obj for obj, (got, want) in zip(objs, outcomes) if got != want] == []
+        kinds = {got[0] if isinstance(got[0], type) else "set" for got, _ in outcomes}
+        assert kinds == {"set", ValueError}  # both refusals and sets are drawn
 
     def test_degenerate_intervals_go_out_flat(self):
         s = normalize([(1.0, 1.0), (0.0, 0.0)])
