@@ -20,7 +20,8 @@ ILP64 names for them): O(q) memory and no q x q matrix.  2-d fibers are dense
 q x q stacks, the potential on the diagonal plus each axis's ring of hops,
 each solved where it was built by the dense eigensolver of the same LAPACK,
 dsyevd or zheevd, as numpy's eigvalsh calls it (by eigvalsh itself where numpy
-exports no ILP64 names).  Every call into numpy's LAPACK releases the GIL.
+exports no ILP64 names), or ssyevd or cheevd on fibers built in single
+precision.  Every call into numpy's LAPACK releases the GIL.
 A sweep cuts its phases into blocks, one phase in 1-d and in 2-d the fewest
 fibers that hold 2^14 entries, one fiber from q = 128 up (where eigvalsh
 solves them, at least 500 // q + 1, the fewest on which it lets go of the
@@ -41,10 +42,14 @@ boundary phase of axis j over its p_j bonds, moving phi_j by t moves the
 fiber by c*S_j + h.c., S_j the cyclic shift and |c| = 2*sin(pi*t/p_j), so
 by Weyl's inequality every ordered eigenvalue moves by at most
 4*sin(pi*t/p_j): a grid of M points per axis localizes every edge to within
-sum_j 4*pi / (2*M*p_j) plus eigensolver error.  The potential is real, so
-H(-phi) = conj H(phi) shares the spectrum of H(phi), and the grid solves
-one phase of each conjugate pair.  The phase set depends only on d and M,
-so a run builds it once for all its cells.
+sum_j 4*pi / (2*M*p_j) plus eigensolver error, 1e-12 times the norm in
+double.  band_spectrum solves a grid in single precision where (q + 64) *
+eps32 * norm, eps32 = 2^-23, is below 1% of its Lipschitz term, and adds
+that to its bound; a finer grid, a 1-d sweep and a measure run solve in
+double, as where numpy exports no ILP64 ssyevd/cheevd.  The potential is
+real, so H(-phi) = conj H(phi) shares the spectrum of H(phi), and the grid
+solves one phase of each conjugate pair.  The phase set depends only on d
+and M, so a run builds it once for all its cells.
 
 The uniform bandwidth bound sum_j 4*pi/p_j turns fiber eigenvalues at any
 single phase into a cover of the whole spectrum by intervals of known
@@ -75,6 +80,13 @@ HERMITICITY_TOL = 1e-12
 # machine epsilon times the matrix norm.  1e-12 * norm is a generous ceiling
 # for the matrix sizes in scope (q <= a few thousand).
 SOLVER_TOL_FACTOR = 1e-12
+# A 2-d sweep of fibers of q sites solved in single precision errs by at most (q + SINGLE_TOL_SITES) * eps32 * norm,
+# eps32 = 2^-23, covering each fiber's rounding to single and the solve's backward error.  Against double solves,
+# numpy 2.4's ssyevd and cheevd erred on 27000 random cells of q = 1 to 576 (x86-64, OpenBLAS) by at most
+# 7 * eps32 * norm at q = 4, 19 at q = 36, 40 at q = 144 and 58 at q = 576: the term is 5 to 11 times that.  A sweep
+# goes single only where the term is below SINGLE_SHARE of its grid's Lipschitz term.
+SINGLE_TOL_SITES = 64
+SINGLE_SHARE = 0.01
 
 _BLAS_LOCK = threading.Lock()  # held by a sweep from reading BLAS's thread count to restoring it
 
@@ -104,13 +116,15 @@ class PeriodicPotential:
     cell: np.ndarray
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
-        if len(self.periods) != self.dim:
+        if (dim := _int(self.dim, "dim")) not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {dim}")
+        if len(self.periods) != dim:
             raise ValueError("need one period per axis")
-        if any(p < 1 or p != int(p) for p in self.periods):
+        periods = tuple(_int(p, "periods") for p in self.periods)
+        if any(p < 1 for p in periods):
             raise ValueError("periods must be positive integers")
-        object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "periods", periods)
         cell = np.asarray(self.cell, dtype=float)
         if cell.shape != (self.q,):
             raise ValueError(f"cell must hold {self.q} values, got {cell.size}")
@@ -130,7 +144,8 @@ class PeriodicPotential:
 
 @dataclass(frozen=True, eq=False)  # the __eq__ below compares the array; an array field has no hash
 class BandSpectrum:
-    """Ordered bands, a read-only (n, 2) float64 array of [lo, hi] rows, plus a rigorous band-edge error bound."""
+    """Ordered bands, a read-only (n, 2) float64 array of [lo, hi] rows, plus a rigorous band-edge error bound,
+    which holds a single-precision solver term where band_spectrum solved a 2-d grid in single precision."""
 
     bands: np.ndarray
     error_bound: float
@@ -179,12 +194,13 @@ def check_fiber_stack(q, count: int = 1, itemsize: int = 8, banded: bool = False
     return check_bytes(count * rows * q * itemsize, f"{count} {'banded' if banded else 'dense'} {rows} x {q} fiber(s)")
 
 
-def _phase_factors(phases, dim: int, real: bool = True) -> np.ndarray:
-    """z = exp(2*pi*i*phi) for the k x d ``phases``; float64 when ``real`` and every phase is 0 or 1/2,
-    where z = +-1 is the real part of the complex z."""
+def _phase_factors(phases, dim: int, real: bool = True, single: bool = False) -> np.ndarray:
+    """z = exp(2*pi*i*phi) for the k x d ``phases``; real when ``real`` and every phase is 0 or 1/2, where z = +-1
+    is the real part of the complex z; float64/complex128, or rounded once to float32/complex64 when ``single``."""
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     z = np.exp(2j * np.pi * phases)
-    return z.real if real and np.isin(phases, (0.0, 0.5)).all() else z
+    z = z.real if real and np.isin(phases, (0.0, 0.5)).all() else z
+    return z.astype(np.float32 if z.dtype.kind == "f" else np.complex64) if single else z
 
 
 def _add_ring(out: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -278,7 +294,7 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def fiber_eigenvalues(potential: PeriodicPotential, phase) -> np.ndarray:
-    """Sorted eigenvalues of the fiber at the given phase(s), solved as the band sweep solves it."""
+    """Sorted eigenvalues of the fiber at the given phase(s), solved as a double-precision band sweep solves it."""
     return _sweep(potential, [phi := _phase_tuple(phase, potential.dim)], phi)[1]
 
 
@@ -290,10 +306,13 @@ def bandwidth_bound(periods) -> float:
     return float(sum(4.0 * math.pi / p for p in periods))
 
 
+def _norm(potential: PeriodicPotential) -> float:
+    """Bound on every fiber's operator norm, at least 1: 2 per axis of hopping plus the largest potential value."""
+    return max(1.0, 2.0 * potential.dim + float(np.abs(potential.cell).max()))
+
+
 def _solver_bound(potential: PeriodicPotential) -> float:
-    # operator norm bound: 2 per axis of hopping plus the largest potential value
-    norm = 2.0 * potential.dim + float(np.abs(potential.cell).max())
-    return SOLVER_TOL_FACTOR * max(1.0, norm)
+    return SOLVER_TOL_FACTOR * _norm(potential)
 
 
 @functools.cache  # each CDLL handle makes a class, freed only by the cycle collector
@@ -322,7 +341,7 @@ def _blas_threads():
 
 
 # How many arguments each LAPACK routine called here takes after jobz and uplo, info the last.
-_LAPACK_ARGS = {"dsbev": 9, "zhbev": 10, "dsyevd": 9, "zheevd": 11}
+_LAPACK_ARGS = {"dsbev": 9, "zhbev": 10, "dsyevd": 9, "zheevd": 11, "ssyevd": 9, "cheevd": 11}
 
 
 @functools.cache  # one lookup per pair of routines
@@ -372,20 +391,22 @@ def _banded_eigvals(band):
 class _DenseSolver:
     """One sweep worker's solver of 2-d blocks of up to k fibers of q sites.  It builds each block in its own
     buffer and solves each fiber there as numpy's eigvalsh does: numpy's own dsyevd for a real block and zheevd
-    for a complex one, jobz 'N' and uplo 'L' on the C-order fiber, which is Hermitian, with the workspace that a
-    query asks for, each call's arguments made once per dtype.  The eigenvalues go into its own rows, which its
-    next block overwrites.  Where numpy exports no ILP64 names, each block is solved by numpy's eigvalsh."""
+    for a complex one, or ssyevd and cheevd where ``dtype`` is single, jobz 'N' and uplo 'L' on the C-order fiber,
+    which is Hermitian, with the workspace that a query asks for, each call's arguments made once per dtype.  The
+    eigenvalues go into its own rows, of ``dtype``'s precision, which its next block overwrites.  Where numpy
+    exports no ILP64 names, each block is solved by numpy's eigvalsh."""
 
     def __init__(self, q: int, k: int, dtype):
-        self.buffer, self.rows, self.info = np.empty(k * q * q, dtype), np.empty((k, q)), ctypes.c_int64()
+        self.buffer, self.rows = np.empty(k * q * q, dtype), np.empty((k, q), np.finfo(dtype).dtype)
+        self.info = ctypes.c_int64()
         self.workspace, self.arguments = {}, {}  # by dtype: the arrays a query sized, and each fiber's call
 
     def __call__(self, potential, z):
         fibers = _fibers(potential, z, self.buffer)
-        lapack = _lapack("dsyevd", "zheevd")
+        lapack = _lapack(*(("ssyevd", "cheevd") if self.rows.itemsize == 4 else ("dsyevd", "zheevd")))
         if lapack is None:
             return np.linalg.eigvalsh(fibers)
-        routine = lapack[fibers.dtype == complex]
+        routine = lapack[fibers.dtype.kind == "c"]
         if fibers.dtype not in self.arguments:
             self._prepare(routine, fibers.dtype)
         for args in self.arguments[fibers.dtype][: len(z)]:
@@ -397,7 +418,7 @@ class _DenseSolver:
         """The arguments of ``routine`` on each fiber of the buffer in ``dtype``: n = lda = q, then work, [rwork,]
         and iwork, each with its length, in int64 cells, sized by a query with every length at -1."""
         k, q = self.rows.shape
-        kinds = [dtype, np.dtype(float), np.dtype(np.int64)] if dtype == complex else [dtype, np.dtype(np.int64)]
+        kinds = [dtype, self.rows.dtype, np.dtype(np.int64)] if dtype.kind == "c" else [dtype, np.dtype(np.int64)]
         ints, spaces = np.array([q] + [-1] * len(kinds), np.int64), [np.empty(1, kind) for kind in kinds]
 
         def arguments(i):  # jobz, uplo, n, a, lda, w, each space and its length, info, and the hidden lengths
@@ -408,7 +429,8 @@ class _DenseSolver:
 
         routine(*arguments(0))  # the query: each space's first entry holds the length it asks for
         _check(routine, self.info.value)
-        ints[1:] = [int(a[0].real) for a in spaces]
+        # one ulp up: a float32 length above 2^24 may have been rounded down
+        ints[1:] = [int(np.nextafter(a[0].real, np.inf)) for a in spaces]
         spaces = [np.empty(m, kind) for m, kind in zip(ints[1:], kinds)]
         self.workspace[dtype] = [ints, *spaces]  # referenced while the addresses are in use
         self.arguments[dtype] = [arguments(i) for i in range(k)]
@@ -439,14 +461,15 @@ def _pool(n: int):
     return ThreadPoolExecutor(n)
 
 
-def _sweep(potential, phases, cover=None):
+def _sweep(potential, phases, cover=None, single=False):
     """(bands, eigenvalues): the n x 2 per-index min and max of the eigenvalues over the k x d ``phases``, and
     the eigenvalues at the phase ``cover``, if given: the row at cover or -cover mod 1 (the same spectrum), else
     cover solved first in a block of its own, left out of the bands.  Blocks of _block_size phases, real when
     their set is in {0, 1/2}^d (in 1-d, their one phase), are taken in turn by as many worker threads as numpy's
-    BLAS has, with BLAS pinned to one thread; each worker has a _DenseSolver in 2-d.  Each block folds into the
-    bands row by row, exact in any order, the first row held as both edges until a second arrives.  The workers'
-    fibers are charged before any is made."""
+    BLAS has, with BLAS pinned to one thread; each worker has a _DenseSolver in 2-d.  A 2-d sweep that is
+    ``single`` builds and solves its fibers in float32/complex64.  Each block folds into the float64 bands row by
+    row, exact in any order, the first row held as both edges until a second arrives.  The workers' fibers are
+    charged, in their itemsize, before any is made."""
     dim, q, size = potential.dim, potential.q, _block_size(potential.dim, potential.q)
     phases = np.asarray(phases, dtype=float).reshape(-1, dim)
     real = dim == 1 or np.isin(phases, (0.0, 0.5)).all()  # a 2-d block may be real only where its set is
@@ -454,17 +477,18 @@ def _sweep(potential, phases, cover=None):
     if cover is not None:  # a row of the sweep, else the one row of a block at -1
         hit = (phases == cover).all(axis=1) | (phases == np.negative(cover) % 1.0).all(axis=1)
         row, blocks = (int(hit.argmax()), blocks) if hit.any() else (-1, [(-1, np.reshape(cover, (1, dim)))] + blocks)
-    dtype = np.dtype(float if all(np.isin(block, (0.0, 0.5)).all() for _, block in blocks) else complex)
+    kinds = (np.float32, np.complex64) if single else (np.float64, np.complex128)
+    dtype = np.dtype(kinds[not all(np.isin(block, (0.0, 0.5)).all() for _, block in blocks)])
     bands, eigs, lock, todo = None, None, threading.Lock(), iter(blocks)  # a list iterator hands each block out once
 
     def fold(i, evs):  # the rows of the block at phases[i] into the bands, and the one at ``row`` into eigs
         nonlocal bands, eigs
         if row in range(i, i + len(evs)):
-            eigs = evs[row - i].copy()  # the worker's next block overwrites its rows
+            eigs = evs[row - i].astype(float)  # a copy: the worker's next block overwrites its rows
         with lock:  # row by row, as a reduction folds them
             for e in evs if i >= 0 else ():
                 if bands is None:  # the first row is both edges until a second arrives, not (q, 2) beside the solves
-                    bands = e.copy()
+                    bands = e.astype(float)
                     continue
                 if bands.ndim == 1:
                     bands = np.stack((bands, bands), axis=1)
@@ -474,7 +498,7 @@ def _sweep(potential, phases, cover=None):
     def work(solver):  # None, or what stopped the worker, for the calling thread to raise once all have stopped
         try:
             for i, block in todo:
-                fold(i, _solve_block(potential, _phase_factors(block, dim, real or i < 0), solver))
+                fold(i, _solve_block(potential, _phase_factors(block, dim, real or i < 0, single), solver))
         except Exception as error:
             blocks.clear()  # the other workers take no more
             return error
@@ -524,12 +548,24 @@ def _phase_set(dim: int, grid_points: int) -> np.ndarray:
     return np.array([[0.0], [0.5]]) if dim == 1 else _grid(dim, grid_points)
 
 
-def _spectrum(potential, bands, grid_points) -> BandSpectrum:
-    """Band spectrum of the ``bands`` of a sweep over _phase_set, which it makes read-only.
-    A 2-d error bound adds the Lipschitz term of the grid of ``grid_points`` per axis."""
+def _lipschitz(potential, grid_points) -> float:
+    """The Lipschitz term of the grid of ``grid_points`` per axis, sum_j 4*pi/p_j times half its spacing; 0 in 1-d."""
+    return 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
+
+
+def _single_term(potential, grid_points) -> float:
+    """The solver term of a 2-d sweep over the grid of ``grid_points`` per axis in single precision,
+    (q + SINGLE_TOL_SITES) * eps32 * norm, where it is below SINGLE_SHARE of the grid's Lipschitz term and numpy
+    exports ssyevd/cheevd (its eigvalsh solves complex64 no faster than complex128); else 0.0, for a double sweep."""
+    term = (potential.q + SINGLE_TOL_SITES) * float(np.finfo(np.float32).eps) * _norm(potential)
+    return term if term < SINGLE_SHARE * _lipschitz(potential, grid_points) and _lapack("ssyevd", "cheevd") else 0.0
+
+
+def _spectrum(potential, bands, grid_points, single=0.0) -> BandSpectrum:
+    """Band spectrum of the ``bands`` of a sweep over _phase_set, which it makes read-only.  A 2-d error bound adds
+    the Lipschitz term of the grid of ``grid_points`` per axis, and ``single``, _single_term of a single sweep."""
     bands.flags.writeable = False
-    lips = 0.0 if potential.dim == 1 else sum(4.0 * math.pi / (2.0 * grid_points * p) for p in potential.periods)
-    return BandSpectrum(bands=bands, error_bound=lips + _solver_bound(potential))
+    return BandSpectrum(bands=bands, error_bound=_lipschitz(potential, grid_points) + _solver_bound(potential) + single)
 
 
 def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_POINTS) -> BandSpectrum:
@@ -543,10 +579,15 @@ def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_
     In 2-d: ``grid_points`` equispaced phases per axis (one of each
     conjugate pair); the error bound adds the Lipschitz term
     sum_j 4*pi/p_j times half the grid spacing, p_j the period along axis j.
+    Where (q + SINGLE_TOL_SITES) * eps32 * norm, q the cell volume, eps32 =
+    2^-23 and norm the fibers' norm bound, is below SINGLE_SHARE (1%) of
+    that term, the fibers are solved in single precision and the error
+    bound adds it too; elsewhere, and in 1-d, they are solved in double.
     A ``grid_points`` that is not an integer is refused in either dimension.
     """
     m = _int(grid_points, "grid_points")
-    return _spectrum(potential, _sweep(potential, _phase_set(potential.dim, m))[0], m)
+    phases, single = _phase_set(potential.dim, m), _single_term(potential, m)  # the grid is checked first
+    return _spectrum(potential, _sweep(potential, phases, single=single > 0)[0], m, single)
 
 
 def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:

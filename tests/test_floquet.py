@@ -98,13 +98,14 @@ def use_complex_full_sweep(monkeypatch):
     def full_phase_set(dim, grid_points):
         return phase_set(dim, grid_points) if dim == 1 else full_mesh(int(grid_points), dim)
 
-    def dense_sweep(v, phases, cover=None):  # complex, whatever arithmetic the sweep would pick
+    def dense_sweep(v, phases, cover=None, single=False):  # complex double, whatever arithmetic the sweep would pick
         evs = np.stack([np.linalg.eigvalsh(dense_fiber(v, p)) for p in np.reshape(phases, (-1, v.dim))])
         eigs = None if cover is None else np.linalg.eigvalsh(dense_fiber(v, cover))
         return np.stack((evs.min(axis=0), evs.max(axis=0)), axis=1), eigs
 
     monkeypatch.setattr(floquet, "_phase_set", full_phase_set)
     monkeypatch.setattr(floquet, "_sweep", dense_sweep)
+    monkeypatch.setattr(floquet, "_single_term", lambda v, grid_points: 0.0)  # so no bound adds a single term
 
 
 def whole_solve_phases(potential, *phase_sets):
@@ -482,8 +483,27 @@ class TestPotentialValidation:
     def test_one_integer_period_per_axis(self):
         with pytest.raises(ValueError, match="need one period per axis"):
             PeriodicPotential(dim=2, periods=(3,), cell=(0.0,) * 3)
-        with pytest.raises(ValueError, match="periods must be positive integers"):
+        with pytest.raises(ValueError, match="^periods must be an integer, got 2.5$"):
             PeriodicPotential(dim=1, periods=(2.5,), cell=(0.0, 0.0))
+        with pytest.raises(ValueError, match="^periods must be positive integers$"):
+            PeriodicPotential(dim=1, periods=(0,), cell=())
+
+    # a boolean got through as an integer: periods (True, 2) built a 1 x 2 cell, which band_spectrum solved, and
+    # dim=True passed ``in (1, 2)``; a string period raised TypeError from its comparison with 1
+    NOT_INTEGERS = {
+        "bool-period": ((2, (True, 2), [0.5, 1.0]), "periods must be an integer, got True"),
+        "bool-dim": ((True, (2,), [0.5, 1.0]), "dim must be an integer, got True"),
+        "string-period": ((1, ("2",), [0.5, 1.0]), "periods must be an integer, got '2'"),
+    }
+
+    @pytest.mark.parametrize("args, message", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+    def test_dimension_and_periods_read_by_the_integer_rule(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PeriodicPotential(*args)
+
+    def test_integral_dimension_stored_as_an_int(self):
+        v = PeriodicPotential(dim=2.0, periods=(1, np.int64(2)), cell=(0.5, 1.0))
+        assert type(v.dim) is int and v == PeriodicPotential(dim=2, periods=(1, 2), cell=(0.5, 1.0))
 
     def test_cell_size_must_match(self):
         with pytest.raises(ValueError):
@@ -631,11 +651,14 @@ class TestBandSpectrum:
                 assert abs(a - c) <= bound
                 assert abs(b - d) <= bound
 
-    def test_grid_error_bound_value(self):
+    def test_grid_error_bound_value(self, fallback):
         v = free_potential(2, (2, 5))
-        bs = band_spectrum(v, grid_points=32)
         lips = 4 * math.pi / (2 * 32 * 2) + 4 * math.pi / (2 * 32 * 5)
-        assert bs.error_bound == pytest.approx(lips, rel=1e-6)
+        # (q + SINGLE_TOL_SITES) * eps32 * norm where numpy exports ssyevd/cheevd and the grid is solved in single
+        single = (10 + 64) * 2.0**-23 * 4 if floquet._lapack("ssyevd", "cheevd") else 0.0
+        assert band_spectrum(v, grid_points=32).error_bound == pytest.approx(lips + single, rel=1e-6)
+        fallback("ssyevd", "cheevd")
+        assert band_spectrum(v, grid_points=32).error_bound == pytest.approx(lips, rel=1e-6)
 
     def test_solve_block_matches_single_fibers(self):
         rng = np.random.default_rng(37)
@@ -1027,18 +1050,44 @@ class TestDenseSolver:
 
     def test_fallback_gives_the_same_bands(self, fallback):
         # the 12 x 12 cell's blocks are one fiber of numpy's zheevd, and with the fallback four of eigvalsh's;
-        # with every LAPACK name hidden, the 1-d cell's fibers are solved by scipy's eigvals_banded too
+        # with every LAPACK name hidden, the 1-d cell's fibers are solved by scipy's eigvals_banded too.  The
+        # fallback solves in double, where these grids would be single: its bands are the double sweep's
         rng = np.random.default_rng(96)
         cells = [free_potential(2, (2, 3)), random_potential(rng, dim=2, max_period=9), fibonacci_potential(10, 1.5)]
         cells.append(PeriodicPotential(dim=2, periods=(12, 12), cell=rng.uniform(-2, 2, size=144)))
-        expect = [band_spectrum(v, grid_points=8) for v in cells]
+        expect = [_spectrum(v, _sweep(v, floquet._phase_set(v.dim, 8))[0], 8) for v in cells]
         assert _block_size(2, 144) == (4 if floquet._lapack("dsyevd", "zheevd") is None else 1)
-        for hidden in (("dsyevd", "zheevd"), ()):
+        for hidden in (("dsyevd", "zheevd", "ssyevd", "cheevd"), ()):
             fallback(*hidden)
             assert floquet._lapack("dsyevd", "zheevd") is None and _block_size(2, 144) == 4
             assert (floquet._lapack("dsbev", "zhbev") is None) == (not hidden)
             for v, want in zip(cells, expect):
                 np.testing.assert_array_equal(*bits(band_spectrum(v, grid_points=8).bands, want.bands))
+
+    def test_single_query_rounded_down_is_rounded_up(self, monkeypatch):
+        # a float32 workspace length above 2^24 may come back one ulp low: here each of cheevd's work and rwork
+        # lengths is stubbed one ulp low, which puts rwork's, exactly its minimum q, below it without the ulp back
+        if (single := floquet._lapack("ssyevd", "cheevd")) is None:
+            pytest.skip("numpy exports no ILP64 ssyevd/cheevd: every sweep is double")
+
+        def rounded_down(routine):
+            def call(*args):
+                routine(*args)
+                spaces = args[6:-3]  # work, lwork, [rwork, lrwork,] iwork, liwork
+                if all(ctypes.c_int64.from_address(n).value == -1 for n in spaces[1::2]):
+                    for address in spaces[:-2:2]:  # the float32 cells at the start of work and rwork
+                        cell = ctypes.c_float.from_address(address)
+                        cell.value = np.nextafter(np.float32(cell.value), np.float32(-np.inf))
+
+            call.__name__ = routine.__name__
+            return call
+
+        rng = np.random.default_rng(16)
+        v = PeriodicPotential(dim=2, periods=(4, 4), cell=rng.uniform(-2, 2, size=16))
+        z = _phase_factors(rng.uniform(0, 1, size=(2, 2)), 2, single=True)
+        want = floquet._DenseSolver(16, 2, np.dtype(np.complex64))(v, z).copy()
+        monkeypatch.setattr(floquet, "_lapack", lambda *names: tuple(map(rounded_down, single)))
+        np.testing.assert_array_equal(floquet._DenseSolver(16, 2, np.dtype(np.complex64))(v, z), want)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_no_convergence_is_lin_alg_error(self, lapack, dtype):
@@ -1059,16 +1108,20 @@ class TestDenseSolver:
 
 class TestGilRelease:
     """A sweep worker's solver lets go of the GIL in each fiber's LAPACK call of a 2-d block of _block_size
-    fibers, which is what lets the workers' solves run side by side, whatever the block's size; so does eigvalsh
-    where it solves each block, on a numpy with no ILP64 names, which it does only on more than 500 eigenvalues."""
+    fibers, which is what lets the workers' solves run side by side, whatever the block's size and precision;
+    so does eigvalsh where it solves each block, on a numpy with no ILP64 names, which it does only on more than
+    500 eigenvalues."""
 
     @staticmethod
-    def assert_ticks_inside(q, watch):
+    def assert_ticks_inside(q, watch, single=False, real=False):
         """A counter thread ticks inside some solve that ``watch(ticked)`` has wrapped in ``watched``, while a
-        _DenseSolver solves a complex block of _block_size(2, q) fibers of a random cell again and again."""
+        _DenseSolver solves a block of _block_size(2, q) fibers of a random cell again and again: complex unless
+        ``real`` (phases in {0, 1/2}^2), in single precision if ``single``."""
         rng, side, k = np.random.default_rng(q), math.isqrt(q), _block_size(2, q)
         v = PeriodicPotential(dim=2, periods=(side, side), cell=rng.uniform(-2, 2, size=q))
-        solver, z = floquet._DenseSolver(q, k, np.dtype(complex)), _phase_factors(rng.uniform(0, 1, size=(k, 2)), 2)
+        phases = rng.integers(0, 2, size=(k, 2)) / 2 if real else rng.uniform(0, 1, size=(k, 2))
+        z = _phase_factors(phases, 2, single=single)
+        solver = floquet._DenseSolver(q, k, np.dtype(np.complex64 if single else complex))
         solver(v, z)  # the workspace query comes first
         ticked = []
         watch(ticked)
@@ -1088,6 +1141,19 @@ class TestGilRelease:
             monkeypatch.setattr(floquet, "_lapack", lambda *names: (lapack[0], watched(lapack[1], ticked)))
 
         self.assert_ticks_inside(q, watch)
+
+    @pytest.mark.parametrize("routine", ["ssyevd", "cheevd"])
+    @pytest.mark.parametrize("q", [16, 36, 144])
+    def test_single_block_solve_releases_the_gil(self, monkeypatch, routine, q):
+        if (single := floquet._lapack("ssyevd", "cheevd")) is None:
+            pytest.skip("numpy exports no ILP64 ssyevd/cheevd: every sweep is double")
+
+        def watch(ticked):
+            pair = zip(single, ("ssyevd", "cheevd"))
+            wrapped = tuple(watched(f, ticked) if name == routine else f for f, name in pair)
+            monkeypatch.setattr(floquet, "_lapack", lambda *names: wrapped)
+
+        self.assert_ticks_inside(q, watch, single=True, real=routine == "ssyevd")
 
     # eigvalsh holds the GIL on the fast path's blocks of 13 fibers at q = 36, 4 at q = 64 and 1 at q = 144
     @pytest.mark.parametrize("q", [36, 64, 144])
@@ -1481,11 +1547,50 @@ class TestAgreementWithComplexFullSweep:
     def test_two_dimensional_grid_bands(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         v = PeriodicPotential(dim=2, periods=(12, 12), cell=tuple(float(x) for x in rng.uniform(-2, 2, size=144)))
+        monkeypatch.setattr(floquet, "_single_term", lambda v, grid_points: 0.0)  # pins the double sweep
         new = band_spectrum(v, grid_points=16)
         use_complex_full_sweep(monkeypatch)
         old = band_spectrum(v, grid_points=16)
         np.testing.assert_allclose(new.bands, old.bands, rtol=0, atol=_solver_bound(v))
         assert new.error_bound == old.error_bound
+
+
+class TestSinglePrecision:
+    """band_spectrum solves a 2-d grid in single precision where (q + SINGLE_TOL_SITES) * eps32 * norm is below
+    SINGLE_SHARE of the grid's Lipschitz term, and adds that term to its error bound: every band edge lies within
+    the term of the double sweep's.  Over the threshold, and in 1-d, it is the double sweep bit for bit."""
+
+    # cells and grids that other tests solve, up to a 24 x 24 cell at a coarse grid; grid 2's phases are real
+    CASES = [((2, 2), 64), ((3, 5), 3), ((5, 5), 16), ((6, 6), 9), ((12, 12), 5), ((16, 16), 2), ((24, 24), 3)]
+
+    @staticmethod
+    def double(v, m):
+        return _spectrum(v, _sweep(v, _phase_set(v.dim, m))[0], m)
+
+    @pytest.mark.parametrize("periods, m", CASES, ids=str)
+    def test_edges_within_the_term_of_the_double_edges(self, periods, m):
+        if floquet._lapack("ssyevd", "cheevd") is None:
+            pytest.skip("numpy exports no ILP64 ssyevd/cheevd: every sweep is double")
+        rng = np.random.default_rng(math.prod(periods))
+        v = PeriodicPotential(dim=2, periods=periods, cell=rng.uniform(-2, 2, size=math.prod(periods)))
+        single, double = band_spectrum(v, grid_points=m), self.double(v, m)
+        term = single.error_bound - double.error_bound
+        assert np.abs(single.bands - double.bands).max() <= term
+        np.testing.assert_array_equal(single.bands.astype(np.float32), single.bands)  # solved in single
+        assert term == pytest.approx((v.q + 64) * 2.0**-23 * (4 + np.abs(v.cell).max()))
+        assert term < 0.01 * (double.error_bound - _solver_bound(v))  # below 1% of the Lipschitz term
+
+    def test_over_the_threshold_and_in_one_dimension_the_double_sweep(self):
+        # potentials of about 1e3 and 1e5 put the term at 2.2% and 103% of these grids' Lipschitz terms
+        rng = np.random.default_rng(38)
+        cells = [PeriodicPotential(dim=2, periods=(4, 4), cell=rng.uniform(-1e3, 1e3, size=16))]
+        cells.append(PeriodicPotential(dim=2, periods=(2, 2), cell=(1e5, -1e5, 3.0, 0.5)))
+        cells += [random_potential(rng, dim=1, max_period=24) for _ in range(8)]
+        for v in cells:
+            assert floquet._single_term(v, 8) == 0.0
+            got, want = band_spectrum(v, grid_points=8), self.double(v, 8)
+            np.testing.assert_array_equal(*bits(got.bands, want.bands))
+            assert got.error_bound == want.error_bound
 
 
 class TestFiberSizeGuard:
@@ -1501,7 +1606,7 @@ class TestFiberSizeGuard:
         with pytest.raises(ValueError, match=r"need 8\.000e\+48 bytes"):
             free_potential(2, (10**12, 10**12))
 
-    def test_fibers_refused_before_the_stack(self, monkeypatch):
+    def test_fibers_refused_before_the_stack(self, monkeypatch, fallback):
         v, w = free_potential(2, (2, 5)), free_potential(2, (10, 10))
         monkeypatch.setattr(floquet, "MAX_FIBER_BYTES", 2 * 10 * 10 * 8)
         assert _fibers(v, _phase_factors([[0.0, 0.5], [0.5, 0.0]], 2)).shape == (2, 10, 10)  # two real fibers fit
@@ -1512,14 +1617,23 @@ class TestFiberSizeGuard:
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 3, pinned.append))
         monkeypatch.setattr(floquet, "_fibers", None)
         with pytest.raises(ValueError, match=r"need 1\.600e\+4 bytes"):
-            band_spectrum(v, grid_points=4)  # 10 complex phases, fewer than 3 blocks
+            _sweep(v, _grid(2, 4))  # 10 complex phases, fewer than 3 blocks
         with pytest.raises(ValueError, match=r"need 9\.600e\+5 bytes"):
-            band_spectrum(w, grid_points=8)  # 34 complex phases, 3 workers' blocks of 2 fibers of 100 sites
+            _sweep(w, _grid(2, 8))  # 34 complex phases, 3 workers' blocks of 2 fibers of 100 sites
+        # band_spectrum solves these grids in single precision where numpy exports ssyevd/cheevd: complex64 fibers,
+        # 8 bytes an entry; else, and with those hidden, in double, as the sweeps above
+        single = floquet._lapack("ssyevd", "cheevd") is not None
+        for charges in (("8.000e+3", "4.800e+5") if single else ("1.600e+4", "9.600e+5"), ("1.600e+4", "9.600e+5")):
+            with pytest.raises(ValueError, match=rf"need {re.escape(charges[0])} bytes"):
+                band_spectrum(v, grid_points=4)
+            with pytest.raises(ValueError, match=rf"need {re.escape(charges[1])} bytes"):
+                band_spectrum(w, grid_points=8)
+            fallback("ssyevd", "cheevd")
         assert pinned == []
 
     def test_fallback_blocks_charged(self, monkeypatch, fallback):
         # where eigvalsh solves the blocks, a 12 x 12 cell's is 4 fibers, not 1: 2 workers hold 8 complex fibers
-        fallback("dsyevd", "zheevd")
+        fallback("dsyevd", "zheevd", "ssyevd", "cheevd")
         monkeypatch.setattr(floquet, "_blas_threads", lambda: (lambda: 2, lambda n: None))
         v = PeriodicPotential(dim=2, periods=(12, 12), cell=np.random.default_rng(84).uniform(-2, 2, size=144))
         expect = band_spectrum(v, grid_points=8)
