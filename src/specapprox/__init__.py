@@ -30,7 +30,6 @@ from .floquet import (
     band_spectrum,
     bandwidth_bound,
     build_fiber,
-    cover_from_bands,
     cover_from_eigenvalues,
     eigenvalues,
     estimate_measure_via_fibers,

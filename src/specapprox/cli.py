@@ -189,8 +189,10 @@ def _parse_measure(spec) -> convergence.Measure1D:
     return build(spec)
 
 
+# delta_mode -> the keys it reads; a run refuses the keys of the other modes
+DELTA_KEYS = {"proxy": set(), "explicit": {"deltas"}, "holder": {"holder_constant", "holder_frequency"}}
 # keys of the fiber pipeline, which a set model's measure run has no use for
-OPERATOR_KEYS = {"phase", "grid_points", "delta_mode", "deltas", "holder_constant", "holder_frequency"}
+OPERATOR_KEYS = {"phase", "grid_points", "delta_mode"}.union(*DELTA_KEYS.values())
 MEASURE_KEYS = OPERATOR_KEYS | {
     "model", "n_min", "n_max", "measure", "output_csv", "output_json", "tail", "tail_tol", "criterion_tol",
 }
@@ -211,25 +213,26 @@ def _grid_points(cfg, dim: int):
 
 
 def _pipeline_deltas(mode, cfg, model, steps):
+    if not isinstance(mode, str) or mode not in DELTA_KEYS:
+        raise ValueError(f"unknown delta_mode: {mode!r}")
+    if stray := sorted(cfg.keys() & set().union(*DELTA_KEYS.values()) - DELTA_KEYS[mode]):
+        raise ValueError(f"delta_mode {mode!r} does not take {stray}")
     if mode == "proxy":
         return "proxy"
     if mode == "explicit":
-        deltas = cfg.get("deltas")
-        if not isinstance(deltas, list) or len(deltas) != len(steps):
+        if not isinstance(deltas := cfg.get("deltas"), list) or len(deltas) != len(steps):
             raise ValueError("explicit delta_mode needs a deltas list, one per step")
-        return [_real(d, "deltas") for d in deltas]
-    if mode == "holder":
-        if cfg["model"]["name"] != "almost_mathieu":
-            raise ValueError("holder delta_mode applies to the almost_mathieu model only")
-        if "holder_constant" not in cfg or "holder_frequency" not in cfg:
-            raise ValueError("holder delta_mode needs holder_constant and holder_frequency")
-        c, target = _real(cfg["holder_constant"], "holder_constant"), _real(cfg["holder_frequency"], "holder_frequency")
-        # q, the period of each step, is its convergent's denominator; round(target * q) the nearest numerator
-        qs = [model.step(cfg["model"], n)["frequency"][1] for n in steps]
-        if overflow := [q for q in qs if not math.isfinite(target * q)]:  # round() would raise OverflowError
-            raise ValueError(f"holder_frequency {target!r} times the period {overflow[0]} overflows")
-        return [c * abs(target - round(target * q) / q) ** 0.5 for q in qs]
-    raise ValueError(f"unknown delta_mode: {mode!r}")
+        return deltas
+    if cfg["model"]["name"] != "almost_mathieu":
+        raise ValueError("holder delta_mode applies to the almost_mathieu model only")
+    if "holder_constant" not in cfg or "holder_frequency" not in cfg:
+        raise ValueError("holder delta_mode needs holder_constant and holder_frequency")
+    c, target = _real(cfg["holder_constant"], "holder_constant"), _real(cfg["holder_frequency"], "holder_frequency")
+    # q, the period of each step, is its convergent's denominator; round(target * q) the nearest numerator
+    qs = [model.step(cfg["model"], n)["frequency"][1] for n in steps]
+    if overflow := [q for q in qs if not math.isfinite(target * q)]:  # round() would raise OverflowError
+        raise ValueError(f"holder_frequency {target!r} times the period {overflow[0]} overflows")
+    return [c * abs(target - round(target * q) / q) ** 0.5 for q in qs]
 
 
 def cmd_measure(args) -> int:

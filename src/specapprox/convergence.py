@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet, _sum, components, fatten, hausdorff_distance, lebesgue
+from .intervals import IntervalSet, _is_real, _item, _sum, components, fatten, hausdorff_distance, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -224,15 +224,21 @@ class _Steps:
     __getitem__ = lambda self, i: self.build(self.items[i])
 
 
-def _run(steps, mu: Measure1D, tail: int, tail_tol: float, proxy: bool = False, **extra):
-    """(report, fattened) of a measure run, the one loop of every measure pipeline.  Step n, ``steps[n - 1]``, is
-    (set or None, delta, q, r, cover or None): row n holds mu of the set (mu_raw, NaN where there is none) and of
-    cover(delta), or with no cover of the set fattened by delta (mu_fattened); fattened[n - 1] is mu of the fattened
-    set (None with no set).  With ``proxy`` each delta is the Hausdorff distance of the set to the finest, the last
-    step's, the one set kept past its row.  ``steps`` is read by index, each step once, the last first, so that its
-    build, the largest, is the run's size check; every other step is gone before the next is read."""
+def _run(steps, mu: Measure1D, tail: int, tail_tol: float, deltas=None, **extra) -> ConvergenceReport:
+    """The report of a measure run, the one loop of every measure pipeline.  Step n, ``steps[n - 1]``, is (set or None,
+    delta, q, r, cover or None): row n holds mu of the set (mu_raw, NaN where there is none) and of cover(delta), or
+    with no cover of the set fattened by delta (mu_fattened).  ``deltas`` alone decides each delta: None, the step's
+    own; "proxy", the Hausdorff distance of its set to the finest, the last step's, kept past its row; else one finite
+    nonnegative number per step, all checked before any step is read.  A set and a cover at every step add band_fattened
+    (mu of each fattened set) and band_estimate after the note.  ``steps`` is read by index, each once, the last first,
+    so that its build, the largest, is the run's size check; no other step outlives its row."""
     if not len(steps):
         raise ValueError("need at least one step")
+    proxy = isinstance(deltas, str) and deltas == "proxy"
+    if not (proxy or deltas is None) and (
+        len(deltas := [_item(d) for d in deltas]) != len(steps) or not all(_is_real(d) and d >= 0 for d in deltas)
+    ):
+        raise ValueError("need one finite nonnegative delta per step")
     finest = None
 
     def row(n):
@@ -241,13 +247,18 @@ def _run(steps, mu: Measure1D, tail: int, tail_tol: float, proxy: bool = False, 
         if proxy:
             finest = a if finest is None else finest
             delta = hausdorff_distance(a, finest)
+        elif deltas is not None:
+            delta = float(deltas[n - 1])
         fattened = None if a is None else measure(mu, fatten(a, delta))
         mu_raw = math.nan if a is None else measure(mu, a)
         mu_cover = fattened if cover is None else measure(mu, cover(delta))
-        return ReportRow(n, delta, q, r, mu_raw, mu_cover, q * delta), fattened
+        return ReportRow(n, delta, q, r, mu_raw, mu_cover, q * delta), None if cover is None else fattened
     last = row(len(steps))
     rows, fattened = zip(*map(row, range(1, len(steps))), last)  # map keeps no step between calls
-    return ConvergenceReport.build(rows, tail, tail_tol, **extra), list(fattened)
+    report = ConvergenceReport.build(rows, tail, tail_tol, **extra)
+    if None not in fattened:
+        report.summary.update(band_fattened=list(fattened), band_estimate=fattened[-1])
+    return report
 
 
 def fattened_measure_sequence(
@@ -262,7 +273,7 @@ def fattened_measure_sequence(
     indexing (a list or a tuple; a generator raises TypeError): each record
     is read once, the last first, and dropped with its row.
     """
-    return _run(_Steps(lambda rec: (rec.set, rec.delta, rec.q, rec.r, None), records), mu, tail, tail_tol)[0]
+    return _run(_Steps(lambda rec: (rec.set, rec.delta, rec.q, rec.r, None), records), mu, tail, tail_tol)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ single phase into a cover of the whole spectrum by intervals of known
 radius, which is what the measure-estimation pipeline at the bottom of this
 module exploits; each step is one sweep, which reuses its eigenvalues at
 that phase or its conjugate or else solves the phase in a block of its own,
-and the measure run loop of ``convergence`` holds one step at a time, and
-in proxy mode the finest step's union, against which every delta is taken.
+and the measure run loop of ``convergence`` takes every delta from its one
+source, holding one step at a time and, in proxy mode, the finest union.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from decimal import Decimal
 import numpy as np
 
 from .convergence import DEFAULT_TAIL, DEFAULT_TAIL_TOL, ConvergenceReport, Measure1D, _run, _Steps
-from .intervals import IntervalSet, InvalidRadiusError, _int, _is_real, fatten, hausdorff_distance, interval_union
+from .intervals import IntervalSet, InvalidRadiusError, _int, _is_real, _item, hausdorff_distance, interval_union
 
 HERMITICITY_TOL = 1e-12
 # Backward-stable dense eigensolver: eigenvalue error is a small multiple of
@@ -101,7 +101,7 @@ class NotHermitianError(ValueError):
     """Matrix handed to the eigensolver was not Hermitian."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the __eq__ below compares the array; an array field has no hash
 class PeriodicPotential:
     """Real potential sampled over one fundamental cell.
 
@@ -159,11 +159,6 @@ class BandSpectrum:
 
     def widths(self) -> np.ndarray:
         return self.bands[:, 1] - self.bands[:, 0]
-
-
-def _item(x):
-    """``x``, or the Python number a numpy number holds, for :func:`_is_real`'s rule."""
-    return x.item() if isinstance(x, np.generic) else x
 
 
 def _phase_tuple(phase, dim: int) -> tuple[float, ...]:
@@ -590,12 +585,6 @@ def band_spectrum(potential: PeriodicPotential, grid_points: int = DEFAULT_GRID_
     return _spectrum(potential, _sweep(potential, phases, single=single > 0)[0], m, single)
 
 
-def cover_from_bands(union: IntervalSet, delta: float) -> IntervalSet:
-    """Band union fattened by delta; covers the limit spectrum whenever
-    delta dominates the Hausdorff distance to it."""
-    return fatten(union, delta)
-
-
 def cover_from_eigenvalues(eigs, delta: float, radius: float) -> IntervalSet:
     """Balls of radius delta + radius around fiber eigenvalues, merged.
 
@@ -636,38 +625,32 @@ def estimate_measure_via_fibers(
     the ball cover of radius delta_n + r_n around its eigenvalues is
     recorded (column ``mu_fattened``); r_n is the bandwidth bound and q_n
     the cell volume.  ``deltas`` is either an explicit list of distance
-    bounds or "proxy", which uses the Hausdorff distance of each band union
-    against the finest approximant's.  Band spectra are computed in proxy
-    mode and in one dimension, all over one phase set; then the raw measure
-    of the band union is recorded too, and the summary carries the
-    band-fattening estimates for comparison.  Each potential is read once,
-    by index, the last first, and dropped with its row.  A ``grid_points``
-    that is not an integer is refused in either dimension, and a phase or
-    delta that is a boolean, a string, NaN or infinite is refused.
+    bounds, which the run loop of ``convergence`` checks before any potential
+    is read, or "proxy", the Hausdorff distance of each band union to the
+    finest approximant's.  Band spectra are computed in proxy mode and in one
+    dimension, all over one phase set; then the raw measure of the band union
+    is recorded too, and the summary carries the band-fattening estimates for
+    comparison.  Each potential is read once, by index, the last first, whose
+    dimension picks the phase set, and dropped with its row.  A non-integer
+    ``grid_points`` is refused in either dimension, and a phase or delta that
+    is a boolean, a string, NaN or infinite is refused.
     """
     grid_points = _int(grid_points, "grid_points")
-    if not len(potentials):
-        raise ValueError("need at least one potential")
     proxy = isinstance(deltas, str) and deltas == "proxy"
-    if not proxy and (
-        len(deltas := [_item(d) for d in deltas]) != len(potentials) or not all(_is_real(d) and d >= 0 for d in deltas)
-    ):
-        raise ValueError("need one finite nonnegative delta per potential")  # before any potential is read
-    held = [potentials[-1]]  # read first, for the dimension that picks the phase set; the run's first step takes it
-    dim, phi = held[0].dim, _phase_tuple(phase, held[0].dim)
-    if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
-        _check_grid(dim, grid_points)
-    phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
+    phi, dim, sweep, phases = [], None, None, None  # set by the first step; phi is the summary's phase
 
-    def step(i):  # (band union or None, delta, q, r, ball cover) of potential i, which is not kept
-        v = held.pop() if held else potentials[i]
-        if v.dim != dim:
+    def step(i):  # (band union or None, no delta, q, r, ball cover) of potential i, which is not kept
+        nonlocal dim, sweep, phases
+        v = potentials[i]
+        if dim is None:
+            dim, phi[:] = v.dim, _phase_tuple(phase, v.dim)
+            if not (sweep := proxy or dim == 1):  # phi alone, but a grid_points no sweep could take is refused
+                _check_grid(dim, grid_points)
+            phases = _phase_set(dim, grid_points) if sweep else np.array([phi])
+        elif v.dim != dim:
             raise ValueError("potentials must share a dimension")
         bands, eigs = _sweep(v, phases, phi)  # phi off the sweep is solved first: its solve is the slowest
         r, union = bandwidth_bound(v.periods), _spectrum(v, bands, grid_points).union() if sweep else None
-        return union, None if proxy else float(deltas[i]), v.q, r, lambda delta: cover_from_eigenvalues(eigs, delta, r)
-    steps, mode = _Steps(step, range(len(potentials))), "proxy" if proxy else "analytic"
-    report, fattened = _run(steps, mu, tail, tail_tol, proxy, delta_mode=mode, phase=list(phi))
-    if sweep:
-        report.summary.update(band_fattened=fattened, band_estimate=fattened[-1])
-    return report
+        return union, None, v.q, r, lambda delta: cover_from_eigenvalues(eigs, delta, r)
+    mode = "proxy" if proxy else "analytic"
+    return _run(_Steps(step, range(len(potentials))), mu, tail, tail_tol, deltas, delta_mode=mode, phase=phi)

@@ -104,9 +104,6 @@ class IntervalSet:
         same = type(other) is type(self)
         return same and np.array_equal(self.lows, other.lows) and np.array_equal(self.highs, other.highs)
 
-    def __hash__(self) -> int:
-        return hash((tuple(self.lows.tolist()), tuple(self.highs.tolist())))
-
     def __repr__(self) -> str:
         return f"IntervalSet({set_to_obj(self)!r})"
 
@@ -287,6 +284,11 @@ def _is_real(x) -> bool:
     """Whether a JSON value is a real number: an int or a float, not a bool, that a float holds.
     NaN, infinities and ints beyond the float range, which float() would overflow on, are not."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and -_FLOAT_MAX <= x <= _FLOAT_MAX
+
+
+def _item(x):
+    """``x``, or the Python number a numpy number holds, for :func:`_is_real`'s rule."""
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def _int(value, name: str):

@@ -22,7 +22,6 @@ from specapprox import (
     contains_set,
     convergents,
     corollary,
-    cover_from_bands,
     cover_from_eigenvalues,
     dim_bound_direct,
     dim_bound_last,
@@ -236,7 +235,7 @@ def test_criterion_08_fiber_covers(capsys):
                 cov = cover_from_eigenvalues(fiber_eigenvalues(v, phi), 0.0, r)
                 assert contains_set(cov, u, tol=1e-9)
             for delta in (1e-9, 0.1):
-                assert contains_set(cover_from_bands(u, delta), u, tol=0.0)
+                assert contains_set(fatten(u, delta), u, tol=0.0)
 
 
 def test_criterion_09_quasiperiodic_convergents(capsys):

@@ -128,6 +128,16 @@ MALFORMED_MEASURE = {
     "holder-without-frequency": {"model": AM_CF, "delta_mode": "holder", "holder_constant": 1.0},
     "unknown-delta-mode": {"model": FREE_1D, "delta_mode": "guess"},
     "lebesgue-extra-key": {"measure": {"type": "lebesgue", "atoms": [0.5]}},
+    # a delta key of another delta_mode was ignored: each run took the deltas of its own mode and exited 0
+    "proxy-deltas-holder-constant": {
+        "model": {"name": "fibonacci", "coupling": 1.0}, "deltas": [9, 9, 9], "holder_constant": 3
+    },
+    "explicit-holder-frequency": {
+        "model": FREE_1D, "delta_mode": "explicit", "deltas": [0.1] * 3, "holder_frequency": 0.5
+    },
+    "holder-deltas": {
+        "model": AM_CF, "delta_mode": "holder", "holder_constant": 1.0, "holder_frequency": 0.618, "deltas": [0.1] * 3
+    },
 }
 
 # The bands counterparts, with the error each must give: int() truncated or parsed each
@@ -407,6 +417,9 @@ class TestMeasureCommand:
             ("holder-without-frequency", "holder delta_mode needs holder_constant and holder_frequency"),
             ("unknown-delta-mode", "unknown delta_mode: 'guess'"),
             ("lebesgue-extra-key", "unknown keys in measure: ['atoms']"),
+            ("proxy-deltas-holder-constant", "delta_mode 'proxy' does not take ['deltas', 'holder_constant']"),
+            ("explicit-holder-frequency", "delta_mode 'explicit' does not take ['holder_frequency']"),
+            ("holder-deltas", "delta_mode 'holder' does not take ['deltas']"),
         ],
     )
     def test_refusal_names_the_key(self, tmp_path, capsys, case, key):
@@ -433,7 +446,8 @@ class TestMeasureCommand:
     @pytest.mark.parametrize("delta_mode", ["proxy", "explicit"])
     @pytest.mark.parametrize("model", ONE_DIM_MEASURE.values(), ids=ONE_DIM_MEASURE.keys())
     def test_one_dimensional_run_refuses_grid_points(self, tmp_path, capsys, model, delta_mode):
-        cfg = measure_config(tmp_path, model=model, n_max=3, grid_points=16, delta_mode=delta_mode, deltas=[0.1] * 3)
+        deltas = {"deltas": [0.1] * 3} if delta_mode == "explicit" else {}  # a proxy run refuses deltas
+        cfg = measure_config(tmp_path, model=model, n_max=3, grid_points=16, delta_mode=delta_mode, **deltas)
         assert main(["measure", "--config", cfg]) == 2
         assert "take no grid_points" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()

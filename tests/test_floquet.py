@@ -24,10 +24,10 @@ from specapprox import (
     bandwidth_bound,
     build_fiber,
     contains_set,
-    cover_from_bands,
     cover_from_eigenvalues,
     eigenvalues,
     estimate_measure_via_fibers,
+    fatten,
     fiber_eigenvalues,
     fibonacci_potential,
     free_potential,
@@ -1327,9 +1327,9 @@ class TestConcurrentBands:
 class TestCovers:
     def test_band_cover_fattens_and_merges(self):
         bands = normalize([(0.0, 1.0), (2.0, 3.0)])
-        cov = cover_from_bands(bands, 0.25)
+        cov = fatten(bands, 0.25)
         assert set_to_obj(cov) == [[-0.25, 1.25], [1.75, 3.25]]
-        assert len(cover_from_bands(bands, 0.5)) == 1
+        assert len(fatten(bands, 0.5)) == 1
 
     def test_eigenvalue_cover_radii(self):
         cov = cover_from_eigenvalues([0.0, 1.0], delta=0.1, radius=0.2)
@@ -1339,8 +1339,6 @@ class TestCovers:
         assert set_to_obj(merged) == [[-0.5, 1.5]]
 
     def test_negative_radii_rejected(self):
-        with pytest.raises(InvalidRadiusError):
-            cover_from_bands(normalize([(0.0, 1.0)]), -0.1)
         with pytest.raises(InvalidRadiusError):
             cover_from_eigenvalues([0.0], delta=0.0, radius=-1.0)
 
@@ -1358,7 +1356,7 @@ class TestCovers:
         v = almost_mathieu(0.9, (3, 8))
         union = band_spectrum(v).union()
         for delta in (1e-9, 0.05, 1.0):
-            assert contains_set(cover_from_bands(union, delta), union, tol=0.0)
+            assert contains_set(fatten(union, delta), union, tol=0.0)
 
 
 class TestProxyDeltas:
@@ -1396,7 +1394,7 @@ class TestMeasurePipeline:
             assert row.mu_fattened >= row.mu_raw - 1e-12
 
     def test_no_potentials_refused(self):
-        with pytest.raises(ValueError, match="need at least one potential"):
+        with pytest.raises(ValueError, match="need at least one step"):
             estimate_measure_via_fibers([], 0.0, Lebesgue())
 
     def test_explicit_deltas_length_checked(self):
@@ -1423,8 +1421,27 @@ class TestMeasurePipeline:
                 raise AssertionError("read a potential")
 
         pots = Unread(fibonacci_potential(n, 1.0) for n in (3, 4, 5))
-        with pytest.raises(ValueError, match="one finite nonnegative delta per potential"):
+        with pytest.raises(ValueError, match="one finite nonnegative delta per step"):
             estimate_measure_via_fibers(pots, 0.0, Lebesgue(), deltas=[bad, 0.1, 0.1])
+
+    # the delta source decides only where each delta comes from: a proxy run's own deltas, declared, give its rows
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_proxy_deltas_declared_give_the_proxy_run(self, phase):
+        pots = [fibonacci_potential(n, 1.0) for n in range(3, 8)]
+        proxy = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy")
+        explicit = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas=[row.delta for row in proxy.rows])
+        assert explicit.rows == proxy.rows
+        assert explicit.summary == {**proxy.summary, "delta_mode": "analytic"}
+
+    @pytest.mark.parametrize("phase", [(0.3, 0.1), (0.25, 0.5)], ids=["off-grid", "on-grid"])
+    def test_proxy_deltas_declared_give_the_2d_proxy_covers(self, phase):
+        # an explicit 2-d run sweeps no grid, so it has no band union and no band estimates
+        pots = [free_potential(2, (p, p)) for p in (2, 4)]
+        proxy = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas="proxy", grid_points=8)
+        deltas = [row.delta for row in proxy.rows]
+        explicit = estimate_measure_via_fibers(pots, phase, Lebesgue(), deltas=deltas, grid_points=8)
+        assert [(r.delta, r.mu_fattened) for r in explicit.rows] == [(r.delta, r.mu_fattened) for r in proxy.rows]
+        assert "band_fattened" in proxy.summary and "band_fattened" not in explicit.summary
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -18,12 +18,14 @@ from specapprox import (
     InvalidRadiusError,
     Lebesgue,
     PiecewiseDensity,
+    band_spectrum,
     cantor_approximation,
     components,
     contains_set,
     directed_distance,
     fatten,
     fattened_measure_sequence,
+    fibonacci_potential,
     grid_approximation,
     hausdorff_content_upper,
     hausdorff_distance,
@@ -257,6 +259,22 @@ class TestFatten:
     def test_negative_radius_rejected(self):
         with pytest.raises(InvalidRadiusError):
             fatten(iset((0.0, 1.0)), -1e-9)
+
+
+# each type compares its arrays by value, so none has a hash: a hash would have to read every entry
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: normalize([(0.0, 1.0)]),
+        lambda: fibonacci_potential(5, 1.0),
+        lambda: band_spectrum(fibonacci_potential(3, 1.0)),
+    ],
+    ids=["IntervalSet", "PeriodicPotential", "BandSpectrum"],
+)
+def test_array_holding_types_are_unhashable(make):
+    value = make()
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+        hash(value)
 
 
 class TestLebesgue:
@@ -802,12 +820,12 @@ class TestSerialization:
 class TestPointSets:
     """A finite point set is an IntervalSet whose components are all degenerate."""
 
-    def test_equals_and_hashes_as_degenerate_intervals(self):
+    def test_equals_as_degenerate_intervals(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
             xs = rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 9))).tolist()
             p, q = point_set(xs), normalize([(x, x) for x in xs])
-            assert p == q and hash(p) == hash(q)
+            assert p == q
 
     def test_grid_set_has_zero_content(self):
         g = grid_approximation(4).set
