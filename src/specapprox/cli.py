@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import convergence, dimension, floquet, models
-from .intervals import IntervalSet, _int, _is_real, hausdorff_distance, set_from_obj
+from .intervals import IntervalSet, _int, _real, hausdorff_distance, set_from_obj
 
 
 def _load_json(path):
@@ -54,13 +54,6 @@ def _load_config(path, allowed, required) -> dict:
         if not isinstance(cfg.get(key, ""), str):
             raise ValueError(f"{key} must be a path string, got {cfg[key]!r}")
     return cfg
-
-
-def _real(value, key: str) -> float:
-    """``value`` as a float; refuses booleans, strings and ints beyond the float range, which float() takes."""
-    if _is_real(value):
-        return float(value)
-    raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 def _reals(spec, *keys) -> list[tuple[float, ...]]:
@@ -238,21 +231,17 @@ def _pipeline_deltas(mode, cfg, model, steps):
 def cmd_measure(args) -> int:
     cfg = _load_config(args.config, MEASURE_KEYS, {"model", "n_min", "n_max", "output_csv", "output_json"})
     mu = _parse_measure(cfg.get("measure"))
-    tail = _int(cfg.get("tail", convergence.DEFAULT_TAIL), "tail")
-    if tail < 1:
-        raise ValueError(f"tail must be >= 1, got {tail}")
-    tail_tol = _real(cfg.get("tail_tol", convergence.DEFAULT_TAIL_TOL), "tail_tol")
+    run = {key: cfg[key] for key in ("tail", "tail_tol") if key in cfg}  # the run loop checks them before any step
     crit_tol = _real(cfg.get("criterion_tol", convergence.DEFAULT_DIAGNOSTIC_TOL), "criterion_tol")
-    for key, value in (("tail_tol", tail_tol), ("criterion_tol", crit_tol)):
-        if value <= 0:  # spread < tail_tol and q * delta < criterion_tol never hold then
-            raise ValueError(f"{key} must be positive, got {value!r}")
+    if crit_tol <= 0:  # q * delta < criterion_tol never holds then
+        raise ValueError(f"criterion_tol must be positive, got {crit_tol!r}")
 
     model, steps = _model(cfg["model"], "measure"), _n_range(cfg)
     approximants = convergence._Steps(lambda n: model.build(model.step(cfg["model"], n)), steps)
     if model.sets:
         if unused := sorted(OPERATOR_KEYS & cfg.keys()):
             raise ValueError(f"set model {cfg['model']['name']!r} does not take {unused}")
-        report = convergence.fattened_measure_sequence(approximants, mu, tail=tail, tail_tol=tail_tol)
+        report = convergence.fattened_measure_sequence(approximants, mu, **run)
     else:  # every argument is checked before the first step is built
         mode, phase = cfg.get("delta_mode", "proxy"), cfg.get("phase", 0.0)
         report = floquet.estimate_measure_via_fibers(
@@ -262,11 +251,11 @@ def cmd_measure(args) -> int:
             deltas=_pipeline_deltas(mode, cfg, model, steps),
             # only a free cell is 2-d; its build refuses a dim other than 1 or 2, still before any solve
             grid_points=_grid_points(cfg, _int(cfg["model"].get("dim", 1), "dim")),
-            tail=tail, tail_tol=tail_tol,
+            **run,
         )
         report.summary["delta_mode"] = mode
 
-    corollary = report.summary["corollary"] = convergence.corollary(report.rows, tail, crit_tol)
+    corollary = report.summary["corollary"] = convergence.corollary(report.rows, report.summary["tail"], crit_tol)
     report.write_csv(cfg["output_csv"])
     report.write_json(cfg["output_json"])
     print(f"estimate: {report.summary['estimate']:.6g}")

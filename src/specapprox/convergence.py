@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet, _is_real, _item, _sum, components, fatten, hausdorff_distance, lebesgue
+from .intervals import IntervalSet, _int, _is_real, _item, _real, _sum, components, fatten, hausdorff_distance, lebesgue
 
 # Finite-data slack used by the pass/fail diagnostics below.  Decreasing-to-
 # limit sequences should pass at realistic horizons, which needs tolerance of
@@ -162,29 +162,11 @@ class ConvergenceReport:
     rows: list[ReportRow]
     summary: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, rows, tail: int, tail_tol: float, **extra) -> "ConvergenceReport":
-        """Report of ``rows`` whose summary holds the tail diagnostics of the
-        fattened column; ``extra`` keys precede the note."""
-        rows = list(rows)
-        if not rows:
-            raise ValueError("need at least one step")
-        if tail < 1:  # rows[-tail:] would take every row at 0 and drop rows below it
-            raise ValueError(f"tail must be >= 1, got {tail}")
-        tail = min(tail, len(rows))
-        window = [r.mu_fattened for r in rows[-tail:]]
-        spread = max(window) - min(window)
-        diagnostics = {"estimate": rows[-1].mu_fattened, "converged": spread < tail_tol, "tail_spread": spread}
-        return cls(rows, {**diagnostics, "tail": tail, "rows": len(rows), **extra, "note": FINITE_HORIZON_NOTE})
-
     def write_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, map(astuple, self.rows))
 
-    def to_obj(self) -> dict:
-        return {"rows": [asdict(r) for r in self.rows], "summary": self.summary}
-
     def write_json(self, path) -> None:
-        write_json(path, self.to_obj())
+        write_json(path, {"rows": [asdict(r) for r in self.rows], "summary": self.summary})
 
 
 def write_csv(path, header, rows) -> None:
@@ -229,11 +211,16 @@ def _run(steps, mu: Measure1D, tail: int, tail_tol: float, deltas=None, **extra)
     delta, q, r, cover or None): row n holds mu of the set (mu_raw, NaN where there is none) and of cover(delta), or
     with no cover of the set fattened by delta (mu_fattened).  ``deltas`` alone decides each delta: None, the step's
     own; "proxy", the Hausdorff distance of its set to the finest, the last step's, kept past its row; else one finite
-    nonnegative number per step, all checked before any step is read.  A set and a cover at every step add band_fattened
-    (mu of each fattened set) and band_estimate after the note.  ``steps`` is read by index, each once, the last first,
-    so that its build, the largest, is the run's size check; no other step outlives its row."""
+    nonnegative number per step, all checked, with ``tail`` (an integer >= 1) and ``tail_tol`` (> 0), before any step
+    is read.  The summary holds the tail diagnostics of the fattened column, ``extra`` and the note, then with a set and
+    a cover at every step band_fattened (mu of each fattened set) and band_estimate.  ``steps`` is read by index, each
+    once, the last first, so that its build, the largest, is the run's size check; no other step outlives its row."""
     if not len(steps):
         raise ValueError("need at least one step")
+    if (tail := _int(tail, "tail")) < 1:  # rows[-tail:] would take every row at 0 and drop rows below it
+        raise ValueError(f"tail must be >= 1, got {tail}")
+    if (tail_tol := _real(tail_tol, "tail_tol")) <= 0:  # spread < tail_tol never holds then
+        raise ValueError(f"tail_tol must be positive, got {tail_tol!r}")
     proxy = isinstance(deltas, str) and deltas == "proxy"
     if not (proxy or deltas is None) and (
         len(deltas := [_item(d) for d in deltas]) != len(steps) or not all(_is_real(d) and d >= 0 for d in deltas)
@@ -255,10 +242,13 @@ def _run(steps, mu: Measure1D, tail: int, tail_tol: float, deltas=None, **extra)
         return ReportRow(n, delta, q, r, mu_raw, mu_cover, q * delta), None if cover is None else fattened
     last = row(len(steps))
     rows, fattened = zip(*map(row, range(1, len(steps))), last)  # map keeps no step between calls
-    report = ConvergenceReport.build(rows, tail, tail_tol, **extra)
+    window = [r.mu_fattened for r in rows[-tail:]]
+    spread = max(window) - min(window)
+    summary = {"estimate": rows[-1].mu_fattened, "converged": spread < tail_tol, "tail_spread": spread}
+    summary.update(tail=min(tail, len(rows)), rows=len(rows), **extra, note=FINITE_HORIZON_NOTE)
     if None not in fattened:
-        report.summary.update(band_fattened=list(fattened), band_estimate=fattened[-1])
-    return report
+        summary.update(band_fattened=list(fattened), band_estimate=fattened[-1])
+    return ConvergenceReport(list(rows), summary)
 
 
 def fattened_measure_sequence(

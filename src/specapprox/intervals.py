@@ -302,6 +302,14 @@ def _int(value, name: str):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, the package's one real-number rule: what :func:`_is_real` refuses (booleans, strings,
+    NaN, infinities and ints beyond the float range, which float() would take) raises ValueError naming ``name``."""
+    if _is_real(value := _item(value)):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _real_array(items: list):
     """``items`` as a float array when :func:`_is_real` holds for every one, else None.
 

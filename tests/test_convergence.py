@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ from conftest import oracle_measure, random_compact_set, random_interval_set, ra
 from specapprox import (
     ApproximationRecord,
     AtomicMeasure,
-    ConvergenceReport,
     Lebesgue,
     PiecewiseDensity,
     cantor_approximation,
     corollary,
+    estimate_measure_via_fibers,
     fatten,
     fattened_measure_sequence,
     grid_approximation,
@@ -24,7 +25,7 @@ from specapprox import (
     semicontinuity_check,
     set_to_obj,
 )
-from specapprox.convergence import CSV_COLUMNS
+from specapprox.convergence import CSV_COLUMNS, _Steps
 
 
 def iset(*pairs):
@@ -236,6 +237,21 @@ class TestApproximationRecord:
         assert rec.r == 0.0
 
 
+# tail or tail_tol -> the refusal it gets
+BAD_TAILS = {
+    "tail-0": ({"tail": 0}, "tail must be >= 1, got 0"),
+    "tail-fraction": ({"tail": 2.5}, "tail must be an integer, got 2.5"),
+    "tail-bool": ({"tail": True}, "tail must be an integer, got True"),
+    "tail-tol-0": ({"tail_tol": 0}, "tail_tol must be positive, got 0.0"),
+    "tail-tol-nan": ({"tail_tol": math.nan}, "tail_tol must be a real number, got nan"),
+    "tail-tol-string": ({"tail_tol": "x"}, "tail_tol must be a real number, got 'x'"),
+}
+RUNS = {
+    "sets": fattened_measure_sequence,
+    "fibers": lambda steps, mu, **kwargs: estimate_measure_via_fibers(steps, 0.0, mu, **kwargs),
+}
+
+
 class TestFattenedMeasureSequence:
     def test_grid_rows_follow_closed_form(self):
         records = [grid_approximation(n) for n in range(1, 41)]
@@ -288,11 +304,20 @@ class TestFattenedMeasureSequence:
         with pytest.raises(ValueError, match=f"tail must be >= 1, got {tail}"):
             fattened_measure_sequence(records, Lebesgue(), tail=tail)
 
+    @pytest.mark.parametrize("kwargs, message", BAD_TAILS.values(), ids=BAD_TAILS.keys())
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_bad_tail_refused_before_any_step(self, run, kwargs, message):
+        # each was refused only once every step had been built (and solved), 2.5 by numpy's TypeError,
+        # and a NaN tail_tol was taken, so that no run could converge
+        steps = _Steps(lambda i: pytest.fail(f"step {i} was built"), range(3))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(steps, Lebesgue(), **kwargs)
+
 
 class TestReportSerialization:
     def test_report_of_no_rows_refused(self):
         with pytest.raises(ValueError, match="need at least one step"):
-            ConvergenceReport.build([], tail=3, tail_tol=1e-3)
+            fattened_measure_sequence([], Lebesgue())
 
     def test_csv_header_and_determinism(self, tmp_path):
         records = [cantor_approximation(n) for n in range(1, 6)]
