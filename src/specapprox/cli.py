@@ -36,6 +36,8 @@ def _load_json(path):
 
 
 def _check_keys(obj: dict, allowed, required, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -47,8 +49,6 @@ def _check_keys(obj: dict, allowed, required, where: str):
 def _load_config(path, allowed, required) -> dict:
     """A command's config object with its keys checked and its output paths strings (open() takes an int as an fd)."""
     cfg = _load_json(path)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
     _check_keys(cfg, allowed, required, "config")
     for key in ("output_csv", "output_json"):
         if not isinstance(cfg.get(key, ""), str):
@@ -56,8 +56,15 @@ def _load_config(path, allowed, required) -> dict:
     return cfg
 
 
+def _list(spec, key: str, rule, length=None) -> tuple:
+    """``spec[key]``, a list (of ``length`` items where given), as a tuple of its items each read by ``rule``."""
+    if not isinstance(items := spec[key], list) or len(items) != (length or len(items)):
+        raise ValueError(f"{key} must be a list{f' of {length} items' if length else ''}, got {items!r}")
+    return tuple(rule(x, key) for x in items)
+
+
 def _reals(spec, *keys) -> list[tuple[float, ...]]:
-    return [tuple(_real(x, key) for x in spec[key]) for key in keys]
+    return [_list(spec, key, _real) for key in keys]
 
 
 def _keys(*required, optional=()):
@@ -94,22 +101,14 @@ def _free_args(spec, periods="periods"):
 
 
 def _almost_mathieu(spec):
-    frequency = _int(spec["frequency"], "frequency")
+    frequency = _list(spec, "frequency", _int, 2)
     offset = _real(spec.get("offset", 0.0), "offset")
     return models.almost_mathieu(_real(spec["coupling"], "coupling"), frequency, offset)
 
 
 def _almost_mathieu_step(spec, n):
-    f = models.convergents(_int(spec["frequency_cf"], "frequency_cf"), n)[-1]
+    f = models.convergents(_list(spec, "frequency_cf", _int), n)[-1]
     return {**spec, "frequency": [f.numerator, f.denominator]}
-
-
-def _literal_potential(spec):
-    return floquet.PeriodicPotential(
-        dim=_int(spec["dim"], "dim"),
-        periods=tuple(_int(spec["periods"], "periods")),
-        cell=tuple(_real(v, "cell") for v in spec["cell"]),
-    )
 
 
 MODELS = {
@@ -141,7 +140,7 @@ MODELS = {
         keys={"measure": _keys("name", "coupling"), "bands": _keys("name", "level", "coupling")},
     ),
     "potential": _Model(
-        build=_literal_potential,
+        build=lambda s: floquet.PeriodicPotential(s["dim"], _list(s, "periods", _int), _list(s, "cell", _real)),
         keys={"bands": _keys("name", "dim", "periods", "cell")},
     ),
 }

@@ -60,19 +60,31 @@ class CoverStats:
 
     @classmethod
     def from_rows(cls, rows) -> "CoverStats":
-        """Stats from rows of a stats CSV's columns; ``n`` and ``q`` that are not CSV text are read by the
-        package's integer rule, so a fraction is refused, not truncated."""
+        """Stats from rows of a stats CSV's columns; ``n`` and ``q``, CSV text as the int, else the float, it spells,
+        are read by the package's integer rule, so a fraction is refused, not truncated, and no number by its column."""
 
         def count(row, key):
-            return int(value) if isinstance(value := row[key], str) else _int(value, key)
+            value = row[key]
+            for kind in (float, int) if isinstance(value, str) else ():  # the last of them that reads the text
+                try:
+                    value = kind(row[key])
+                except ValueError:
+                    pass
+            return _int(value, key)
+
+        def real(row, key):
+            try:
+                return float(row[key])
+            except (TypeError, ValueError):  # text float() cannot read, or a missing cell
+                raise ValueError(f"{key} must be a real number, got {row[key]!r}") from None
 
         n, q, delta, r, mu = [], [], [], [], []
         for row in rows:
             n.append(count(row, "n"))
             q.append(count(row, "q"))
-            delta.append(float(row["delta"]))
-            r.append(float(row["r"]))
-            mu.append(float(row["mu_fattened"]))
+            delta.append(real(row, "delta"))
+            r.append(real(row, "r"))
+            mu.append(real(row, "mu_fattened"))
         return cls(n=tuple(n), q=tuple(q), delta=tuple(delta), r=tuple(r), mu_fattened=tuple(mu))
 
     @classmethod

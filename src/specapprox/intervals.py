@@ -293,10 +293,10 @@ def _item(x):
 
 def _int(value, name: str):
     """``value``, or each item of a list ``value``, as the int it equals, the package's one integer rule: booleans
-    (numpy's too), strings and infinite, NaN or fractional numbers raise ValueError naming ``name``."""
+    (numpy's too), strings, non-numbers and infinite, NaN or fractional numbers raise ValueError naming ``name``."""
     if isinstance(value, list):
         return [_int(v, name) for v in value]
-    with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity, a NaN or a string it cannot parse
+    with contextlib.suppress(OverflowError, TypeError, ValueError):  # int() of inf, NaN, bad text or a non-number
         if not isinstance(value, (bool, np.bool_)) and (n := int(value)) == value:  # no string equals an int
             return n
     raise ValueError(f"{name} must be an integer, got {value!r}")

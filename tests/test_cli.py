@@ -138,6 +138,11 @@ MALFORMED_MEASURE = {
     "holder-deltas": {
         "model": AM_CF, "delta_mode": "holder", "holder_constant": 1.0, "holder_frequency": 0.618, "deltas": [0.1] * 3
     },
+    # a value of the wrong shape printed Python's own text, "'int' object is not iterable"
+    "measure-not-an-object": {"measure": 5},
+    "atoms-not-a-list": {"measure": {"type": "atomic", "atoms": 1, "weights": [1.0]}},
+    "breakpoints-not-a-list": {"measure": {"type": "density", "breakpoints": 3, "values": [1.0]}},
+    "frequency-cf-not-a-list": {"model": {**AM_CF, "frequency_cf": 5}},
 }
 
 # The bands counterparts, with the error each must give: int() truncated or parsed each
@@ -158,6 +163,22 @@ MALFORMED_BANDS = {
     "offset-string": (REAL, {"model": {"name": "almost_mathieu", "coupling": 1, "frequency": [1, 3], "offset": "0.1"}}),
     "cell-string": (REAL, {"model": {"name": "potential", "dim": 1, "periods": [2], "cell": ["0", 1.0]}}),
     "coupling-huge-int": (REAL, {"model": {"name": "fibonacci", "level": 3, "coupling": 10**400}}),
+    # Python's own text: "'int' object is not iterable", "cannot unpack non-iterable int object"
+    # and "too many values to unpack (expected 2)"
+    "periods-not-a-list": (
+        "periods must be a list, got 5", {"model": {"name": "potential", "dim": 1, "periods": 5, "cell": [0.0, 1.0]}}
+    ),
+    "cell-not-a-list": (
+        "cell must be a list, got 5", {"model": {"name": "potential", "dim": 1, "periods": [2], "cell": 5}}
+    ),
+    "frequency-not-a-list": (
+        "frequency must be a list of 2 items, got 3",
+        {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": 3}},
+    ),
+    "frequency-of-three": (
+        "frequency must be a list of 2 items, got [1, 2, 3]",
+        {"model": {"name": "almost_mathieu", "coupling": 1.0, "frequency": [1, 2, 3]}},
+    ),
     # np.prod wrapped the cell volume in int64: to 0, refused only as a reshape failure, and below 0
     "cell-count-wraps-to-zero": (
         "cell must hold 18446744073709551616 values, got 0",
@@ -420,6 +441,10 @@ class TestMeasureCommand:
             ("proxy-deltas-holder-constant", "delta_mode 'proxy' does not take ['deltas', 'holder_constant']"),
             ("explicit-holder-frequency", "delta_mode 'explicit' does not take ['holder_frequency']"),
             ("holder-deltas", "delta_mode 'holder' does not take ['deltas']"),
+            ("measure-not-an-object", "measure must be a JSON object"),
+            ("atoms-not-a-list", "atoms must be a list, got 1"),
+            ("breakpoints-not-a-list", "breakpoints must be a list, got 3"),
+            ("frequency-cf-not-a-list", "frequency_cf must be a list, got 5"),
         ],
     )
     def test_refusal_names_the_key(self, tmp_path, capsys, case, key):

@@ -307,7 +307,7 @@ class TestFattenedMeasureSequence:
     @pytest.mark.parametrize("kwargs, message", BAD_TAILS.values(), ids=BAD_TAILS.keys())
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
     def test_bad_tail_refused_before_any_step(self, run, kwargs, message):
-        # each was refused only once every step had been built (and solved), 2.5 by numpy's TypeError,
+        # each was refused only once every step had been built (and solved), 2.5 by the row slice's TypeError,
         # and a NaN tail_tol was taken, so that no run could converge
         steps = _Steps(lambda i: pytest.fail(f"step {i} was built"), range(3))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

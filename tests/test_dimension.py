@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from specapprox import (
     hausdorff_content_upper,
     lebesgue,
 )
+from specapprox.cli import main
 
 CANTOR_DIM = math.log(2) / math.log(3)
 
@@ -86,6 +88,28 @@ class TestCoverStats:
         assert st.n == (1, 2, 3)
         assert st.q == (1, 2, 3)
         assert st.mu_fattened[2] == pytest.approx(1.0 + 2.0 / 3)
+
+    # int() and float() refused each with their own text, "invalid literal for int() with base 10: '2.5'",
+    # "could not convert string to float: 'x'" or "float() argument must be ... not 'NoneType'", naming no column
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1,2.5,0.5,0.5,3.0", "q must be an integer, got 2.5"),
+            ("x,2,0.5,0.5,3.0", "n must be an integer, got 'x'"),
+            ("1,2,x,0.5,3.0", "delta must be a real number, got 'x'"),
+            ("1,2,0.5,0.5,", "mu_fattened must be a real number, got ''"),
+            ("1,2,0.5,0.5", "mu_fattened must be a real number, got None"),
+            ("1", "q must be an integer, got None"),
+        ],
+        ids=["q-fraction", "n-text", "delta-text", "mu-empty", "mu-missing", "q-missing"],
+    )
+    def test_bad_cell_refused_naming_its_column(self, tmp_path, capsys, line, message):
+        path = tmp_path / "stats.csv"
+        path.write_text(f"n,q,delta,r,mu_fattened\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoverStats.from_csv(path)
+        assert main(["dimension", "--stats", str(path), "--method", "last"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -849,6 +849,9 @@ INTEGERS = {
     "inf": (math.inf, None),
     "nan": (math.nan, None),
     "fraction": (Fraction(5, 2), None),
+    # int() raised TypeError, which named no argument
+    "none": (None, None),
+    "dict": ({}, None),
 }
 
 
